@@ -22,18 +22,27 @@ def request_key(argv) -> str:
     return hashlib.sha256("\0".join(argv).encode()).hexdigest()[:16]
 
 
-def closed_loop(call, size: int, seconds: float) -> dict:
+# Timed calls a run needs at least, so that ten lie above its 90th
+# percentile.
+MIN_TIMED_CALLS = 100
+
+
+def closed_loop(call, size: int, seconds: float, between=None) -> dict:
     """One untimed warm-up request, then whole passes over the pool until
-    ``seconds`` have passed, so that every request of the pool is repeated
-    equally often.  The pass in flight at the deadline completes and
-    counts."""
+    ``seconds`` of passes have run and at least ``MIN_TIMED_CALLS`` calls are
+    timed, so that every request of the pool is repeated equally often.  The
+    pass in flight at the deadline completes and counts.  ``between(busy_s)``,
+    if given, runs after every pass with the time spent in passes so far; its
+    own time is not counted."""
     warmup = call(0)
-    timed = []
-    start = perf_counter()
-    while not timed or perf_counter() < start + seconds:
+    timed, busy_s = [], 0.0
+    while len(timed) < MIN_TIMED_CALLS or busy_s < seconds:
+        began = perf_counter()
         timed += [call(index) for index in range(size)]
-    return {"warmup": [warmup], "timed": timed,
-            "elapsed_s": perf_counter() - start}
+        busy_s += perf_counter() - began
+        if between is not None:
+            between(busy_s)
+    return {"warmup": [warmup], "timed": timed, "elapsed_s": busy_s}
 
 
 def traced_run(call, size: int, seconds: float, start_tracing) -> dict:

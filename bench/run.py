@@ -10,8 +10,9 @@ host (not modelled time).  Workloads, each a closed loop with one client:
 
 * ``reproduce``: ``cli.main(["reproduce", "all", "--format", "json"])``
   in-process, over and over.
-* ``sweep-decoding``: in-process ``sweep`` requests over all four decodings
-  with a seeded model, accelerator, chunk size and DoF.
+* ``sweep-decoding``: in-process ``sweep`` requests over all four decodings,
+  one for every model and accelerator, each with a seeded chunk pair and
+  DoF pair.
 * ``cli-cold``: a seeded mix of fresh ``python -m vla_roofline ... --format
   json`` processes, one at a time.
 
@@ -31,7 +32,6 @@ ignored, plus two traced ``reproduce`` passes whose counts must repeat.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -49,9 +49,11 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = BENCH / "out"
 ORACLE = BENCH / "oracle.json"
-# Set-up probes before and after the measured loop, so that the median
-# spans two moments of the host's load.
-SETUP_PROBES = 8
+# Set-up probes of an untimed run, spread evenly over its passes so that
+# their median sees the same moments of the host's load as the requests.
+SETUP_PROBES = 16
+# Set-up probes before and after the passes of a traced run.
+TRACE_SETUP_PROBES = 4
 SETUP_PROBE = """\
 import time
 start = time.perf_counter()
@@ -99,15 +101,36 @@ def setup_summary(probes) -> dict:
             "load_presets_ms": statistics.median(load_ms)}
 
 
-def run_worker(env: dict, job: dict) -> tuple[dict, int]:
-    """Run a job in a fresh in-process worker; returns (result, peak RSS KiB)."""
+def probe_schedule(env: dict, count: int, seconds: float):
+    """The list that collects ``count`` set-up probes, and the ``between``
+    hook of ``loop.closed_loop`` that runs them evenly over ``seconds`` of
+    passes."""
+    probes: list = []
+
+    def between(busy_s: float) -> None:
+        while len(probes) < count and busy_s >= len(probes) * seconds / count:
+            probes.extend(setup_probes(env, 1))
+
+    return probes, between
+
+
+def run_worker(env: dict, job: dict, between=None) -> tuple[dict, int]:
+    """Run a job in a fresh in-process worker; returns (result, peak RSS
+    KiB).  ``between`` runs whenever the worker reports a finished pass."""
     proc = subprocess.Popen([sys.executable, str(BENCH / "worker.py")],
                             cwd=ROOT, env=env, stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE)
-    with proc.stdin:
-        proc.stdin.write(json.dumps(job).encode())
-    with proc.stdout:
-        output = proc.stdout.read()
+    proc.stdin.write(json.dumps(job).encode() + b"\n")
+    proc.stdin.flush()
+    output = b""
+    with proc.stdin, proc.stdout:
+        for line in proc.stdout:
+            if line.startswith(b"pass "):
+                between(float(line.split()[1]))
+                proc.stdin.write(b"\n")
+                proc.stdin.flush()
+            else:
+                output = line
     rss_kb = wait_child(proc)
     if proc.returncode != 0:
         raise RuntimeError(f"worker exited with {proc.returncode}")
@@ -148,12 +171,13 @@ def cold_call(env: dict, requests, sink=None):
     return call
 
 
-def run_cold(env: dict, requests, mode: str, seconds: float) -> dict:
+def run_cold(env: dict, requests, mode: str, seconds: float,
+             between=None) -> dict:
     call = cold_call(env, requests)
     if mode == "once":
         return {"records": [call(index) for index in range(len(requests))]}
     if mode == "loop":
-        return loop.closed_loop(call, len(requests), seconds)
+        return loop.closed_loop(call, len(requests), seconds, between)
     spans: list = []
 
     def take_spans():
@@ -167,15 +191,16 @@ def run_cold(env: dict, requests, mode: str, seconds: float) -> dict:
 
 
 def run_pool(workload: str, env: dict, requests, mode: str,
-             seconds: float) -> tuple[dict, int]:
+             seconds: float, between=None) -> tuple[dict, int]:
     """Run a job for ``workload``; returns (result, peak RSS KiB of the
-    process doing the modelling)."""
+    process doing the modelling).  ``between`` runs after every pass of
+    the ``loop`` mode."""
     OUT.mkdir(exist_ok=True)
     in_process = workloads.WORKLOADS[workload][0]
     if in_process:
         return run_worker(env, {"mode": mode, "requests": requests,
-                                "seconds": seconds})
-    result = run_cold(env, requests, mode, seconds)
+                                "seconds": seconds}, between)
+    result = run_cold(env, requests, mode, seconds, between)
     records = all_records(result)
     return result, max(record[4] for record in records)
 
@@ -204,43 +229,30 @@ def percentile(values, share: float) -> float:
 
 
 def commit_hash():
-    git = ROOT / ".git"
+    # The ceiling keeps git from reporting an enclosing repository when the
+    # checkout has no git metadata of its own.
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              env=env, capture_output=True, text=True)
     except OSError:
-        pass
-    return None
-
-
-def source_digest() -> str:
-    """Digest of the package sources, which identifies the code measured
-    when no git metadata is present."""
-    sha = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*")):
-        if path.is_file() and "__pycache__" not in path.parts:
-            sha.update(str(path.relative_to(ROOT)).encode() + b"\0")
-            sha.update(path.read_bytes())
-    return sha.hexdigest()[:16]
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def end_to_end(setup: dict, result: dict, rss_kb: int,
                attempted: int, failed: int) -> tuple[dict, dict]:
     """End-to-end metrics of an untraced run.
 
-    Other work on a shared host only ever adds time, and it can come in
-    phases of seconds that slow everything down together.  So the median
-    and the throughput use each request's fastest repeat in the run, the
-    robust estimator of Chen & Revels, "Robust benchmarking in noisy
-    environments" (arXiv:1608.04295).  The tail percentile is taken over
-    every timed call, so that at least ten calls lie beyond it."""
+    The host runs in fast and slow phases lasting seconds, so every call's
+    time is bimodal and the plain median of a run jumps between the two
+    modes with the share of slow phases in it.  The median is therefore
+    taken over each request's fastest repeat (Chen & Revels, "Robust
+    benchmarking in noisy environments", arXiv:1608.04295): the typical
+    request's time when the host lets it run.  The tail percentile is taken
+    over every timed call, so that at least ten calls lie beyond it, and
+    the throughput over every timed call and the time spent in passes; a
+    slowdown that hits only some calls moves those two."""
     timed = result["timed"]
     walls = [call[1] for call in timed]
     best: dict[int, float] = {}
@@ -251,13 +263,12 @@ def end_to_end(setup: dict, result: dict, rss_kb: int,
         "setup_s": (setup["setup_s"], "s"),
         "call_ms_p50": (statistics.median(best.values()), "ms"),
         "call_ms_p90": (p90, "ms"),
-        "calls_per_s": (len(best) / sum(best.values()) * 1e3, "1/s"),
+        "calls_per_s": (len(walls) / result["elapsed_s"], "1/s"),
         "peak_rss_mb": (rss_kb / 1024, "MB"),
         "success_ratio": ((attempted - failed) / attempted, "ratio"),
     }
     meta = {"timed_requests": len(walls),
-            "requests_above_p90": sum(1 for wall in walls if wall > p90),
-            "closed_loop_calls_per_s": len(walls) / result["elapsed_s"]}
+            "requests_above_p90": sum(1 for wall in walls if wall > p90)}
     return metrics, meta
 
 
@@ -272,7 +283,8 @@ def per_layer(result: dict) -> tuple[dict, dict, bool]:
         value = (passes[0][name] if name in tracing.COUNT_METRICS
                  else statistics.median(entry[name] for entry in passes))
         metrics[name] = (value, unit)
-    # Fastest pass of each kind, for the reason given in ``end_to_end``.
+    # Fastest pass of each kind: other work on a shared host only ever adds
+    # time.
     untraced = min(result["untraced_s"])
     traced = min(entry["wall_s"] for entry in result["traced"])
     metrics["tracing.overhead_ms"] = ((traced - untraced) * 1e3, "ms")
@@ -296,11 +308,17 @@ def bench(args, oracle: dict) -> None:
     env = child_env()
     requests = workloads.pool(args.workload, args.seed)
     setup_probes(env, 1)  # writes the bytecode caches
-    probes = setup_probes(env, SETUP_PROBES)
-    mode = "trace" if args.trace else "loop"
-    result, rss_kb = run_pool(args.workload, env, requests, mode,
-                              args.seconds)
-    setup = setup_summary(probes + setup_probes(env, SETUP_PROBES))
+    if args.trace:
+        probes = setup_probes(env, TRACE_SETUP_PROBES)
+        result, rss_kb = run_pool(args.workload, env, requests, "trace",
+                                  args.seconds)
+        probes += setup_probes(env, TRACE_SETUP_PROBES)
+    else:
+        probes, between = probe_schedule(env, SETUP_PROBES, args.seconds)
+        result, rss_kb = run_pool(args.workload, env, requests, "loop",
+                                  args.seconds, between)
+        probes += setup_probes(env, SETUP_PROBES - len(probes))
+    setup = setup_summary(probes)
     records = all_records(result)
     bad = failures(args.workload, requests, records, oracle)
     for argv in bad[:5]:
@@ -309,7 +327,7 @@ def bench(args, oracle: dict) -> None:
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
         "python": sys.version.split()[0], "nproc": os.cpu_count(),
-        "commit": commit_hash(), "source_digest": source_digest(),
+        "commit": commit_hash(),
         "requests_per_pass": len(requests), "setup": setup,
         "timing": "host wall-clock time of the calculator itself, not "
                   f"modelled time, on {os.cpu_count()} CPU(s) that may be "

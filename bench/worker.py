@@ -1,11 +1,14 @@
 """In-process load generator for the ``reproduce`` and ``sweep-decoding``
 workloads.
 
-Reads a JSON job ``{"mode", "requests", "seconds"}`` on stdin, runs each
-request as ``vla_roofline.cli.main(argv)`` with stdout and stderr captured,
-and writes a JSON result on stdout.  Modes: ``once`` runs every request one
-time, ``loop`` runs the closed loop, ``trace`` runs untraced and then traced
-passes.  ``src/`` must be on ``PYTHONPATH``.
+Reads a JSON job ``{"mode", "requests", "seconds"}`` as the first line of
+stdin, runs each request as ``vla_roofline.cli.main(argv)`` with stdout and
+stderr captured, and writes a JSON result as the last line of stdout.
+Modes: ``once`` runs every request one time, ``loop`` runs the closed loop,
+``trace`` runs untraced and then traced passes.  In ``loop`` mode the worker
+writes ``pass BUSY_S`` after every pass and waits for a line on stdin before
+it goes on, so that the caller can run set-up probes while it is idle.
+``src/`` must be on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def make_call(cli, requests):
 
 
 def main() -> None:
-    job = json.load(sys.stdin)
+    job = json.loads(sys.stdin.readline())
     requests, mode = job["requests"], job["mode"]
     from vla_roofline import cli
 
@@ -49,7 +52,12 @@ def main() -> None:
     if mode == "once":
         result = {"records": [call(index) for index in range(len(requests))]}
     elif mode == "loop":
-        result = loop.closed_loop(call, len(requests), job["seconds"])
+        def between(busy_s):
+            print("pass", busy_s, flush=True)
+            sys.stdin.readline()
+
+        result = loop.closed_loop(call, len(requests), job["seconds"],
+                                  between)
     else:
         tracer = tracing.Tracer()
 

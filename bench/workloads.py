@@ -38,45 +38,40 @@ def reproduce_pool(rng: random.Random) -> list[tuple[str, ...]]:
 
 SWEEP_DECODINGS = ("diffusion,diffusion_large,autoregressive,"
                    "autoregressive_parallel")
-# (chunk, DoF) shapes in three tiers of five, chunk sizes from 5 to 250.
-# Within a tier every shape has the same chunk x DoF product, i.e. the same
-# number of autoregressive action tokens, which dominate the cost of a sweep.
-SWEEP_TIERS = (
-    ((5, 28), (7, 20), (10, 14), (14, 10), (20, 7)),
-    ((20, 35), (28, 25), (50, 14), (70, 10), (100, 7)),
-    ((50, 35), (70, 25), (125, 14), (175, 10), (250, 7)),
-)
-# Accelerators whose memory holds each model (per the presets).  Every other
-# pair is infeasible at every point of the sweep and returns early.
-FITS = {"pi0": ACCELERATORS, "pi0-l": ACCELERATORS,
-        "pi0-xl": ("thor", "a100", "h100", "b100"), "pi0-xxl": ("b100",)}
+# Each sweep prices the grid of a chunk pair and a DoF pair.  Every pair
+# holds the same largest value, so the largest graph of a sweep, which sets
+# its peak memory, is the same whatever the seed; and the pairs' sums differ
+# by at most 8% (chunk) and 10% (DoF), so the autoregressive action tokens,
+# which dominate the cost of a sweep, hardly change from seed to seed.  Chunk
+# sizes span 5 to 250.
+CHUNK_PAIRS = ((5, 250), (10, 250), (15, 250), (20, 250), (25, 250))
+DOF_PAIRS = ((4, 6), (5, 6))
 
 
-def sweep_argv(model: str, hw: str, chunk: int, dof: int) -> tuple[str, ...]:
-    return ("sweep", "--model", model, "--hw", hw, "--chunk", str(chunk),
-            "--dof", str(dof), "--decoding", SWEEP_DECODINGS) + JSON
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def sweep_argv(model: str, hw: str, chunks, dofs) -> tuple[str, ...]:
+    return ("sweep", "--model", model, "--hw", hw, "--chunk", _csv(chunks),
+            "--dof", _csv(dofs), "--decoding", SWEEP_DECODINGS) + JSON
 
 
 def sweep_catalogue() -> list[tuple[str, ...]]:
-    return [sweep_argv(model, hw, chunk, dof)
+    return [sweep_argv(model, hw, chunks, dofs)
             for model in MODELS for hw in ACCELERATORS
-            for tier in SWEEP_TIERS for chunk, dof in tier]
+            for chunks in CHUNK_PAIRS for dofs in DOF_PAIRS]
 
 
 def sweep_pool(rng: random.Random) -> list[tuple[str, ...]]:
-    """51 sweeps.  For every model and tier, three of the tier's shapes,
-    each on an accelerator that holds the model; and for every infeasible
-    (model, accelerator) pair, one shape per tier.  The seed draws shapes
-    and accelerators; the strata keep the work of a pool nearly the same
-    from seed to seed."""
-    pool = []
-    for model, fits in FITS.items():
-        for tier in SWEEP_TIERS:
-            for chunk, dof in rng.sample(tier, 3):
-                pool.append(sweep_argv(model, rng.choice(fits), chunk, dof))
-            for hw in ACCELERATORS:
-                if hw not in fits:
-                    pool.append(sweep_argv(model, hw, *rng.choice(tier)))
+    """20 sweeps: every (model, accelerator) pair once, in seeded order,
+    each with a seeded chunk pair and DoF pair.  Equal weight per pair needs
+    no guess at how often users sweep which model; the pairs whose model
+    does not fit the accelerator's memory (5 of 20) are infeasible at every
+    point and return early."""
+    pool = [sweep_argv(model, hw, rng.choice(CHUNK_PAIRS),
+                       rng.choice(DOF_PAIRS))
+            for model in MODELS for hw in ACCELERATORS]
     rng.shuffle(pool)
     return pool
 
@@ -138,10 +133,9 @@ def _cold_strata() -> dict[str, list[tuple[str, ...]]]:
     }
 
 
-# Requests per stratum in one pool; 40 in all.
-COLD_MIX = {"on-device": 8, "edge-server": 6, "cloud-server": 4, "async": 6,
-            "s2-cap": 4, "collaborative": 4, "list-presets": 2,
-            "reproduce": 6}
+# Requests per stratum in one pool.  There is no usage data to weight the
+# kinds of request by, so every stratum gets the same count.
+COLD_PER_STRATUM = 5
 
 
 def cold_catalogue() -> list[tuple[str, ...]]:
@@ -149,12 +143,11 @@ def cold_catalogue() -> list[tuple[str, ...]]:
 
 
 def cold_pool(rng: random.Random) -> list[tuple[str, ...]]:
-    """40 cold invocations in fixed numbers per stratum.  Every small
-    reproduce table appears once."""
-    strata = _cold_strata()
+    """40 cold invocations, 5 from each of the 8 strata, drawn without
+    replacement where the stratum holds enough requests."""
     pool = []
-    for kind, count in COLD_MIX.items():
-        requests = strata[kind]
+    for requests in _cold_strata().values():
+        count = COLD_PER_STRATUM
         if count <= len(requests):
             pool += rng.sample(requests, count)
         else:
