@@ -6,7 +6,10 @@
 
 Run from the repository root; the package is used from ``src/`` without
 being installed.  Timings are the calculator's own wall-clock time on the
-host (not modelled time).  Workloads, each a closed loop with one client:
+host (not modelled time), scaled to a nominal host speed that a reference
+loop timed around every call measures (see ``loop``); the run and all its
+children are pinned to one CPU.  Workloads, each a closed loop with one
+client:
 
 * ``reproduce``: ``cli.main(["reproduce", "all", "--format", "json"])``
   in-process, over and over.
@@ -80,25 +83,38 @@ def wait_child(proc: subprocess.Popen) -> int:
     return usage.ru_maxrss
 
 
-def setup_probes(env: dict, count: int) -> list[tuple[float, float, float]]:
+def setup_probes(env: dict, count: int) -> list[tuple[float, ...]]:
     """``count`` fresh processes that import ``vla_roofline.cli`` and load
-    the presets once: (wall s, import ms, load_presets ms) of each."""
+    the presets once: (wall s, scale, import ms, load_presets ms) of each,
+    the scale taken from reference loops timed before and after it."""
     probes = []
     for _ in range(count):
+        before = loop.tight_loop_ms()
         start = perf_counter()
         done = subprocess.run([sys.executable, "-c", SETUP_PROBE], cwd=ROOT,
                               env=env, check=True, capture_output=True,
                               text=True)
+        wall_s = perf_counter() - start
+        scale = 2 * loop.REFERENCE_MS / (before + loop.tight_loop_ms())
         import_ms, load_ms = map(float, done.stdout.split())
-        probes.append((perf_counter() - start, import_ms, load_ms))
+        probes.append((wall_s, scale, import_ms, load_ms))
     return probes
 
 
 def setup_summary(probes) -> dict:
-    wall_s, import_ms, load_ms = zip(*probes)
-    return {"setup_s": statistics.median(wall_s),
+    wall_s, scale, import_ms, load_ms = zip(*probes)
+    return {"setup_s": statistics.median(w * k for w, k in zip(wall_s, scale)),
+            "unscaled_setup_s": statistics.median(wall_s),
             "import_ms": statistics.median(import_ms),
             "load_presets_ms": statistics.median(load_ms)}
+
+
+def pin_to_one_cpu() -> int:
+    """Run this process, and so every child it starts, on one CPU, so that
+    the reference loop times the CPU the calls run on."""
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
 
 
 def probe_schedule(env: dict, count: int, seconds: float):
@@ -177,7 +193,8 @@ def run_cold(env: dict, requests, mode: str, seconds: float,
     if mode == "once":
         return {"records": [call(index) for index in range(len(requests))]}
     if mode == "loop":
-        return loop.closed_loop(call, len(requests), seconds, between)
+        return loop.closed_loop(call, len(requests), seconds,
+                                loop.tight_loop_ms, between)
     spans: list = []
 
     def take_spans():
@@ -215,7 +232,7 @@ def failures(workload: str, requests, records, oracle: dict) -> list:
     """The requests whose exit code or output differ from the oracle."""
     expected = oracle[workload]
     bad = []
-    for index, _, code, output, _ in records:
+    for index, _, code, output, *_ in records:
         key = loop.request_key(requests[index])
         if expected.get(key) != f"{code}:{output}":
             bad.append(requests[index])
@@ -244,31 +261,43 @@ def end_to_end(setup: dict, result: dict, rss_kb: int,
                attempted: int, failed: int) -> tuple[dict, dict]:
     """End-to-end metrics of an untraced run.
 
-    The host runs in fast and slow phases lasting seconds, so every call's
-    time is bimodal and the plain median of a run jumps between the two
-    modes with the share of slow phases in it.  The median is therefore
-    taken over each request's fastest repeat (Chen & Revels, "Robust
-    benchmarking in noisy environments", arXiv:1608.04295): the typical
-    request's time when the host lets it run.  The tail percentile is taken
-    over every timed call, so that at least ten calls lie beyond it, and
-    the throughput over every timed call and the time spent in passes; a
-    slowdown that hits only some calls moves those two."""
-    timed = result["timed"]
-    walls = [call[1] for call in timed]
-    best: dict[int, float] = {}
-    for index, wall_ms, *_ in timed:
-        best[index] = min(wall_ms, best.get(index, wall_ms))
+    Every time is scaled to the nominal host speed (see ``loop``).  The
+    median is taken over the requests of the pool, of each request's median
+    time: the pools mix requests whose times differ by up to a factor of
+    60, and a median over single calls lands between two of them and
+    swings with every call's noise.  Every request is repeated equally
+    often.  The 90th percentile is taken over every timed call, so that at
+    least ten lie above it, and the closed-loop throughput is timed calls
+    over the sum of their scaled times.  The unscaled figures go to the run
+    metadata."""
+    timed, scale = result["timed"], result["scale"]
+    raw = [call[1] for call in timed]
+    walls = [wall_ms * k for wall_ms, k in zip(raw, scale)]
+    by_request: dict[int, list[float]] = {}
+    for call, wall_ms in zip(timed, walls):
+        by_request.setdefault(call[0], []).append(wall_ms)
+    p50 = statistics.median(statistics.median(times)
+                            for times in by_request.values())
     p90 = percentile(walls, 0.9)
     metrics = {
         "setup_s": (setup["setup_s"], "s"),
-        "call_ms_p50": (statistics.median(best.values()), "ms"),
+        "call_ms_p50": (p50, "ms"),
         "call_ms_p90": (p90, "ms"),
-        "calls_per_s": (len(walls) / result["elapsed_s"], "1/s"),
+        "calls_per_s": (len(walls) * 1e3 / sum(walls), "1/s"),
         "peak_rss_mb": (rss_kb / 1024, "MB"),
         "success_ratio": ((attempted - failed) / attempted, "ratio"),
     }
+    references = result["reference_ms"]
     meta = {"timed_requests": len(walls),
-            "requests_above_p90": sum(1 for wall in walls if wall > p90)}
+            "requests_above_p90": sum(1 for wall in walls if wall > p90),
+            "reference_ms": {"nominal": loop.REFERENCE_MS,
+                             "median": statistics.median(references),
+                             "min": min(references),
+                             "max": max(references)},
+            "unscaled": {"setup_s": setup["unscaled_setup_s"],
+                         "call_ms_p50": statistics.median(raw),
+                         "call_ms_p90": percentile(raw, 0.9),
+                         "calls_per_s": len(raw) * 1e3 / sum(raw)}}
     return metrics, meta
 
 
@@ -305,6 +334,7 @@ def write_trace(workload: str, seed: int, events) -> Path:
 
 
 def bench(args, oracle: dict) -> None:
+    cpu = pin_to_one_cpu()
     env = child_env()
     requests = workloads.pool(args.workload, args.seed)
     setup_probes(env, 1)  # writes the bytecode caches
@@ -327,11 +357,13 @@ def bench(args, oracle: dict) -> None:
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
         "python": sys.version.split()[0], "nproc": os.cpu_count(),
-        "commit": commit_hash(),
+        "commit": commit_hash(), "pinned_cpu": cpu,
         "requests_per_pass": len(requests), "setup": setup,
         "timing": "host wall-clock time of the calculator itself, not "
                   f"modelled time, on {os.cpu_count()} CPU(s) that may be "
-                  "shared with other processes",
+                  "shared with other processes; end-to-end times are scaled "
+                  "to a host on which the reference loop takes "
+                  f"{loop.REFERENCE_MS} ms",
     }
     correct = not bad
     if args.trace:

@@ -57,7 +57,7 @@ def main() -> None:
             sys.stdin.readline()
 
         result = loop.closed_loop(call, len(requests), job["seconds"],
-                                  between)
+                                  loop.mixed_code_ms, between)
     else:
         tracer = tracing.Tracer()
 
