@@ -9,176 +9,28 @@ costs (:mod:`~vla_roofline.netmodel`) into deployment scenarios
 accelerators and links live in :mod:`~vla_roofline.configio`, and
 :mod:`~vla_roofline.golden` carries published reference tables the model is
 validated against (``vla-roofline reproduce all``).
+
+The names imported here are the common entry points; every other name is
+imported from its module.
 """
 
-from .configio import (
-    PRESET_DIR_ENV,
-    PresetLibrary,
-    load_catalog,
-    load_hardware,
-    load_networks,
-    load_presets,
-)
-from .netmodel import (
-    ACTION_VALUE_BYTES,
-    COMPRESSED_OBSERVATION_BYTES,
-    DOWNLOAD,
-    UPLOAD,
-    NetworkConfig,
-    NetworkPath,
-    Payload,
-    action_payload,
-    kv_payload,
-    observation_payload,
-    path_time,
-    transfer_time,
-)
-from .opgraph import (
-    ACTION,
-    PHASES,
-    VISION,
-    VLM,
-    Operator,
-    OperatorGraph,
-    attention_op,
-    decode_step_graph,
-    diffusion_graph,
-    long_context_step_graphs,
-    matmul_op,
-    parallel_decode_graph,
-    pipeline_graph,
-    prefill_graph,
-    vit_encode_graph,
-)
+from .configio import load_presets
+from .netmodel import UPLOAD, NetworkConfig, Payload, transfer_time
+from .opgraph import VLM, Operator, OperatorGraph, pipeline_graph, prefill_graph
 from .roofline import (
     COMPUTE_BOUND,
     GIB,
     MEMORY_BOUND,
     AcceleratorConfig,
-    GraphTiming,
-    boundedness,
     fits,
-    graph_oi,
     graph_time,
-    kv_cache_bytes,
-    memory_footprint,
     op_time,
-    phase_breakdown,
 )
 from .scenarios import (
-    COLLABORATIVE,
-    DECODING_VARIANTS,
-    DIFFUSION_LARGE,
-    ON_DEVICE,
-    DecodingRow,
-    DenoiseChunkRow,
-    DualSystemResult,
-    LongContextRow,
     Placement,
-    ScalingRow,
-    ScenarioResult,
     async_scenario,
-    collaborative_scenario,
-    decoding_comparison,
-    decoding_variant_spec,
-    denoise_chunk_sweep,
     dual_system_scenario,
     long_context_sweep,
-    scaling_sweep,
     sync_scenario,
 )
-from .workload import (
-    AUTOREGRESSIVE,
-    AUTOREGRESSIVE_PARALLEL,
-    DECODING_MODES,
-    DIFFUSION,
-    PresetCatalog,
-    TransformerConfig,
-    VlaModelSpec,
-    kv_bytes_per_token,
-    param_count,
-    scaled_family,
-    weight_bytes,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ACTION",
-    "ACTION_VALUE_BYTES",
-    "AUTOREGRESSIVE",
-    "AUTOREGRESSIVE_PARALLEL",
-    "AcceleratorConfig",
-    "COLLABORATIVE",
-    "COMPRESSED_OBSERVATION_BYTES",
-    "COMPUTE_BOUND",
-    "DECODING_MODES",
-    "DECODING_VARIANTS",
-    "DIFFUSION",
-    "DIFFUSION_LARGE",
-    "DOWNLOAD",
-    "DecodingRow",
-    "DenoiseChunkRow",
-    "DualSystemResult",
-    "GIB",
-    "GraphTiming",
-    "LongContextRow",
-    "MEMORY_BOUND",
-    "NetworkConfig",
-    "NetworkPath",
-    "ON_DEVICE",
-    "Operator",
-    "OperatorGraph",
-    "PHASES",
-    "PRESET_DIR_ENV",
-    "Payload",
-    "Placement",
-    "PresetCatalog",
-    "PresetLibrary",
-    "ScalingRow",
-    "ScenarioResult",
-    "TransformerConfig",
-    "UPLOAD",
-    "VISION",
-    "VLM",
-    "VlaModelSpec",
-    "action_payload",
-    "async_scenario",
-    "attention_op",
-    "boundedness",
-    "collaborative_scenario",
-    "decode_step_graph",
-    "decoding_comparison",
-    "decoding_variant_spec",
-    "denoise_chunk_sweep",
-    "diffusion_graph",
-    "dual_system_scenario",
-    "fits",
-    "graph_oi",
-    "graph_time",
-    "kv_bytes_per_token",
-    "kv_cache_bytes",
-    "kv_payload",
-    "load_catalog",
-    "load_hardware",
-    "load_networks",
-    "load_presets",
-    "long_context_step_graphs",
-    "long_context_sweep",
-    "matmul_op",
-    "memory_footprint",
-    "observation_payload",
-    "op_time",
-    "parallel_decode_graph",
-    "param_count",
-    "path_time",
-    "phase_breakdown",
-    "pipeline_graph",
-    "prefill_graph",
-    "scaled_family",
-    "scaling_sweep",
-    "sync_scenario",
-    "transfer_time",
-    "vit_encode_graph",
-    "weight_bytes",
-]
+from .workload import kv_bytes_per_token, param_count

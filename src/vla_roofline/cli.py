@@ -23,9 +23,13 @@ from typing import Optional, Sequence
 from . import golden
 from .configio import PresetLibrary, load_presets
 from .opgraph import PHASES
-from .roofline import COMPUTE_BOUND, GIB
+from .roofline import GIB
 from .scenarios import (
+    CLOUD_SERVER,
     DECODING_VARIANTS,
+    EDGE_SERVER,
+    ON_DEVICE,
+    PLACEMENT_KINDS,
     Placement,
     ScenarioResult,
     async_scenario,
@@ -36,7 +40,6 @@ from .scenarios import (
 from .workload import VlaModelSpec
 
 FORMATS = ("table", "csv", "json")
-PLACEMENTS = ("on-device", "edge-server", "cloud-server", "collaborative")
 REPRODUCE_IDS = ("T1", "T3", "T4", "T5", "T6", "T8", "T9",
                  "scaling", "collab", "all")
 # "scaling" is an alias for T5, so "all" runs each underlying table once.
@@ -80,7 +83,7 @@ def build_parser() -> _Parser:
         p.add_argument("--model", default="pi0", help="model preset name")
         p.add_argument("--hw", default="b100",
                        help="serving accelerator preset")
-        p.add_argument("--placement", choices=PLACEMENTS, default="on-device")
+        p.add_argument("--placement", choices=PLACEMENT_KINDS, default=ON_DEVICE)
         p.add_argument("--net", help="access network preset (server placements)")
         p.add_argument("--cloud-net", help="second hop for cloud-server")
         p.add_argument("--device-hw",
@@ -155,17 +158,25 @@ def _json_value(key: str, value):
     return value
 
 
+def _json_text(payload) -> str:
+    """Strict JSON: a NaN or infinity is an error, not an invalid token."""
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def _render_record(record: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({k: _json_value(k, v) for k, v in record.items()},
-                          indent=2)
+        return _json_text({k: _json_value(k, v) for k, v in record.items()})
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in record.items():
-            writer.writerow([key, _format_value(key, value)])
-        return buf.getvalue().rstrip("\n")
+        return _csv_text(["key", "value"],
+                         ([k, _format_value(k, v)] for k, v in record.items()))
     width = max(len(key) for key in record)
     return "\n".join(f"{key.ljust(width)}  {_format_value(key, value)}"
                      for key, value in record.items())
@@ -176,16 +187,11 @@ def _render_rows(rows: list[dict], fmt: str) -> str:
         return "" if fmt != "json" else "[]"
     columns = list(rows[0])
     if fmt == "json":
-        return json.dumps(
-            [{k: _json_value(k, row[k]) for k in columns} for row in rows],
-            indent=2)
+        return _json_text(
+            [{k: _json_value(k, row[k]) for k in columns} for row in rows])
     cells = [[_format_value(col, row[col]) for col in columns] for row in rows]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(cells)
-        return buf.getvalue().rstrip("\n")
+        return _csv_text(columns, cells)
     widths = [max(len(col), *(len(row[i]) for row in cells))
               for i, col in enumerate(columns)]
     lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
@@ -212,9 +218,7 @@ def _scenario_record(model_name: str, result: ScenarioResult) -> dict:
         record["async_frequency_hz"] = result.async_frequency
     for phase in PHASES:
         if phase in result.boundedness:
-            bound = result.boundedness[phase]
-            record[f"{phase}_bound"] = (
-                "compute" if bound == COMPUTE_BOUND else "memory")
+            record[f"{phase}_bound"] = result.boundedness[phase]
             record[f"{phase}_oi"] = result.operational_intensity[phase]
     record["footprint_gb"] = result.footprint_bytes / GIB
     for i, note in enumerate(result.notes, 1):
@@ -245,13 +249,13 @@ def _configure_spec(base: VlaModelSpec, chunk: Optional[int],
 
 def _build_placement(args, lib: PresetLibrary, parser: _Parser) -> Placement:
     hw = lib.accelerator(args.hw)
-    if args.placement == "on-device":
+    if args.placement == ON_DEVICE:
         return Placement.on_device(hw)
-    if args.placement == "edge-server":
+    if args.placement == EDGE_SERVER:
         if not args.net:
             parser.error("edge-server placement requires --net")
         return Placement.edge_server(hw, lib.network(args.net))
-    if args.placement == "cloud-server":
+    if args.placement == CLOUD_SERVER:
         if not (args.net and args.cloud_net):
             parser.error("cloud-server placement requires --net and --cloud-net")
         return Placement.cloud_server(hw, lib.network(args.net),
@@ -267,6 +271,9 @@ def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
                            args.dof, args.decoding)
     placement = _build_placement(args, lib, parser)
     if args.s2_cap is not None:
+        if args.context_steps is not None:
+            raise ValueError("dual-system serving does not model cached "
+                             "camera history (--context-steps)")
         dual = dual_system_scenario(spec, placement, args.s2_cap)
         record = {
             "model": spec.name,
@@ -289,6 +296,11 @@ def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     return _render_record(record, args.format), 0
 
 
+# A sweep row is its grid point plus these record keys, None where absent.
+_SWEEP_COLUMNS = ("feasible", *(f"{phase}_latency_ms" for phase in PHASES),
+                  "e2e_latency_ms", "sync_frequency_hz", "footprint_gb")
+
+
 def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     base = lib.model(args.model)
     placement = _build_placement(args, lib, parser)
@@ -307,17 +319,9 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
                                point.get("dof"), point.get("decoding"))
         result = sync_scenario(spec, placement,
                                context_timestep=point.get("context_steps"))
-        row = dict(point)
-        row["feasible"] = "yes" if result.feasible else "no"
-        for phase in PHASES:
-            key = f"{phase}_latency_ms"
-            row[key] = (result.phase_latencies[phase] * 1e3
-                        if phase in result.phase_latencies else None)
-        row["e2e_latency_ms"] = (result.e2e_latency * 1e3
-                                 if result.e2e_latency is not None else None)
-        row["sync_frequency_hz"] = result.sync_frequency
-        row["footprint_gb"] = result.footprint_bytes / GIB
-        rows.append(row)
+        record = _scenario_record(spec.name, result)
+        rows.append({**point,
+                     **{col: record.get(col) for col in _SWEEP_COLUMNS}})
     return _render_rows(rows, args.format), 0
 
 
@@ -345,39 +349,32 @@ def _cell_error_text(cell: golden.GoldenCell) -> str:
     return "" if rel is None else f"{rel * 100:+.1f}%"
 
 
+_CELL_COLUMNS = ("label", "unit", "modeled", "reference", "error", "status")
+
+
+def _cell_fields(cell: golden.GoldenCell) -> tuple[str, ...]:
+    """A golden cell's printed fields, in ``_CELL_COLUMNS`` order."""
+    return (cell.label, cell.unit, _cell_modeled_text(cell),
+            _cell_reference_text(cell), _cell_error_text(cell),
+            _cell_status(cell))
+
+
 def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     names = _ALL_TABLES if args.table == "all" else (args.table,)
     groups = [(name, golden.TABLES[name](lib)) for name in names]
     all_pass = all(golden.table_passed(cells) for _, cells in groups)
+    code = 0 if all_pass else 2
 
     if args.format == "json":
-        payload = []
-        for name, cells in groups:
-            payload.append({
-                "table": name,
-                "passed": golden.table_passed(cells),
-                "cells": [{
-                    "label": c.label,
-                    "unit": c.unit,
-                    "modeled": _cell_modeled_text(c),
-                    "reference": _cell_reference_text(c),
-                    "error": _cell_error_text(c),
-                    "status": _cell_status(c),
-                } for c in cells],
-            })
-        return json.dumps(payload, indent=2), 0 if all_pass else 2
-
+        return _json_text([{
+            "table": name,
+            "passed": golden.table_passed(cells),
+            "cells": [dict(zip(_CELL_COLUMNS, _cell_fields(c))) for c in cells],
+        } for name, cells in groups]), code
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["table", "label", "unit", "modeled", "reference",
-                         "error", "status"])
-        for name, cells in groups:
-            for c in cells:
-                writer.writerow([name, c.label, c.unit, _cell_modeled_text(c),
-                                 _cell_reference_text(c), _cell_error_text(c),
-                                 _cell_status(c)])
-        return buf.getvalue().rstrip("\n"), 0 if all_pass else 2
+        return _csv_text(("table", *_CELL_COLUMNS),
+                         ((name, *_cell_fields(c))
+                          for name, cells in groups for c in cells)), code
 
     lines = []
     for name, cells in groups:
@@ -397,56 +394,52 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
                      f"{len(cells) - len(graded)} informational")
         lines.append("")
     lines.append("overall: " + ("PASS" if all_pass else "FAIL"))
-    return "\n".join(lines), 0 if all_pass else 2
+    return "\n".join(lines), code
 
 
 def _run_list_presets(args, lib: PresetLibrary) -> tuple[str, int]:
     catalog = lib.catalog
+    names = {
+        "models": catalog.model_names(),
+        "components": catalog.component_names(),
+        "hardware": sorted(lib.hardware),
+        "networks": sorted(lib.networks),
+    }
     if args.format == "json":
-        payload = {
-            "models": catalog.model_names(),
-            "components": catalog.component_names(),
-            "hardware": sorted(lib.hardware),
-            "networks": sorted(lib.networks),
-        }
-        return json.dumps({k: list(v) for k, v in payload.items()}, indent=2), 0
+        return _json_text({k: list(v) for k, v in names.items()}), 0
+    if args.format == "csv":
+        kinds = {"models": "model", "components": "component",
+                 "hardware": "hardware", "networks": "network"}
+        return _csv_text(["kind", "name"],
+                         ([kinds[group], name]
+                          for group, group_names in names.items()
+                          for name in group_names)), 0
     lines = ["models:"]
-    for name in catalog.model_names():
+    for name in names["models"]:
         spec = catalog.model(name)
         expert = spec.action_expert.name if spec.action_expert else "none"
         lines.append(f"  {name:<14} {spec.vision_encoder.name} + "
                      f"{spec.vlm.name} + {expert}, {spec.decoding_mode}, "
                      f"chunk {spec.chunk_size}, {spec.denoise_steps} steps")
     lines.append("components:")
-    for name in catalog.component_names():
+    for name in names["components"]:
         cfg = catalog.component(name)
         lines.append(f"  {name:<14} {cfg.num_layers} layers, hidden "
                      f"{cfg.hidden_size}, ffn {cfg.intermediate_size}, "
                      f"{cfg.num_q_heads}Q/{cfg.num_kv_heads}KV, "
                      f"head dim {cfg.head_dim}")
     lines.append("hardware:")
-    for name in sorted(lib.hardware):
+    for name in names["hardware"]:
         hw = lib.hardware[name]
         lines.append(f"  {name:<14} {hw.peak(2) / 1e12:.0f} TFLOP/s bf16, "
                      f"{hw.mem_bandwidth / 1e9:.0f} GB/s, "
                      f"{hw.mem_capacity / GIB:.0f} GB")
     lines.append("networks:")
-    for name in sorted(lib.networks):
+    for name in names["networks"]:
         net = lib.networks[name]
         lines.append(f"  {name:<14} {net.upload_bw / 1e6:.0f} Mbps up / "
                      f"{net.download_bw / 1e6:.0f} Mbps down, base "
                      f"{net.base_latency * 1e3:.2f} ms")
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["kind", "name"])
-        for kind, names in (("model", catalog.model_names()),
-                            ("component", catalog.component_names()),
-                            ("hardware", sorted(lib.hardware)),
-                            ("network", sorted(lib.networks))):
-            for name in names:
-                writer.writerow([kind, name])
-        return buf.getvalue().rstrip("\n"), 0
     return "\n".join(lines), 0
 
 

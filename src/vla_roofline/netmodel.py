@@ -15,17 +15,9 @@ UPLOAD = "upload"
 DOWNLOAD = "download"
 DIRECTIONS = (UPLOAD, DOWNLOAD)
 
-OBSERVATION_COMPRESSED = "compressed"
-OBSERVATION_RAW = "raw"
-
 # Calibrated wire size of one compressed multi-camera observation (JPEG-class
 # compression of three 224x224 RGB frames plus proprioception).
 COMPRESSED_OBSERVATION_BYTES = 46_500
-
-# Raw observations ship unencoded 224x224 RGB frames.
-RAW_IMAGE_HEIGHT = 224
-RAW_IMAGE_WIDTH = 224
-RAW_IMAGE_CHANNELS = 3
 
 # Actions travel as float32 values.
 ACTION_VALUE_BYTES = 4
@@ -94,19 +86,12 @@ def path_time(payload: Payload, path: NetworkPath) -> float:
     return sum(transfer_time(payload, hop) for hop in path.hops)
 
 
-def observation_payload(spec: VlaModelSpec,
-                        mode: str = OBSERVATION_COMPRESSED,
-                        compressed_bytes: int | None = None) -> Payload:
-    """The per-step observation upload (camera frames + proprioception)."""
-    if mode == OBSERVATION_COMPRESSED:
-        size = COMPRESSED_OBSERVATION_BYTES if compressed_bytes is None else compressed_bytes
-    elif mode == OBSERVATION_RAW:
-        size = (spec.num_cameras * RAW_IMAGE_HEIGHT * RAW_IMAGE_WIDTH
-                * RAW_IMAGE_CHANNELS)
-    else:
-        raise ValueError(
-            f"mode must be {OBSERVATION_COMPRESSED!r} or {OBSERVATION_RAW!r}")
-    return Payload(size, UPLOAD)
+def observation_payload(spec: VlaModelSpec) -> Payload:
+    """The per-step observation upload (camera frames + proprioception).
+
+    Every policy ships the same calibrated compressed observation.
+    """
+    return Payload(COMPRESSED_OBSERVATION_BYTES, UPLOAD)
 
 
 def action_payload(spec: VlaModelSpec) -> Payload:

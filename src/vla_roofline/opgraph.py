@@ -119,21 +119,6 @@ def matmul_op(m: int, n: int, k: int, p: int = 2, label: str = "matmul",
     return Operator(label, 2 * m * n * k, p * (m * k + k * n + m * n), phase)
 
 
-def attention_op(q_len: int, kv_len: int, n_q: int, n_kv: int, d_head: int,
-                 p: int = 2, label: str = "attention", phase: str = VLM) -> Operator:
-    """Standalone scaled-dot-product attention over an existing KV cache.
-
-    FLOPs are the usual ``4 * q * kv * n_q * d_head`` (QK^T plus PV); bytes
-    stream the query/output activations once and the cache once at its own
-    width: ``p * (2*q*n_q*d + 2*kv*n_kv*d)``.
-    """
-    if q_len < 0 or kv_len < 0:
-        raise ValueError(f"{label}: sequence lengths must be >= 0")
-    flops = 4 * q_len * kv_len * n_q * d_head
-    data = p * (2 * q_len * n_q * d_head + 2 * kv_len * n_kv * d_head)
-    return Operator(label, flops, data, phase)
-
-
 # ---------------------------------------------------------------------------
 # Decoder layers under the three kernel conventions
 # ---------------------------------------------------------------------------
@@ -375,15 +360,3 @@ def pipeline_graph(spec: VlaModelSpec,
         graph = graph + parallel_decode_graph(
             spec.vlm, spec.action_tokens(), prefix + history, phase=ACTION)
     return graph
-
-
-def long_context_step_graphs(spec: VlaModelSpec, t: int) -> OperatorGraph:
-    """Graph of control step ``t`` when camera history stays cached.
-
-    Only the camera tokens are retained between steps, so step ``t`` sees a
-    ``vision_tokens * (t - 1)`` token history; ``t == 1`` is exactly the
-    stateless baseline graph.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return pipeline_graph(spec, context_timestep=t)

@@ -153,14 +153,16 @@ def fits(spec: VlaModelSpec, hw: AcceleratorConfig,
 
 def phase_breakdown(spec: VlaModelSpec, hw: AcceleratorConfig,
                     context_timestep: Optional[int] = None,
+                    action_hw: Optional[AcceleratorConfig] = None,
                     ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
     """Latency, OI and boundedness per phase of the full pipeline graph.
 
-    Returns three phase-keyed dicts (seconds, FLOP/byte, label), covering
-    only phases that actually have operators.
+    Every phase runs on ``hw`` except the action phase, which runs on
+    ``action_hw`` when one is given (split serving).  Returns three
+    phase-keyed dicts (seconds, FLOP/byte, label), covering only phases that
+    actually have operators.
     """
     graph = opgraph.pipeline_graph(spec, context_timestep)
-    timing = graph_time(graph, hw)
     latencies: dict[str, float] = {}
     intensity: dict[str, float] = {}
     labels: dict[str, str] = {}
@@ -168,7 +170,8 @@ def phase_breakdown(spec: VlaModelSpec, hw: AcceleratorConfig,
         sub = graph.subgraph(phase)
         if not sub.ops:
             continue
-        latencies[phase] = timing.phase(phase)
+        phase_hw = action_hw if phase == opgraph.ACTION and action_hw else hw
+        latencies[phase] = graph_time(sub, phase_hw).total
         intensity[phase] = graph_oi(sub)
-        labels[phase] = boundedness(sub, hw)
+        labels[phase] = boundedness(sub, phase_hw)
     return latencies, intensity, labels

@@ -19,6 +19,7 @@ latencies/rates of ``None``), never exceptions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -122,11 +123,15 @@ class ScenarioResult:
     notes: tuple[str, ...] = ()
 
 
+def _capacity_note(spec: VlaModelSpec, footprint: int,
+                   hw: AcceleratorConfig) -> str:
+    return (f"{spec.name} needs {footprint / roofline.GIB:.2f} GB but "
+            f"{hw.name} has {hw.mem_capacity / roofline.GIB:.2f} GB")
+
+
 def _infeasible(spec: VlaModelSpec, placement: Placement, footprint: int,
                 capacity_hw: AcceleratorConfig,
                 extra_notes: tuple[str, ...] = ()) -> ScenarioResult:
-    note = (f"{spec.name} needs {footprint / roofline.GIB:.2f} GB but "
-            f"{capacity_hw.name} has {capacity_hw.mem_capacity / roofline.GIB:.2f} GB")
     return ScenarioResult(
         placement=placement.describe(),
         phase_latencies={},
@@ -138,7 +143,7 @@ def _infeasible(spec: VlaModelSpec, placement: Placement, footprint: int,
         operational_intensity={},
         footprint_bytes=footprint,
         feasible=False,
-        notes=(note,) + extra_notes,
+        notes=(_capacity_note(spec, footprint, capacity_hw),) + extra_notes,
     )
 
 
@@ -146,6 +151,9 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
                   context_timestep: Optional[int] = None) -> ScenarioResult:
     """Synchronous serving: one full round trip per control step."""
     if placement.kind == COLLABORATIVE:
+        if context_timestep is not None:
+            raise ValueError("collaborative serving does not model cached "
+                             "camera history (context timesteps)")
         return collaborative_scenario(spec, placement)
     hw = placement.hw
     footprint = roofline.memory_footprint(spec, context_timestep)
@@ -234,16 +242,8 @@ def collaborative_scenario(spec: VlaModelSpec,
     if device_bytes > device.mem_capacity:
         return _infeasible(spec, placement, device_bytes, device, (split_note,))
 
-    graph = opgraph.pipeline_graph(spec)
-    latencies: dict[str, float] = {}
-    intensity: dict[str, float] = {}
-    labels: dict[str, str] = {}
-    for phase, hw in ((opgraph.VISION, server), (opgraph.VLM, server),
-                      (opgraph.ACTION, device)):
-        sub = graph.subgraph(phase)
-        latencies[phase] = roofline.graph_time(sub, hw).total
-        intensity[phase] = roofline.graph_oi(sub)
-        labels[phase] = roofline.boundedness(sub, hw)
+    latencies, intensity, labels = roofline.phase_breakdown(
+        spec, server, action_hw=device)
 
     path = placement.network_path()
     network = {
@@ -298,8 +298,8 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
     a cap above the resulting ``f1`` is flagged in the notes (context would
     refresh faster than actions are produced).
     """
-    if s2_cap <= 0:
-        raise ValueError("s2_cap must be positive")
+    if not (math.isfinite(s2_cap) and s2_cap > 0):
+        raise ValueError("s2_cap must be a finite positive rate")
     if placement.kind == COLLABORATIVE:
         raise ValueError("dual-system serving is not defined for "
                          "collaborative placements")
@@ -307,10 +307,8 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
     footprint = roofline.memory_footprint(spec)
     desc = placement.describe()
     if footprint > hw.mem_capacity:
-        note = (f"{spec.name} needs {footprint / roofline.GIB:.2f} GB but "
-                f"{hw.name} has {hw.mem_capacity / roofline.GIB:.2f} GB")
-        return DualSystemResult(desc, None, None, None, None, s2_cap,
-                                False, (note,))
+        return DualSystemResult(desc, None, None, None, None, s2_cap, False,
+                                (_capacity_note(spec, footprint, hw),))
 
     latencies, _, _ = roofline.phase_breakdown(spec, hw)
     t_s2 = latencies[opgraph.VLM]

@@ -101,6 +101,33 @@ def test_analyze_infeasible_is_not_an_error():
     assert "needs" in result.stdout  # capacity note explains the N/A
 
 
+def test_collaborative_without_denoise_steps_prints_no_action_phase():
+    result = run_cli("analyze", "--placement", "collaborative", "--net",
+                     "wifi7", "--device-hw", "thor", "--steps", "0",
+                     "--format", "json")
+    assert result.returncode == 0
+    record = json.loads(result.stdout)
+    assert record["feasible"] == "yes"
+    assert "vlm_latency_ms" in record
+    assert not any(key.startswith("action_") for key in record)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--placement", "collaborative", "--net", "wifi7", "--device-hw", "thor",
+      "--context-steps", "1000"), "camera history"),
+    (("--hw", "thor", "--s2-cap", "5", "--context-steps", "1000"),
+     "camera history"),
+    (("--s2-cap", "nan", "--format", "json"), "finite positive"),
+    (("--s2-cap", "inf", "--format", "json"), "finite positive"),
+])
+def test_ignored_or_non_finite_input_is_an_error(args, message):
+    result = run_cli("analyze", *args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and message in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_missing_net_is_usage_error():
     result = run_cli("analyze", "--placement", "edge-server")
     assert result.returncode == 1
@@ -173,6 +200,18 @@ def test_env_override_changes_analyze_output(tmp_path):
     # Without the override the same name is rejected.
     assert run_cli("analyze", "--placement", "edge-server",
                    "--net", "toy-link").returncode == 1
+
+
+def test_json_output_rejects_non_finite_numbers(tmp_path):
+    (tmp_path / "networks.yaml").write_text(
+        "nan-link: {bandwidth_mbps: .nan, base_latency_ms: 1}\n",
+        encoding="utf-8")
+    result = run_cli("analyze", "--placement", "edge-server",
+                     "--net", "nan-link", "--format", "json",
+                     env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "JSON" in result.stderr
 
 
 def test_sweep_rows_and_determinism():

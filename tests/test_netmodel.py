@@ -58,14 +58,10 @@ def test_path_rejects_bad_hop_counts(lib):
         NetworkPath((lib.network("4g"),) * 3)
 
 
-def test_observation_payload_modes(pi0):
-    compressed = observation_payload(pi0)
-    assert compressed.bytes == 46_500
-    assert compressed.direction == UPLOAD
-    raw = observation_payload(pi0, mode="raw")
-    assert raw.bytes == 3 * 224 * 224 * 3
-    with pytest.raises(ValueError):
-        observation_payload(pi0, mode="jpeg2000")
+def test_observation_payload_is_one_compressed_upload(pi0):
+    payload = observation_payload(pi0)
+    assert payload.bytes == 46_500
+    assert payload.direction == UPLOAD
 
 
 def test_action_payload_scales_with_chunk(pi0):

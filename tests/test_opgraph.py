@@ -15,7 +15,6 @@ from vla_roofline.opgraph import (
     VISION,
     VLM,
     OperatorGraph,
-    attention_op,
     decode_step_graph,
     diffusion_graph,
     matmul_op,
@@ -41,12 +40,6 @@ def test_matmul_zero_rows_is_pure_weight_read():
     op = matmul_op(0, 256, 2048)
     assert op.flops == 0
     assert op.bytes == 2 * 256 * 2048
-
-
-def test_attention_op_counts():
-    op = attention_op(q_len=800, kv_len=800, n_q=8, n_kv=1, d_head=256)
-    assert op.flops == 5_242_880_000
-    assert op.bytes == 7_372_800
 
 
 def test_graph_addition_and_repeat():

@@ -23,7 +23,6 @@ from vla_roofline import (
     Placement,
     VLM,
     async_scenario,
-    attention_op,
     dual_system_scenario,
     graph_time,
     load_presets,
@@ -108,18 +107,6 @@ def test_transfer_time_is_affine_in_bytes(net, a, b):
     t_ab = transfer_time(Payload(a + b, UPLOAD), net)
     assert t_ab == pytest.approx(t_a + t_b - net.base_latency, rel=1e-9)
     assert t_a >= net.base_latency
-
-
-@given(q=st.integers(min_value=1, max_value=512),
-       kv_short=st.integers(min_value=0, max_value=4096),
-       extra=st.integers(min_value=1, max_value=4096),
-       n_q=st.integers(min_value=1, max_value=32),
-       d=st.integers(min_value=1, max_value=256))
-def test_attention_cost_grows_with_cache_length(q, kv_short, extra, n_q, d):
-    shorter = attention_op(q, kv_short, n_q, n_q, d)
-    longer = attention_op(q, kv_short + extra, n_q, n_q, d)
-    assert longer.flops > shorter.flops
-    assert longer.bytes > shorter.bytes
 
 
 @st.composite

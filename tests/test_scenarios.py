@@ -162,6 +162,23 @@ def test_collaborative_never_beats_server_only(lib, pi0, thor, b100):
         assert collab.e2e_latency >= server.e2e_latency
 
 
+def test_collaborative_without_denoise_steps_has_no_action_phase(
+        lib, pi0, thor, b100):
+    placement = Placement.collaborative(thor, b100, lib.network("wifi7"))
+    result = collaborative_scenario(replace(pi0, denoise_steps=0), placement)
+    with_steps = collaborative_scenario(pi0, placement)
+    assert set(result.phase_latencies) == set(result.boundedness) == {
+        VISION, VLM}
+    assert result.e2e_latency == pytest.approx(
+        with_steps.e2e_latency - with_steps.phase_latencies[ACTION], rel=REL)
+
+
+def test_collaborative_rejects_cached_context(lib, pi0, thor, b100):
+    placement = Placement.collaborative(thor, b100, lib.network("wifi7"))
+    with pytest.raises(ValueError, match="camera history"):
+        sync_scenario(pi0, placement, context_timestep=1000)
+
+
 def test_collaborative_requires_diffusion(lib, pi0, thor, b100):
     ar = replace(pi0, action_expert=None, decoding_mode=AUTOREGRESSIVE)
     placement = Placement.collaborative(thor, b100, lib.network("wifi7"))
@@ -206,8 +223,9 @@ def test_dual_system_cap_beyond_s2_rate_is_infeasible(lib, pi0, thor):
 
 
 def test_dual_system_rejects_bad_inputs(lib, pi0, thor, b100):
-    with pytest.raises(ValueError, match="positive"):
-        dual_system_scenario(pi0, Placement.on_device(thor), 0.0)
+    for cap in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive"):
+            dual_system_scenario(pi0, Placement.on_device(thor), cap)
     collab = Placement.collaborative(thor, b100, lib.network("wifi7"))
     with pytest.raises(ValueError, match="collaborative"):
         dual_system_scenario(pi0, collab, 5.0)
