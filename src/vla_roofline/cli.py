@@ -274,6 +274,9 @@ def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
         if args.context_steps is not None:
             raise ValueError("dual-system serving does not model cached "
                              "camera history (--context-steps)")
+        if args.use_async:
+            raise ValueError("dual-system serving already reports its "
+                             "asynchronous frequency; drop --async")
         dual = dual_system_scenario(spec, placement, args.s2_cap)
         record = {
             "model": spec.name,

@@ -10,6 +10,7 @@ names; each file found there shadows the packaged one individually.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -39,9 +40,16 @@ def _require(data: Mapping[str, Any], key: str, context: str) -> Any:
     return data[key]
 
 
+def _mapping(data: Any, context: str) -> Mapping[str, Any]:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{context}: expected a mapping, "
+                         f"got {type(data).__name__}")
+    return data
+
+
 def _reject_unknown(data: Mapping[str, Any], allowed: frozenset[str],
                     context: str) -> None:
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(_mapping(data, context)) - allowed)
     if unknown:
         raise ValueError(f"{context}: unknown fields {unknown}")
 
@@ -91,7 +99,7 @@ def model_from_mapping(name: str, data: Mapping[str, Any],
             if required:
                 raise ValueError(f"{context}: missing required field {key!r}")
             return None
-        if ref not in components:
+        if not isinstance(ref, str) or ref not in components:
             raise ValueError(f"{context}: unknown component {ref!r} for {key!r}")
         return components[ref]
 
@@ -126,11 +134,15 @@ def accelerator_from_mapping(name: str,
     }
     if data.get("INT8_TOPS") is not None:
         peaks[1] = float(data["INT8_TOPS"]) * _TFLOPS
+    capacity = float(_require(data, "Memory_GB", context)) * _GIB
+    # int() of an infinite float raises OverflowError, not ValueError.
+    if not math.isfinite(capacity):
+        raise ValueError(f"{context}: Memory_GB must be finite")
     return AcceleratorConfig(
         name=name,
         peak_flops=peaks,
         mem_bandwidth=float(_require(data, "HBM_BW_GBs", context)) * _GB_PER_S,
-        mem_capacity=int(float(_require(data, "Memory_GB", context)) * _GIB),
+        mem_capacity=int(capacity),
     )
 
 
@@ -190,17 +202,22 @@ def _resolve(filename: str, preset_dir: Optional[Path]) -> Path:
         return Path(concrete)
 
 
+def _section(data: Mapping[str, Any], key: str,
+             path: Union[str, Path]) -> Mapping[str, Any]:
+    return _mapping(data.get(key) or {}, f"{path}: {key}")
+
+
 def load_catalog(path: Union[str, Path]) -> PresetCatalog:
     """Read one YAML file holding ``components:`` and ``models:`` sections."""
     data = _read_yaml(Path(path))
     _reject_unknown(data, frozenset({"components", "models"}), str(path))
     components = {
         name: transformer_from_mapping(name, fields)
-        for name, fields in (data.get("components") or {}).items()
+        for name, fields in _section(data, "components", path).items()
     }
     models = {
         name: model_from_mapping(name, fields, components)
-        for name, fields in (data.get("models") or {}).items()
+        for name, fields in _section(data, "models", path).items()
     }
     return PresetCatalog(components=components, models=models)
 

@@ -7,6 +7,7 @@ one or two hops (device -> edge, or device -> edge -> cloud) sum per hop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .workload import TransformerConfig, VlaModelSpec, kv_bytes_per_token
@@ -35,10 +36,11 @@ class NetworkConfig:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.upload_bw <= 0 or self.download_bw <= 0:
-            raise ValueError(f"{self.name}: bandwidths must be positive")
-        if self.base_latency < 0:
-            raise ValueError(f"{self.name}: base latency must be >= 0")
+        if not all(math.isfinite(bw) and bw > 0
+                   for bw in (self.upload_bw, self.download_bw)):
+            raise ValueError(f"{self.name}: bandwidths must be finite and positive")
+        if not (math.isfinite(self.base_latency) and self.base_latency >= 0):
+            raise ValueError(f"{self.name}: base latency must be finite and >= 0")
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"{self.name}: efficiency must be in (0, 1]")
 

@@ -1,11 +1,16 @@
 """Operator graphs for every forward-pass workload in the pipeline.
 
 Each workload (vision encode, prefill, decode, parallel decode, diffusion)
-lowers to a flat list of :class:`Operator` records carrying exact FLOP and
-HBM-byte counts.  The roofline layer then prices each operator independently,
-so *where* bytes are attributed matters as much as how many there are.  Three
-kernel conventions are used, reflecting how these phases are actually fused
-on current inference stacks:
+lowers to run-length ``(Operator, count)`` pairs: an :class:`Operator` record
+carries exact FLOP and HBM-byte counts for one kernel launch, and its count
+says how often the workload launches it (once per layer, per denoising pass,
+per decoded token).  A control step is a handful of distinct layer operators
+repeated thousands of times, so a graph holds a few dozen runs however many
+kernels it models, and the roofline layer prices each distinct operator once,
+times its count.  Because operators are priced independently, *where* bytes
+are attributed matters as much as how many there are.  Three kernel
+conventions are used, reflecting how these phases are actually fused on
+current inference stacks:
 
 Context kernels (vision encode, prefill)
     Q/K/V projections are ordinary matmuls (inputs + weights + outputs all
@@ -74,23 +79,39 @@ class Operator:
 
 @dataclass(frozen=True)
 class OperatorGraph:
-    """An ordered collection of operators plus KV-cache write accounting.
+    """Operator runs plus KV-cache write accounting.
 
+    ``ops`` holds ``(operator, count)`` runs.  Construction takes any
+    iterable of runs, merges equal operators into one run, kept where the
+    operator first appears, and drops runs whose count is zero.
     ``kv_cache_written_bytes`` records how much persistent KV cache the
-    workload leaves behind (informational; the operators' byte counts already
-    include those writes via their matmul outputs).
+    workload leaves behind (informational; the operators' byte counts
+    already include those writes via their matmul outputs).
     """
 
-    ops: tuple[Operator, ...] = ()
+    ops: tuple[tuple[Operator, int], ...] = ()
     kv_cache_written_bytes: int = 0
+
+    def __post_init__(self) -> None:
+        counts: dict[Operator, int] = {}
+        for op, count in self.ops:
+            if count < 0:
+                raise ValueError(f"{op.label}: count must be >= 0")
+            counts[op] = counts.get(op, 0) + count
+        # tuple() of a list, not of a generator: a generator's tuple is
+        # allocated at one size and shrunk, so freeing it stocks the
+        # interpreter's per-size tuple free lists with sizes that are never
+        # reused, about 1 MB of peak memory over many in-process calls.
+        object.__setattr__(self, "ops", tuple(
+            [(op, count) for op, count in counts.items() if count]))
 
     @property
     def total_flops(self) -> int:
-        return sum(op.flops for op in self.ops)
+        return sum(op.flops * count for op, count in self.ops)
 
     @property
     def total_bytes(self) -> int:
-        return sum(op.bytes for op in self.ops)
+        return sum(op.bytes * count for op, count in self.ops)
 
     def __add__(self, other: "OperatorGraph") -> "OperatorGraph":
         return OperatorGraph(
@@ -101,11 +122,17 @@ class OperatorGraph:
     def repeated(self, times: int) -> "OperatorGraph":
         if times < 0:
             raise ValueError("times must be >= 0")
-        return OperatorGraph(self.ops * times, self.kv_cache_written_bytes * times)
+        return OperatorGraph(((op, count * times) for op, count in self.ops),
+                             self.kv_cache_written_bytes * times)
 
     def subgraph(self, phase: str) -> "OperatorGraph":
-        """The operators of one pipeline phase (KV accounting not split)."""
-        return OperatorGraph(tuple(op for op in self.ops if op.phase == phase))
+        """The runs of one pipeline phase (KV accounting not split)."""
+        return OperatorGraph(run for run in self.ops if run[0].phase == phase)
+
+
+def _once(ops: list[Operator]) -> OperatorGraph:
+    """A graph launching each of ``ops`` once."""
+    return OperatorGraph((op, 1) for op in ops)
 
 
 def matmul_op(m: int, n: int, k: int, p: int = 2, label: str = "matmul",
@@ -238,11 +265,10 @@ def vit_encode_graph(cfg: TransformerConfig, num_images: int,
     if num_images == 0:
         return OperatorGraph()
     tokens = num_images * tokens_per_image
-    ops = [matmul_op(tokens, cfg.hidden_size, cfg.patch_input_dim,
-                     cfg.precision_bytes, "patch_embed", VISION)]
-    for _ in range(cfg.num_layers):
-        ops.extend(_context_layer(cfg, tokens, 0, VISION))
-    return OperatorGraph(tuple(ops))
+    embed = matmul_op(tokens, cfg.hidden_size, cfg.patch_input_dim,
+                      cfg.precision_bytes, "patch_embed", VISION)
+    layer = _once(_context_layer(cfg, tokens, 0, VISION))
+    return _once([embed]) + layer.repeated(cfg.num_layers)
 
 
 def prefill_graph(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
@@ -250,10 +276,9 @@ def prefill_graph(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
     """Prefill of ``q_len`` fresh tokens over an optional existing prefix."""
     if q_len < 1 or kv_prefix_len < 0:
         raise ValueError("need q_len >= 1 and kv_prefix_len >= 0")
-    ops = []
-    for _ in range(cfg.num_layers):
-        ops.extend(_context_layer(cfg, q_len, kv_prefix_len, phase))
-    return OperatorGraph(tuple(ops), q_len * kv_bytes_per_token(cfg))
+    layer = _once(_context_layer(cfg, q_len, kv_prefix_len, phase))
+    return OperatorGraph(layer.repeated(cfg.num_layers).ops,
+                         q_len * kv_bytes_per_token(cfg))
 
 
 def decode_step_graph(cfg: TransformerConfig, kv_prefix_len: int,
@@ -267,10 +292,9 @@ def parallel_decode_graph(cfg: TransformerConfig, num_action_tokens: int,
     """All ``num_action_tokens`` decoded in one generation-kernel forward."""
     if num_action_tokens < 1 or kv_prefix_len < 0:
         raise ValueError("need num_action_tokens >= 1 and kv_prefix_len >= 0")
-    ops = []
-    for _ in range(cfg.num_layers):
-        ops.extend(_generation_layer(cfg, num_action_tokens, kv_prefix_len, phase))
-    return OperatorGraph(tuple(ops),
+    layer = _once(_generation_layer(cfg, num_action_tokens, kv_prefix_len,
+                                    phase))
+    return OperatorGraph(layer.repeated(cfg.num_layers).ops,
                          num_action_tokens * kv_bytes_per_token(cfg))
 
 
@@ -305,15 +329,15 @@ def diffusion_graph(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
         ctx_kv_width = vlm_kv_bytes_per_token // (2 * p * cfg_action.num_layers)
         ctx_kv_heads = cfg_action.num_kv_heads
 
-    step_ops = [matmul_op(chunk_size, cfg_action.hidden_size, action_dof,
-                          p, "action_in_proj", ACTION)]
-    for _ in range(cfg_action.num_layers):
-        step_ops.extend(_expert_layer(cfg_action, chunk_size,
-                                      vlm_prefix_tokens, history_tokens,
-                                      ctx_kv_width, ctx_kv_heads, ACTION))
-    step_ops.append(matmul_op(chunk_size, action_dof, cfg_action.hidden_size,
-                              p, "action_out_proj", ACTION))
-    return OperatorGraph(tuple(step_ops)).repeated(steps)
+    layer = _once(_expert_layer(cfg_action, chunk_size, vlm_prefix_tokens,
+                                history_tokens, ctx_kv_width, ctx_kv_heads,
+                                ACTION))
+    step = (_once([matmul_op(chunk_size, cfg_action.hidden_size, action_dof,
+                             p, "action_in_proj", ACTION)])
+            + layer.repeated(cfg_action.num_layers)
+            + _once([matmul_op(chunk_size, action_dof, cfg_action.hidden_size,
+                               p, "action_out_proj", ACTION)]))
+    return step.repeated(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +367,7 @@ def pipeline_graph(spec: VlaModelSpec,
                               spec.vision_encoder.hidden_size,
                               spec.vision_encoder.precision_bytes,
                               "mm_projector", VISION)
-        graph = graph + OperatorGraph((projector,))
+        graph = graph + _once([projector])
 
     prefix = spec.prefix_tokens()
     graph = graph + prefill_graph(spec.vlm, prefix, history)

@@ -10,6 +10,7 @@ balance point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -42,10 +43,12 @@ class AcceleratorConfig:
             if required not in self.peak_flops:
                 raise ValueError(
                     f"{self.name}: peak_flops needs a {required}-byte entry")
-        if any(v <= 0 for v in self.peak_flops.values()):
-            raise ValueError(f"{self.name}: peak FLOP/s must be positive")
-        if self.mem_bandwidth <= 0 or self.mem_capacity <= 0:
-            raise ValueError(f"{self.name}: bandwidth and capacity must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.peak_flops.values()):
+            raise ValueError(f"{self.name}: peak FLOP/s must be finite and positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.mem_bandwidth, self.mem_capacity)):
+            raise ValueError(f"{self.name}: bandwidth and capacity must be "
+                             "finite and positive")
 
     def peak(self, precision_bytes: int = 2) -> float:
         try:
@@ -87,11 +90,14 @@ class GraphTiming:
 
 def graph_time(graph: OperatorGraph, hw: AcceleratorConfig,
                precision_bytes: int = 2) -> GraphTiming:
-    """Sum of per-operator roofline times, with per-phase subtotals."""
+    """Sum of per-operator roofline times, with per-phase subtotals.
+
+    Each run is priced once: its operator's time times its count.
+    """
     by_phase: dict[str, float] = {}
     total = 0.0
-    for op in graph.ops:
-        seconds, _ = op_time(op, hw, precision_bytes)
+    for op, count in graph.ops:
+        seconds = count * op_time(op, hw, precision_bytes)[0]
         total += seconds
         by_phase[op.phase] = by_phase.get(op.phase, 0.0) + seconds
     return GraphTiming(total, by_phase)

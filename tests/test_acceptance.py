@@ -203,7 +203,7 @@ def test_c10_model_invariants_and_parallel_determinism(lib):
 
     # Roofline max law: every operator's time sits on exactly one wall.
     for hw in hardware:
-        for op in graph.ops[:40]:
+        for op, _ in graph.ops[:40]:
             seconds, side = op_time(op, hw)
             walls = (op.flops / hw.peak(2), op.bytes / hw.mem_bandwidth)
             assert seconds == max(walls)

@@ -119,6 +119,7 @@ def test_collaborative_without_denoise_steps_prints_no_action_phase():
      "camera history"),
     (("--s2-cap", "nan", "--format", "json"), "finite positive"),
     (("--s2-cap", "inf", "--format", "json"), "finite positive"),
+    (("--hw", "thor", "--s2-cap", "5", "--async"), "--async"),
 ])
 def test_ignored_or_non_finite_input_is_an_error(args, message):
     result = run_cli("analyze", *args)
@@ -202,16 +203,54 @@ def test_env_override_changes_analyze_output(tmp_path):
                    "--net", "toy-link").returncode == 1
 
 
-def test_json_output_rejects_non_finite_numbers(tmp_path):
-    (tmp_path / "networks.yaml").write_text(
-        "nan-link: {bandwidth_mbps: .nan, base_latency_ms: 1}\n",
-        encoding="utf-8")
-    result = run_cli("analyze", "--placement", "edge-server",
-                     "--net", "nan-link", "--format", "json",
+def _assert_preset_error(tmp_path, filename, text, args, message):
+    (tmp_path / filename).write_text(text, encoding="utf-8")
+    result = run_cli("analyze", *args,
                      env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error:") and "JSON" in result.stderr
+    assert result.stderr.startswith("error:") and message in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("filename, text, args", [
+    pytest.param("networks.yaml",
+                 "nan-link: {bandwidth_mbps: .nan, base_latency_ms: 1}\n",
+                 ("--placement", "edge-server", "--net", "nan-link"),
+                 id="nan-bandwidth"),
+    pytest.param("networks.yaml",
+                 "slow-link: {bandwidth_mbps: 1, base_latency_ms: .inf}\n",
+                 ("--placement", "edge-server", "--net", "slow-link"),
+                 id="inf-latency"),
+    pytest.param("hardware.yaml", "nan-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: .nan, "
+                 "HBM_BW_GBs: 1, Memory_GB: 1}\n", ("--hw", "nan-hw"),
+                 id="nan-peak"),
+    pytest.param("hardware.yaml", "big-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: 1, "
+                 "HBM_BW_GBs: 1, Memory_GB: .inf}\n", ("--hw", "big-hw"),
+                 id="inf-memory"),
+])
+def test_non_finite_preset_number_is_an_error(tmp_path, fmt, filename, text,
+                                              args):
+    _assert_preset_error(tmp_path, filename, text, (*args, "--format", fmt),
+                         "finite")
+
+
+@pytest.mark.parametrize("filename, text, message", [
+    pytest.param("networks.yaml", "wifi7: 5\n", "'wifi7': expected a mapping",
+                 id="network"),
+    pytest.param("hardware.yaml", "thor: [1, 2]\n",
+                 "'thor': expected a mapping", id="accelerator"),
+    pytest.param("models.yaml", "models: [1, 2]\n",
+                 "models: expected a mapping", id="models-section"),
+    pytest.param("models.yaml", "components: {gemma: 5}\n",
+                 "'gemma': expected a mapping", id="component"),
+    pytest.param("models.yaml", "models: {m: {vision_encoder: [1]}}\n",
+                 "unknown component [1]", id="component-reference"),
+])
+def test_non_mapping_preset_entry_is_an_error(tmp_path, filename, text,
+                                              message):
+    _assert_preset_error(tmp_path, filename, text, (), message)
 
 
 def test_sweep_rows_and_determinism():

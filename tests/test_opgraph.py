@@ -43,12 +43,13 @@ def test_matmul_zero_rows_is_pure_weight_read():
 
 
 def test_graph_addition_and_repeat():
-    a = OperatorGraph((matmul_op(1, 2, 3),), kv_cache_written_bytes=5)
-    b = OperatorGraph((matmul_op(4, 5, 6),), kv_cache_written_bytes=7)
+    a = OperatorGraph(((matmul_op(1, 2, 3), 1),), kv_cache_written_bytes=5)
+    b = OperatorGraph(((matmul_op(4, 5, 6), 1),), kv_cache_written_bytes=7)
     combined = a + b
     assert combined.total_flops == a.total_flops + b.total_flops
     assert combined.kv_cache_written_bytes == 12
     assert a.repeated(3).total_bytes == 3 * a.total_bytes
+    assert a.repeated(3).ops == ((matmul_op(1, 2, 3), 3),)
     assert a.repeated(0).ops == ()
 
 
@@ -57,7 +58,9 @@ def test_graph_addition_and_repeat():
 def test_prefill_layer_composition(lib):
     gemma = lib.component("gemma-2b")
     graph = prefill_graph(gemma, 800)
-    layer = [op for op in graph.ops[:6]]
+    # One run per layer operator, each launched once per layer.
+    assert all(count == gemma.num_layers for _, count in graph.ops)
+    layer = [op for op, _ in graph.ops[:6]]
     by_label = {op.label: op for op in layer}
     assert by_label["q_proj"].bytes == 14_942_208
     assert by_label["k_proj"].bytes == 4_734_976
@@ -65,11 +68,11 @@ def test_prefill_layer_composition(lib):
     assert by_label["attn_out"].bytes == 14_942_208
     assert by_label["ffn_up"].bytes == 96_600_064
     # Gated up projection is fused with the first: weights + input only.
-    fused = graph.ops[5]
+    fused = graph.ops[5][0]
     assert fused.label == "ffn_up_fused"
     assert fused.bytes == 70_385_664
-    assert graph.ops[6].label == "ffn_down"
-    assert graph.ops[6].bytes == 96_600_064
+    assert graph.ops[6][0].label == "ffn_down"
+    assert graph.ops[6][0].bytes == 96_600_064
 
 
 def test_prefill_graph_totals(lib):
@@ -133,7 +136,8 @@ def test_diffusion_attention_window_choice(lib, pi0):
     graph = diffusion_graph(pi0.action_expert, 800,
                             kv_bytes_per_token(pi0.vlm), 50, 1, 14,
                             context_cfg=pi0.vlm)
-    attn = next(op for op in graph.ops if op.label == "attention")
+    attn, count = next(run for run in graph.ops if run[0].label == "attention")
+    assert count == pi0.action_expert.num_layers
     # 2*(2*50*2048 + [2*800*256 + 4*8*50*800] + [2*50*256 + 4*8*50*50])
     assert attn.bytes == 4_000_000
     assert attn.flops == 4 * 50 * 850 * 2048
@@ -205,10 +209,12 @@ def test_pipeline_phase_totals(pi0):
 
 def test_pipeline_contains_projector(pi0):
     graph = pipeline_graph(pi0)
-    projector = [op for op in graph.ops if op.label == "mm_projector"]
+    projector = [run for run in graph.ops if run[0].label == "mm_projector"]
     assert len(projector) == 1
-    assert projector[0].phase == VISION
-    assert projector[0].flops == 2 * 768 * 2048 * 1152
+    op, count = projector[0]
+    assert count == 1
+    assert op.phase == VISION
+    assert op.flops == 2 * 768 * 2048 * 1152
 
 
 def test_pipeline_is_sum_of_its_phases(pi0):
@@ -243,3 +249,42 @@ def test_long_context_grows_history(pi0):
     assert later.total_bytes > base.total_bytes
     assert later.subgraph(VISION).total_bytes == \
         base.subgraph(VISION).total_bytes  # encoding itself is unchanged
+
+
+def test_pipeline_kernel_counts(pi0):
+    """Kernels launched per control step, and the few distinct operators
+    they are runs of."""
+    ar = replace(pi0, action_expert=None, decoding_mode=AUTOREGRESSIVE)
+    for spec, kernels, distinct in ((pi0, 1_750, 25), (ar, 88_490, 21)):
+        graph = pipeline_graph(spec)
+        assert sum(count for _, count in graph.ops) == kernels
+        assert len(graph.ops) == distinct
+
+
+def test_layer_builders_repeat_one_layer(lib, pi0):
+    """Every layer operator is one run whose count is the layer count; the
+    unfused up projections of a generation layer are equal, so they merge."""
+    gemma = lib.component("gemma-2b")
+    siglip = lib.component("siglip-so400m")
+    cases = (
+        (prefill_graph(gemma, 800), gemma.num_layers, {}),
+        (parallel_decode_graph(gemma, 50, 800), gemma.num_layers,
+         {"ffn_up": gemma.num_ffi * gemma.num_layers}),
+        (vit_encode_graph(siglip, 3), siglip.num_layers, {"patch_embed": 1}),
+        (diffusion_graph(pi0.action_expert, 800, 18_432, 50, 1, 14,
+                         context_cfg=pi0.vlm),
+         pi0.action_expert.num_layers,
+         {"action_in_proj": 1, "action_out_proj": 1}),
+    )
+    for graph, layers, special in cases:
+        for op, count in graph.ops:
+            assert count == special.get(op.label, layers), op.label
+
+
+def test_runs_merge_equal_operators_in_first_seen_order():
+    a, b = matmul_op(1, 2, 3, label="a"), matmul_op(1, 2, 3, label="b")
+    graph = OperatorGraph(((a, 2), (b, 0), (b, 1), (a, 3)))
+    assert graph.ops == ((a, 5), (b, 1))
+    assert (graph + graph).ops == ((a, 10), (b, 2))
+    with pytest.raises(ValueError, match="count"):
+        OperatorGraph(((a, -1),))

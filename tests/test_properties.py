@@ -33,6 +33,7 @@ from vla_roofline import (
     sync_scenario,
     transfer_time,
 )
+from vla_roofline.opgraph import PHASES
 from vla_roofline.workload import TransformerConfig
 
 operators = st.builds(
@@ -54,8 +55,22 @@ accelerators = st.builds(
     mem_capacity=st.just(256 * 1024**3),
 )
 
-graphs = st.lists(operators, min_size=0, max_size=8).map(
-    lambda ops: OperatorGraph(tuple(ops)))
+graphs = st.lists(st.tuples(operators, st.integers(min_value=0, max_value=5)),
+                  min_size=0, max_size=8).map(
+    lambda runs: OperatorGraph(tuple(runs)))
+
+# Few distinct labels, phases and sizes, so that equal operators recur and
+# runs merge.
+small_operators = st.builds(
+    Operator,
+    label=st.sampled_from(("q_proj", "attn_out", "ffn_up")),
+    flops=st.integers(min_value=0, max_value=3).map(lambda k: k * 10**12),
+    bytes=st.integers(min_value=0, max_value=3).map(lambda k: k * 10**9),
+    phase=st.sampled_from(PHASES),
+)
+run_lists = st.lists(
+    st.tuples(small_operators, st.integers(min_value=0, max_value=300)),
+    max_size=12)
 
 networks = st.builds(
     NetworkConfig,
@@ -96,6 +111,45 @@ def test_repeated_graph_scales_exact_counts(g, n):
     repeated = g.repeated(n)
     assert repeated.total_flops == n * g.total_flops
     assert repeated.total_bytes == n * g.total_bytes
+
+
+@given(runs=run_lists, hw=accelerators)
+def test_run_graph_prices_like_its_flat_operator_list(runs, hw):
+    """Pricing a run once times its count matches launching every kernel."""
+    graph = OperatorGraph(tuple(runs))
+    flat = [op for op, count in runs for _ in range(count)]
+    assert graph.total_flops == sum(op.flops for op in flat)
+    assert graph.total_bytes == sum(op.bytes for op in flat)
+    reference = {}
+    for op in flat:
+        reference[op.phase] = reference.get(op.phase, 0.0) + op_time(op, hw)[0]
+    timing = graph_time(graph, hw)
+    assert timing.total == pytest.approx(sum(reference.values()),
+                                         rel=1e-12, abs=0.0)
+    assert set(timing.by_phase) == set(reference)
+    for phase, seconds in reference.items():
+        assert timing.by_phase[phase] == pytest.approx(seconds, rel=1e-12,
+                                                       abs=0.0)
+
+
+@given(runs=run_lists, n=st.integers(min_value=0, max_value=20))
+def test_runs_are_distinct_positive_and_first_seen(runs, n):
+    graph = OperatorGraph(tuple(runs))
+    ops = [op for op, _ in graph.ops]
+    assert len(set(ops)) == len(ops)
+    assert all(count > 0 for _, count in graph.ops)
+    # Each launched operator sits where it first appears in the input.
+    launched = {op for op, count in runs if count}
+    assert ops == [op for op in dict.fromkeys(op for op, _ in runs)
+                   if op in launched]
+    assert sum(count for _, count in graph.ops) == \
+        sum(count for _, count in runs)
+    assert graph.repeated(n).ops == (
+        tuple((op, n * count) for op, count in graph.ops) if n else ())
+    assert (graph + graph).ops == graph.repeated(2).ops
+    for phase in PHASES:
+        assert graph.subgraph(phase).ops == tuple(
+            run for run in graph.ops if run[0].phase == phase)
 
 
 @given(net=networks,

@@ -43,11 +43,16 @@ def test_op_time_respects_precision():
 
 def test_graph_time_sums_per_operator_maxima():
     from vla_roofline.opgraph import OperatorGraph
-    ops = (Operator("a", 1000, 10, VISION), Operator("b", 100, 100, VLM))
-    timing = graph_time(OperatorGraph(ops), HW)
+    runs = ((Operator("a", 1000, 10, VISION), 1),
+            (Operator("b", 100, 100, VLM), 1))
+    timing = graph_time(OperatorGraph(runs), HW)
     assert timing.total == 20.0
     assert timing.by_phase[VISION] == 10.0
     assert timing.by_phase[VLM] == 10.0
+    # A run of n launches costs n times one launch.
+    tripled = graph_time(OperatorGraph(runs).repeated(3), HW)
+    assert tripled.total == 60.0
+    assert tripled.by_phase[VISION] == 30.0
 
 
 @pytest.mark.parametrize("hw_name, balance", [
