@@ -130,11 +130,6 @@ class OperatorGraph:
         return OperatorGraph(run for run in self.ops if run[0].phase == phase)
 
 
-def _once(ops: list[Operator]) -> OperatorGraph:
-    """A graph launching each of ``ops`` once."""
-    return OperatorGraph((op, 1) for op in ops)
-
-
 def matmul_op(m: int, n: int, k: int, p: int = 2, label: str = "matmul",
               phase: str = VLM) -> Operator:
     """A dense (m, k) x (k, n) matmul streaming inputs, weights and outputs.
@@ -267,8 +262,8 @@ def vit_encode_graph(cfg: TransformerConfig, num_images: int,
     tokens = num_images * tokens_per_image
     embed = matmul_op(tokens, cfg.hidden_size, cfg.patch_input_dim,
                       cfg.precision_bytes, "patch_embed", VISION)
-    layer = _once(_context_layer(cfg, tokens, 0, VISION))
-    return _once([embed]) + layer.repeated(cfg.num_layers)
+    return OperatorGraph([(embed, 1)] + [
+        (op, cfg.num_layers) for op in _context_layer(cfg, tokens, 0, VISION)])
 
 
 def prefill_graph(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
@@ -276,8 +271,8 @@ def prefill_graph(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
     """Prefill of ``q_len`` fresh tokens over an optional existing prefix."""
     if q_len < 1 or kv_prefix_len < 0:
         raise ValueError("need q_len >= 1 and kv_prefix_len >= 0")
-    layer = _once(_context_layer(cfg, q_len, kv_prefix_len, phase))
-    return OperatorGraph(layer.repeated(cfg.num_layers).ops,
+    layer = _context_layer(cfg, q_len, kv_prefix_len, phase)
+    return OperatorGraph([(op, cfg.num_layers) for op in layer],
                          q_len * kv_bytes_per_token(cfg))
 
 
@@ -292,9 +287,8 @@ def parallel_decode_graph(cfg: TransformerConfig, num_action_tokens: int,
     """All ``num_action_tokens`` decoded in one generation-kernel forward."""
     if num_action_tokens < 1 or kv_prefix_len < 0:
         raise ValueError("need num_action_tokens >= 1 and kv_prefix_len >= 0")
-    layer = _once(_generation_layer(cfg, num_action_tokens, kv_prefix_len,
-                                    phase))
-    return OperatorGraph(layer.repeated(cfg.num_layers).ops,
+    layer = _generation_layer(cfg, num_action_tokens, kv_prefix_len, phase)
+    return OperatorGraph([(op, cfg.num_layers) for op in layer],
                          num_action_tokens * kv_bytes_per_token(cfg))
 
 
@@ -329,15 +323,16 @@ def diffusion_graph(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
         ctx_kv_width = vlm_kv_bytes_per_token // (2 * p * cfg_action.num_layers)
         ctx_kv_heads = cfg_action.num_kv_heads
 
-    layer = _once(_expert_layer(cfg_action, chunk_size, vlm_prefix_tokens,
-                                history_tokens, ctx_kv_width, ctx_kv_heads,
-                                ACTION))
-    step = (_once([matmul_op(chunk_size, cfg_action.hidden_size, action_dof,
-                             p, "action_in_proj", ACTION)])
-            + layer.repeated(cfg_action.num_layers)
-            + _once([matmul_op(chunk_size, action_dof, cfg_action.hidden_size,
-                               p, "action_out_proj", ACTION)]))
-    return step.repeated(steps)
+    layer = _expert_layer(cfg_action, chunk_size, vlm_prefix_tokens,
+                          history_tokens, ctx_kv_width, ctx_kv_heads, ACTION)
+    in_proj = matmul_op(chunk_size, cfg_action.hidden_size, action_dof, p,
+                        "action_in_proj", ACTION)
+    out_proj = matmul_op(chunk_size, action_dof, cfg_action.hidden_size, p,
+                         "action_out_proj", ACTION)
+    layers = steps * cfg_action.num_layers
+    return OperatorGraph([(in_proj, steps)]
+                         + [(op, layers) for op in layer]
+                         + [(out_proj, steps)])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,7 @@ def pipeline_graph(spec: VlaModelSpec,
                               spec.vision_encoder.hidden_size,
                               spec.vision_encoder.precision_bytes,
                               "mm_projector", VISION)
-        graph = graph + _once([projector])
+        graph = graph + OperatorGraph([(projector, 1)])
 
     prefix = spec.prefix_tokens()
     graph = graph + prefill_graph(spec.vlm, prefix, history)

@@ -236,6 +236,16 @@ def test_non_finite_preset_number_is_an_error(tmp_path, fmt, filename, text,
                          "finite")
 
 
+def test_json_output_rejects_non_finite_numbers(tmp_path):
+    # A subnormal bandwidth is finite and positive, so it loads; the
+    # download time it gives overflows to infinity at the JSON writer.
+    _assert_preset_error(
+        tmp_path, "networks.yaml",
+        "tiny-link: {bandwidth_mbps: 1e-320, base_latency_ms: 1}\n",
+        ("--placement", "edge-server", "--net", "tiny-link",
+         "--format", "json"), "JSON")
+
+
 @pytest.mark.parametrize("filename, text, message", [
     pytest.param("networks.yaml", "wifi7: 5\n", "'wifi7': expected a mapping",
                  id="network"),
