@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from itertools import product
@@ -143,8 +144,12 @@ def _decimals_for(key: str) -> Optional[int]:
 
 
 def _format_value(key: str, value) -> str:
+    """Table and csv text of one value; like strict JSON, a NaN or infinity
+    is an error."""
     if value is None:
         return "N/A"
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} is {value}, not a finite number")
     digits = _decimals_for(key)
     if digits is not None and isinstance(value, (int, float)):
         return f"{value:.{digits}f}"

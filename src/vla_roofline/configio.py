@@ -10,11 +10,13 @@ names; each file found there shadows the packaged one individually.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, Optional, Union
 
 import yaml
@@ -34,10 +36,19 @@ _GIB = 1024 ** 3
 _MBIT = 1e6
 
 
-def _require(data: Mapping[str, Any], key: str, context: str) -> Any:
-    if key not in data:
+def _number(data: Mapping[str, Any], key: str, context: str,
+            kind: type = float, default: Optional[float] = None) -> Any:
+    """``data[key]`` converted by ``kind`` (``float`` or ``int``); a missing
+    key takes ``default``, and is an error when there is none."""
+    value = data.get(key, default)
+    if key not in data and default is None:
         raise ValueError(f"{context}: missing required field {key!r}")
-    return data[key]
+    try:
+        return kind(value)
+    # int() of an infinite float raises OverflowError, not ValueError.
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{context}: {key} must be a number, "
+                         f"got {value!r}") from None
 
 
 def _mapping(data: Any, context: str) -> Mapping[str, Any]:
@@ -67,15 +78,15 @@ def transformer_from_mapping(name: str,
     _reject_unknown(data, _COMPONENT_FIELDS, context)
     return TransformerConfig(
         name=name,
-        num_layers=int(_require(data, "num_decoder_layers", context)),
-        hidden_size=int(_require(data, "hidden_size", context)),
-        intermediate_size=int(_require(data, "intermediate_size", context)),
-        num_ffi=int(_require(data, "num_ffi", context)),
-        num_q_heads=int(_require(data, "num_attention_heads", context)),
-        num_kv_heads=int(_require(data, "num_kv_heads", context)),
-        head_dim=int(_require(data, "head_dim", context)),
-        precision_bytes=int(data.get("precision_bytes", 2)),
-        patch_input_dim=(int(data["patch_input_dim"])
+        num_layers=_number(data, "num_decoder_layers", context, int),
+        hidden_size=_number(data, "hidden_size", context, int),
+        intermediate_size=_number(data, "intermediate_size", context, int),
+        num_ffi=_number(data, "num_ffi", context, int),
+        num_q_heads=_number(data, "num_attention_heads", context, int),
+        num_kv_heads=_number(data, "num_kv_heads", context, int),
+        head_dim=_number(data, "head_dim", context, int),
+        precision_bytes=_number(data, "precision_bytes", context, int, 2),
+        patch_input_dim=(_number(data, "patch_input_dim", context, int)
                          if data.get("patch_input_dim") is not None else None),
     )
 
@@ -107,7 +118,7 @@ def model_from_mapping(name: str, data: Mapping[str, Any],
     for field in ("num_cameras", "tokens_per_image", "language_tokens",
                   "action_dof", "chunk_size", "denoise_steps"):
         if field in data:
-            kwargs[field] = int(data[field])
+            kwargs[field] = _number(data, field, context, int)
     if "decoding_mode" in data:
         kwargs["decoding_mode"] = str(data["decoding_mode"])
     return VlaModelSpec(
@@ -129,19 +140,18 @@ def accelerator_from_mapping(name: str,
     context = f"accelerator {name!r}"
     _reject_unknown(data, _HARDWARE_FIELDS, context)
     peaks = {
-        4: float(_require(data, "FP32_TFLOPS", context)) * _TFLOPS,
-        2: float(_require(data, "BF16_TFLOPS", context)) * _TFLOPS,
+        4: _number(data, "FP32_TFLOPS", context) * _TFLOPS,
+        2: _number(data, "BF16_TFLOPS", context) * _TFLOPS,
     }
     if data.get("INT8_TOPS") is not None:
-        peaks[1] = float(data["INT8_TOPS"]) * _TFLOPS
-    capacity = float(_require(data, "Memory_GB", context)) * _GIB
-    # int() of an infinite float raises OverflowError, not ValueError.
+        peaks[1] = _number(data, "INT8_TOPS", context) * _TFLOPS
+    capacity = _number(data, "Memory_GB", context) * _GIB
     if not math.isfinite(capacity):
         raise ValueError(f"{context}: Memory_GB must be finite")
     return AcceleratorConfig(
         name=name,
-        peak_flops=peaks,
-        mem_bandwidth=float(_require(data, "HBM_BW_GBs", context)) * _GB_PER_S,
+        peak_flops=MappingProxyType(peaks),
+        mem_bandwidth=_number(data, "HBM_BW_GBs", context) * _GB_PER_S,
         mem_capacity=int(capacity),
     )
 
@@ -159,16 +169,16 @@ def network_from_mapping(name: str, data: Mapping[str, Any]) -> NetworkConfig:
         if "upload_mbps" in data or "download_mbps" in data:
             raise ValueError(f"{context}: give either bandwidth_mbps or the "
                              "upload/download pair, not both")
-        up = down = float(data["bandwidth_mbps"])
+        up = down = _number(data, "bandwidth_mbps", context)
     else:
-        up = float(_require(data, "upload_mbps", context))
-        down = float(_require(data, "download_mbps", context))
+        up = _number(data, "upload_mbps", context)
+        down = _number(data, "download_mbps", context)
     return NetworkConfig(
         name=name,
         upload_bw=up * _MBIT,
         download_bw=down * _MBIT,
-        base_latency=float(_require(data, "base_latency_ms", context)) / 1e3,
-        efficiency=float(data.get("efficiency", 1.0)),
+        base_latency=_number(data, "base_latency_ms", context) / 1e3,
+        efficiency=_number(data, "efficiency", context, float, 1.0),
     )
 
 
@@ -177,14 +187,25 @@ def network_from_mapping(name: str, data: Mapping[str, Any]) -> NetworkConfig:
 # ---------------------------------------------------------------------------
 
 
-def _read_yaml(path: Path) -> Mapping[str, Any]:
-    with path.open("r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
+# Same safe constructor and resolver either way, so both give the same data;
+# libyaml's parser is several times faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _read_yaml(path: Path, data: bytes) -> Mapping[str, Any]:
+    try:
+        parsed = yaml.load(data, Loader=_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        problem = (f"{exc.problem} (line {mark.line + 1}, column "
+                   f"{mark.column + 1})" if mark is not None
+                   else " ".join(str(exc).split()))
+        raise ValueError(f"{path}: invalid YAML: {problem}") from None
+    if parsed is None:
         return {}
-    if not isinstance(data, Mapping):
+    if not isinstance(parsed, Mapping):
         raise ValueError(f"{path}: expected a mapping at the top level")
-    return data
+    return parsed
 
 
 def _resolve(filename: str, preset_dir: Optional[Path]) -> Path:
@@ -203,33 +224,8 @@ def _resolve(filename: str, preset_dir: Optional[Path]) -> Path:
 
 
 def _section(data: Mapping[str, Any], key: str,
-             path: Union[str, Path]) -> Mapping[str, Any]:
+             path: Path) -> Mapping[str, Any]:
     return _mapping(data.get(key) or {}, f"{path}: {key}")
-
-
-def load_catalog(path: Union[str, Path]) -> PresetCatalog:
-    """Read one YAML file holding ``components:`` and ``models:`` sections."""
-    data = _read_yaml(Path(path))
-    _reject_unknown(data, frozenset({"components", "models"}), str(path))
-    components = {
-        name: transformer_from_mapping(name, fields)
-        for name, fields in _section(data, "components", path).items()
-    }
-    models = {
-        name: model_from_mapping(name, fields, components)
-        for name, fields in _section(data, "models", path).items()
-    }
-    return PresetCatalog(components=components, models=models)
-
-
-def load_hardware(path: Union[str, Path]) -> dict[str, AcceleratorConfig]:
-    return {name: accelerator_from_mapping(name, fields)
-            for name, fields in _read_yaml(Path(path)).items()}
-
-
-def load_networks(path: Union[str, Path]) -> dict[str, NetworkConfig]:
-    return {name: network_from_mapping(name, fields)
-            for name, fields in _read_yaml(Path(path)).items()}
 
 
 @dataclass(frozen=True)
@@ -264,11 +260,40 @@ def load_presets(preset_dir: Union[str, Path, None] = None) -> PresetLibrary:
 
     ``preset_dir`` (or, failing that, ``$VLA_ROOFLINE_PRESETS``) may hold
     replacement files; anything missing there falls back to the packaged
-    defaults file-by-file.
+    defaults file-by-file.  Every call reads the three files but parses
+    them only once per process for the same paths and bytes; the library
+    it returns is shared between such calls, so it is read-only.
     """
     directory = Path(preset_dir) if preset_dir is not None else None
+    paths = [_resolve(filename, directory)
+             for filename in (COMPONENTS_FILE, HARDWARE_FILE, NETWORKS_FILE)]
+    return _build_library(*((path, path.read_bytes()) for path in paths))
+
+
+@functools.lru_cache(maxsize=8)
+def _build_library(catalog_file: tuple[Path, bytes],
+                   hardware_file: tuple[Path, bytes],
+                   networks_file: tuple[Path, bytes]) -> PresetLibrary:
+    """The library parsed from (path, bytes) of each file.  A file that fails
+    to parse raises, and nothing is cached for it."""
+    path = catalog_file[0]
+    data = _read_yaml(*catalog_file)
+    _reject_unknown(data, frozenset({"components", "models"}), str(path))
+    components = {
+        name: transformer_from_mapping(name, fields)
+        for name, fields in _section(data, "components", path).items()
+    }
+    models = {
+        name: model_from_mapping(name, fields, components)
+        for name, fields in _section(data, "models", path).items()
+    }
     return PresetLibrary(
-        catalog=load_catalog(_resolve(COMPONENTS_FILE, directory)),
-        hardware=load_hardware(_resolve(HARDWARE_FILE, directory)),
-        networks=load_networks(_resolve(NETWORKS_FILE, directory)),
+        catalog=PresetCatalog(components=MappingProxyType(components),
+                              models=MappingProxyType(models)),
+        hardware=MappingProxyType({
+            name: accelerator_from_mapping(name, fields)
+            for name, fields in _read_yaml(*hardware_file).items()}),
+        networks=MappingProxyType({
+            name: network_from_mapping(name, fields)
+            for name, fields in _read_yaml(*networks_file).items()}),
     )

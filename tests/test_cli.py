@@ -246,6 +246,61 @@ def test_json_output_rejects_non_finite_numbers(tmp_path):
          "--format", "json"), "JSON")
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_output_reject_non_finite_numbers(tmp_path, fmt):
+    # The same subnormal link: its download time is infinite, which table
+    # and csv refuse like the strict JSON writer does.
+    _assert_preset_error(
+        tmp_path, "networks.yaml",
+        "tiny-link: {bandwidth_mbps: 1e-320, base_latency_ms: 1}\n",
+        ("--placement", "edge-server", "--net", "tiny-link",
+         "--format", fmt), "action_download_ms is inf, not a finite number")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("filename, text, message", [
+    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: 1\n",
+                 "hardware.yaml: invalid YAML: ", id="unclosed-mapping"),
+    pytest.param("networks.yaml", "wifi7:\n\t- 1\n",
+                 "networks.yaml: invalid YAML: ", id="tab-indent"),
+    pytest.param("models.yaml", "models: {m: 'open\n",
+                 "models.yaml: invalid YAML: ", id="unterminated-quote"),
+])
+def test_malformed_preset_yaml_is_an_error(tmp_path, fmt, filename, text,
+                                           message):
+    _assert_preset_error(tmp_path, filename, text, ("--format", fmt),
+                         message)
+
+
+@pytest.mark.parametrize("filename, text, message", [
+    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: [1], BF16_TFLOPS: 1, "
+                 "HBM_BW_GBs: 1, Memory_GB: 1}\n",
+                 "accelerator 'thor': FP32_TFLOPS must be a number, got [1]",
+                 id="hardware-list"),
+    pytest.param("networks.yaml",
+                 "wifi7: {bandwidth_mbps: {up: 1}, base_latency_ms: 1}\n",
+                 "network 'wifi7': bandwidth_mbps must be a number, "
+                 "got {'up': 1}", id="network-mapping"),
+    pytest.param("networks.yaml", "wifi7: {bandwidth_mbps: 1, "
+                 "base_latency_ms: 1, efficiency: null}\n",
+                 "network 'wifi7': efficiency must be a number, got None",
+                 id="network-null"),
+    pytest.param("models.yaml",
+                 "components: {c: {num_decoder_layers: 2, hidden_size: wide}}\n",
+                 "component 'c': hidden_size must be a number, got 'wide'",
+                 id="component-string"),
+    pytest.param("models.yaml", "components: {c: {num_decoder_layers: .inf}}\n",
+                 "component 'c': num_decoder_layers must be a number, got inf",
+                 id="component-infinite-int"),
+    pytest.param("models.yaml", "models: {m: {chunk_size: [10]}}\n",
+                 "model 'm': chunk_size must be a number, got [10]",
+                 id="model-list"),
+])
+def test_wrong_type_preset_field_is_an_error(tmp_path, filename, text,
+                                             message):
+    _assert_preset_error(tmp_path, filename, text, (), message)
+
+
 @pytest.mark.parametrize("filename, text, message", [
     pytest.param("networks.yaml", "wifi7: 5\n", "'wifi7': expected a mapping",
                  id="network"),
