@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -67,6 +68,8 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# Parsing leaves the parser unchanged, so one parser serves every call.
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="vla-roofline",
@@ -239,13 +242,10 @@ def _scenario_record(model_name: str, result: ScenarioResult) -> dict:
 def _configure_spec(base: VlaModelSpec, chunk: Optional[int],
                     steps: Optional[int], dof: Optional[int],
                     decoding: Optional[str]) -> VlaModelSpec:
-    spec = base
-    if chunk is not None:
-        spec = replace(spec, chunk_size=chunk)
-    if steps is not None:
-        spec = replace(spec, denoise_steps=steps)
-    if dof is not None:
-        spec = replace(spec, action_dof=dof)
+    changes = {field: value for field, value in (
+        ("chunk_size", chunk), ("denoise_steps", steps), ("action_dof", dof))
+        if value is not None}
+    spec = replace(base, **changes) if changes else base
     if decoding is not None:
         spec = decoding_variant_spec(spec, decoding, spec.chunk_size,
                                      spec.action_dof)
@@ -468,7 +468,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return code

@@ -39,16 +39,24 @@ _MBIT = 1e6
 def _number(data: Mapping[str, Any], key: str, context: str,
             kind: type = float, default: Optional[float] = None) -> Any:
     """``data[key]`` converted by ``kind`` (``float`` or ``int``); a missing
-    key takes ``default``, and is an error when there is none."""
+    key takes ``default``, and is an error when there is none.  YAML's
+    ``true``/``false`` are not numbers, and an ``int`` field takes no
+    fraction."""
     value = data.get(key, default)
     if key not in data and default is None:
         raise ValueError(f"{context}: missing required field {key!r}")
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
     # int() of an infinite float raises OverflowError, not ValueError.
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{context}: {key} must be a number, "
                          f"got {value!r}") from None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{context}: {key} must be a whole number, "
+                         f"got {value!r}")
+    return number
 
 
 def _mapping(data: Any, context: str) -> Mapping[str, Any]:

@@ -48,7 +48,6 @@ from typing import Optional
 
 from .workload import (
     AUTOREGRESSIVE,
-    AUTOREGRESSIVE_PARALLEL,
     DIFFUSION,
     TransformerConfig,
     VlaModelSpec,
@@ -353,29 +352,34 @@ def pipeline_graph(spec: VlaModelSpec,
     if t < 1:
         raise ValueError("context_timestep must be >= 1")
     history = spec.vision_tokens() * (t - 1)
-
-    graph = vit_encode_graph(spec.vision_encoder, spec.num_cameras,
-                             spec.tokens_per_image)
-    if spec.num_cameras > 0:
-        # Bridge from vision width to VLM width.
-        projector = matmul_op(spec.vision_tokens(), spec.vlm.hidden_size,
-                              spec.vision_encoder.hidden_size,
-                              spec.vision_encoder.precision_bytes,
-                              "mm_projector", VISION)
-        graph = graph + OperatorGraph([(projector, 1)])
-
     prefix = spec.prefix_tokens()
-    graph = graph + prefill_graph(spec.vlm, prefix, history)
 
+    vision = vit_encode_graph(spec.vision_encoder, spec.num_cameras,
+                              spec.tokens_per_image)
+    prefill = prefill_graph(spec.vlm, prefix, history)
     if spec.decoding_mode == DIFFUSION:
-        graph = graph + diffusion_graph(
+        action = diffusion_graph(
             spec.action_expert, prefix, kv_bytes_per_token(spec.vlm),
             spec.chunk_size, spec.denoise_steps, spec.action_dof,
             context_cfg=spec.vlm, history_tokens=history)
     elif spec.decoding_mode == AUTOREGRESSIVE:
         step = decode_step_graph(spec.vlm, prefix + history, phase=ACTION)
-        graph = graph + step.repeated(spec.action_tokens())
-    elif spec.decoding_mode == AUTOREGRESSIVE_PARALLEL:
-        graph = graph + parallel_decode_graph(
+        action = step.repeated(spec.action_tokens())
+    else:  # AUTOREGRESSIVE_PARALLEL; VlaModelSpec admits no other mode
+        action = parallel_decode_graph(
             spec.vlm, spec.action_tokens(), prefix + history, phase=ACTION)
-    return graph
+
+    # One graph built from all the parts' runs: its construction merges
+    # them once, as a chain of ``+`` would, without the graphs in between.
+    runs = list(vision.ops)
+    if spec.num_cameras > 0:
+        # Bridge from vision width to VLM width.
+        runs.append((matmul_op(spec.vision_tokens(), spec.vlm.hidden_size,
+                               spec.vision_encoder.hidden_size,
+                               spec.vision_encoder.precision_bytes,
+                               "mm_projector", VISION), 1))
+    runs += prefill.ops
+    runs += action.ops
+    return OperatorGraph(runs, vision.kv_cache_written_bytes
+                         + prefill.kv_cache_written_bytes
+                         + action.kv_cache_written_bytes)

@@ -84,9 +84,6 @@ class GraphTiming:
     total: float
     by_phase: Mapping[str, float]
 
-    def phase(self, name: str) -> float:
-        return self.by_phase.get(name, 0.0)
-
 
 def graph_time(graph: OperatorGraph, hw: AcceleratorConfig,
                precision_bytes: int = 2) -> GraphTiming:
@@ -103,21 +100,28 @@ def graph_time(graph: OperatorGraph, hw: AcceleratorConfig,
     return GraphTiming(total, by_phase)
 
 
-def graph_oi(graph: OperatorGraph) -> float:
-    """Aggregate operational intensity (FLOP/byte) of a graph."""
-    data = graph.total_bytes
+def _intensity(flops: int, data: int) -> float:
     if data == 0:
         raise ValueError("operational intensity is undefined for a graph "
                          "that moves zero bytes")
-    return graph.total_flops / data
+    return flops / data
+
+
+def _label(oi: float, hw: AcceleratorConfig, precision_bytes: int = 2) -> str:
+    if oi > hw.balance_oi(precision_bytes):
+        return COMPUTE_BOUND
+    return MEMORY_BOUND
+
+
+def graph_oi(graph: OperatorGraph) -> float:
+    """Aggregate operational intensity (FLOP/byte) of a graph."""
+    return _intensity(graph.total_flops, graph.total_bytes)
 
 
 def boundedness(graph: OperatorGraph, hw: AcceleratorConfig,
                 precision_bytes: int = 2) -> str:
     """Aggregate compute/memory label: compute iff OI exceeds the balance."""
-    if graph_oi(graph) > hw.balance_oi(precision_bytes):
-        return COMPUTE_BOUND
-    return MEMORY_BOUND
+    return _label(graph_oi(graph), hw, precision_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +171,32 @@ def phase_breakdown(spec: VlaModelSpec, hw: AcceleratorConfig,
     ``action_hw`` when one is given (split serving).  Returns three
     phase-keyed dicts (seconds, FLOP/byte, label), covering only phases that
     actually have operators.
+
+    One walk over the graph's runs prices every phase: each phase adds its
+    runs' seconds in graph order, so its latency is bit for bit
+    ``graph_time(graph.subgraph(phase), phase_hw).total``, and its FLOP and
+    byte totals are exact integers.
     """
-    graph = opgraph.pipeline_graph(spec, context_timestep)
+    phase_hw = {phase: hw for phase in opgraph.PHASES}
+    if action_hw:
+        phase_hw[opgraph.ACTION] = action_hw
+    # phase -> [seconds, flops, bytes]
+    sums: dict[str, list] = {}
+    for op, count in opgraph.pipeline_graph(spec, context_timestep).ops:
+        acc = sums.get(op.phase)
+        if acc is None:
+            acc = sums[op.phase] = [0.0, 0, 0]
+        acc[0] += count * op_time(op, phase_hw[op.phase])[0]
+        acc[1] += op.flops * count
+        acc[2] += op.bytes * count
     latencies: dict[str, float] = {}
     intensity: dict[str, float] = {}
     labels: dict[str, str] = {}
     for phase in opgraph.PHASES:
-        sub = graph.subgraph(phase)
-        if not sub.ops:
+        if phase not in sums:
             continue
-        phase_hw = action_hw if phase == opgraph.ACTION and action_hw else hw
-        latencies[phase] = graph_time(sub, phase_hw).total
-        intensity[phase] = graph_oi(sub)
-        labels[phase] = boundedness(sub, phase_hw)
+        seconds, flops, data = sums[phase]
+        latencies[phase] = seconds
+        intensity[phase] = _intensity(flops, data)
+        labels[phase] = _label(intensity[phase], phase_hw[phase])
     return latencies, intensity, labels

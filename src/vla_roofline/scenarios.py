@@ -364,16 +364,6 @@ DECODING_VARIANTS = (DIFFUSION, DIFFUSION_LARGE, AUTOREGRESSIVE,
                      AUTOREGRESSIVE_PARALLEL)
 
 
-@dataclass(frozen=True)
-class DecodingRow:
-    variant: str
-    chunk_size: int
-    action_dof: int
-    action_latency: float
-    e2e_latency: float
-    action_oi: float
-
-
 def decoding_variant_spec(spec: VlaModelSpec, variant: str, chunk: int,
                            dof: int) -> VlaModelSpec:
     base = replace(spec, chunk_size=chunk, action_dof=dof)
@@ -388,58 +378,6 @@ def decoding_variant_spec(spec: VlaModelSpec, variant: str, chunk: int,
         return replace(base, name=f"{spec.name}-{variant}",
                        decoding_mode=variant, action_expert=None)
     raise ValueError(f"unknown decoding variant {variant!r}")
-
-
-def decoding_comparison(spec: VlaModelSpec, hw: AcceleratorConfig,
-                        chunk_sizes: Sequence[int] = (50,),
-                        dofs: Sequence[int] = (14,),
-                        variants: Sequence[str] = DECODING_VARIANTS,
-                        ) -> tuple[DecodingRow, ...]:
-    """Action-phase cost of each decoding strategy on one accelerator."""
-    rows = []
-    for chunk in chunk_sizes:
-        for dof in dofs:
-            for variant in variants:
-                variant_spec = decoding_variant_spec(spec, variant, chunk, dof)
-                graph = opgraph.pipeline_graph(variant_spec)
-                timing = roofline.graph_time(graph, hw)
-                action = graph.subgraph(opgraph.ACTION)
-                rows.append(DecodingRow(
-                    variant=variant,
-                    chunk_size=chunk,
-                    action_dof=dof,
-                    action_latency=timing.phase(opgraph.ACTION),
-                    e2e_latency=timing.total,
-                    action_oi=roofline.graph_oi(action),
-                ))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class DenoiseChunkRow:
-    denoise_steps: int
-    chunk_size: int
-    action_latency: float
-    e2e_latency: float
-
-
-def denoise_chunk_sweep(spec: VlaModelSpec, hw: AcceleratorConfig,
-                        steps: Sequence[int] = (10,),
-                        chunks: Sequence[int] = (50,),
-                        ) -> tuple[DenoiseChunkRow, ...]:
-    """Diffusion cost across denoising-step and chunk-size settings."""
-    rows = []
-    for n_steps in steps:
-        for chunk in chunks:
-            variant = replace(spec, denoise_steps=n_steps, chunk_size=chunk)
-            timing = roofline.graph_time(opgraph.pipeline_graph(variant), hw)
-            rows.append(DenoiseChunkRow(
-                denoise_steps=n_steps,
-                chunk_size=chunk,
-                action_latency=timing.phase(opgraph.ACTION),
-                e2e_latency=timing.total,
-            ))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)

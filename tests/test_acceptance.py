@@ -8,6 +8,7 @@ published as N/A must come out infeasible here too, not merely different.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -30,8 +31,8 @@ from vla_roofline import (
     transfer_time,
 )
 from vla_roofline import references as refs
-from vla_roofline.opgraph import PHASES
-from vla_roofline.scenarios import decoding_comparison, denoise_chunk_sweep
+from vla_roofline.opgraph import ACTION, PHASES
+from vla_roofline.scenarios import decoding_variant_spec
 
 
 def _assert_cells(cells):
@@ -125,27 +126,32 @@ def test_c07_sweep_linearity_chunk_cost_and_decoding_tradeoffs(lib):
     spec = lib.model("pi0")
     b100 = lib.accelerator("b100")
 
-    one, ten, fifty = denoise_chunk_sweep(spec, b100, steps=(1, 10, 50),
-                                          chunks=(50,))
-    assert ten.action_latency == pytest.approx(10 * one.action_latency,
-                                               rel=1e-12)
-    assert fifty.action_latency == pytest.approx(50 * one.action_latency,
-                                                 rel=1e-12)
+    def on_b100(variant_spec):
+        return sync_scenario(variant_spec, Placement.on_device(b100))
 
-    at50, at250 = denoise_chunk_sweep(spec, b100, steps=(10,),
-                                      chunks=(50, 250))
+    one, ten, fifty = (
+        on_b100(replace(spec, denoise_steps=n, chunk_size=50))
+        .phase_latencies[ACTION] for n in (1, 10, 50))
+    assert ten == pytest.approx(10 * one, rel=1e-12)
+    assert fifty == pytest.approx(50 * one, rel=1e-12)
+
+    at50, at250 = (on_b100(replace(spec, denoise_steps=10, chunk_size=chunk))
+                   for chunk in (50, 250))
     assert at250.e2e_latency / at50.e2e_latency - 1 <= 0.15
 
-    rows = {(r.variant, r.chunk_size): r
-            for r in decoding_comparison(spec, b100,
-                                         chunk_sizes=(5, 10, 50), dofs=(14,))}
+    rows = {(variant, chunk):
+            on_b100(decoding_variant_spec(spec, variant, chunk, 14))
+            for chunk in (5, 10, 50)
+            for variant in ("diffusion", "autoregressive",
+                            "autoregressive_parallel")}
     ratio = (rows[("autoregressive", 50)].e2e_latency
              / rows[("diffusion", 50)].e2e_latency)
     reference_ratio = float(refs.AR_OVER_DIFFUSION)
     assert reference_ratio / 1.3 <= ratio <= reference_ratio * 1.3
 
     for chunk, reference in refs.PARALLEL_OI.items():
-        oi = rows[("autoregressive_parallel", chunk)].action_oi
+        par = rows[("autoregressive_parallel", chunk)]
+        oi = par.operational_intensity[ACTION]
         assert abs(oi / float(reference) - 1) <= 0.10, f"chunk {chunk} OI {oi}"
 
     for chunk in (5, 10):

@@ -295,6 +295,12 @@ def test_malformed_preset_yaml_is_an_error(tmp_path, fmt, filename, text,
     pytest.param("models.yaml", "models: {m: {chunk_size: [10]}}\n",
                  "model 'm': chunk_size must be a number, got [10]",
                  id="model-list"),
+    pytest.param("models.yaml", "components: {c: {num_decoder_layers: 18.9}}\n",
+                 "component 'c': num_decoder_layers must be a whole number, "
+                 "got 18.9", id="component-fractional-int"),
+    pytest.param("models.yaml", "models: {m: {chunk_size: true}}\n",
+                 "model 'm': chunk_size must be a number, got True",
+                 id="model-bool"),
 ])
 def test_wrong_type_preset_field_is_an_error(tmp_path, filename, text,
                                              message):
@@ -348,6 +354,18 @@ def test_out_writes_file_instead_of_stdout(tmp_path):
     content = target.read_text(encoding="utf-8")
     assert "e2e_latency_ms" in content
     assert content.endswith("\n")
+
+
+@pytest.mark.parametrize("missing, reason", [
+    (True, "No such file or directory"),
+    (False, "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_out_that_cannot_be_written_is_an_error(tmp_path, missing, reason):
+    target = tmp_path / "missing" / "report.txt" if missing else tmp_path
+    result = run_cli("analyze", "--out", str(target))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {target}: {reason}\n"
 
 
 def test_list_presets_names_everything():

@@ -154,3 +154,16 @@ def _digest(argv):
 def test_output_matches_recorded_digest(command, fmt):
     argv = (*command, "--format", fmt)
     assert _digest(argv) == DIGESTS[" ".join(argv)]
+
+
+def test_a_failed_call_leaves_the_next_call_unchanged():
+    """The parser is built once per process, so a call that fails to parse
+    must leave nothing behind for the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    with contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as failed:
+        cli.main(["analyze", "--chunk", "10", "--format", "csv",
+                  "--no-such-flag"])
+    assert failed.value.code == 1
+    argv = ("analyze", "--format", "json")
+    assert _digest(argv) == DIGESTS[" ".join(argv)]

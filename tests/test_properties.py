@@ -28,13 +28,16 @@ from vla_roofline import (
     load_presets,
     op_time,
     param_count,
+    pipeline_graph,
     prefill_graph,
     kv_bytes_per_token,
     sync_scenario,
     transfer_time,
 )
-from vla_roofline.opgraph import PHASES
-from vla_roofline.workload import TransformerConfig
+from vla_roofline.opgraph import ACTION, PHASES
+from vla_roofline.roofline import boundedness, graph_oi, phase_breakdown
+from vla_roofline.scenarios import decoding_variant_spec
+from vla_roofline.workload import DECODING_MODES, TransformerConfig
 
 operators = st.builds(
     Operator,
@@ -249,6 +252,40 @@ def test_dual_system_rate_decreases_with_context_cap(caps):
     slow = dual_system_scenario(spec, placement, high)
     fast = dual_system_scenario(spec, placement, low)
     assert fast.async_frequency >= slow.async_frequency
+
+
+preset_accelerators = st.sampled_from(sorted(_LIB.hardware)).map(
+    _LIB.accelerator)
+
+
+@given(model=st.sampled_from(_LIB.catalog.model_names()),
+       decoding=st.sampled_from(DECODING_MODES),
+       context_timestep=st.one_of(st.none(),
+                                  st.integers(min_value=1, max_value=10_000)),
+       hw=st.one_of(preset_accelerators, accelerators),
+       action_hw=st.one_of(st.none(), preset_accelerators, accelerators))
+@settings(max_examples=60)
+def test_phase_breakdown_prices_each_phase_like_its_subgraph(
+        model, decoding, context_timestep, hw, action_hw):
+    """One walk over the runs gives, bit for bit, what pricing each phase's
+    subgraph separately gives."""
+    spec = _LIB.model(model)
+    spec = decoding_variant_spec(spec, decoding, spec.chunk_size,
+                                 spec.action_dof)
+    graph = pipeline_graph(spec, context_timestep)
+    expected = {}
+    for phase in PHASES:
+        sub = graph.subgraph(phase)
+        if not sub.ops:
+            continue
+        phase_hw = action_hw if phase == ACTION and action_hw else hw
+        expected[phase] = (graph_time(sub, phase_hw).total, graph_oi(sub),
+                           boundedness(sub, phase_hw))
+    latencies, intensity, labels = phase_breakdown(spec, hw, context_timestep,
+                                                   action_hw)
+    assert list(latencies) == list(intensity) == list(labels) == list(expected)
+    assert {phase: (latencies[phase], intensity[phase], labels[phase])
+            for phase in latencies} == expected
 
 
 def test_sweep_results_identical_under_thread_pool():

@@ -15,12 +15,12 @@ from vla_roofline.scenarios import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
     DIFFUSION,
+    DECODING_VARIANTS,
     DIFFUSION_LARGE,
     Placement,
     async_scenario,
     collaborative_scenario,
-    decoding_comparison,
-    denoise_chunk_sweep,
+    decoding_variant_spec,
     dual_system_scenario,
     long_context_sweep,
     scaling_sweep,
@@ -258,8 +258,16 @@ def test_long_context_infeasible_on_small_gpus(lib, pi0):
 
 # --- decoding comparison -------------------------------------------------------
 
+def _decodings(spec, hw, chunk=50, dof=14):
+    """On-device result of every decoding variant at one chunk size and DoF."""
+    placement = Placement.on_device(hw)
+    return {variant: sync_scenario(
+                decoding_variant_spec(spec, variant, chunk, dof), placement)
+            for variant in DECODING_VARIANTS}
+
+
 def test_decoding_comparison_baseline_chunk(lib, pi0, b100):
-    rows = {r.variant: r for r in decoding_comparison(pi0, b100)}
+    rows = _decodings(pi0, b100)
     assert set(rows) == {DIFFUSION, DIFFUSION_LARGE, AUTOREGRESSIVE,
                          AUTOREGRESSIVE_PARALLEL}
     diffusion = rows[DIFFUSION]
@@ -269,21 +277,20 @@ def test_decoding_comparison_baseline_chunk(lib, pi0, b100):
     assert ar.e2e_latency / diffusion.e2e_latency == pytest.approx(
         109.94523, abs=1e-5)
     par = rows[AUTOREGRESSIVE_PARALLEL]
-    assert par.action_oi == pytest.approx(479.20940, abs=1e-5)
+    assert par.operational_intensity[ACTION] == pytest.approx(479.20940,
+                                                              abs=1e-5)
     assert par.e2e_latency * 1e3 == pytest.approx(3.953373, abs=1e-6)
     # A VLM-sized expert pays for its width at identical step count.
     assert rows[DIFFUSION_LARGE].e2e_latency > diffusion.e2e_latency
 
 
 def test_parallel_decode_crossover_at_small_chunks(lib, pi0, b100):
-    small = {r.variant: r
-             for r in decoding_comparison(pi0, b100, chunk_sizes=(10,))}
-    assert small[AUTOREGRESSIVE_PARALLEL].action_oi == pytest.approx(
-        131.04084, abs=1e-5)
+    small = _decodings(pi0, b100, chunk=10)
+    assert small[AUTOREGRESSIVE_PARALLEL].operational_intensity[ACTION] == \
+        pytest.approx(131.04084, abs=1e-5)
     assert small[AUTOREGRESSIVE_PARALLEL].e2e_latency < \
         small[DIFFUSION].e2e_latency
-    large = {r.variant: r
-             for r in decoding_comparison(pi0, b100, chunk_sizes=(50,))}
+    large = _decodings(pi0, b100, chunk=50)
     assert large[AUTOREGRESSIVE_PARALLEL].e2e_latency > \
         large[DIFFUSION].e2e_latency
 
@@ -291,8 +298,7 @@ def test_parallel_decode_crossover_at_small_chunks(lib, pi0, b100):
 def test_single_action_ordering(lib, pi0, b100):
     """At one 7-DoF action the expert still wins; a full-width expert is the
     most expensive way to denoise."""
-    rows = {r.variant: r for r in decoding_comparison(
-        pi0, b100, chunk_sizes=(1,), dofs=(7,))}
+    rows = _decodings(pi0, b100, chunk=1, dof=7)
     assert rows[DIFFUSION].e2e_latency < rows[AUTOREGRESSIVE].e2e_latency
     assert rows[AUTOREGRESSIVE].e2e_latency < \
         rows[DIFFUSION_LARGE].e2e_latency
@@ -300,18 +306,28 @@ def test_single_action_ordering(lib, pi0, b100):
 
 # --- denoise / chunk sweeps -----------------------------------------------------
 
+def _denoise_chunk(spec, hw, steps, chunks):
+    """On-device results over denoising steps x chunk sizes."""
+    return [sync_scenario(replace(spec, denoise_steps=n, chunk_size=chunk),
+                          Placement.on_device(hw))
+            for n in steps for chunk in chunks]
+
+
 def test_action_latency_linear_in_denoise_steps(lib, pi0, b100):
-    rows = denoise_chunk_sweep(pi0, b100, steps=(1, 10, 50), chunks=(50,))
-    per_step = rows[0].action_latency
-    assert rows[1].action_latency == pytest.approx(10 * per_step, rel=1e-12)
-    assert rows[2].action_latency == pytest.approx(50 * per_step, rel=1e-12)
+    rows = _denoise_chunk(pi0, b100, steps=(1, 10, 50), chunks=(50,))
+    per_step = rows[0].phase_latencies[ACTION]
+    assert rows[1].phase_latencies[ACTION] == pytest.approx(10 * per_step,
+                                                            rel=1e-12)
+    assert rows[2].phase_latencies[ACTION] == pytest.approx(50 * per_step,
+                                                            rel=1e-12)
     assert rows[2].e2e_latency / rows[1].e2e_latency == pytest.approx(
         2.14617, abs=5e-5)
 
 
 def test_chunk_growth_is_sublinear_e2e(lib, pi0, b100):
-    rows = denoise_chunk_sweep(pi0, b100, steps=(10,), chunks=(50, 250))
-    action_increase = rows[1].action_latency / rows[0].action_latency - 1
+    rows = _denoise_chunk(pi0, b100, steps=(10,), chunks=(50, 250))
+    action_increase = (rows[1].phase_latencies[ACTION]
+                       / rows[0].phase_latencies[ACTION] - 1)
     e2e_increase = rows[1].e2e_latency / rows[0].e2e_latency - 1
     assert action_increase == pytest.approx(0.378419, abs=1e-6)
     assert e2e_increase == pytest.approx(0.108433, abs=1e-6)
