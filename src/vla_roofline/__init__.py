@@ -16,7 +16,7 @@ imported from its module.
 
 from .configio import load_presets
 from .netmodel import UPLOAD, NetworkConfig, Payload, transfer_time
-from .opgraph import VLM, Operator, OperatorGraph, pipeline_graph, prefill_graph
+from .opgraph import VLM, Operator, OperatorGraph, pipeline_graph, prefill_runs
 from .roofline import (
     COMPUTE_BOUND,
     GIB,

@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from itertools import product
@@ -65,7 +66,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    parts = tuple(part.strip() for part in text.split(","))
+    if not all(parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated names, got {text!r}")
+    return parts
 
 
 # Parsing leaves the parser unchanged, so one parser serves every call.
@@ -474,7 +479,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early (``| head``).  Point stdout at devnull
+            # so that the flush at exit does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return code
 
 

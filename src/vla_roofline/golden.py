@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional
 from . import references as refs
 from .configio import PresetLibrary
 from .opgraph import ACTION, PHASES, VISION, VLM, pipeline_graph
-from .roofline import COMPUTE_BOUND, GIB, boundedness, graph_oi
+from .roofline import COMPUTE_BOUND, GIB, boundedness, graph_oi, kv_cache_bytes
 from .scenarios import (
     Placement,
     async_scenario,
@@ -217,17 +217,16 @@ def long_context_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     cells = []
     for i, t in enumerate(timesteps):
         row = refs.LONG_CONTEXT[t]
-        memory_row = sweeps["b100"][i]
         cells.append(GoldenCell(
             "T6", f"t={t} total memory", "GB",
-            modeled=memory_row.footprint_bytes / GIB,
+            modeled=sweeps["b100"][i].footprint_bytes / GIB,
             reference=row["total_gb"], rel_tol=0.02))
         cells.append(GoldenCell(
             "T6", f"t={t} KV cache", "GB",
-            modeled=memory_row.kv_bytes / GIB,
+            modeled=kv_cache_bytes(spec, t) / GIB,
             reference=row["kv_gb"], rel_tol=0.02))
         for name in ("thor", "rtx4090", "b100"):
-            result = sweeps[name][i].result
+            result = sweeps[name][i]
             cells.append(GoldenCell(
                 "T6", f"t={t} {name} latency", "ms",
                 modeled=(result.e2e_latency * 1e3 if result.feasible else None),

@@ -76,20 +76,19 @@ class Operator:
             raise ValueError(f"{self.label}: phase must be one of {PHASES}")
 
 
+Run = tuple[Operator, int]
+
+
 @dataclass(frozen=True)
 class OperatorGraph:
-    """Operator runs plus KV-cache write accounting.
+    """``ops`` holds ``(operator, count)`` runs.
 
-    ``ops`` holds ``(operator, count)`` runs.  Construction takes any
-    iterable of runs, merges equal operators into one run, kept where the
-    operator first appears, and drops runs whose count is zero.
-    ``kv_cache_written_bytes`` records how much persistent KV cache the
-    workload leaves behind (informational; the operators' byte counts
-    already include those writes via their matmul outputs).
+    Construction takes any iterable of runs, merges equal operators into one
+    run, kept where the operator first appears, and drops runs whose count
+    is zero.
     """
 
-    ops: tuple[tuple[Operator, int], ...] = ()
-    kv_cache_written_bytes: int = 0
+    ops: tuple[Run, ...] = ()
 
     def __post_init__(self) -> None:
         counts: dict[Operator, int] = {}
@@ -112,20 +111,8 @@ class OperatorGraph:
     def total_bytes(self) -> int:
         return sum(op.bytes * count for op, count in self.ops)
 
-    def __add__(self, other: "OperatorGraph") -> "OperatorGraph":
-        return OperatorGraph(
-            self.ops + other.ops,
-            self.kv_cache_written_bytes + other.kv_cache_written_bytes,
-        )
-
-    def repeated(self, times: int) -> "OperatorGraph":
-        if times < 0:
-            raise ValueError("times must be >= 0")
-        return OperatorGraph(((op, count * times) for op, count in self.ops),
-                             self.kv_cache_written_bytes * times)
-
     def subgraph(self, phase: str) -> "OperatorGraph":
-        """The runs of one pipeline phase (KV accounting not split)."""
+        """The runs of one pipeline phase."""
         return OperatorGraph(run for run in self.ops if run[0].phase == phase)
 
 
@@ -240,68 +227,60 @@ def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
 
 
 # ---------------------------------------------------------------------------
-# Workload graphs
+# Workload runs
 # ---------------------------------------------------------------------------
 
 
-def vit_encode_graph(cfg: TransformerConfig, num_images: int,
-                     tokens_per_image: int = 256) -> OperatorGraph:
+def vit_encode_runs(cfg: TransformerConfig, num_images: int,
+                    tokens_per_image: int = 256) -> list[Run]:
     """Vision encoding of all camera images in a single batched forward.
 
     The images are concatenated into one ``num_images * tokens_per_image``
     token batch (weights stream once, attention is joint across the batch).
-    Requires ``cfg.patch_input_dim``; zero images yield an empty graph.
+    Requires ``cfg.patch_input_dim``; zero images yield no runs.
     """
     if cfg.patch_input_dim is None:
         raise ValueError(f"{cfg.name}: vision encoding needs patch_input_dim")
     if num_images < 0 or tokens_per_image < 1:
         raise ValueError("need num_images >= 0 and tokens_per_image >= 1")
     if num_images == 0:
-        return OperatorGraph()
+        return []
     tokens = num_images * tokens_per_image
     embed = matmul_op(tokens, cfg.hidden_size, cfg.patch_input_dim,
                       cfg.precision_bytes, "patch_embed", VISION)
-    return OperatorGraph([(embed, 1)] + [
-        (op, cfg.num_layers) for op in _context_layer(cfg, tokens, 0, VISION)])
+    return [(embed, 1)] + [
+        (op, cfg.num_layers) for op in _context_layer(cfg, tokens, 0, VISION)]
 
 
-def prefill_graph(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
-                  phase: str = VLM) -> OperatorGraph:
+def prefill_runs(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
+                 phase: str = VLM) -> list[Run]:
     """Prefill of ``q_len`` fresh tokens over an optional existing prefix."""
     if q_len < 1 or kv_prefix_len < 0:
         raise ValueError("need q_len >= 1 and kv_prefix_len >= 0")
     layer = _context_layer(cfg, q_len, kv_prefix_len, phase)
-    return OperatorGraph([(op, cfg.num_layers) for op in layer],
-                         q_len * kv_bytes_per_token(cfg))
+    return [(op, cfg.num_layers) for op in layer]
 
 
-def decode_step_graph(cfg: TransformerConfig, kv_prefix_len: int,
-                      phase: str = VLM) -> OperatorGraph:
-    """One autoregressive token over a ``kv_prefix_len``-token cache."""
-    return parallel_decode_graph(cfg, 1, kv_prefix_len, phase)
-
-
-def parallel_decode_graph(cfg: TransformerConfig, num_action_tokens: int,
-                          kv_prefix_len: int, phase: str = VLM) -> OperatorGraph:
+def parallel_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
+                         kv_prefix_len: int, phase: str = VLM) -> list[Run]:
     """All ``num_action_tokens`` decoded in one generation-kernel forward."""
     if num_action_tokens < 1 or kv_prefix_len < 0:
         raise ValueError("need num_action_tokens >= 1 and kv_prefix_len >= 0")
     layer = _generation_layer(cfg, num_action_tokens, kv_prefix_len, phase)
-    return OperatorGraph([(op, cfg.num_layers) for op in layer],
-                         num_action_tokens * kv_bytes_per_token(cfg))
+    return [(op, cfg.num_layers) for op in layer]
 
 
-def diffusion_graph(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
-                    vlm_kv_bytes_per_token: int, chunk_size: int, steps: int,
-                    action_dof: int, *,
-                    context_cfg: Optional[TransformerConfig] = None,
-                    history_tokens: int = 0) -> OperatorGraph:
+def diffusion_runs(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
+                   vlm_kv_bytes_per_token: int, chunk_size: int, steps: int,
+                   action_dof: int, *,
+                   context_cfg: Optional[TransformerConfig] = None,
+                   history_tokens: int = 0) -> list[Run]:
     """Flow-matching action generation: ``steps`` identical denoising passes.
 
     Each pass projects the noisy chunk in (``action_dof -> hidden``), runs
     every expert layer jointly attending the cached VLM prefix (and any
     accumulated ``history_tokens`` of older context), and projects actions
-    out.  Passes are identical, so graph cost is exactly linear in ``steps``.
+    out.  Passes are identical, so the cost is exactly linear in ``steps``.
 
     ``context_cfg`` gives the cached context's KV geometry (width and head
     count; normally the VLM config).  Without it the per-layer context width
@@ -313,7 +292,7 @@ def diffusion_graph(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
     if chunk_size < 1 or action_dof < 1 or steps < 0:
         raise ValueError("need chunk_size >= 1, action_dof >= 1, steps >= 0")
     if steps == 0:
-        return OperatorGraph()
+        return []
     p = cfg_action.precision_bytes
     if context_cfg is not None:
         ctx_kv_width = context_cfg.kv_width
@@ -329,9 +308,8 @@ def diffusion_graph(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
     out_proj = matmul_op(chunk_size, action_dof, cfg_action.hidden_size, p,
                          "action_out_proj", ACTION)
     layers = steps * cfg_action.num_layers
-    return OperatorGraph([(in_proj, steps)]
-                         + [(op, layers) for op in layer]
-                         + [(out_proj, steps)])
+    return ([(in_proj, steps)] + [(op, layers) for op in layer]
+            + [(out_proj, steps)])
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +332,26 @@ def pipeline_graph(spec: VlaModelSpec,
     history = spec.vision_tokens() * (t - 1)
     prefix = spec.prefix_tokens()
 
-    vision = vit_encode_graph(spec.vision_encoder, spec.num_cameras,
-                              spec.tokens_per_image)
-    prefill = prefill_graph(spec.vlm, prefix, history)
-    if spec.decoding_mode == DIFFUSION:
-        action = diffusion_graph(
-            spec.action_expert, prefix, kv_bytes_per_token(spec.vlm),
-            spec.chunk_size, spec.denoise_steps, spec.action_dof,
-            context_cfg=spec.vlm, history_tokens=history)
-    elif spec.decoding_mode == AUTOREGRESSIVE:
-        step = decode_step_graph(spec.vlm, prefix + history, phase=ACTION)
-        action = step.repeated(spec.action_tokens())
-    else:  # AUTOREGRESSIVE_PARALLEL; VlaModelSpec admits no other mode
-        action = parallel_decode_graph(
-            spec.vlm, spec.action_tokens(), prefix + history, phase=ACTION)
-
-    # One graph built from all the parts' runs: its construction merges
-    # them once, as a chain of ``+`` would, without the graphs in between.
-    runs = list(vision.ops)
+    runs = vit_encode_runs(spec.vision_encoder, spec.num_cameras,
+                           spec.tokens_per_image)
     if spec.num_cameras > 0:
         # Bridge from vision width to VLM width.
         runs.append((matmul_op(spec.vision_tokens(), spec.vlm.hidden_size,
                                spec.vision_encoder.hidden_size,
                                spec.vision_encoder.precision_bytes,
                                "mm_projector", VISION), 1))
-    runs += prefill.ops
-    runs += action.ops
-    return OperatorGraph(runs, vision.kv_cache_written_bytes
-                         + prefill.kv_cache_written_bytes
-                         + action.kv_cache_written_bytes)
+    runs += prefill_runs(spec.vlm, prefix, history)
+    if spec.decoding_mode == DIFFUSION:
+        runs += diffusion_runs(
+            spec.action_expert, prefix, kv_bytes_per_token(spec.vlm),
+            spec.chunk_size, spec.denoise_steps, spec.action_dof,
+            context_cfg=spec.vlm, history_tokens=history)
+    elif spec.decoding_mode == AUTOREGRESSIVE:
+        # One single-token forward per action token.
+        step = parallel_decode_runs(spec.vlm, 1, prefix + history, ACTION)
+        runs += [(op, count * spec.action_tokens()) for op, count in step]
+    else:  # AUTOREGRESSIVE_PARALLEL; VlaModelSpec admits no other mode
+        runs += parallel_decode_runs(
+            spec.vlm, spec.action_tokens(), prefix + history, ACTION)
+    # The one merge of all the parts' runs.
+    return OperatorGraph(runs)

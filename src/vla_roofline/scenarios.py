@@ -337,26 +337,12 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LongContextRow:
-    timestep: int
-    kv_bytes: int
-    footprint_bytes: int
-    result: ScenarioResult
-
-
 def long_context_sweep(spec: VlaModelSpec, placement: Placement,
-                       timesteps: Sequence[int]) -> tuple[LongContextRow, ...]:
-    """Latency and memory growth as camera history accumulates in cache."""
-    rows = []
-    for t in timesteps:
-        rows.append(LongContextRow(
-            timestep=t,
-            kv_bytes=roofline.kv_cache_bytes(spec, t),
-            footprint_bytes=roofline.memory_footprint(spec, t),
-            result=sync_scenario(spec, placement, context_timestep=t),
-        ))
-    return tuple(rows)
+                       timesteps: Sequence[int]) -> tuple[ScenarioResult, ...]:
+    """Latency and memory growth as camera history accumulates in cache:
+    one synchronous result per timestep, with its ``footprint_bytes``."""
+    return tuple([sync_scenario(spec, placement, context_timestep=t)
+                  for t in timesteps])
 
 
 DIFFUSION_LARGE = "diffusion_large"

@@ -32,6 +32,7 @@ from vla_roofline import (
 )
 from vla_roofline import references as refs
 from vla_roofline.opgraph import ACTION, PHASES
+from vla_roofline.roofline import kv_cache_bytes
 from vla_roofline.scenarios import decoding_variant_spec
 
 
@@ -72,7 +73,7 @@ def test_c02_long_context_memory_growth_and_capacity_limits(lib):
     for row, t in zip(rows, timesteps):
         reference = refs.LONG_CONTEXT[t]
         total = row.footprint_bytes / GIB
-        kv = row.kv_bytes / GIB
+        kv = kv_cache_bytes(spec, t) / GIB
         assert _within(total, reference["total_gb"], 0.02), (
             f"t={t} total {total} vs {reference['total_gb']}")
         assert _within(kv, reference["kv_gb"], 0.02), (
@@ -80,7 +81,7 @@ def test_c02_long_context_memory_growth_and_capacity_limits(lib):
     for hw_name in ("thor", "rtx4090"):
         limited = long_context_sweep(
             spec, Placement.on_device(lib.accelerator(hw_name)), (10_000,))
-        assert not limited[0].result.feasible, f"{hw_name} must run out at t=10000"
+        assert not limited[0].feasible, f"{hw_name} must run out at t=10000"
     assert not fits(lib.model("pi0-xl"), lib.accelerator("rtx4090"))
 
 

@@ -346,6 +346,32 @@ def test_sweep_decoding_axis():
     assert lines[2].startswith("autoregressive,")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--decoding", ","),
+    ("--decoding", "diffusion,"),
+    ("--chunk", ","),
+])
+def test_empty_list_axis_is_usage_error(flag, value):
+    result = run_cli("sweep", flag, value)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert f"error: argument {flag}" in result.stderr
+
+
+def test_reader_closing_the_pipe_early_exits_quietly():
+    """More output than a 64 KiB pipe buffer holds, read one line at most."""
+    chunks = ",".join(str(n) for n in range(1, 3001))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vla_roofline", "sweep", "--chunk", chunks],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"chunk")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == b""
+
+
 def test_out_writes_file_instead_of_stdout(tmp_path):
     target = tmp_path / "report.txt"
     result = run_cli("analyze", "--out", str(target))

@@ -6,6 +6,7 @@ a regression here means the cost model changed, not that a tolerance
 drifted.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -15,18 +16,19 @@ from vla_roofline.opgraph import (
     VISION,
     VLM,
     OperatorGraph,
-    decode_step_graph,
-    diffusion_graph,
+    diffusion_runs,
     matmul_op,
-    parallel_decode_graph,
+    parallel_decode_runs,
     pipeline_graph,
-    prefill_graph,
-    vit_encode_graph,
+    prefill_runs,
+    vit_encode_runs,
 )
+from vla_roofline.scenarios import DECODING_VARIANTS, decoding_variant_spec
 from vla_roofline.workload import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
     kv_bytes_per_token,
+    scaled_family,
 )
 
 
@@ -42,25 +44,25 @@ def test_matmul_zero_rows_is_pure_weight_read():
     assert op.bytes == 2 * 256 * 2048
 
 
-def test_graph_addition_and_repeat():
-    a = OperatorGraph(((matmul_op(1, 2, 3), 1),), kv_cache_written_bytes=5)
-    b = OperatorGraph(((matmul_op(4, 5, 6), 1),), kv_cache_written_bytes=7)
-    combined = a + b
+def test_graph_of_concatenated_and_scaled_runs():
+    a = OperatorGraph(((matmul_op(1, 2, 3), 1),))
+    b = OperatorGraph(((matmul_op(4, 5, 6), 1),))
+    combined = OperatorGraph(a.ops + b.ops)
     assert combined.total_flops == a.total_flops + b.total_flops
-    assert combined.kv_cache_written_bytes == 12
-    assert a.repeated(3).total_bytes == 3 * a.total_bytes
-    assert a.repeated(3).ops == ((matmul_op(1, 2, 3), 3),)
-    assert a.repeated(0).ops == ()
+    tripled = OperatorGraph((op, 3 * count) for op, count in a.ops)
+    assert tripled.total_bytes == 3 * a.total_bytes
+    assert tripled.ops == ((matmul_op(1, 2, 3), 3),)
+    assert OperatorGraph((op, 0) for op, count in a.ops).ops == ()
 
 
 # --- VLM prefill: gemma-2b, 800 fresh tokens, no prior prefix -------------
 
 def test_prefill_layer_composition(lib):
     gemma = lib.component("gemma-2b")
-    graph = prefill_graph(gemma, 800)
+    runs = prefill_runs(gemma, 800)
     # One run per layer operator, each launched once per layer.
-    assert all(count == gemma.num_layers for _, count in graph.ops)
-    layer = [op for op, _ in graph.ops[:6]]
+    assert all(count == gemma.num_layers for _, count in runs)
+    layer = [op for op, _ in runs[:6]]
     by_label = {op.label: op for op in layer}
     assert by_label["q_proj"].bytes == 14_942_208
     assert by_label["k_proj"].bytes == 4_734_976
@@ -68,19 +70,18 @@ def test_prefill_layer_composition(lib):
     assert by_label["attn_out"].bytes == 14_942_208
     assert by_label["ffn_up"].bytes == 96_600_064
     # Gated up projection is fused with the first: weights + input only.
-    fused = graph.ops[5][0]
+    fused = runs[5][0]
     assert fused.label == "ffn_up_fused"
     assert fused.bytes == 70_385_664
-    assert graph.ops[6][0].label == "ffn_down"
-    assert graph.ops[6][0].bytes == 96_600_064
+    assert runs[6][0].label == "ffn_down"
+    assert runs[6][0].bytes == 96_600_064
 
 
 def test_prefill_graph_totals(lib):
     gemma = lib.component("gemma-2b")
-    graph = prefill_graph(gemma, 800)
+    graph = OperatorGraph(prefill_runs(gemma, 800))
     assert graph.total_bytes == 5_452_922_880
     assert graph.total_flops == 3_265_265_664_000
-    assert graph.kv_cache_written_bytes == 800 * 18_432
 
 
 def test_prefill_flops_are_dense_forward_plus_attention(lib):
@@ -88,7 +89,7 @@ def test_prefill_flops_are_dense_forward_plus_attention(lib):
     layer for attention — the totals must decompose exactly."""
     from vla_roofline.workload import param_count
     gemma = lib.component("gemma-2b")
-    graph = prefill_graph(gemma, 800)
+    graph = OperatorGraph(prefill_runs(gemma, 800))
     dense = 2 * 800 * param_count(gemma)
     attn = gemma.num_layers * 4 * 800 * 800 * gemma.q_width
     assert graph.total_flops == dense + attn
@@ -97,7 +98,7 @@ def test_prefill_flops_are_dense_forward_plus_attention(lib):
 # --- Vision encoding: one batched forward over all cameras ----------------
 
 def test_vision_graph_totals(lib, pi0):
-    graph = vit_encode_graph(lib.component("siglip-so400m"), 3)
+    graph = OperatorGraph(vit_encode_runs(lib.component("siglip-so400m"), 3))
     # Pipeline vision phase totals minus the cross-modal projector matmul.
     assert graph.total_bytes == 1_670_550_528 - 9_633_792
     assert graph.total_flops == 709_452_103_680 - 3_623_878_656
@@ -106,26 +107,26 @@ def test_vision_graph_totals(lib, pi0):
 def test_vision_attention_is_joint_across_images(lib):
     """Three images in one forward attend 768 tokens, not 3 x 256."""
     siglip = lib.component("siglip-so400m")
-    one = vit_encode_graph(siglip, 1)
-    three = vit_encode_graph(siglip, 3)
+    one = OperatorGraph(vit_encode_runs(siglip, 1))
+    three = OperatorGraph(vit_encode_runs(siglip, 3))
     assert three.total_flops > 3 * one.total_flops  # quadratic attention term
 
 
 def test_vision_zero_images_is_empty(lib):
-    assert vit_encode_graph(lib.component("siglip-so400m"), 0).ops == ()
+    assert vit_encode_runs(lib.component("siglip-so400m"), 0) == []
 
 
 def test_vision_requires_patch_dim(lib):
     with pytest.raises(ValueError, match="patch_input_dim"):
-        vit_encode_graph(lib.component("gemma-2b"), 3)
+        vit_encode_runs(lib.component("gemma-2b"), 3)
 
 
 # --- Action expert: diffusion over cached VLM context ----------------------
 
 def test_diffusion_step_totals(lib, pi0):
-    graph = diffusion_graph(pi0.action_expert, 800,
-                            kv_bytes_per_token(pi0.vlm), 50, 1, 14,
-                            context_cfg=pi0.vlm)
+    graph = OperatorGraph(diffusion_runs(pi0.action_expert, 800,
+                                         kv_bytes_per_token(pi0.vlm), 50, 1,
+                                         14, context_cfg=pi0.vlm))
     assert graph.total_bytes == 731_061_488
     assert graph.total_flops == 37_412_454_400
 
@@ -133,10 +134,10 @@ def test_diffusion_step_totals(lib, pi0):
 def test_diffusion_attention_window_choice(lib, pi0):
     """The context window is read per KV-group only while that is cheaper
     than materialising score rows; the baseline sits on the score side."""
-    graph = diffusion_graph(pi0.action_expert, 800,
-                            kv_bytes_per_token(pi0.vlm), 50, 1, 14,
-                            context_cfg=pi0.vlm)
-    attn, count = next(run for run in graph.ops if run[0].label == "attention")
+    runs = diffusion_runs(pi0.action_expert, 800,
+                          kv_bytes_per_token(pi0.vlm), 50, 1, 14,
+                          context_cfg=pi0.vlm)
+    attn, count = next(run for run in runs if run[0].label == "attention")
     assert count == pi0.action_expert.num_layers
     # 2*(2*50*2048 + [2*800*256 + 4*8*50*800] + [2*50*256 + 4*8*50*50])
     assert attn.bytes == 4_000_000
@@ -144,53 +145,46 @@ def test_diffusion_attention_window_choice(lib, pi0):
 
 
 def test_diffusion_is_linear_in_steps(lib, pi0):
-    one = diffusion_graph(pi0.action_expert, 800, 18_432, 50, 1, 14,
-                          context_cfg=pi0.vlm)
-    ten = diffusion_graph(pi0.action_expert, 800, 18_432, 50, 10, 14,
-                          context_cfg=pi0.vlm)
+    one = OperatorGraph(diffusion_runs(pi0.action_expert, 800, 18_432, 50, 1,
+                                       14, context_cfg=pi0.vlm))
+    ten = OperatorGraph(diffusion_runs(pi0.action_expert, 800, 18_432, 50, 10,
+                                       14, context_cfg=pi0.vlm))
     assert ten.total_flops == 10 * one.total_flops
     assert ten.total_bytes == 10 * one.total_bytes
 
 
 def test_diffusion_zero_steps_is_empty(pi0):
-    assert diffusion_graph(pi0.action_expert, 800, 18_432, 50, 0, 14).ops == ()
+    assert diffusion_runs(pi0.action_expert, 800, 18_432, 50, 0, 14) == []
 
 
 def test_diffusion_context_width_fallback_matches_explicit(pi0):
     """Without the context config, the cached-context KV width is recovered
     from bytes-per-token; identical here because the stacks are both 18
     layers deep."""
-    explicit = diffusion_graph(pi0.action_expert, 800, 18_432, 50, 10, 14,
-                               context_cfg=pi0.vlm)
-    recovered = diffusion_graph(pi0.action_expert, 800, 18_432, 50, 10, 14)
+    explicit = OperatorGraph(diffusion_runs(
+        pi0.action_expert, 800, 18_432, 50, 10, 14, context_cfg=pi0.vlm))
+    recovered = OperatorGraph(diffusion_runs(
+        pi0.action_expert, 800, 18_432, 50, 10, 14))
     assert explicit.total_bytes == recovered.total_bytes
     assert explicit.total_flops == recovered.total_flops
 
 
 # --- Decode kernels ---------------------------------------------------------
 
-def test_decode_step_equals_parallel_decode_of_one(lib):
-    gemma = lib.component("gemma-2b")
-    assert decode_step_graph(gemma, 800).total_bytes == \
-        parallel_decode_graph(gemma, 1, 800).total_bytes
-    assert decode_step_graph(gemma, 800).total_flops == \
-        parallel_decode_graph(gemma, 1, 800).total_flops
-
-
 def test_decode_step_totals(lib):
-    graph = decode_step_graph(lib.component("gemma-2b"), 800)
+    """One autoregressive token is a parallel decode of one."""
+    graph = OperatorGraph(parallel_decode_runs(lib.component("gemma-2b"), 1, 800))
     assert graph.total_bytes == 3_981_210_912
-    assert graph.kv_cache_written_bytes == 18_432
 
 
 def test_parallel_decode_layer_totals(lib):
     gemma = lib.component("gemma-2b")
-    fifty = parallel_decode_graph(gemma, 700, 800)
+    fifty = OperatorGraph(parallel_decode_runs(gemma, 700, 800))
     per_layer_flops = fifty.total_flops // gemma.num_layers
     per_layer_bytes = fifty.total_bytes // gemma.num_layers
     assert per_layer_flops == 162_742_272_000
     assert per_layer_bytes == 339_605_760
-    ten = parallel_decode_graph(gemma, 140, 800)
+    ten = OperatorGraph(parallel_decode_runs(gemma, 140, 800))
     assert ten.total_flops // gemma.num_layers == 31_906_201_600
     assert ten.total_bytes // gemma.num_layers == 243_482_880
 
@@ -227,7 +221,8 @@ def test_autoregressive_pipeline_decodes_each_action_token(pi0):
     ar = replace(pi0, action_expert=None, decoding_mode=AUTOREGRESSIVE)
     graph = pipeline_graph(ar)
     action = graph.subgraph(ACTION)
-    step = decode_step_graph(pi0.vlm, 800)
+    step = OperatorGraph(parallel_decode_runs(pi0.vlm, 1, 800, ACTION))
+    assert action.ops == tuple((op, 700 * count) for op, count in step.ops)
     assert action.total_bytes == 700 * step.total_bytes
     assert action.total_flops == 700 * step.total_flops
 
@@ -237,7 +232,7 @@ def test_parallel_pipeline_uses_one_forward(pi0):
                   decoding_mode=AUTOREGRESSIVE_PARALLEL)
     action = pipeline_graph(par).subgraph(ACTION)
     assert action.total_flops == \
-        parallel_decode_graph(pi0.vlm, 700, 800).total_flops
+        OperatorGraph(parallel_decode_runs(pi0.vlm, 700, 800)).total_flops
 
 
 def test_long_context_grows_history(pi0):
@@ -267,17 +262,17 @@ def test_layer_builders_repeat_one_layer(lib, pi0):
     gemma = lib.component("gemma-2b")
     siglip = lib.component("siglip-so400m")
     cases = (
-        (prefill_graph(gemma, 800), gemma.num_layers, {}),
-        (parallel_decode_graph(gemma, 50, 800), gemma.num_layers,
+        (prefill_runs(gemma, 800), gemma.num_layers, {}),
+        (parallel_decode_runs(gemma, 50, 800), gemma.num_layers,
          {"ffn_up": gemma.num_ffi * gemma.num_layers}),
-        (vit_encode_graph(siglip, 3), siglip.num_layers, {"patch_embed": 1}),
-        (diffusion_graph(pi0.action_expert, 800, 18_432, 50, 1, 14,
-                         context_cfg=pi0.vlm),
+        (vit_encode_runs(siglip, 3), siglip.num_layers, {"patch_embed": 1}),
+        (diffusion_runs(pi0.action_expert, 800, 18_432, 50, 1, 14,
+                        context_cfg=pi0.vlm),
          pi0.action_expert.num_layers,
          {"action_in_proj": 1, "action_out_proj": 1}),
     )
-    for graph, layers, special in cases:
-        for op, count in graph.ops:
+    for runs, layers, special in cases:
+        for op, count in OperatorGraph(runs).ops:
             assert count == special.get(op.label, layers), op.label
 
 
@@ -285,6 +280,30 @@ def test_runs_merge_equal_operators_in_first_seen_order():
     a, b = matmul_op(1, 2, 3, label="a"), matmul_op(1, 2, 3, label="b")
     graph = OperatorGraph(((a, 2), (b, 0), (b, 1), (a, 3)))
     assert graph.ops == ((a, 5), (b, 1))
-    assert (graph + graph).ops == ((a, 10), (b, 2))
+    assert OperatorGraph(graph.ops + graph.ops).ops == ((a, 10), (b, 2))
     with pytest.raises(ValueError, match="count"):
         OperatorGraph(((a, -1),))
+
+
+# Recorded before the part builders returned plain runs; the runs of every
+# pipeline must not change.
+RUNS_DIGEST = "150c6970864d7c26a0a93f49d1310fb386be334760e2e7a1f8a0d4af6b9a794f"
+
+
+def test_pipeline_runs_digest(lib):
+    """SHA-256 of the runs of every preset and scaled-family model, in every
+    decoding variant, stateless and at two context timesteps."""
+    specs = [lib.model(name) for name in lib.catalog.model_names()]
+    specs += scaled_family(lib.catalog)
+    digest = hashlib.sha256()
+    for spec in specs:
+        for variant in DECODING_VARIANTS:
+            variant_spec = decoding_variant_spec(spec, variant,
+                                                 spec.chunk_size,
+                                                 spec.action_dof)
+            for timestep in (None, 10, 1000):
+                runs = [(op.label, op.flops, op.bytes, op.phase, count)
+                        for op, count in pipeline_graph(variant_spec,
+                                                        timestep).ops]
+                digest.update(repr(runs).encode())
+    assert digest.hexdigest() == RUNS_DIGEST

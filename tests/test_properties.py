@@ -29,7 +29,7 @@ from vla_roofline import (
     op_time,
     param_count,
     pipeline_graph,
-    prefill_graph,
+    prefill_runs,
     kv_bytes_per_token,
     sync_scenario,
     transfer_time,
@@ -101,7 +101,7 @@ def test_op_time_is_the_max_of_both_walls(op, hw):
 
 @given(a=graphs, b=graphs, hw=accelerators)
 def test_graph_concatenation_is_additive(a, b, hw):
-    combined = a + b
+    combined = OperatorGraph(a.ops + b.ops)
     assert combined.total_flops == a.total_flops + b.total_flops
     assert combined.total_bytes == a.total_bytes + b.total_bytes
     total = graph_time(combined, hw).total
@@ -111,7 +111,7 @@ def test_graph_concatenation_is_additive(a, b, hw):
 
 @given(g=graphs, n=st.integers(min_value=0, max_value=20))
 def test_repeated_graph_scales_exact_counts(g, n):
-    repeated = g.repeated(n)
+    repeated = OperatorGraph((op, n * count) for op, count in g.ops)
     assert repeated.total_flops == n * g.total_flops
     assert repeated.total_bytes == n * g.total_bytes
 
@@ -147,9 +147,10 @@ def test_runs_are_distinct_positive_and_first_seen(runs, n):
                    if op in launched]
     assert sum(count for _, count in graph.ops) == \
         sum(count for _, count in runs)
-    assert graph.repeated(n).ops == (
+    assert OperatorGraph((op, n * count) for op, count in graph.ops).ops == (
         tuple((op, n * count) for op, count in graph.ops) if n else ())
-    assert (graph + graph).ops == graph.repeated(2).ops
+    assert OperatorGraph(graph.ops + graph.ops).ops == tuple(
+        (op, 2 * count) for op, count in graph.ops)
     for phase in PHASES:
         assert graph.subgraph(phase).ops == tuple(
             run for run in graph.ops if run[0].phase == phase)
@@ -184,7 +185,7 @@ def small_stacks(draw):
 
 @given(cfg=small_stacks(), q_len=st.integers(min_value=1, max_value=64))
 def test_prefill_flops_decompose_into_weights_and_attention(cfg, q_len):
-    graph = prefill_graph(cfg, q_len)
+    graph = OperatorGraph(prefill_runs(cfg, q_len))
     attention_flops = cfg.num_layers * 4 * q_len * q_len * cfg.q_width
     assert graph.total_flops == 2 * q_len * param_count(cfg) + attention_flops
 

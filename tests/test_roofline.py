@@ -50,7 +50,8 @@ def test_graph_time_sums_per_operator_maxima():
     assert timing.by_phase[VISION] == 10.0
     assert timing.by_phase[VLM] == 10.0
     # A run of n launches costs n times one launch.
-    tripled = graph_time(OperatorGraph(runs).repeated(3), HW)
+    tripled = graph_time(
+        OperatorGraph((op, 3 * count) for op, count in runs), HW)
     assert tripled.total == 60.0
     assert tripled.by_phase[VISION] == 30.0
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from vla_roofline.opgraph import ACTION, VISION, VLM
+from vla_roofline.roofline import kv_cache_bytes
 from vla_roofline.scenarios import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
@@ -234,26 +235,27 @@ def test_dual_system_rejects_bad_inputs(lib, pi0, thor, b100):
 # --- long-context sweep -------------------------------------------------------
 
 def test_long_context_rows(lib, pi0, b100):
-    rows = long_context_sweep(pi0, Placement.on_device(b100),
-                              (1, 10, 100, 1000, 10000))
-    assert [r.timestep for r in rows] == [1, 10, 100, 1000, 10000]
-    for row in rows:
-        assert row.kv_bytes == 768 * row.timestep * 18_432
-        assert row.footprint_bytes == 5_409_967_104 + row.kv_bytes
-        assert row.result.feasible
+    timesteps = (1, 10, 100, 1000, 10000)
+    rows = long_context_sweep(pi0, Placement.on_device(b100), timesteps)
+    assert len(rows) == len(timesteps)
+    for row, t in zip(rows, timesteps):
+        kv_bytes = kv_cache_bytes(pi0, t)
+        assert kv_bytes == 768 * t * 18_432
+        assert row.footprint_bytes == 5_409_967_104 + kv_bytes
+        assert row.feasible
     # Step 1 with history enabled is exactly the stateless baseline.
     baseline = sync_scenario(pi0, Placement.on_device(b100))
-    assert rows[0].result.e2e_latency == baseline.e2e_latency
-    assert rows[1].result.e2e_latency * 1e3 == pytest.approx(3.89209, abs=1e-5)
-    assert rows[3].result.e2e_latency * 1e3 == pytest.approx(87.17658, abs=1e-5)
+    assert rows[0].e2e_latency == baseline.e2e_latency
+    assert rows[1].e2e_latency * 1e3 == pytest.approx(3.89209, abs=1e-5)
+    assert rows[3].e2e_latency * 1e3 == pytest.approx(87.17658, abs=1e-5)
 
 
 def test_long_context_infeasible_on_small_gpus(lib, pi0):
     for hw_name in ("thor", "rtx4090"):
         rows = long_context_sweep(
             pi0, Placement.on_device(lib.accelerator(hw_name)), (10000,))
-        assert not rows[0].result.feasible
-        assert rows[0].result.e2e_latency is None
+        assert not rows[0].feasible
+        assert rows[0].e2e_latency is None
 
 
 # --- decoding comparison -------------------------------------------------------
