@@ -36,6 +36,7 @@ from .scenarios import (
     Placement,
     ScenarioResult,
     async_scenario,
+    check_scenario,
     decoding_variant_spec,
     dual_system_scenario,
     sync_scenario,
@@ -325,11 +326,17 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
         ("dof", args.dof),
         ("steps", args.steps),
     )) if values is not None]
-    rows = []
+    # Every point is configured and checked before any is priced, so a
+    # grid with an invalid point exits before pricing anything.
+    grid = []
     for combo in product(*(values for _, values in axes)):
         point = dict(zip((name for name, _ in axes), combo))
         spec = _configure_spec(base, point.get("chunk"), point.get("steps"),
                                point.get("dof"), point.get("decoding"))
+        check_scenario(spec, placement, point.get("context_steps"))
+        grid.append((point, spec))
+    rows = []
+    for point, spec in grid:
         result = sync_scenario(spec, placement,
                                context_timestep=point.get("context_steps"))
         record = _scenario_record(spec.name, result)
@@ -375,13 +382,14 @@ def _cell_fields(cell: golden.GoldenCell) -> tuple[str, ...]:
 def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     names = _ALL_TABLES if args.table == "all" else (args.table,)
     groups = [(name, golden.TABLES[name](lib)) for name in names]
-    all_pass = all(golden.table_passed(cells) for _, cells in groups)
+    passed = {name: golden.table_passed(cells) for name, cells in groups}
+    all_pass = all(passed.values())
     code = 0 if all_pass else 2
 
     if args.format == "json":
         return _json_text([{
             "table": name,
-            "passed": golden.table_passed(cells),
+            "passed": passed[name],
             "cells": [dict(zip(_CELL_COLUMNS, _cell_fields(c))) for c in cells],
         } for name, cells in groups]), code
     if args.format == "csv":

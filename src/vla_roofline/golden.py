@@ -15,18 +15,18 @@ CLI command and the acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 from . import references as refs
 from .configio import PresetLibrary
 from .opgraph import ACTION, PHASES, VISION, VLM, pipeline_graph
-from .roofline import COMPUTE_BOUND, GIB, boundedness, graph_oi, kv_cache_bytes
+from .roofline import COMPUTE_BOUND, GIB, kv_cache_bytes, phase_breakdown
 from .scenarios import (
     Placement,
     async_scenario,
     collaborative_scenario,
     dual_system_scenario,
-    long_context_sweep,
     scaling_sweep,
     sync_scenario,
 )
@@ -79,9 +79,10 @@ class GoldenCell:
             return None
         return self.modeled / self.reference_value - 1.0
 
-    @property
+    @cached_property
     def passed(self) -> Optional[bool]:
-        """True/False verdict, or None for informational cells."""
+        """True/False verdict, or None for informational cells; computed
+        once per cell."""
         if self.kind == INFO:
             return None
         if self.kind == LABEL:
@@ -124,9 +125,11 @@ def validation_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
 def baseline_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Stateless per-phase and end-to-end latency on five accelerators."""
     spec = lib.model("pi0")
+    graph = pipeline_graph(spec)
     cells = []
     for hw_name in refs.BASELINE_HW:
-        result = sync_scenario(spec, Placement.on_device(lib.accelerator(hw_name)))
+        result = sync_scenario(
+            spec, Placement.on_device(lib.accelerator(hw_name)), graph=graph)
         row = refs.BASELINE[hw_name]
         for phase in PHASES:
             tol = 0.05 if (hw_name == "b100" and phase == VLM) else 0.15
@@ -153,32 +156,32 @@ def boundedness_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     well above the reference figure, while every boundedness label still
     agrees.  The discrepancy is documented rather than graded.
     """
-    spec = lib.model("pi0")
-    graph = pipeline_graph(spec)
+    graph = pipeline_graph(lib.model("pi0"))
     cells = []
+    labels = {}
     for hw_name in refs.BASELINE_HW:
+        hw = lib.accelerator(hw_name)
+        # A phase's OI does not depend on the accelerator it is priced on.
+        _, intensity, labels[hw_name] = phase_breakdown(graph, hw)
         cells.append(GoldenCell(
             "T4", f"{hw_name} balance OI", "FLOPs/B",
-            modeled=lib.accelerator(hw_name).balance_oi(),
+            modeled=hw.balance_oi(),
             reference=refs.BALANCE_OI[hw_name], abs_tol=0.1))
     oi_tols = {VISION: None, VLM: 0.15, ACTION: 0.15}
     for phase in PHASES:
-        sub = graph.subgraph(phase)
         if oi_tols[phase] is None:
             cells.append(GoldenCell(
-                "T4", f"{phase} OI", "FLOPs/B", modeled=graph_oi(sub),
+                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity[phase],
                 reference=refs.PHASE_OI[phase], kind=INFO))
         else:
             cells.append(GoldenCell(
-                "T4", f"{phase} OI", "FLOPs/B", modeled=graph_oi(sub),
+                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity[phase],
                 reference=refs.PHASE_OI[phase], rel_tol=oi_tols[phase]))
     for hw_name in refs.BASELINE_HW:
-        hw = lib.accelerator(hw_name)
         for phase in PHASES:
-            side = boundedness(graph.subgraph(phase), hw)
             cells.append(GoldenCell(
                 "T4", f"{hw_name} {phase} bound", "", kind=LABEL,
-                modeled_text=_bound_label(side),
+                modeled_text=_bound_label(labels[hw_name][phase]),
                 reference_text=refs.BOUNDEDNESS[hw_name][phase]))
     return tuple(cells)
 
@@ -208,25 +211,23 @@ def scaling_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
 def long_context_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Memory growth and latency as cached camera history accumulates."""
     spec = lib.model("pi0")
-    timesteps = refs.LONG_CONTEXT_TIMESTEPS
-    sweeps = {
-        name: long_context_sweep(
-            spec, Placement.on_device(lib.accelerator(name)), timesteps)
-        for name in ("thor", "rtx4090", "b100")
-    }
+    placements = {name: Placement.on_device(lib.accelerator(name))
+                  for name in ("thor", "rtx4090", "b100")}
     cells = []
-    for i, t in enumerate(timesteps):
+    for t in refs.LONG_CONTEXT_TIMESTEPS:
+        graph = pipeline_graph(spec, t)
+        results = {name: sync_scenario(spec, placement, t, graph)
+                   for name, placement in placements.items()}
         row = refs.LONG_CONTEXT[t]
         cells.append(GoldenCell(
             "T6", f"t={t} total memory", "GB",
-            modeled=sweeps["b100"][i].footprint_bytes / GIB,
+            modeled=results["b100"].footprint_bytes / GIB,
             reference=row["total_gb"], rel_tol=0.02))
         cells.append(GoldenCell(
             "T6", f"t={t} KV cache", "GB",
             modeled=kv_cache_bytes(spec, t) / GIB,
             reference=row["kv_gb"], rel_tol=0.02))
-        for name in ("thor", "rtx4090", "b100"):
-            result = sweeps[name][i]
+        for name, result in results.items():
             cells.append(GoldenCell(
                 "T6", f"t={t} {name} latency", "ms",
                 modeled=(result.e2e_latency * 1e3 if result.feasible else None),
@@ -238,6 +239,7 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Synchronous vs pipelined serving from a B100 across network presets."""
     spec = lib.model("pi0")
     hw = lib.accelerator("b100")
+    graph = pipeline_graph(spec)
     cells = []
     for row in refs.ASYNC_TABLE:
         nets = [lib.network(name) for name in row["nets"]]
@@ -245,25 +247,25 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
             placement = Placement.edge_server(hw, nets[0])
         else:
             placement = Placement.cloud_server(hw, nets[0], nets[1])
-        sync = sync_scenario(spec, placement)
-        pipelined = async_scenario(spec, placement)
+        # The pipelined result is the synchronous one plus its async rate.
+        result = async_scenario(spec, placement, graph=graph)
         label = row["label"]
         async_tol = 0.03 if row["network_bound"] else 0.15
         cells.append(GoldenCell(
             "T8", f"{label} sync latency", "ms",
-            modeled=sync.e2e_latency * 1e3, reference=row["latency_ms"],
+            modeled=result.e2e_latency * 1e3, reference=row["latency_ms"],
             rel_tol=0.05))
         cells.append(GoldenCell(
             "T8", f"{label} sync freq", "Hz",
-            modeled=sync.sync_frequency, reference=row["sync_hz"],
+            modeled=result.sync_frequency, reference=row["sync_hz"],
             rel_tol=0.05))
         cells.append(GoldenCell(
             "T8", f"{label} async freq", "Hz",
-            modeled=pipelined.async_frequency, reference=row["async_hz"],
+            modeled=result.async_frequency, reference=row["async_hz"],
             rel_tol=async_tol))
         cells.append(GoldenCell(
             "T8", f"{label} speedup", "x",
-            modeled=pipelined.async_frequency / sync.sync_frequency,
+            modeled=result.async_frequency / result.sync_frequency,
             reference=row["speedup"], rel_tol=0.07))
     return tuple(cells)
 
@@ -271,6 +273,7 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
 def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Dual-system rates at System-2 caps of 5 and 10 Hz."""
     spec = lib.model("pi0")
+    graph = pipeline_graph(spec)
     cells = []
     for row in refs.DUAL_SYSTEM:
         hw = lib.accelerator(row["hw"])
@@ -278,8 +281,8 @@ def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
             placement = Placement.on_device(hw)
         else:
             placement = Placement.edge_server(hw, lib.network(row["net"]))
-        at5 = dual_system_scenario(spec, placement, 5.0)
-        at10 = dual_system_scenario(spec, placement, 10.0)
+        at5 = dual_system_scenario(spec, placement, 5.0, graph)
+        at10 = dual_system_scenario(spec, placement, 10.0, graph)
         label = row["label"]
         cells.append(GoldenCell(
             "T9", f"{label} S1 latency", "ms", modeled=at5.t_s1 * 1e3,
@@ -307,21 +310,24 @@ def collaboration_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     spec = lib.model("pi0")
     device = lib.accelerator("thor")
     server = lib.accelerator("b100")
+    graph = pipeline_graph(spec)
+    net_names = dict.fromkeys([*(name for name, _ in refs.COLLAB_KV_MS),
+                               *sorted(lib.networks)])
+    collab = {name: collaborative_scenario(
+                  spec, Placement.collaborative(device, server,
+                                                lib.network(name)), graph)
+              for name in net_names}
     cells = []
     for net_name, ref in refs.COLLAB_KV_MS:
-        placement = Placement.collaborative(device, server,
-                                            lib.network(net_name))
-        result = collaborative_scenario(spec, placement)
         cells.append(GoldenCell(
             "collab", f"{net_name} KV download", "ms",
-            modeled=result.network_latencies["kv_download"] * 1e3,
+            modeled=collab[net_name].network_latencies["kv_download"] * 1e3,
             reference=ref, rel_tol=0.06))
     for net_name in sorted(lib.networks):
-        net = lib.network(net_name)
-        collab = collaborative_scenario(
-            spec, Placement.collaborative(device, server, net))
-        server_only = sync_scenario(spec, Placement.edge_server(server, net))
-        holds = collab.e2e_latency >= server_only.e2e_latency
+        server_only = sync_scenario(
+            spec, Placement.edge_server(server, lib.network(net_name)),
+            graph=graph)
+        holds = collab[net_name].e2e_latency >= server_only.e2e_latency
         cells.append(GoldenCell(
             "collab", f"{net_name}: collaborative >= server-only", "",
             kind=LABEL, modeled_text="holds" if holds else "violated",

@@ -161,11 +161,10 @@ def fits(spec: VlaModelSpec, hw: AcceleratorConfig,
     return memory_footprint(spec, context_timesteps) <= hw.mem_capacity
 
 
-def phase_breakdown(spec: VlaModelSpec, hw: AcceleratorConfig,
-                    context_timestep: Optional[int] = None,
+def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
                     action_hw: Optional[AcceleratorConfig] = None,
                     ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
-    """Latency, OI and boundedness per phase of the full pipeline graph.
+    """Latency, OI and boundedness per phase of a pipeline graph.
 
     Every phase runs on ``hw`` except the action phase, which runs on
     ``action_hw`` when one is given (split serving).  Returns three
@@ -182,7 +181,7 @@ def phase_breakdown(spec: VlaModelSpec, hw: AcceleratorConfig,
         phase_hw[opgraph.ACTION] = action_hw
     # phase -> [seconds, flops, bytes]
     sums: dict[str, list] = {}
-    for op, count in opgraph.pipeline_graph(spec, context_timestep).ops:
+    for op, count in graph.ops:
         acc = sums.get(op.phase)
         if acc is None:
             acc = sums[op.phase] = [0.0, 0, 0]

@@ -15,6 +15,12 @@ roofline times with network transfer times into end-to-end control rates:
 
 Memory-capacity violations are first-class results (``feasible=False`` with
 latencies/rates of ``None``), never exceptions.
+
+The sync, async, collaborative and dual-system functions take an optional
+prebuilt ``graph``, which must equal ``pipeline_graph(spec,
+context_timestep)``: a caller that prices one model on many placements
+builds its graph once.  Without it, a scenario builds the graph itself, and
+only once the footprint check has passed.
 """
 
 from __future__ import annotations
@@ -147,21 +153,40 @@ def _infeasible(spec: VlaModelSpec, placement: Placement, footprint: int,
     )
 
 
-def sync_scenario(spec: VlaModelSpec, placement: Placement,
-                  context_timestep: Optional[int] = None) -> ScenarioResult:
-    """Synchronous serving: one full round trip per control step."""
+def check_scenario(spec: VlaModelSpec, placement: Placement,
+                   context_timestep: Optional[int] = None) -> None:
+    """Raise ``ValueError`` if no scenario can price this point.
+
+    Split serving needs a diffusion action expert (the on-robot half) and
+    models no cached camera history; a context timestep counts from 1.
+    """
     if placement.kind == COLLABORATIVE:
         if context_timestep is not None:
             raise ValueError("collaborative serving does not model cached "
                              "camera history (context timesteps)")
-        return collaborative_scenario(spec, placement)
+        if spec.decoding_mode != DIFFUSION:
+            raise ValueError(
+                "collaborative serving requires a diffusion action expert")
+    if context_timestep is not None and context_timestep < 1:
+        raise ValueError("context_timesteps must be >= 1")
+
+
+def sync_scenario(spec: VlaModelSpec, placement: Placement,
+                  context_timestep: Optional[int] = None,
+                  graph: Optional[opgraph.OperatorGraph] = None,
+                  ) -> ScenarioResult:
+    """Synchronous serving: one full round trip per control step."""
+    check_scenario(spec, placement, context_timestep)
+    if placement.kind == COLLABORATIVE:
+        return collaborative_scenario(spec, placement, graph)
     hw = placement.hw
     footprint = roofline.memory_footprint(spec, context_timestep)
     if footprint > hw.mem_capacity:
         return _infeasible(spec, placement, footprint, hw)
 
-    latencies, intensity, labels = roofline.phase_breakdown(
-        spec, hw, context_timestep)
+    if graph is None:
+        graph = opgraph.pipeline_graph(spec, context_timestep)
+    latencies, intensity, labels = roofline.phase_breakdown(graph, hw)
     gpu_time = sum(latencies.values())
 
     network: dict[str, float] = {}
@@ -188,7 +213,9 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
 
 
 def async_scenario(spec: VlaModelSpec, placement: Placement,
-                   context_timestep: Optional[int] = None) -> ScenarioResult:
+                   context_timestep: Optional[int] = None,
+                   graph: Optional[opgraph.OperatorGraph] = None,
+                   ) -> ScenarioResult:
     """Pipelined serving: rate of the slowest stage, not the round trip.
 
     Observation uploads, GPU execution of consecutive steps, and action
@@ -202,7 +229,7 @@ def async_scenario(spec: VlaModelSpec, placement: Placement,
     if placement.kind == COLLABORATIVE:
         raise ValueError("asynchronous serving is not defined for "
                          "collaborative placements")
-    result = sync_scenario(spec, placement, context_timestep)
+    result = sync_scenario(spec, placement, context_timestep, graph)
     if not result.feasible:
         return result
 
@@ -216,8 +243,9 @@ def async_scenario(spec: VlaModelSpec, placement: Placement,
     return replace(result, async_frequency=min(rates))
 
 
-def collaborative_scenario(spec: VlaModelSpec,
-                           placement: Placement) -> ScenarioResult:
+def collaborative_scenario(spec: VlaModelSpec, placement: Placement,
+                           graph: Optional[opgraph.OperatorGraph] = None,
+                           ) -> ScenarioResult:
     """Split serving: vision+VLM on the server, action expert on the robot.
 
     The server uploads nothing back but the VLM KV cache of the fresh prefix,
@@ -226,8 +254,7 @@ def collaborative_scenario(spec: VlaModelSpec,
     """
     if placement.kind != COLLABORATIVE:
         raise ValueError("placement must be collaborative")
-    if spec.decoding_mode != DIFFUSION:
-        raise ValueError("collaborative serving requires a diffusion action expert")
+    check_scenario(spec, placement)
     server, device = placement.hw, placement.device_hw
 
     prefix_kv = spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
@@ -242,8 +269,10 @@ def collaborative_scenario(spec: VlaModelSpec,
     if device_bytes > device.mem_capacity:
         return _infeasible(spec, placement, device_bytes, device, (split_note,))
 
+    if graph is None:
+        graph = opgraph.pipeline_graph(spec)
     latencies, intensity, labels = roofline.phase_breakdown(
-        spec, server, action_hw=device)
+        graph, server, action_hw=device)
 
     path = placement.network_path()
     network = {
@@ -288,7 +317,9 @@ class DualSystemResult:
 
 
 def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
-                         s2_cap: float) -> DualSystemResult:
+                         s2_cap: float,
+                         graph: Optional[opgraph.OperatorGraph] = None,
+                         ) -> DualSystemResult:
     """Split the pipeline into System 1 (vision + action) and System 2 (VLM).
 
     Synchronously the two systems alternate (rate ``1/(T_s1 + T_s2)``).
@@ -310,7 +341,9 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
         return DualSystemResult(desc, None, None, None, None, s2_cap, False,
                                 (_capacity_note(spec, footprint, hw),))
 
-    latencies, _, _ = roofline.phase_breakdown(spec, hw)
+    if graph is None:
+        graph = opgraph.pipeline_graph(spec)
+    latencies, _, _ = roofline.phase_breakdown(graph, hw)
     t_s2 = latencies[opgraph.VLM]
     t_s1 = sum(t for phase, t in latencies.items() if phase != opgraph.VLM)
     path = placement.network_path()
@@ -383,8 +416,9 @@ def scaling_sweep(catalog: PresetCatalog,
     """On-device control rate of the scaled model family on each accelerator."""
     rows = []
     for spec in scaled_family(catalog):
+        graph = opgraph.pipeline_graph(spec)
         for hw in hardware:
-            result = sync_scenario(spec, Placement.on_device(hw))
+            result = sync_scenario(spec, Placement.on_device(hw), graph=graph)
             rows.append(ScalingRow(
                 model=spec.name,
                 hardware=hw.name,

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vla_roofline import (
@@ -36,8 +36,18 @@ from vla_roofline import (
 )
 from vla_roofline.opgraph import ACTION, PHASES
 from vla_roofline.roofline import boundedness, graph_oi, phase_breakdown
-from vla_roofline.scenarios import decoding_variant_spec
-from vla_roofline.workload import DECODING_MODES, TransformerConfig
+from vla_roofline.scenarios import (
+    CLOUD_SERVER,
+    COLLABORATIVE,
+    DECODING_VARIANTS,
+    DIFFUSION_LARGE,
+    EDGE_SERVER,
+    ON_DEVICE,
+    PLACEMENT_KINDS,
+    collaborative_scenario,
+    decoding_variant_spec,
+)
+from vla_roofline.workload import DECODING_MODES, DIFFUSION, TransformerConfig
 
 operators = st.builds(
     Operator,
@@ -282,11 +292,57 @@ def test_phase_breakdown_prices_each_phase_like_its_subgraph(
         phase_hw = action_hw if phase == ACTION and action_hw else hw
         expected[phase] = (graph_time(sub, phase_hw).total, graph_oi(sub),
                            boundedness(sub, phase_hw))
-    latencies, intensity, labels = phase_breakdown(spec, hw, context_timestep,
-                                                   action_hw)
+    latencies, intensity, labels = phase_breakdown(graph, hw, action_hw)
     assert list(latencies) == list(intensity) == list(labels) == list(expected)
     assert {phase: (latencies[phase], intensity[phase], labels[phase])
             for phase in latencies} == expected
+
+
+preset_networks = st.sampled_from(sorted(_LIB.networks)).map(_LIB.network)
+
+
+def _placement(kind, hw, device_hw, net, cloud_net):
+    if kind == COLLABORATIVE:
+        return Placement.collaborative(device_hw, hw, net)
+    if kind == CLOUD_SERVER:
+        return Placement.cloud_server(hw, net, cloud_net)
+    if kind == EDGE_SERVER:
+        return Placement.edge_server(hw, net)
+    return Placement.on_device(hw)
+
+
+@given(model=st.sampled_from(_LIB.catalog.model_names()),
+       variant=st.sampled_from(DECODING_VARIANTS),
+       kind=st.sampled_from(PLACEMENT_KINDS),
+       hw=preset_accelerators, device_hw=preset_accelerators,
+       net=preset_networks, cloud_net=preset_networks,
+       context_timestep=st.one_of(st.none(),
+                                  st.integers(min_value=1, max_value=10_000)))
+@settings(max_examples=60)
+def test_scenario_given_its_graph_equals_scenario_that_builds_it(
+        model, variant, kind, hw, device_hw, net, cloud_net, context_timestep):
+    """Passing the prebuilt pipeline graph changes nothing, bit for bit."""
+    spec = _LIB.model(model)
+    spec = decoding_variant_spec(spec, variant, spec.chunk_size,
+                                 spec.action_dof)
+    if kind == COLLABORATIVE:
+        # Split serving needs an action expert and a stateless prefix.
+        assume(variant in (DIFFUSION, DIFFUSION_LARGE)
+               and context_timestep is None)
+    placement = _placement(kind, hw, device_hw, net, cloud_net)
+    graph = pipeline_graph(spec, context_timestep)
+    assert (sync_scenario(spec, placement, context_timestep, graph)
+            == sync_scenario(spec, placement, context_timestep))
+    if kind == COLLABORATIVE:
+        assert (collaborative_scenario(spec, placement, graph)
+                == collaborative_scenario(spec, placement))
+        return
+    if kind != ON_DEVICE:
+        assert (async_scenario(spec, placement, context_timestep, graph)
+                == async_scenario(spec, placement, context_timestep))
+    if context_timestep is None:
+        assert (dual_system_scenario(spec, placement, 5.0, graph)
+                == dual_system_scenario(spec, placement, 5.0))
 
 
 def test_sweep_results_identical_under_thread_pool():

@@ -81,8 +81,9 @@ def test_phase_times_baseline(lib, pi0):
         "h100": (0.7174931, 3.3219315, 2.1822731),
         "b100": (0.4054012, 1.8699169, 0.9138269),
     }
+    graph = pipeline_graph(pi0)
     for hw_name, (t_vis, t_vlm, t_act) in expected.items():
-        latencies, _, _ = phase_breakdown(pi0, lib.accelerator(hw_name))
+        latencies, _, _ = phase_breakdown(graph, lib.accelerator(hw_name))
         assert latencies[VISION] * 1e3 == pytest.approx(t_vis, abs=5e-8)
         assert latencies[VLM] * 1e3 == pytest.approx(t_vlm, abs=5e-8)
         assert latencies[ACTION] * 1e3 == pytest.approx(t_act, abs=5e-8)
@@ -134,8 +135,9 @@ def test_footprint_in_gib(lib, pi0):
 
 def test_phase_breakdown_is_consistent_with_graph_time(lib, pi0):
     hw = lib.accelerator("a100")
-    latencies, intensity, labels = phase_breakdown(pi0, hw)
-    timing = graph_time(pipeline_graph(pi0), hw)
+    graph = pipeline_graph(pi0)
+    latencies, intensity, labels = phase_breakdown(graph, hw)
+    timing = graph_time(graph, hw)
     assert latencies == timing.by_phase
     assert set(labels) == {VISION, VLM, ACTION}
     assert set(intensity) == {VISION, VLM, ACTION}
