@@ -21,9 +21,8 @@ import sys
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import golden
 from .configio import PresetLibrary, load_presets
 from .opgraph import PHASES
 from .roofline import GIB
@@ -39,9 +38,13 @@ from .scenarios import (
     check_scenario,
     decoding_variant_spec,
     dual_system_scenario,
+    dual_system_times,
     sync_scenario,
 )
 from .workload import VlaModelSpec
+
+if TYPE_CHECKING:
+    from . import golden
 
 FORMATS = ("table", "csv", "json")
 REPRODUCE_IDS = ("T1", "T3", "T4", "T5", "T6", "T8", "T9",
@@ -289,13 +292,16 @@ def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
             raise ValueError("dual-system serving already reports its "
                              "asynchronous frequency; drop --async")
         dual = dual_system_scenario(spec, placement, args.s2_cap)
+        s1_ms = s2_ms = None
+        if dual.e2e_latency is not None:
+            s1_ms, s2_ms = (t * 1e3 for t in dual_system_times(dual))
         record = {
             "model": spec.name,
             "placement": dual.placement,
-            "s2_cap_hz": dual.s2_cap,
+            "s2_cap_hz": args.s2_cap,
             "feasible": "yes" if dual.feasible else "no",
-            "s1_latency_ms": None if dual.t_s1 is None else dual.t_s1 * 1e3,
-            "s2_latency_ms": None if dual.t_s2 is None else dual.t_s2 * 1e3,
+            "s1_latency_ms": s1_ms,
+            "s2_latency_ms": s2_ms,
             "sync_frequency_hz": dual.sync_frequency,
             "async_frequency_hz": dual.async_frequency,
         }
@@ -345,21 +351,6 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     return _render_rows(rows, args.format), 0
 
 
-def _cell_modeled_text(cell: golden.GoldenCell) -> str:
-    if cell.kind == golden.LABEL:
-        return cell.modeled_text or ""
-    if cell.modeled is None:
-        return "N/A"
-    digits = {"ms": 2, "Hz": 1, "GB": 2, "FLOPs/B": 1, "x": 2, "Gparams": 2}
-    return f"{cell.modeled:.{digits.get(cell.unit, 2)}f}"
-
-
-def _cell_reference_text(cell: golden.GoldenCell) -> str:
-    if cell.kind == golden.LABEL:
-        return cell.reference_text or ""
-    return cell.reference if cell.reference is not None else "N/A"
-
-
 def _cell_status(cell: golden.GoldenCell) -> str:
     return {True: "ok", False: "FAIL", None: "info"}[cell.passed]
 
@@ -374,12 +365,14 @@ _CELL_COLUMNS = ("label", "unit", "modeled", "reference", "error", "status")
 
 def _cell_fields(cell: golden.GoldenCell) -> tuple[str, ...]:
     """A golden cell's printed fields, in ``_CELL_COLUMNS`` order."""
-    return (cell.label, cell.unit, _cell_modeled_text(cell),
-            _cell_reference_text(cell), _cell_error_text(cell),
+    return (cell.label, cell.unit, cell.printed_modeled,
+            cell.printed_reference, _cell_error_text(cell),
             _cell_status(cell))
 
 
 def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
+    # Only this command loads ``golden`` and its reference tables.
+    from . import golden
     names = _ALL_TABLES if args.table == "all" else (args.table,)
     groups = [(name, golden.TABLES[name](lib)) for name in names]
     passed = {name: golden.table_passed(cells) for name, cells in groups}
@@ -400,8 +393,8 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     lines = []
     for name, cells in groups:
         rows = [(c.label,
-                 f"{_cell_modeled_text(c)} {c.unit}".rstrip(),
-                 f"{_cell_reference_text(c)} {c.unit}".rstrip(),
+                 f"{c.printed_modeled} {c.unit}".rstrip(),
+                 f"{c.printed_reference} {c.unit}".rstrip(),
                  _cell_error_text(c), _cell_status(c)) for c in cells]
         widths = [max(len(row[i]) for row in rows) for i in range(4)]
         for row in rows:
@@ -419,10 +412,9 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
 
 
 def _run_list_presets(args, lib: PresetLibrary) -> tuple[str, int]:
-    catalog = lib.catalog
     names = {
-        "models": catalog.model_names(),
-        "components": catalog.component_names(),
+        "models": sorted(lib.models),
+        "components": sorted(lib.components),
         "hardware": sorted(lib.hardware),
         "networks": sorted(lib.networks),
     }
@@ -437,14 +429,14 @@ def _run_list_presets(args, lib: PresetLibrary) -> tuple[str, int]:
                           for name in group_names)), 0
     lines = ["models:"]
     for name in names["models"]:
-        spec = catalog.model(name)
+        spec = lib.models[name]
         expert = spec.action_expert.name if spec.action_expert else "none"
         lines.append(f"  {name:<14} {spec.vision_encoder.name} + "
                      f"{spec.vlm.name} + {expert}, {spec.decoding_mode}, "
                      f"chunk {spec.chunk_size}, {spec.denoise_steps} steps")
     lines.append("components:")
     for name in names["components"]:
-        cfg = catalog.component(name)
+        cfg = lib.components[name]
         lines.append(f"  {name:<14} {cfg.num_layers} layers, hidden "
                      f"{cfg.hidden_size}, ffn {cfg.intermediate_size}, "
                      f"{cfg.num_q_heads}Q/{cfg.num_kv_heads}KV, "
@@ -477,7 +469,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, code = _run_reproduce(args, lib)
         else:
             text, code = _run_list_presets(args, lib)
-    except ValueError as exc:
+    # A huge integer argument or preset count overflows float arithmetic.
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -14,18 +14,18 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 import yaml
 
 from .netmodel import NetworkConfig
 from .roofline import AcceleratorConfig
-from .workload import PresetCatalog, TransformerConfig, VlaModelSpec
+from .workload import TransformerConfig, VlaModelSpec
 
 PRESET_DIR_ENV = "VLA_ROOFLINE_PRESETS"
+_PACKAGED_PRESETS = Path(__file__).parent / "presets"
 COMPONENTS_FILE = "models.yaml"
 HARDWARE_FILE = "hardware.yaml"
 NETWORKS_FILE = "networks.yaml"
@@ -216,19 +216,13 @@ def _read_yaml(path: Path, data: bytes) -> Mapping[str, Any]:
     return parsed
 
 
-def _resolve(filename: str, preset_dir: Optional[Path]) -> Path:
-    if preset_dir is not None:
-        candidate = preset_dir / filename
-        if candidate.is_file():
-            return candidate
+def _resolve(filename: str) -> Path:
     env_dir = os.environ.get(PRESET_DIR_ENV)
     if env_dir:
         candidate = Path(env_dir) / filename
         if candidate.is_file():
             return candidate
-    packaged = resources.files("vla_roofline") / "presets" / filename
-    with resources.as_file(packaged) as concrete:
-        return Path(concrete)
+    return _PACKAGED_PRESETS / filename
 
 
 def _section(data: Mapping[str, Any], key: str,
@@ -236,56 +230,58 @@ def _section(data: Mapping[str, Any], key: str,
     return _mapping(data.get(key) or {}, f"{path}: {key}")
 
 
+def _lookup(presets: Mapping[str, Any], name: str, kind: str) -> Any:
+    if name not in presets:
+        raise ValueError(f"unknown {kind} {name!r}; available: "
+                         f"{', '.join(sorted(presets))}")
+    return presets[name]
+
+
 @dataclass(frozen=True)
 class PresetLibrary:
-    """Everything loadable by name: models, components, accelerators, links."""
+    """Everything loadable by name: components, models, accelerators, links,
+    each a read-only mapping from preset name."""
 
-    catalog: PresetCatalog
+    components: Mapping[str, TransformerConfig]
+    models: Mapping[str, VlaModelSpec]
     hardware: Mapping[str, AcceleratorConfig]
     networks: Mapping[str, NetworkConfig]
 
-    def model(self, name: str) -> VlaModelSpec:
-        return self.catalog.model(name)
-
     def component(self, name: str) -> TransformerConfig:
-        return self.catalog.component(name)
+        return _lookup(self.components, name, "component preset")
+
+    def model(self, name: str) -> VlaModelSpec:
+        return _lookup(self.models, name, "model preset")
 
     def accelerator(self, name: str) -> AcceleratorConfig:
-        if name not in self.hardware:
-            raise ValueError(f"unknown accelerator {name!r}; available: "
-                             f"{', '.join(sorted(self.hardware))}")
-        return self.hardware[name]
+        return _lookup(self.hardware, name, "accelerator")
 
     def network(self, name: str) -> NetworkConfig:
-        if name not in self.networks:
-            raise ValueError(f"unknown network {name!r}; available: "
-                             f"{', '.join(sorted(self.networks))}")
-        return self.networks[name]
+        return _lookup(self.networks, name, "network")
 
 
-def load_presets(preset_dir: Union[str, Path, None] = None) -> PresetLibrary:
+def load_presets() -> PresetLibrary:
     """Load the full preset library.
 
-    ``preset_dir`` (or, failing that, ``$VLA_ROOFLINE_PRESETS``) may hold
-    replacement files; anything missing there falls back to the packaged
-    defaults file-by-file.  Every call reads the three files but parses
-    them only once per process for the same paths and bytes; the library
-    it returns is shared between such calls, so it is read-only.
+    ``$VLA_ROOFLINE_PRESETS`` may name a directory of replacement files;
+    anything missing there falls back to the packaged defaults file-by-file.
+    Every call reads the three files but parses them only once per process
+    for the same paths and bytes; the library it returns is shared between
+    such calls, so it is read-only.
     """
-    directory = Path(preset_dir) if preset_dir is not None else None
-    paths = [_resolve(filename, directory)
+    paths = [_resolve(filename)
              for filename in (COMPONENTS_FILE, HARDWARE_FILE, NETWORKS_FILE)]
     return _build_library(*((path, path.read_bytes()) for path in paths))
 
 
 @functools.lru_cache(maxsize=8)
-def _build_library(catalog_file: tuple[Path, bytes],
+def _build_library(components_file: tuple[Path, bytes],
                    hardware_file: tuple[Path, bytes],
                    networks_file: tuple[Path, bytes]) -> PresetLibrary:
     """The library parsed from (path, bytes) of each file.  A file that fails
     to parse raises, and nothing is cached for it."""
-    path = catalog_file[0]
-    data = _read_yaml(*catalog_file)
+    path = components_file[0]
+    data = _read_yaml(*components_file)
     _reject_unknown(data, frozenset({"components", "models"}), str(path))
     components = {
         name: transformer_from_mapping(name, fields)
@@ -296,8 +292,8 @@ def _build_library(catalog_file: tuple[Path, bytes],
         for name, fields in _section(data, "models", path).items()
     }
     return PresetLibrary(
-        catalog=PresetCatalog(components=MappingProxyType(components),
-                              models=MappingProxyType(models)),
+        components=MappingProxyType(components),
+        models=MappingProxyType(models),
         hardware=MappingProxyType({
             name: accelerator_from_mapping(name, fields)
             for name, fields in _read_yaml(*hardware_file).items()}),

@@ -27,6 +27,7 @@ from .scenarios import (
     async_scenario,
     collaborative_scenario,
     dual_system_scenario,
+    dual_system_times,
     scaling_sweep,
     sync_scenario,
 )
@@ -43,6 +44,10 @@ def printed_ulp(text: str) -> float:
 VALUE = "value"
 LABEL = "label"
 INFO = "info"
+
+# Decimals of a printed modeled value, by unit.
+_PRINTED_DECIMALS = {"ms": 2, "Hz": 1, "GB": 2, "FLOPs/B": 1, "x": 2,
+                     "Gparams": 2}
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,22 @@ class GoldenCell:
         slack = (self.abs_tol if self.abs_tol is not None
                  else 0.5 * printed_ulp(self.reference))
         return self.rel_tol * abs(self.reference_value) + slack
+
+    @property
+    def printed_modeled(self) -> str:
+        """The modeled value or label as ``reproduce`` prints it."""
+        if self.kind == LABEL:
+            return self.modeled_text or ""
+        if self.modeled is None:
+            return "N/A"
+        return f"{self.modeled:.{_PRINTED_DECIMALS.get(self.unit, 2)}f}"
+
+    @property
+    def printed_reference(self) -> str:
+        """The reference value or label as ``reproduce`` prints it."""
+        if self.kind == LABEL:
+            return self.reference_text or ""
+        return self.reference if self.reference is not None else "N/A"
 
     @property
     def relative_error(self) -> Optional[float]:
@@ -189,21 +210,20 @@ def boundedness_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
 def scaling_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Scaled-family sizes and control rates on Thor / RTX 4090 / B100."""
     hardware = [lib.accelerator(name) for name in refs.SCALING_HW]
-    rows = scaling_sweep(lib.catalog, hardware)
     cells = []
     seen_models = set()
-    for row in rows:
-        if row.model not in seen_models:
-            seen_models.add(row.model)
+    for spec, hw, result in scaling_sweep(lib, hardware):
+        if spec.name not in seen_models:
+            seen_models.add(spec.name)
             cells.append(GoldenCell(
-                "T5", f"{row.model} total params", "Gparams",
-                modeled=row.total_params / 1e9,
-                reference=refs.SCALING_TOTAL_PARAMS_B[row.model],
+                "T5", f"{spec.name} total params", "Gparams",
+                modeled=spec.total_params() / 1e9,
+                reference=refs.SCALING_TOTAL_PARAMS_B[spec.name],
                 rel_tol=0.03))
         cells.append(GoldenCell(
-            "T5", f"{row.model} on {row.hardware}", "Hz",
-            modeled=row.frequency if row.feasible else None,
-            reference=refs.SCALING_FREQ[row.model][row.hardware],
+            "T5", f"{spec.name} on {hw.name}", "Hz",
+            modeled=result.sync_frequency,
+            reference=refs.SCALING_FREQ[spec.name][hw.name],
             rel_tol=0.20))
     return tuple(cells)
 
@@ -283,12 +303,13 @@ def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
             placement = Placement.edge_server(hw, lib.network(row["net"]))
         at5 = dual_system_scenario(spec, placement, 5.0, graph)
         at10 = dual_system_scenario(spec, placement, 10.0, graph)
+        t_s1, t_s2 = dual_system_times(at5)
         label = row["label"]
         cells.append(GoldenCell(
-            "T9", f"{label} S1 latency", "ms", modeled=at5.t_s1 * 1e3,
+            "T9", f"{label} S1 latency", "ms", modeled=t_s1 * 1e3,
             reference=row["s1_ms"], rel_tol=0.03))
         cells.append(GoldenCell(
-            "T9", f"{label} S2 latency", "ms", modeled=at5.t_s2 * 1e3,
+            "T9", f"{label} S2 latency", "ms", modeled=t_s2 * 1e3,
             reference=row["s2_ms"], rel_tol=0.05))
         cells.append(GoldenCell(
             "T9", f"{label} sync freq", "Hz", modeled=at5.sync_frequency,

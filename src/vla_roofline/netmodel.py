@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .workload import TransformerConfig, VlaModelSpec, kv_bytes_per_token
 
@@ -53,17 +54,6 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class NetworkPath:
-    """One or two links crossed in sequence."""
-
-    hops: tuple[NetworkConfig, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.hops) <= 2:
-            raise ValueError("a path has one or two hops")
-
-
-@dataclass(frozen=True)
 class Payload:
     """Bytes moving in one direction."""
 
@@ -83,9 +73,9 @@ def transfer_time(payload: Payload, net: NetworkConfig) -> float:
     return net.base_latency + payload.bytes * 8 / bw
 
 
-def path_time(payload: Payload, path: NetworkPath) -> float:
-    """Seconds to move a payload across every hop of a path."""
-    return sum(transfer_time(payload, hop) for hop in path.hops)
+def path_time(payload: Payload, hops: Sequence[NetworkConfig]) -> float:
+    """Seconds to move a payload across every link of a path, in order."""
+    return sum(transfer_time(payload, hop) for hop in hops)
 
 
 def observation_payload(spec: VlaModelSpec) -> Payload:

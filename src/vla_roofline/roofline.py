@@ -77,27 +77,17 @@ def op_time(op: Operator, hw: AcceleratorConfig,
     return t_memory, MEMORY_BOUND
 
 
-@dataclass(frozen=True)
-class GraphTiming:
-    """Graph latency in seconds, total and per pipeline phase."""
-
-    total: float
-    by_phase: Mapping[str, float]
-
-
 def graph_time(graph: OperatorGraph, hw: AcceleratorConfig,
-               precision_bytes: int = 2) -> GraphTiming:
-    """Sum of per-operator roofline times, with per-phase subtotals.
+               precision_bytes: int = 2) -> float:
+    """Sum of per-operator roofline times in seconds, every phase on ``hw``.
 
-    Each run is priced once: its operator's time times its count.
+    Each run is priced once: its operator's time times its count.  Per-phase
+    subtotals come from :func:`phase_breakdown`.
     """
-    by_phase: dict[str, float] = {}
     total = 0.0
     for op, count in graph.ops:
-        seconds = count * op_time(op, hw, precision_bytes)[0]
-        total += seconds
-        by_phase[op.phase] = by_phase.get(op.phase, 0.0) + seconds
-    return GraphTiming(total, by_phase)
+        total += count * op_time(op, hw, precision_bytes)[0]
+    return total
 
 
 def _intensity(flops: int, data: int) -> float:
@@ -173,7 +163,7 @@ def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
 
     One walk over the graph's runs prices every phase: each phase adds its
     runs' seconds in graph order, so its latency is bit for bit
-    ``graph_time(graph.subgraph(phase), phase_hw).total``, and its FLOP and
+    ``graph_time(graph.subgraph(phase), phase_hw)``, and its FLOP and
     byte totals are exact integers.
     """
     phase_hw = {phase: hw for phase in opgraph.PHASES}

@@ -30,13 +30,13 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import netmodel, opgraph, roofline
-from .netmodel import NetworkConfig, NetworkPath, Payload
+from .configio import PresetLibrary
+from .netmodel import NetworkConfig
 from .roofline import AcceleratorConfig
 from .workload import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
     DIFFUSION,
-    PresetCatalog,
     VlaModelSpec,
     kv_bytes_per_token,
     scaled_family,
@@ -93,12 +93,14 @@ class Placement:
         if self.kind == COLLABORATIVE and self.device_hw is None:
             raise ValueError("collaborative placement needs a device accelerator")
 
-    def network_path(self) -> Optional[NetworkPath]:
+    def network_path(self) -> tuple[NetworkConfig, ...]:
+        """The links between robot and server, robot side first; empty on
+        the device."""
         if self.kind == ON_DEVICE:
-            return None
+            return ()
         if self.kind == CLOUD_SERVER:
-            return NetworkPath((self.access_net, self.cloud_net))
-        return NetworkPath((self.access_net,))
+            return (self.access_net, self.cloud_net)
+        return (self.access_net,)
 
     def describe(self) -> str:
         if self.kind == ON_DEVICE:
@@ -191,7 +193,7 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
 
     network: dict[str, float] = {}
     path = placement.network_path()
-    if path is not None:
+    if path:
         network["observation_upload"] = netmodel.path_time(
             netmodel.observation_payload(spec), path)
         network["action_download"] = netmodel.path_time(
@@ -237,7 +239,7 @@ def async_scenario(spec: VlaModelSpec, placement: Placement,
     rates = [1.0 / gpu_time]
     obs = netmodel.observation_payload(spec)
     act = netmodel.action_payload(spec)
-    for hop in placement.network_path().hops:
+    for hop in placement.network_path():
         rates.append(hop.upload_bw * hop.efficiency / (8 * obs.bytes))
         rates.append(hop.download_bw * hop.efficiency / (8 * act.bytes))
     return replace(result, async_frequency=min(rates))
@@ -302,67 +304,49 @@ def collaborative_scenario(spec: VlaModelSpec, placement: Placement,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualSystemResult:
-    """Rates for a fast action loop (S1) paired with a capped VLM loop (S2)."""
-
-    placement: str
-    t_s1: Optional[float]
-    t_s2: Optional[float]
-    sync_frequency: Optional[float]
-    async_frequency: Optional[float]
-    s2_cap: float
-    feasible: bool
-    notes: tuple[str, ...] = ()
+def dual_system_times(result: ScenarioResult) -> tuple[float, float]:
+    """``(T_s1, T_s2)`` of a priced result, in seconds: System 2 is the VLM
+    phase, System 1 every other phase plus the network legs."""
+    t_s1 = sum(t for phase, t in result.phase_latencies.items()
+               if phase != opgraph.VLM)
+    for leg in result.network_latencies.values():
+        t_s1 += leg
+    return t_s1, result.phase_latencies[opgraph.VLM]
 
 
 def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
                          s2_cap: float,
                          graph: Optional[opgraph.OperatorGraph] = None,
-                         ) -> DualSystemResult:
-    """Split the pipeline into System 1 (vision + action) and System 2 (VLM).
+                         ) -> ScenarioResult:
+    """Synchronous serving, plus System 1's rate under a System-2 cap.
 
-    Synchronously the two systems alternate (rate ``1/(T_s1 + T_s2)``).
-    Asynchronously System 2 refreshes context at most ``s2_cap`` times per
-    second and System 1 fills the remaining compute, giving
-    ``f1 = (1 - s2_cap * T_s2) / T_s1``.  Requires ``s2_cap * T_s2 < 1``;
-    a cap above the resulting ``f1`` is flagged in the notes (context would
-    refresh faster than actions are produced).
+    System 2 (the VLM) refreshes context at most ``s2_cap`` times per
+    second, and System 1 (see :func:`dual_system_times`) fills the remaining
+    compute, so ``async_frequency`` is ``f1 = (1 - s2_cap * T_s2) / T_s1``.
+    Synchronously the two systems alternate, at the synchronous rate.  A cap
+    with ``s2_cap * T_s2 >= 1`` is infeasible; a cap above ``f1`` is flagged
+    in the notes (context would refresh faster than actions are produced).
     """
     if not (math.isfinite(s2_cap) and s2_cap > 0):
         raise ValueError("s2_cap must be a finite positive rate")
     if placement.kind == COLLABORATIVE:
         raise ValueError("dual-system serving is not defined for "
                          "collaborative placements")
-    hw = placement.hw
-    footprint = roofline.memory_footprint(spec)
-    desc = placement.describe()
-    if footprint > hw.mem_capacity:
-        return DualSystemResult(desc, None, None, None, None, s2_cap, False,
-                                (_capacity_note(spec, footprint, hw),))
+    result = sync_scenario(spec, placement, graph=graph)
+    if not result.feasible:
+        return result
 
-    if graph is None:
-        graph = opgraph.pipeline_graph(spec)
-    latencies, _, _ = roofline.phase_breakdown(graph, hw)
-    t_s2 = latencies[opgraph.VLM]
-    t_s1 = sum(t for phase, t in latencies.items() if phase != opgraph.VLM)
-    path = placement.network_path()
-    if path is not None:
-        t_s1 += netmodel.path_time(netmodel.observation_payload(spec), path)
-        t_s1 += netmodel.path_time(netmodel.action_payload(spec), path)
-
-    notes: tuple[str, ...] = ()
+    t_s1, t_s2 = dual_system_times(result)
     if s2_cap * t_s2 >= 1.0:
         note = (f"System 2 cannot sustain {s2_cap:g} Hz: refresh alone takes "
                 f"{t_s2 * 1e3:.2f} ms")
-        return DualSystemResult(desc, t_s1, t_s2, 1.0 / (t_s1 + t_s2), None,
-                                s2_cap, False, (note,))
+        return replace(result, feasible=False, notes=(note,))
     f1 = (1.0 - s2_cap * t_s2) / t_s1
+    notes: tuple[str, ...] = ()
     if f1 < s2_cap:
         notes = (f"requested System-2 rate {s2_cap:g} Hz exceeds the achieved "
                  f"System-1 rate {f1:.1f} Hz",)
-    return DualSystemResult(desc, t_s1, t_s2, 1.0 / (t_s1 + t_s2), f1,
-                            s2_cap, True, notes)
+    return replace(result, async_frequency=f1, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -399,33 +383,16 @@ def decoding_variant_spec(spec: VlaModelSpec, variant: str, chunk: int,
     raise ValueError(f"unknown decoding variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    model: str
-    hardware: str
-    total_params: int
-    footprint_bytes: int
-    feasible: bool
-    frequency: Optional[float]
-    phase_latencies: dict[str, float]
-
-
-def scaling_sweep(catalog: PresetCatalog,
+def scaling_sweep(library: PresetLibrary,
                   hardware: Sequence[AcceleratorConfig],
-                  ) -> tuple[ScalingRow, ...]:
-    """On-device control rate of the scaled model family on each accelerator."""
+                  ) -> tuple[tuple[VlaModelSpec, AcceleratorConfig,
+                                   ScenarioResult], ...]:
+    """On-device synchronous result of each scaled-family model on each
+    accelerator, as ``(spec, hw, result)`` in family-then-hardware order."""
     rows = []
-    for spec in scaled_family(catalog):
+    for spec in scaled_family(library):
         graph = opgraph.pipeline_graph(spec)
         for hw in hardware:
-            result = sync_scenario(spec, Placement.on_device(hw), graph=graph)
-            rows.append(ScalingRow(
-                model=spec.name,
-                hardware=hw.name,
-                total_params=spec.total_params(),
-                footprint_bytes=result.footprint_bytes,
-                feasible=result.feasible,
-                frequency=result.sync_frequency,
-                phase_latencies=result.phase_latencies,
-            ))
+            rows.append((spec, hw, sync_scenario(
+                spec, Placement.on_device(hw), graph=graph)))
     return tuple(rows)

@@ -24,8 +24,11 @@ to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from .configio import PresetLibrary
 
 VALID_PRECISION_BYTES = (1, 2, 4)
 
@@ -173,38 +176,6 @@ class VlaModelSpec:
         return sum(param_count(c) for c in self.components())
 
 
-@dataclass(frozen=True)
-class PresetCatalog:
-    """Named component stacks and composed policies."""
-
-    components: Mapping[str, TransformerConfig] = field(default_factory=dict)
-    models: Mapping[str, VlaModelSpec] = field(default_factory=dict)
-
-    def component(self, name: str) -> TransformerConfig:
-        try:
-            return self.components[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown component preset {name!r}; available: "
-                f"{', '.join(self.component_names())}"
-            ) from None
-
-    def model(self, name: str) -> VlaModelSpec:
-        try:
-            return self.models[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown model preset {name!r}; available: "
-                f"{', '.join(self.model_names())}"
-            ) from None
-
-    def component_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.components))
-
-    def model_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.models))
-
-
 # ---------------------------------------------------------------------------
 # Scaled model family
 # ---------------------------------------------------------------------------
@@ -257,25 +228,25 @@ def _derive_action_expert(vlm: TransformerConfig, target_params: int,
     return expert
 
 
-def scaled_family(catalog: PresetCatalog) -> tuple[VlaModelSpec, ...]:
+def scaled_family(library: PresetLibrary) -> tuple[VlaModelSpec, ...]:
     """The four-policy scaling ladder, smallest to largest.
 
     The first entry is the baseline preset itself; each subsequent entry
-    recombines catalog stacks per :data:`SCALED_FAMILY_RECIPE`.  Raises if a
+    recombines preset stacks per :data:`SCALED_FAMILY_RECIPE`.  Raises if a
     derived action expert lands further than 10% from its parameter target.
     """
-    baseline = catalog.model("pi0")
+    baseline = library.model("pi0")
     family = []
     for model_name, vision_name, vlm_name, expert_target in SCALED_FAMILY_RECIPE:
         if vision_name is None:
             family.append(baseline)
             continue
-        vlm = catalog.component(vlm_name)
+        vlm = library.component(vlm_name)
         expert = _derive_action_expert(vlm, expert_target, f"{model_name}-expert")
         family.append(replace(
             baseline,
             name=model_name,
-            vision_encoder=catalog.component(vision_name),
+            vision_encoder=library.component(vision_name),
             vlm=vlm,
             action_expert=expert,
         ))

@@ -129,6 +129,35 @@ def test_ignored_or_non_finite_input_is_an_error(args, message):
     assert len(result.stderr.splitlines()) == 1
 
 
+HUGE = "1" + "0" * 400
+HUGE_LAYERS_YAML = (
+    "components:\n"
+    f"  c: {{num_decoder_layers: {HUGE}, hidden_size: 8, intermediate_size: 8,"
+    " num_ffi: 1, num_attention_heads: 1, num_kv_heads: 1, head_dim: 8}\n"
+    "models:\n"
+    "  pi0: {vision_encoder: c, vlm: c, action_expert: c}\n")
+
+
+@pytest.mark.parametrize("args, models_yaml", [
+    pytest.param(("analyze", "--chunk", "1" + "0" * 300), None,
+                 id="analyze-chunk"),
+    pytest.param(("sweep", "--dof", HUGE), None, id="sweep-dof"),
+    pytest.param(("analyze", "--context-steps", HUGE), None,
+                 id="analyze-context-steps"),
+    pytest.param(("analyze",), HUGE_LAYERS_YAML, id="preset-layer-count"),
+])
+def test_huge_integer_is_an_error(tmp_path, args, models_yaml):
+    env = None
+    if models_yaml is not None:
+        (tmp_path / "models.yaml").write_text(models_yaml, encoding="utf-8")
+        env = {"VLA_ROOFLINE_PRESETS": str(tmp_path)}
+    result = run_cli(*args, env=env)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "too large" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_missing_net_is_usage_error():
     result = run_cli("analyze", "--placement", "edge-server")
     assert result.returncode == 1
@@ -409,3 +438,15 @@ def test_console_script_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "models:" in result.stdout
+
+
+def test_importing_the_cli_leaves_the_reference_tables_unloaded():
+    # Only ``reproduce`` needs ``golden`` and ``references``.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vla_roofline.cli; "
+         "print(sorted(name for name in sys.modules "
+         "if name in ('vla_roofline.golden', 'vla_roofline.references')))"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -57,19 +57,20 @@ def test_changed_preset_dir_changes_the_next_call(tmp_path, monkeypatch,
     assert "unknown network 'toy-link'" in capsys.readouterr().err
 
 
-def test_bad_file_fails_on_every_call(tmp_path):
+def test_bad_file_fails_on_every_call(tmp_path, monkeypatch):
+    monkeypatch.setenv(PRESET_DIR_ENV, str(tmp_path))
     bad = tmp_path / "hardware.yaml"
     bad.write_text("thor: {FP32_TFLOPS: 1\n", encoding="utf-8")
     for _ in range(2):
         with pytest.raises(ValueError, match="hardware.yaml: invalid YAML"):
-            load_presets(tmp_path)
+            load_presets()
     bad.write_text("thor: {FP32_TFLOPS: [1], BF16_TFLOPS: 1, HBM_BW_GBs: 1, "
                    "Memory_GB: 1}\n", encoding="utf-8")
     for _ in range(2):
         with pytest.raises(ValueError, match="FP32_TFLOPS must be a number"):
-            load_presets(tmp_path)
+            load_presets()
     bad.unlink()
-    assert "thor" in load_presets(tmp_path).hardware
+    assert "thor" in load_presets().hardware
 
 
 def test_library_is_read_only(lib):
@@ -78,9 +79,9 @@ def test_library_is_read_only(lib):
     with pytest.raises(TypeError):
         lib.networks["fake"] = lib.network("wifi7")
     with pytest.raises(TypeError):
-        lib.catalog.components["fake"] = lib.component("gemma-2b")
+        lib.components["fake"] = lib.component("gemma-2b")
     with pytest.raises(TypeError):
-        lib.catalog.models["fake"] = lib.model("pi0")
+        lib.models["fake"] = lib.model("pi0")
     with pytest.raises(TypeError):
         lib.accelerator("thor").peak_flops[2] = 1.0
 

@@ -293,8 +293,8 @@ RUNS_DIGEST = "150c6970864d7c26a0a93f49d1310fb386be334760e2e7a1f8a0d4af6b9a794f"
 def test_pipeline_runs_digest(lib):
     """SHA-256 of the runs of every preset and scaled-family model, in every
     decoding variant, stateless and at two context timesteps."""
-    specs = [lib.model(name) for name in lib.catalog.model_names()]
-    specs += scaled_family(lib.catalog)
+    specs = [lib.model(name) for name in sorted(lib.models)]
+    specs += scaled_family(lib)
     digest = hashlib.sha256()
     for spec in specs:
         for variant in DECODING_VARIANTS:

@@ -45,15 +45,13 @@ def test_graph_time_sums_per_operator_maxima():
     from vla_roofline.opgraph import OperatorGraph
     runs = ((Operator("a", 1000, 10, VISION), 1),
             (Operator("b", 100, 100, VLM), 1))
-    timing = graph_time(OperatorGraph(runs), HW)
-    assert timing.total == 20.0
-    assert timing.by_phase[VISION] == 10.0
-    assert timing.by_phase[VLM] == 10.0
+    assert graph_time(OperatorGraph(runs), HW) == 20.0
+    assert phase_breakdown(OperatorGraph(runs), HW)[0] == {VISION: 10.0,
+                                                           VLM: 10.0}
     # A run of n launches costs n times one launch.
-    tripled = graph_time(
-        OperatorGraph((op, 3 * count) for op, count in runs), HW)
-    assert tripled.total == 60.0
-    assert tripled.by_phase[VISION] == 30.0
+    tripled = OperatorGraph((op, 3 * count) for op, count in runs)
+    assert graph_time(tripled, HW) == 60.0
+    assert phase_breakdown(tripled, HW)[0] == {VISION: 30.0, VLM: 30.0}
 
 
 @pytest.mark.parametrize("hw_name, balance", [
@@ -137,7 +135,9 @@ def test_phase_breakdown_is_consistent_with_graph_time(lib, pi0):
     hw = lib.accelerator("a100")
     graph = pipeline_graph(pi0)
     latencies, intensity, labels = phase_breakdown(graph, hw)
-    timing = graph_time(graph, hw)
-    assert latencies == timing.by_phase
+    assert latencies == {phase: graph_time(graph.subgraph(phase), hw)
+                         for phase in (VISION, VLM, ACTION)}
+    assert sum(latencies.values()) == pytest.approx(graph_time(graph, hw),
+                                                    rel=1e-12)
     assert set(labels) == {VISION, VLM, ACTION}
     assert set(intensity) == {VISION, VLM, ACTION}

@@ -23,6 +23,7 @@ from vla_roofline.scenarios import (
     collaborative_scenario,
     decoding_variant_spec,
     dual_system_scenario,
+    dual_system_times,
     long_context_sweep,
     scaling_sweep,
     sync_scenario,
@@ -68,6 +69,19 @@ def test_infeasible_returns_na_result(lib):
 
 
 # --- networked serving (edge and cloud) -------------------------------------
+
+def test_network_path_has_one_or_two_hops(lib, thor, b100):
+    wifi7, cloud = lib.network("wifi7"), lib.network("fast-cloud")
+    assert Placement.on_device(thor).network_path() == ()
+    assert Placement.edge_server(b100, wifi7).network_path() == (wifi7,)
+    assert Placement.collaborative(thor, b100, wifi7).network_path() == (wifi7,)
+    assert (Placement.cloud_server(b100, wifi7, cloud).network_path()
+            == (wifi7, cloud))
+    with pytest.raises(ValueError, match="needs a network"):
+        Placement("edge-server", b100)
+    with pytest.raises(ValueError, match="access and cloud links"):
+        Placement("cloud-server", b100, access_net=wifi7)
+
 
 SERVER_ROWS = [
     # (networks, sync ms, sync Hz, async Hz)
@@ -191,11 +205,14 @@ def test_collaborative_requires_diffusion(lib, pi0, thor, b100):
 
 def test_dual_system_on_thor(lib, pi0, thor):
     r5 = dual_system_scenario(pi0, Placement.on_device(thor), 5.0)
-    assert r5.t_s1 * 1e3 == pytest.approx(33.263576, rel=REL)
-    assert r5.t_s2 * 1e3 == pytest.approx(20.196011, rel=REL)
+    t_s1, t_s2 = dual_system_times(r5)
+    assert t_s1 * 1e3 == pytest.approx(33.263576, rel=REL)
+    assert t_s2 * 1e3 == pytest.approx(20.196011, rel=REL)
     assert r5.async_frequency == pytest.approx(27.0272, abs=5e-5)
-    assert r5.sync_frequency == pytest.approx(
-        1.0 / (r5.t_s1 + r5.t_s2), rel=REL)
+    assert r5.sync_frequency == pytest.approx(1.0 / (t_s1 + t_s2), rel=REL)
+    # Everything but the capped rate is the synchronous result.
+    assert r5 == replace(sync_scenario(pi0, Placement.on_device(thor)),
+                         async_frequency=r5.async_frequency)
     r10 = dual_system_scenario(pi0, Placement.on_device(thor), 10.0)
     assert r10.async_frequency == pytest.approx(23.9914, abs=5e-5)
     assert r10.async_frequency < r5.async_frequency
@@ -205,7 +222,7 @@ def test_dual_system_networked(lib, pi0, b100):
     placement = Placement.edge_server(b100, lib.network("ethernet-10g"))
     r = dual_system_scenario(pi0, placement, 5.0)
     # S1 = vision + action + both network legs; S2 = VLM on the GPU alone.
-    assert r.t_s1 * 1e3 == pytest.approx(1.458668, rel=REL)
+    assert dual_system_times(r)[0] * 1e3 == pytest.approx(1.458668, rel=REL)
     assert r.async_frequency == pytest.approx(679.14726, abs=1e-5)
 
 
@@ -339,8 +356,8 @@ def test_chunk_growth_is_sublinear_e2e(lib, pi0, b100):
 
 def test_scaling_sweep_frequencies(lib):
     hardware = [lib.accelerator(n) for n in ("thor", "rtx4090", "b100")]
-    rows = scaling_sweep(lib.catalog, hardware)
-    table = {(r.model, r.hardware): r for r in rows}
+    rows = scaling_sweep(lib, hardware)
+    table = {(spec.name, hw.name): result for spec, hw, result in rows}
     assert len(rows) == 12
 
     expected = {
@@ -353,9 +370,9 @@ def test_scaling_sweep_frequencies(lib):
     }
     for key, freq in expected.items():
         assert table[key].feasible, key
-        assert table[key].frequency == pytest.approx(freq, abs=1e-5), key
+        assert table[key].sync_frequency == pytest.approx(freq, abs=1e-5), key
 
     for key in (("pi0-xl", "rtx4090"), ("pi0-xxl", "thor"),
                 ("pi0-xxl", "rtx4090")):
         assert not table[key].feasible, key
-        assert table[key].frequency is None
+        assert table[key].sync_frequency is None

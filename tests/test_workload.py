@@ -81,7 +81,7 @@ def test_baseline_policy_totals(pi0):
 
 
 def test_scaled_family_totals_and_depths(lib):
-    family = scaled_family(lib.catalog)
+    family = scaled_family(lib)
     assert [m.name for m in family] == ["pi0", "pi0-l", "pi0-xl", "pi0-xxl"]
     assert [m.total_params() for m in family] == [
         2_704_983_552, 9_226_274_816, 16_986_523_648, 82_418_976_768]
@@ -90,7 +90,7 @@ def test_scaled_family_totals_and_depths(lib):
 
 def test_scaled_family_matches_packaged_presets(lib):
     """The act-l/xl/xxl preset entries are the derived experts, frozen."""
-    for derived in scaled_family(lib.catalog)[1:]:
+    for derived in scaled_family(lib)[1:]:
         packaged = lib.model(derived.name)
         assert derived == replace(packaged,
                                   action_expert=derived.action_expert)
@@ -100,7 +100,7 @@ def test_scaled_family_matches_packaged_presets(lib):
 
 def test_derived_expert_geometry(lib):
     """Width halves, FFN quarters, head_dim and the Q:KV ratio carry over."""
-    family = scaled_family(lib.catalog)
+    family = scaled_family(lib)
     xxl = family[3]
     llama = lib.component("llama2-70b")
     expert = xxl.action_expert
