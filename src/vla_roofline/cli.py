@@ -11,7 +11,6 @@ configuration errors, 2 when a reproduce run misses its tolerances.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -181,6 +180,9 @@ def _json_text(payload) -> str:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
+    # Only ``--format csv`` needs the module; the other formats skip its import.
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -469,7 +471,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, code = _run_reproduce(args, lib)
         else:
             text, code = _run_list_presets(args, lib)
-    # A huge integer argument or preset count overflows float arithmetic.
+    # Float arithmetic on many large counts can still overflow.
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

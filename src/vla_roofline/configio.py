@@ -1,11 +1,12 @@
-"""Loading model, accelerator, and network presets from YAML.
+"""Loading model, accelerator, and network presets.
 
-Preset files use the field names common in published model/accelerator
-tables (``num_decoder_layers``, ``BF16_TFLOPS``, ``bandwidth_mbps``, ...)
-and are converted here into the package's internal dataclasses and SI
-units.  The packaged presets can be extended or replaced by pointing
-``VLA_ROOFLINE_PRESETS`` at a directory containing files of the same
-names; each file found there shadows the packaged one individually.
+Presets use the field names common in published model/accelerator tables
+(``num_decoder_layers``, ``BF16_TFLOPS``, ``bandwidth_mbps``, ...) and are
+converted here into the package's internal dataclasses and SI units.  The
+packaged presets (:mod:`~vla_roofline.presets`) can be extended or replaced
+by pointing ``VLA_ROOFLINE_PRESETS`` at a directory of YAML files named
+``models.yaml``, ``hardware.yaml`` and ``networks.yaml``; each file found
+there shadows the packaged mapping of that name individually.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
-import yaml
-
+from . import presets
 from .netmodel import NetworkConfig
 from .roofline import AcceleratorConfig
 from .workload import TransformerConfig, VlaModelSpec
 
 PRESET_DIR_ENV = "VLA_ROOFLINE_PRESETS"
-_PACKAGED_PRESETS = Path(__file__).parent / "presets"
 COMPONENTS_FILE = "models.yaml"
 HARDWARE_FILE = "hardware.yaml"
 NETWORKS_FILE = "networks.yaml"
@@ -191,18 +190,19 @@ def network_from_mapping(name: str, data: Mapping[str, Any]) -> NetworkConfig:
 
 
 # ---------------------------------------------------------------------------
-# File loading
+# Loading
 # ---------------------------------------------------------------------------
 
 
-# Same safe constructor and resolver either way, so both give the same data;
-# libyaml's parser is several times faster.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def _read_yaml(path: Path, data: bytes) -> Mapping[str, Any]:
+    # Only an override file needs PyYAML, so only it pays for the import.
+    import yaml
+
+    # Same safe constructor and resolver either way, so both give the same
+    # data; libyaml's parser is several times faster.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        parsed = yaml.load(data, Loader=_LOADER)
+        parsed = yaml.load(data, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = (f"{exc.problem} (line {mark.line + 1}, column "
@@ -216,25 +216,31 @@ def _read_yaml(path: Path, data: bytes) -> Mapping[str, Any]:
     return parsed
 
 
-def _resolve(filename: str) -> Path:
+def _override(filename: str) -> Optional[tuple[Path, bytes]]:
+    """(path, bytes) of the file that shadows ``filename``, if any."""
     env_dir = os.environ.get(PRESET_DIR_ENV)
     if env_dir:
         candidate = Path(env_dir) / filename
         if candidate.is_file():
-            return candidate
-    return _PACKAGED_PRESETS / filename
+            return candidate, candidate.read_bytes()
+    return None
+
+
+def _preset_data(override: Optional[tuple[Path, bytes]],
+                 packaged: Mapping[str, Any]) -> Mapping[str, Any]:
+    return packaged if override is None else _read_yaml(*override)
 
 
 def _section(data: Mapping[str, Any], key: str,
-             path: Path) -> Mapping[str, Any]:
-    return _mapping(data.get(key) or {}, f"{path}: {key}")
+             source: str) -> Mapping[str, Any]:
+    return _mapping(data.get(key) or {}, f"{source}: {key}")
 
 
-def _lookup(presets: Mapping[str, Any], name: str, kind: str) -> Any:
-    if name not in presets:
+def _lookup(entries: Mapping[str, Any], name: str, kind: str) -> Any:
+    if name not in entries:
         raise ValueError(f"unknown {kind} {name!r}; available: "
-                         f"{', '.join(sorted(presets))}")
-    return presets[name]
+                         f"{', '.join(sorted(entries))}")
+    return entries[name]
 
 
 @dataclass(frozen=True)
@@ -265,39 +271,44 @@ def load_presets() -> PresetLibrary:
 
     ``$VLA_ROOFLINE_PRESETS`` may name a directory of replacement files;
     anything missing there falls back to the packaged defaults file-by-file.
-    Every call reads the three files but parses them only once per process
-    for the same paths and bytes; the library it returns is shared between
-    such calls, so it is read-only.
+    Without a replacement file nothing is read: the packaged presets are
+    :mod:`~vla_roofline.presets`.  Each distinct set of replacement paths
+    and bytes is parsed once per process, and the library built from it is
+    shared between calls, so it is read-only.
     """
-    paths = [_resolve(filename)
-             for filename in (COMPONENTS_FILE, HARDWARE_FILE, NETWORKS_FILE)]
-    return _build_library(*((path, path.read_bytes()) for path in paths))
+    return _build_library(*(_override(filename) for filename in
+                            (COMPONENTS_FILE, HARDWARE_FILE, NETWORKS_FILE)))
 
 
 @functools.lru_cache(maxsize=8)
-def _build_library(components_file: tuple[Path, bytes],
-                   hardware_file: tuple[Path, bytes],
-                   networks_file: tuple[Path, bytes]) -> PresetLibrary:
-    """The library parsed from (path, bytes) of each file.  A file that fails
-    to parse raises, and nothing is cached for it."""
-    path = components_file[0]
-    data = _read_yaml(*components_file)
-    _reject_unknown(data, frozenset({"components", "models"}), str(path))
+def _build_library(components_file: Optional[tuple[Path, bytes]],
+                   hardware_file: Optional[tuple[Path, bytes]],
+                   networks_file: Optional[tuple[Path, bytes]],
+                   ) -> PresetLibrary:
+    """The library from (path, bytes) of each replacement file, the packaged
+    mapping where there is none.  A file that fails to parse raises, and
+    nothing is cached for it."""
+    data = _preset_data(components_file, presets.MODELS)
+    source = (str(components_file[0]) if components_file is not None
+              else "vla_roofline.presets.MODELS")
+    _reject_unknown(data, frozenset({"components", "models"}), source)
     components = {
         name: transformer_from_mapping(name, fields)
-        for name, fields in _section(data, "components", path).items()
+        for name, fields in _section(data, "components", source).items()
     }
     models = {
         name: model_from_mapping(name, fields, components)
-        for name, fields in _section(data, "models", path).items()
+        for name, fields in _section(data, "models", source).items()
     }
+    hardware = _preset_data(hardware_file, presets.HARDWARE)
+    networks = _preset_data(networks_file, presets.NETWORKS)
     return PresetLibrary(
         components=MappingProxyType(components),
         models=MappingProxyType(models),
         hardware=MappingProxyType({
             name: accelerator_from_mapping(name, fields)
-            for name, fields in _read_yaml(*hardware_file).items()}),
+            for name, fields in hardware.items()}),
         networks=MappingProxyType({
             name: network_from_mapping(name, fields)
-            for name, fields in _read_yaml(*networks_file).items()}),
+            for name, fields in networks.items()}),
     )

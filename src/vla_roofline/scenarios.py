@@ -38,6 +38,7 @@ from .workload import (
     AUTOREGRESSIVE_PARALLEL,
     DIFFUSION,
     VlaModelSpec,
+    check_count,
     kv_bytes_per_token,
     scaled_family,
     weight_bytes,
@@ -160,7 +161,8 @@ def check_scenario(spec: VlaModelSpec, placement: Placement,
     """Raise ``ValueError`` if no scenario can price this point.
 
     Split serving needs a diffusion action expert (the on-robot half) and
-    models no cached camera history; a context timestep counts from 1.
+    models no cached camera history; a context timestep counts from 1 to
+    2**53.
     """
     if placement.kind == COLLABORATIVE:
         if context_timestep is not None:
@@ -171,6 +173,7 @@ def check_scenario(spec: VlaModelSpec, placement: Placement,
                 "collaborative serving requires a diffusion action expert")
     if context_timestep is not None and context_timestep < 1:
         raise ValueError("context_timesteps must be >= 1")
+    check_count(spec.name, "context_timesteps", context_timestep)
 
 
 def sync_scenario(spec: VlaModelSpec, placement: Placement,

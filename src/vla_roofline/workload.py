@@ -38,6 +38,16 @@ AUTOREGRESSIVE = "autoregressive"
 AUTOREGRESSIVE_PARALLEL = "autoregressive_parallel"
 DECODING_MODES = (DIFFUSION, AUTOREGRESSIVE, AUTOREGRESSIVE_PARALLEL)
 
+# The largest integer a float holds exactly.  Counts are priced in float
+# arithmetic, so a larger one is rejected rather than priced inexactly.
+MAX_COUNT = 2 ** 53
+
+
+def check_count(owner: str, field: str, value: Optional[int]) -> None:
+    """Raise ``ValueError`` if the count ``value`` exceeds ``MAX_COUNT``."""
+    if value is not None and value > MAX_COUNT:
+        raise ValueError(f"{owner}: {field} is too large (at most 2**53)")
+
 
 @dataclass(frozen=True)
 class TransformerConfig:
@@ -87,6 +97,10 @@ class TransformerConfig:
             )
         if self.patch_input_dim is not None and self.patch_input_dim < 1:
             raise ValueError(f"{self.name}: patch_input_dim must be >= 1")
+        for attr in ("num_layers", "hidden_size", "intermediate_size",
+                     "num_ffi", "num_q_heads", "num_kv_heads", "head_dim",
+                     "patch_input_dim"):
+            check_count(self.name, attr, getattr(self, attr))
 
     @property
     def q_width(self) -> int:
@@ -153,6 +167,9 @@ class VlaModelSpec:
         if self.tokens_per_image < 1 or self.action_dof < 1 or self.chunk_size < 1:
             raise ValueError(f"{self.name}: tokens_per_image, action_dof and "
                              "chunk_size must be >= 1")
+        for attr in ("num_cameras", "tokens_per_image", "language_tokens",
+                     "action_dof", "chunk_size", "denoise_steps"):
+            check_count(self.name, attr, getattr(self, attr))
 
     def vision_tokens(self) -> int:
         """VLM tokens contributed by the cameras each control step."""

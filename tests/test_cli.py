@@ -136,15 +136,31 @@ HUGE_LAYERS_YAML = (
     " num_ffi: 1, num_attention_heads: 1, num_kv_heads: 1, head_dim: 8}\n"
     "models:\n"
     "  pi0: {vision_encoder: c, vlm: c, action_expert: c}\n")
+BIG_CHUNK_YAML = (
+    "components:\n"
+    "  c: {num_decoder_layers: 1, hidden_size: 8, intermediate_size: 8,"
+    " num_ffi: 1, num_attention_heads: 1, num_kv_heads: 1, head_dim: 8}\n"
+    "models:\n"
+    f"  pi0: {{vision_encoder: c, vlm: c, action_expert: c,"
+    f" chunk_size: {2 ** 53 + 1}}}\n")
 
 
 @pytest.mark.parametrize("args, models_yaml", [
     pytest.param(("analyze", "--chunk", "1" + "0" * 300), None,
                  id="analyze-chunk"),
+    # Below float overflow, but above 2**53: once priced as 130-digit
+    # latencies at 0.0 Hz.
+    pytest.param(("analyze", "--steps", "1" + "0" * 300), None,
+                 id="analyze-steps"),
+    pytest.param(("analyze", "--dof", "1" + "0" * 300, "--s2-cap", "5"), None,
+                 id="analyze-dof-s2-cap"),
+    pytest.param(("analyze", "--chunk", str(2 ** 53 + 1)), None,
+                 id="analyze-chunk-above-2**53"),
     pytest.param(("sweep", "--dof", HUGE), None, id="sweep-dof"),
     pytest.param(("analyze", "--context-steps", HUGE), None,
                  id="analyze-context-steps"),
     pytest.param(("analyze",), HUGE_LAYERS_YAML, id="preset-layer-count"),
+    pytest.param(("analyze",), BIG_CHUNK_YAML, id="preset-chunk-above-2**53"),
 ])
 def test_huge_integer_is_an_error(tmp_path, args, models_yaml):
     env = None
@@ -156,6 +172,14 @@ def test_huge_integer_is_an_error(tmp_path, args, models_yaml):
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and "too large" in result.stderr
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_largest_allowed_count_is_priced():
+    # 2**53 itself is still a count: a result, here an infeasible one.
+    result = run_cli("analyze", "--context-steps", str(2 ** 53),
+                     "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["feasible"] == "no"
 
 
 def test_missing_net_is_usage_error():
@@ -438,6 +462,49 @@ def test_console_script_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "models:" in result.stdout
+
+
+# Runs the CLI in a fresh process and reports whether it imported PyYAML.
+YAML_PROBE = (
+    "import contextlib, io, sys\n"
+    "from vla_roofline import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, 'yaml' in sys.modules, out.getvalue(), sep='\\n', end='')\n"
+)
+
+
+def _run_yaml_probe(*args, env=None):
+    merged = dict(os.environ)
+    merged.pop("VLA_ROOFLINE_PRESETS", None)
+    merged.update(env or {})
+    result = subprocess.run([sys.executable, "-c", YAML_PROBE, *args],
+                            capture_output=True, text=True, env=merged)
+    assert result.returncode == 0, result.stderr
+    code, imported, output = result.stdout.split("\n", 2)
+    return int(code), imported == "True", output
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze",),
+    ("list-presets", "--format", "json"),
+    ("reproduce", "T3"),
+])
+def test_default_presets_do_not_import_yaml(args):
+    code, imported, _ = _run_yaml_probe(*args)
+    assert code == 0
+    assert not imported
+
+
+def test_override_file_is_read_with_yaml(tmp_path):
+    (tmp_path / "networks.yaml").write_text(
+        "toy-link: {bandwidth_mbps: 1, base_latency_ms: 100}\n",
+        encoding="utf-8")
+    code, imported, output = _run_yaml_probe(
+        "analyze", "--placement", "edge-server", "--net", "toy-link",
+        "--format", "json", env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
+    assert code == 0 and imported
+    assert json.loads(output)["observation_upload_ms"] == 472.0
 
 
 def test_importing_the_cli_leaves_the_reference_tables_unloaded():

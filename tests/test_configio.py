@@ -1,18 +1,19 @@
 """Preset loading: one parse per distinct set of preset files per process.
 
-``load_presets`` reads the three files on every call and reuses the library
-built from the same paths and bytes, so these tests run in-process and
-check that an edited file or a changed ``VLA_ROOFLINE_PRESETS`` is picked up
-and that the shared library cannot be changed by a caller.
+``load_presets`` reads each override file on every call and reuses the
+library built from the same paths and bytes (or from the packaged presets
+alone), so these tests run in-process and check that an edited file or a
+changed ``VLA_ROOFLINE_PRESETS`` is picked up, that the packaged presets
+dumped as override files give the same library, and that the shared
+library cannot be changed by a caller.
 """
 
 import json
-from importlib import resources
 
 import pytest
 import yaml
 
-from vla_roofline import cli
+from vla_roofline import cli, presets
 from vla_roofline.configio import PRESET_DIR_ENV, load_presets
 
 TOY_LINK = "toy-link: {{bandwidth_mbps: {mbps}, base_latency_ms: 100}}\n"
@@ -86,10 +87,27 @@ def test_library_is_read_only(lib):
         lib.accelerator("thor").peak_flops[2] = 1.0
 
 
+PACKAGED = {"models.yaml": presets.MODELS, "hardware.yaml": presets.HARDWARE,
+            "networks.yaml": presets.NETWORKS}
+
+
+def test_dumped_packaged_presets_load_as_the_packaged_library(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv(PRESET_DIR_ENV, raising=False)
+    packaged = load_presets()
+    for filename, mapping in PACKAGED.items():
+        (tmp_path / filename).write_text(yaml.safe_dump(mapping),
+                                         encoding="utf-8")
+    monkeypatch.setenv(PRESET_DIR_ENV, str(tmp_path))
+    overridden = load_presets()
+    assert overridden is not packaged
+    assert overridden == packaged
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
-@pytest.mark.parametrize("filename",
-                         ["models.yaml", "hardware.yaml", "networks.yaml"])
+@pytest.mark.parametrize("filename", sorted(PACKAGED))
 def test_libyaml_and_python_loaders_agree(filename):
-    data = (resources.files("vla_roofline") / "presets" / filename).read_bytes()
-    assert (yaml.load(data, Loader=yaml.CSafeLoader)
-            == yaml.load(data, Loader=yaml.SafeLoader))
+    text = yaml.safe_dump(PACKAGED[filename])
+    assert (yaml.load(text, Loader=yaml.CSafeLoader)
+            == yaml.load(text, Loader=yaml.SafeLoader)
+            == PACKAGED[filename])
