@@ -17,13 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .configio import PresetLibrary, load_presets
 from .opgraph import PHASES
+from .record import replace
 from .roofline import GIB
 from .scenarios import (
     CLOUD_SERVER,

@@ -2,7 +2,7 @@
 
 Presets use the field names common in published model/accelerator tables
 (``num_decoder_layers``, ``BF16_TFLOPS``, ``bandwidth_mbps``, ...) and are
-converted here into the package's internal dataclasses and SI units.  The
+converted here into the package's immutable records and SI units.  The
 packaged presets (:mod:`~vla_roofline.presets`) can be extended or replaced
 by pointing ``VLA_ROOFLINE_PRESETS`` at a directory of YAML files named
 ``models.yaml``, ``hardware.yaml`` and ``networks.yaml``; each file found
@@ -14,13 +14,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
 from . import presets
 from .netmodel import NetworkConfig
+from .record import Record, set_field
 from .roofline import AcceleratorConfig
 from .workload import TransformerConfig, VlaModelSpec
 
@@ -67,7 +67,8 @@ def _mapping(data: Any, context: str) -> Mapping[str, Any]:
 
 def _reject_unknown(data: Mapping[str, Any], allowed: frozenset[str],
                     context: str) -> None:
-    unknown = sorted(set(_mapping(data, context)) - allowed)
+    # Keys of any YAML type can reach here; str keys sort them all.
+    unknown = sorted(set(_mapping(data, context)) - allowed, key=str)
     if unknown:
         raise ValueError(f"{context}: unknown fields {unknown}")
 
@@ -216,24 +217,51 @@ def _read_yaml(path: Path, data: bytes) -> Mapping[str, Any]:
     return parsed
 
 
-def _override(filename: str) -> Optional[tuple[Path, bytes]]:
-    """(path, bytes) of the file that shadows ``filename``, if any."""
+def _overrides() -> list[Optional[tuple[Path, bytes]]]:
+    """(path, bytes) of the file under ``$VLA_ROOFLINE_PRESETS`` that shadows
+    each preset file, None where there is none.  A directory or shadowing
+    entry that cannot be used is a ``ValueError`` naming its path."""
+    files = [None, None, None]
     env_dir = os.environ.get(PRESET_DIR_ENV)
-    if env_dir:
-        candidate = Path(env_dir) / filename
-        if candidate.is_file():
-            return candidate, candidate.read_bytes()
-    return None
+    if not env_dir:
+        return files
+    path = directory = Path(env_dir)
+    try:
+        if not directory.is_dir():
+            raise ValueError(f"{path}: not a directory" if path.exists()
+                             else f"{path}: no such directory")
+        for i, filename in enumerate(
+                (COMPONENTS_FILE, HARDWARE_FILE, NETWORKS_FILE)):
+            path = directory / filename
+            if path.is_file():
+                files[i] = path, path.read_bytes()
+            elif path.exists() or path.is_symlink():
+                raise ValueError(f"{path}: not a regular file")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    return files
 
 
 def _preset_data(override: Optional[tuple[Path, bytes]],
-                 packaged: Mapping[str, Any]) -> Mapping[str, Any]:
-    return packaged if override is None else _read_yaml(*override)
+                 packaged: str) -> tuple[Mapping[str, Any], str]:
+    """The mapping of an override file, or the packaged mapping of that
+    name, and where it came from."""
+    if override is None:
+        return getattr(presets, packaged), f"vla_roofline.presets.{packaged}"
+    return _read_yaml(*override), str(override[0])
+
+
+def _entries(data: Any, context: str) -> Mapping[str, Any]:
+    """``data`` as a mapping from preset name, which must be a string."""
+    for name in _mapping(data, context):
+        if not isinstance(name, str):
+            raise ValueError(f"{context}: preset name {name!r} is not a string")
+    return data
 
 
 def _section(data: Mapping[str, Any], key: str,
              source: str) -> Mapping[str, Any]:
-    return _mapping(data.get(key) or {}, f"{source}: {key}")
+    return _entries(data.get(key) or {}, f"{source}: {key}")
 
 
 def _lookup(entries: Mapping[str, Any], name: str, kind: str) -> Any:
@@ -243,15 +271,20 @@ def _lookup(entries: Mapping[str, Any], name: str, kind: str) -> Any:
     return entries[name]
 
 
-@dataclass(frozen=True)
-class PresetLibrary:
+class PresetLibrary(Record):
     """Everything loadable by name: components, models, accelerators, links,
     each a read-only mapping from preset name."""
 
-    components: Mapping[str, TransformerConfig]
-    models: Mapping[str, VlaModelSpec]
-    hardware: Mapping[str, AcceleratorConfig]
-    networks: Mapping[str, NetworkConfig]
+    __slots__ = ("components", "models", "hardware", "networks")
+
+    def __init__(self, components: Mapping[str, TransformerConfig],
+                 models: Mapping[str, VlaModelSpec],
+                 hardware: Mapping[str, AcceleratorConfig],
+                 networks: Mapping[str, NetworkConfig]) -> None:
+        set_field(self, "components", components)
+        set_field(self, "models", models)
+        set_field(self, "hardware", hardware)
+        set_field(self, "networks", networks)
 
     def component(self, name: str) -> TransformerConfig:
         return _lookup(self.components, name, "component preset")
@@ -271,13 +304,14 @@ def load_presets() -> PresetLibrary:
 
     ``$VLA_ROOFLINE_PRESETS`` may name a directory of replacement files;
     anything missing there falls back to the packaged defaults file-by-file.
+    A missing directory, or an entry there that is not a readable regular
+    file, raises ``ValueError``; an empty variable is the same as none.
     Without a replacement file nothing is read: the packaged presets are
     :mod:`~vla_roofline.presets`.  Each distinct set of replacement paths
     and bytes is parsed once per process, and the library built from it is
     shared between calls, so it is read-only.
     """
-    return _build_library(*(_override(filename) for filename in
-                            (COMPONENTS_FILE, HARDWARE_FILE, NETWORKS_FILE)))
+    return _build_library(*_overrides())
 
 
 @functools.lru_cache(maxsize=8)
@@ -288,9 +322,7 @@ def _build_library(components_file: Optional[tuple[Path, bytes]],
     """The library from (path, bytes) of each replacement file, the packaged
     mapping where there is none.  A file that fails to parse raises, and
     nothing is cached for it."""
-    data = _preset_data(components_file, presets.MODELS)
-    source = (str(components_file[0]) if components_file is not None
-              else "vla_roofline.presets.MODELS")
+    data, source = _preset_data(components_file, "MODELS")
     _reject_unknown(data, frozenset({"components", "models"}), source)
     components = {
         name: transformer_from_mapping(name, fields)
@@ -300,8 +332,8 @@ def _build_library(components_file: Optional[tuple[Path, bytes]],
         name: model_from_mapping(name, fields, components)
         for name, fields in _section(data, "models", source).items()
     }
-    hardware = _preset_data(hardware_file, presets.HARDWARE)
-    networks = _preset_data(networks_file, presets.NETWORKS)
+    hardware = _entries(*_preset_data(hardware_file, "HARDWARE"))
+    networks = _entries(*_preset_data(networks_file, "NETWORKS"))
     return PresetLibrary(
         components=MappingProxyType(components),
         models=MappingProxyType(models),

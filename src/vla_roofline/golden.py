@@ -14,13 +14,12 @@ CLI command and the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 from . import references as refs
 from .configio import PresetLibrary
 from .opgraph import ACTION, PHASES, VISION, VLM, pipeline_graph
+from .record import Record, replace, set_field
 from .roofline import COMPUTE_BOUND, GIB, kv_cache_bytes, phase_breakdown
 from .scenarios import (
     Placement,
@@ -50,20 +49,30 @@ _PRINTED_DECIMALS = {"ms": 2, "Hz": 1, "GB": 2, "FLOPs/B": 1, "x": 2,
                      "Gparams": 2}
 
 
-@dataclass(frozen=True)
-class GoldenCell:
+class GoldenCell(Record):
     """One graded (or informational) cell of a reference table."""
 
-    table: str
-    label: str
-    unit: str
-    modeled: Optional[float] = None
-    reference: Optional[str] = None
-    rel_tol: float = 0.0
-    abs_tol: Optional[float] = None
-    kind: str = VALUE
-    modeled_text: Optional[str] = None
-    reference_text: Optional[str] = None
+    __slots__ = ("table", "label", "unit", "modeled", "reference", "rel_tol",
+                 "abs_tol", "kind", "modeled_text", "reference_text",
+                 "_passed")
+
+    def __init__(self, table: str, label: str, unit: str,
+                 modeled: Optional[float] = None,
+                 reference: Optional[str] = None, rel_tol: float = 0.0,
+                 abs_tol: Optional[float] = None, kind: str = VALUE,
+                 modeled_text: Optional[str] = None,
+                 reference_text: Optional[str] = None) -> None:
+        set_field(self, "table", table)
+        set_field(self, "label", label)
+        set_field(self, "unit", unit)
+        set_field(self, "modeled", modeled)
+        set_field(self, "reference", reference)
+        set_field(self, "rel_tol", rel_tol)
+        set_field(self, "abs_tol", abs_tol)
+        set_field(self, "kind", kind)
+        set_field(self, "modeled_text", modeled_text)
+        set_field(self, "reference_text", reference_text)
+        set_field(self, "_passed", self._verdict())
 
     @property
     def reference_value(self) -> Optional[float]:
@@ -100,10 +109,13 @@ class GoldenCell:
             return None
         return self.modeled / self.reference_value - 1.0
 
-    @cached_property
+    @property
     def passed(self) -> Optional[bool]:
         """True/False verdict, or None for informational cells; computed
         once per cell."""
+        return self._passed
+
+    def _verdict(self) -> Optional[bool]:
         if self.kind == INFO:
             return None
         if self.kind == LABEL:
@@ -123,6 +135,16 @@ def _bound_label(side: str) -> str:
     return "Compute" if side == COMPUTE_BOUND else "Memory"
 
 
+# A reference configuration that a preset override makes infeasible prices
+# as None, which grades as a failed cell.
+def _ms(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else seconds * 1e3
+
+
+def _ratio(a: Optional[float], b: Optional[float]) -> Optional[float]:
+    return None if a is None or b is None else a / b
+
+
 # ---------------------------------------------------------------------------
 # Table builders
 # ---------------------------------------------------------------------------
@@ -139,7 +161,7 @@ def validation_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
         result = sync_scenario(spec, Placement.on_device(hw))
         cells.append(GoldenCell(
             "T1", f"{cams} camera{'s' if cams > 1 else ''} e2e", "ms",
-            modeled=result.e2e_latency * 1e3, reference=ref, rel_tol=0.15))
+            modeled=_ms(result.e2e_latency), reference=ref, rel_tol=0.15))
     return tuple(cells)
 
 
@@ -156,11 +178,11 @@ def baseline_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
             tol = 0.05 if (hw_name == "b100" and phase == VLM) else 0.15
             cells.append(GoldenCell(
                 "T3", f"{hw_name} {phase} latency", "ms",
-                modeled=result.phase_latencies[phase] * 1e3,
+                modeled=_ms(result.phase_latencies.get(phase)),
                 reference=row[phase], rel_tol=tol))
         cells.append(GoldenCell(
             "T3", f"{hw_name} e2e latency", "ms",
-            modeled=result.e2e_latency * 1e3, reference=row["e2e"],
+            modeled=_ms(result.e2e_latency), reference=row["e2e"],
             rel_tol=0.15))
         cells.append(GoldenCell(
             "T3", f"{hw_name} frequency", "Hz",
@@ -250,7 +272,7 @@ def long_context_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
         for name, result in results.items():
             cells.append(GoldenCell(
                 "T6", f"t={t} {name} latency", "ms",
-                modeled=(result.e2e_latency * 1e3 if result.feasible else None),
+                modeled=_ms(result.e2e_latency),
                 reference=row[name], rel_tol=0.20))
     return tuple(cells)
 
@@ -273,7 +295,7 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
         async_tol = 0.03 if row["network_bound"] else 0.15
         cells.append(GoldenCell(
             "T8", f"{label} sync latency", "ms",
-            modeled=result.e2e_latency * 1e3, reference=row["latency_ms"],
+            modeled=_ms(result.e2e_latency), reference=row["latency_ms"],
             rel_tol=0.05))
         cells.append(GoldenCell(
             "T8", f"{label} sync freq", "Hz",
@@ -285,7 +307,7 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
             rel_tol=async_tol))
         cells.append(GoldenCell(
             "T8", f"{label} speedup", "x",
-            modeled=result.async_frequency / result.sync_frequency,
+            modeled=_ratio(result.async_frequency, result.sync_frequency),
             reference=row["speedup"], rel_tol=0.07))
     return tuple(cells)
 
@@ -303,13 +325,14 @@ def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
             placement = Placement.edge_server(hw, lib.network(row["net"]))
         at5 = dual_system_scenario(spec, placement, 5.0, graph)
         at10 = dual_system_scenario(spec, placement, 10.0, graph)
-        t_s1, t_s2 = dual_system_times(at5)
+        t_s1, t_s2 = (dual_system_times(at5) if at5.feasible
+                      else (None, None))
         label = row["label"]
         cells.append(GoldenCell(
-            "T9", f"{label} S1 latency", "ms", modeled=t_s1 * 1e3,
+            "T9", f"{label} S1 latency", "ms", modeled=_ms(t_s1),
             reference=row["s1_ms"], rel_tol=0.03))
         cells.append(GoldenCell(
-            "T9", f"{label} S2 latency", "ms", modeled=t_s2 * 1e3,
+            "T9", f"{label} S2 latency", "ms", modeled=_ms(t_s2),
             reference=row["s2_ms"], rel_tol=0.05))
         cells.append(GoldenCell(
             "T9", f"{label} sync freq", "Hz", modeled=at5.sync_frequency,
@@ -321,7 +344,7 @@ def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
                 rel_tol=0.03))
             cells.append(GoldenCell(
                 "T9", f"{label} speedup @ {cap} Hz cap", "x",
-                modeled=dual.async_frequency / dual.sync_frequency,
+                modeled=_ratio(dual.async_frequency, dual.sync_frequency),
                 reference=row[f"sp{cap}"], abs_tol=0.03))
     return tuple(cells)
 
@@ -342,16 +365,18 @@ def collaboration_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     for net_name, ref in refs.COLLAB_KV_MS:
         cells.append(GoldenCell(
             "collab", f"{net_name} KV download", "ms",
-            modeled=collab[net_name].network_latencies["kv_download"] * 1e3,
+            modeled=_ms(collab[net_name].network_latencies.get("kv_download")),
             reference=ref, rel_tol=0.06))
     for net_name in sorted(lib.networks):
         server_only = sync_scenario(
             spec, Placement.edge_server(server, lib.network(net_name)),
             graph=graph)
-        holds = collab[net_name].e2e_latency >= server_only.e2e_latency
+        pair = (collab[net_name].e2e_latency, server_only.e2e_latency)
+        holds = ("N/A" if None in pair
+                 else "holds" if pair[0] >= pair[1] else "violated")
         cells.append(GoldenCell(
             "collab", f"{net_name}: collaborative >= server-only", "",
-            kind=LABEL, modeled_text="holds" if holds else "violated",
+            kind=LABEL, modeled_text=holds,
             reference_text="holds"))
     return tuple(cells)
 

@@ -8,9 +8,9 @@ one or two hops (device -> edge, or device -> edge -> cloud) sum per hop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from .record import Record, set_field
 from .workload import TransformerConfig, VlaModelSpec, kv_bytes_per_token
 
 UPLOAD = "upload"
@@ -25,18 +25,20 @@ COMPRESSED_OBSERVATION_BYTES = 46_500
 ACTION_VALUE_BYTES = 4
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(Record):
     """One link: asymmetric bandwidth (bits/s), one-way base latency (s),
     and a (0, 1] protocol-efficiency factor applied to bandwidth."""
 
-    name: str
-    upload_bw: float
-    download_bw: float
-    base_latency: float
-    efficiency: float = 1.0
+    __slots__ = ("name", "upload_bw", "download_bw", "base_latency",
+                 "efficiency")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, upload_bw: float, download_bw: float,
+                 base_latency: float, efficiency: float = 1.0) -> None:
+        set_field(self, "name", name)
+        set_field(self, "upload_bw", upload_bw)
+        set_field(self, "download_bw", download_bw)
+        set_field(self, "base_latency", base_latency)
+        set_field(self, "efficiency", efficiency)
         if not all(math.isfinite(bw) and bw > 0
                    for bw in (self.upload_bw, self.download_bw)):
             raise ValueError(f"{self.name}: bandwidths must be finite and positive")
@@ -53,14 +55,14 @@ class NetworkConfig:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
 
 
-@dataclass(frozen=True)
-class Payload:
+class Payload(Record):
     """Bytes moving in one direction."""
 
-    bytes: int
-    direction: str
+    __slots__ = ("bytes", "direction")
 
-    def __post_init__(self) -> None:
+    def __init__(self, bytes: int, direction: str) -> None:
+        set_field(self, "bytes", bytes)
+        set_field(self, "direction", direction)
         if self.bytes < 0:
             raise ValueError("payload bytes must be >= 0")
         if self.direction not in DIRECTIONS:

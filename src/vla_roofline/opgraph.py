@@ -43,9 +43,9 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
+from .record import Record, set_field
 from .workload import (
     AUTOREGRESSIVE,
     DIFFUSION,
@@ -60,27 +60,31 @@ ACTION = "action"
 PHASES = (VISION, VLM, ACTION)
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(Record):
     """One kernel launch: a label, exact FLOPs/bytes, and its pipeline phase."""
 
-    label: str
-    flops: int
-    bytes: int
-    phase: str
+    __slots__ = ("label", "flops", "bytes", "phase")
 
-    def __post_init__(self) -> None:
+    def __init__(self, label: str, flops: int, bytes: int, phase: str) -> None:
+        set_field(self, "label", label)
+        set_field(self, "flops", flops)
+        set_field(self, "bytes", bytes)
+        set_field(self, "phase", phase)
         if self.flops < 0 or self.bytes < 0:
             raise ValueError(f"{self.label}: flops and bytes must be >= 0")
         if self.phase not in PHASES:
             raise ValueError(f"{self.label}: phase must be one of {PHASES}")
 
+    # Every graph hashes each of its operators to merge runs.  Attribute
+    # loads hash about a third faster than the base's attrgetter.
+    def __hash__(self) -> int:
+        return hash((self.label, self.flops, self.bytes, self.phase))
+
 
 Run = tuple[Operator, int]
 
 
-@dataclass(frozen=True)
-class OperatorGraph:
+class OperatorGraph(Record):
     """``ops`` holds ``(operator, count)`` runs.
 
     Construction takes any iterable of runs, merges equal operators into one
@@ -88,11 +92,11 @@ class OperatorGraph:
     is zero.
     """
 
-    ops: tuple[Run, ...] = ()
+    __slots__ = ("ops",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, ops: Iterable[Run] = ()) -> None:
         counts: dict[Operator, int] = {}
-        for op, count in self.ops:
+        for op, count in ops:
             if count < 0:
                 raise ValueError(f"{op.label}: count must be >= 0")
             counts[op] = counts.get(op, 0) + count
@@ -100,7 +104,7 @@ class OperatorGraph:
         # allocated at one size and shrunk, so freeing it stocks the
         # interpreter's per-size tuple free lists with sizes that are never
         # reused, about 1 MB of peak memory over many in-process calls.
-        object.__setattr__(self, "ops", tuple(
+        set_field(self, "ops", tuple(
             [(op, count) for op, count in counts.items() if count]))
 
     @property

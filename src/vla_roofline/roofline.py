@@ -11,11 +11,11 @@ balance point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import opgraph
 from .opgraph import Operator, OperatorGraph
+from .record import Record, set_field
 from .workload import VlaModelSpec, kv_bytes_per_token, weight_bytes
 
 COMPUTE_BOUND = "compute"
@@ -24,8 +24,7 @@ MEMORY_BOUND = "memory"
 GIB = 1024 ** 3
 
 
-@dataclass(frozen=True)
-class AcceleratorConfig:
+class AcceleratorConfig(Record):
     """One accelerator: peak FLOP/s per precision, HBM bandwidth and capacity.
 
     ``peak_flops`` maps precision bytes to peak FLOP/s; 2-byte and 4-byte
@@ -33,12 +32,14 @@ class AcceleratorConfig:
     in bytes/s, ``mem_capacity`` in bytes.
     """
 
-    name: str
-    peak_flops: Mapping[int, float]
-    mem_bandwidth: float
-    mem_capacity: int
+    __slots__ = ("name", "peak_flops", "mem_bandwidth", "mem_capacity")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, peak_flops: Mapping[int, float],
+                 mem_bandwidth: float, mem_capacity: int) -> None:
+        set_field(self, "name", name)
+        set_field(self, "peak_flops", peak_flops)
+        set_field(self, "mem_bandwidth", mem_bandwidth)
+        set_field(self, "mem_capacity", mem_capacity)
         for required in (2, 4):
             if required not in self.peak_flops:
                 raise ValueError(

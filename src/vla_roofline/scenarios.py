@@ -26,12 +26,12 @@ only once the footprint check has passed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import netmodel, opgraph, roofline
 from .configio import PresetLibrary
 from .netmodel import NetworkConfig
+from .record import Record, replace, set_field
 from .roofline import AcceleratorConfig
 from .workload import (
     AUTOREGRESSIVE,
@@ -51,15 +51,10 @@ COLLABORATIVE = "collaborative"
 PLACEMENT_KINDS = (ON_DEVICE, EDGE_SERVER, CLOUD_SERVER, COLLABORATIVE)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Record):
     """Where the policy runs and how the robot reaches it."""
 
-    kind: str
-    hw: AcceleratorConfig
-    device_hw: Optional[AcceleratorConfig] = None
-    access_net: Optional[NetworkConfig] = None
-    cloud_net: Optional[NetworkConfig] = None
+    __slots__ = ("kind", "hw", "device_hw", "access_net", "cloud_net")
 
     @classmethod
     def on_device(cls, hw: AcceleratorConfig) -> "Placement":
@@ -83,7 +78,15 @@ class Placement:
         return cls(COLLABORATIVE, server_hw, device_hw=device_hw,
                    access_net=net)
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, hw: AcceleratorConfig,
+                 device_hw: Optional[AcceleratorConfig] = None,
+                 access_net: Optional[NetworkConfig] = None,
+                 cloud_net: Optional[NetworkConfig] = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "hw", hw)
+        set_field(self, "device_hw", device_hw)
+        set_field(self, "access_net", access_net)
+        set_field(self, "cloud_net", cloud_net)
         if self.kind not in PLACEMENT_KINDS:
             raise ValueError(f"kind must be one of {PLACEMENT_KINDS}")
         if self.kind in (EDGE_SERVER, COLLABORATIVE) and self.access_net is None:
@@ -115,21 +118,31 @@ class Placement:
                 f"server via {self.access_net.name})")
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     """One evaluated deployment: latencies, rates, boundedness, footprint."""
 
-    placement: str
-    phase_latencies: dict[str, float]
-    network_latencies: dict[str, float]
-    e2e_latency: Optional[float]
-    sync_frequency: Optional[float]
-    async_frequency: Optional[float]
-    boundedness: dict[str, str]
-    operational_intensity: dict[str, float]
-    footprint_bytes: int
-    feasible: bool
-    notes: tuple[str, ...] = ()
+    __slots__ = ("placement", "phase_latencies", "network_latencies",
+                 "e2e_latency", "sync_frequency", "async_frequency",
+                 "boundedness", "operational_intensity", "footprint_bytes",
+                 "feasible", "notes")
+
+    def __init__(self, placement: str, phase_latencies: dict[str, float],
+                 network_latencies: dict[str, float],
+                 e2e_latency: Optional[float], sync_frequency: Optional[float],
+                 async_frequency: Optional[float], boundedness: dict[str, str],
+                 operational_intensity: dict[str, float], footprint_bytes: int,
+                 feasible: bool, notes: tuple[str, ...] = ()) -> None:
+        set_field(self, "placement", placement)
+        set_field(self, "phase_latencies", phase_latencies)
+        set_field(self, "network_latencies", network_latencies)
+        set_field(self, "e2e_latency", e2e_latency)
+        set_field(self, "sync_frequency", sync_frequency)
+        set_field(self, "async_frequency", async_frequency)
+        set_field(self, "boundedness", boundedness)
+        set_field(self, "operational_intensity", operational_intensity)
+        set_field(self, "footprint_bytes", footprint_bytes)
+        set_field(self, "feasible", feasible)
+        set_field(self, "notes", notes)
 
 
 def _capacity_note(spec: VlaModelSpec, footprint: int,

@@ -24,8 +24,9 @@ to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
+
+from .record import Record, replace, set_field
 
 if TYPE_CHECKING:
     from .configio import PresetLibrary
@@ -49,8 +50,7 @@ def check_count(owner: str, field: str, value: Optional[int]) -> None:
         raise ValueError(f"{owner}: {field} is too large (at most 2**53)")
 
 
-@dataclass(frozen=True)
-class TransformerConfig:
+class TransformerConfig(Record):
     """Shape of a single transformer stack.
 
     ``num_ffi`` is the number of FFN up projections feeding the activation:
@@ -62,18 +62,24 @@ class TransformerConfig:
     set on vision encoders.
     """
 
-    name: str
-    num_layers: int
-    hidden_size: int
-    intermediate_size: int
-    num_ffi: int
-    num_q_heads: int
-    num_kv_heads: int
-    head_dim: int
-    precision_bytes: int = 2
-    patch_input_dim: Optional[int] = None
+    __slots__ = ("name", "num_layers", "hidden_size", "intermediate_size",
+                 "num_ffi", "num_q_heads", "num_kv_heads", "head_dim",
+                 "precision_bytes", "patch_input_dim")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, num_layers: int, hidden_size: int,
+                 intermediate_size: int, num_ffi: int, num_q_heads: int,
+                 num_kv_heads: int, head_dim: int, precision_bytes: int = 2,
+                 patch_input_dim: Optional[int] = None) -> None:
+        set_field(self, "name", name)
+        set_field(self, "num_layers", num_layers)
+        set_field(self, "hidden_size", hidden_size)
+        set_field(self, "intermediate_size", intermediate_size)
+        set_field(self, "num_ffi", num_ffi)
+        set_field(self, "num_q_heads", num_q_heads)
+        set_field(self, "num_kv_heads", num_kv_heads)
+        set_field(self, "head_dim", head_dim)
+        set_field(self, "precision_bytes", precision_bytes)
+        set_field(self, "patch_input_dim", patch_input_dim)
         if self.precision_bytes not in VALID_PRECISION_BYTES:
             raise ValueError(
                 f"{self.name}: precision_bytes must be one of "
@@ -133,23 +139,31 @@ def kv_bytes_per_token(cfg: TransformerConfig) -> int:
     return 2 * cfg.num_layers * cfg.kv_width * cfg.precision_bytes
 
 
-@dataclass(frozen=True)
-class VlaModelSpec:
+class VlaModelSpec(Record):
     """A deployable policy: component stacks plus workload-shape defaults."""
 
-    name: str
-    vision_encoder: TransformerConfig
-    vlm: TransformerConfig
-    action_expert: Optional[TransformerConfig] = None
-    num_cameras: int = 3
-    tokens_per_image: int = 256
-    language_tokens: int = 32
-    action_dof: int = 14
-    chunk_size: int = 50
-    denoise_steps: int = 10
-    decoding_mode: str = DIFFUSION
+    __slots__ = ("name", "vision_encoder", "vlm", "action_expert",
+                 "num_cameras", "tokens_per_image", "language_tokens",
+                 "action_dof", "chunk_size", "denoise_steps", "decoding_mode")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, vision_encoder: TransformerConfig,
+                 vlm: TransformerConfig,
+                 action_expert: Optional[TransformerConfig] = None,
+                 num_cameras: int = 3, tokens_per_image: int = 256,
+                 language_tokens: int = 32, action_dof: int = 14,
+                 chunk_size: int = 50, denoise_steps: int = 10,
+                 decoding_mode: str = DIFFUSION) -> None:
+        set_field(self, "name", name)
+        set_field(self, "vision_encoder", vision_encoder)
+        set_field(self, "vlm", vlm)
+        set_field(self, "action_expert", action_expert)
+        set_field(self, "num_cameras", num_cameras)
+        set_field(self, "tokens_per_image", tokens_per_image)
+        set_field(self, "language_tokens", language_tokens)
+        set_field(self, "action_dof", action_dof)
+        set_field(self, "chunk_size", chunk_size)
+        set_field(self, "denoise_steps", denoise_steps)
+        set_field(self, "decoding_mode", decoding_mode)
         if self.decoding_mode not in DECODING_MODES:
             raise ValueError(
                 f"{self.name}: decoding_mode must be one of {DECODING_MODES}, "

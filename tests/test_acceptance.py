@@ -8,7 +8,6 @@ published as N/A must come out infeasible here too, not merely different.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -32,6 +31,7 @@ from vla_roofline import (
 )
 from vla_roofline import references as refs
 from vla_roofline.opgraph import ACTION, PHASES
+from vla_roofline.record import replace
 from vla_roofline.roofline import kv_cache_bytes
 from vla_roofline.scenarios import decoding_variant_spec
 

@@ -464,13 +464,16 @@ def test_console_script_entry_point():
     assert "models:" in result.stdout
 
 
-# Runs the CLI in a fresh process and reports whether it imported PyYAML.
+# Runs the CLI in a fresh process and reports which of PyYAML, dataclasses
+# and inspect (which dataclasses imports) it loaded.
 YAML_PROBE = (
     "import contextlib, io, sys\n"
     "from vla_roofline import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
     "    code = cli.main(sys.argv[1:])\n"
-    "print(code, 'yaml' in sys.modules, out.getvalue(), sep='\\n', end='')\n"
+    "loaded = [m for m in ('yaml', 'dataclasses', 'inspect') "
+    "if m in sys.modules]\n"
+    "print(code, ','.join(loaded), out.getvalue(), sep='\\n', end='')\n"
 )
 
 
@@ -481,29 +484,31 @@ def _run_yaml_probe(*args, env=None):
     result = subprocess.run([sys.executable, "-c", YAML_PROBE, *args],
                             capture_output=True, text=True, env=merged)
     assert result.returncode == 0, result.stderr
-    code, imported, output = result.stdout.split("\n", 2)
-    return int(code), imported == "True", output
+    code, loaded, output = result.stdout.split("\n", 2)
+    return int(code), set(filter(None, loaded.split(","))), output
 
 
 @pytest.mark.parametrize("args", [
     ("analyze",),
     ("list-presets", "--format", "json"),
     ("reproduce", "T3"),
+    ("sweep", "--decoding", "diffusion,autoregressive", "--format", "csv"),
 ])
 def test_default_presets_do_not_import_yaml(args):
-    code, imported, _ = _run_yaml_probe(*args)
+    # Nor dataclasses or inspect: together about 25 ms of every process.
+    code, loaded, _ = _run_yaml_probe(*args)
     assert code == 0
-    assert not imported
+    assert loaded == set()
 
 
 def test_override_file_is_read_with_yaml(tmp_path):
     (tmp_path / "networks.yaml").write_text(
         "toy-link: {bandwidth_mbps: 1, base_latency_ms: 100}\n",
         encoding="utf-8")
-    code, imported, output = _run_yaml_probe(
+    code, loaded, output = _run_yaml_probe(
         "analyze", "--placement", "edge-server", "--net", "toy-link",
         "--format", "json", env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
-    assert code == 0 and imported
+    assert code == 0 and "yaml" in loaded
     assert json.loads(output)["observation_upload_ms"] == 472.0
 
 

@@ -3,12 +3,14 @@
 ``load_presets`` reads each override file on every call and reuses the
 library built from the same paths and bytes (or from the packaged presets
 alone), so these tests run in-process and check that an edited file or a
-changed ``VLA_ROOFLINE_PRESETS`` is picked up, that the packaged presets
-dumped as override files give the same library, and that the shared
-library cannot be changed by a caller.
+changed ``VLA_ROOFLINE_PRESETS`` is picked up, that an override that
+cannot be used is an error, that the packaged presets dumped as override
+files give the same library, and that the shared library cannot be changed
+by a caller.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -111,3 +113,42 @@ def test_libyaml_and_python_loaders_agree(filename):
     assert (yaml.load(text, Loader=yaml.CSafeLoader)
             == yaml.load(text, Loader=yaml.SafeLoader)
             == PACKAGED[filename])
+
+
+def _unreadable(path):
+    raise PermissionError(13, "Permission denied", str(path))
+
+
+@pytest.mark.parametrize("entry, reason", [
+    pytest.param(None, "no such directory", id="missing-directory"),
+    pytest.param("file", "not a directory", id="file-as-directory"),
+    pytest.param("networks.yaml/", "not a regular file",
+                 id="directory-as-file"),
+    pytest.param("models.yaml", "Permission denied", id="unreadable-file"),
+])
+def test_unusable_override_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                             entry, reason):
+    preset_dir = tmp_path / "presets"
+    bad = preset_dir
+    if entry == "file":
+        preset_dir.write_text("", encoding="utf-8")
+    elif entry is not None:
+        bad = preset_dir / entry.rstrip("/")
+        bad.parent.mkdir()
+        if entry.endswith("/"):
+            bad.mkdir()
+        else:
+            bad.write_text("", encoding="utf-8")
+            monkeypatch.setattr(Path, "read_bytes", _unreadable)
+    monkeypatch.setenv(PRESET_DIR_ENV, str(preset_dir))
+    assert cli.main(["list-presets"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}: {reason}\n"
+
+
+def test_empty_preset_variable_keeps_the_packaged_presets(monkeypatch):
+    monkeypatch.delenv(PRESET_DIR_ENV, raising=False)
+    packaged = load_presets()
+    monkeypatch.setenv(PRESET_DIR_ENV, "")
+    assert load_presets() is packaged

@@ -7,7 +7,6 @@ drifted.
 """
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
@@ -23,6 +22,7 @@ from vla_roofline.opgraph import (
     prefill_runs,
     vit_encode_runs,
 )
+from vla_roofline.record import replace
 from vla_roofline.scenarios import DECODING_VARIANTS, decoding_variant_spec
 from vla_roofline.workload import (
     AUTOREGRESSIVE,

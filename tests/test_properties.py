@@ -5,7 +5,6 @@ are the laws any configuration must satisfy.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +34,7 @@ from vla_roofline import (
     transfer_time,
 )
 from vla_roofline.opgraph import ACTION, PHASES
+from vla_roofline.record import replace
 from vla_roofline.roofline import boundedness, graph_oi, phase_breakdown
 from vla_roofline.scenarios import (
     CLOUD_SERVER,

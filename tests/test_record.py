@@ -1,0 +1,91 @@
+"""The value records behave like the frozen dataclasses they replace.
+
+Each record type is checked against a frozen dataclass twin with the same
+name, fields and values: the same repr and hash, equal to a copy of itself
+but not to the twin, no assignment or deletion, and ``replace`` validates a
+change exactly as direct construction does.
+"""
+
+import copy
+import dataclasses
+import inspect
+
+import pytest
+
+from vla_roofline.golden import GoldenCell
+from vla_roofline.netmodel import observation_payload
+from vla_roofline.opgraph import Operator, pipeline_graph
+from vla_roofline.record import replace
+from vla_roofline.scenarios import Placement, sync_scenario
+
+RECORDS = [
+    pytest.param(lambda lib: lib.component("gemma-2b"), "precision_bytes", 3,
+                 id="TransformerConfig"),
+    pytest.param(lambda lib: lib.model("pi0"), "chunk_size", 0,
+                 id="VlaModelSpec"),
+    pytest.param(lambda lib: Operator("q_proj", 10, 20, "vlm"), "flops", -1,
+                 id="Operator"),
+    pytest.param(lambda lib: pipeline_graph(lib.model("pi0")), "ops",
+                 ((Operator("q_proj", 10, 20, "vlm"), -1),),
+                 id="OperatorGraph"),
+    pytest.param(lambda lib: lib.accelerator("thor"), "mem_bandwidth", 0.0,
+                 id="AcceleratorConfig"),
+    pytest.param(lambda lib: lib.network("wifi7"), "efficiency", 2.0,
+                 id="NetworkConfig"),
+    pytest.param(lambda lib: observation_payload(lib.model("pi0")),
+                 "direction", "sideways", id="Payload"),
+    pytest.param(lambda lib: Placement.edge_server(lib.accelerator("b100"),
+                                                   lib.network("wifi7")),
+                 "access_net", None, id="Placement"),
+    pytest.param(lambda lib: sync_scenario(
+                     lib.model("pi0"),
+                     Placement.on_device(lib.accelerator("b100"))),
+                 None, None, id="ScenarioResult"),
+    pytest.param(lambda lib: lib, None, None, id="PresetLibrary"),
+    pytest.param(lambda lib: GoldenCell("T1", "1 cam", "ms", modeled=1.02,
+                                        reference="1.0", rel_tol=0.05),
+                 None, None, id="GoldenCell"),
+]
+
+
+@pytest.mark.parametrize("make, field, invalid", RECORDS)
+def test_record_behaves_like_a_frozen_dataclass(lib, make, field, invalid):
+    record = make(lib)
+    cls = type(record)
+    names = list(inspect.signature(cls).parameters)
+    values = {name: getattr(record, name) for name in names}
+    twin = dataclasses.make_dataclass(cls.__qualname__, names,
+                                      frozen=True)(**values)
+
+    assert repr(record) == repr(twin)
+    for same in (replace(record), copy.copy(record)):
+        assert same == record and same is not record
+    assert record != twin and twin != record
+    try:
+        expected_hash = hash(twin)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(replace(record)) == expected_hash
+
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], values[names[0]])
+    with pytest.raises(AttributeError):
+        delattr(record, names[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+    if field is not None:
+        with pytest.raises(ValueError) as direct:
+            cls(**{**values, field: invalid})
+        with pytest.raises(ValueError) as replaced:
+            replace(record, **{field: invalid})
+        assert str(replaced.value) == str(direct.value)
+
+
+def test_replaced_golden_cell_grades_again():
+    cell = GoldenCell("T1", "1 cam", "ms", modeled=1.2, reference="1.0",
+                      rel_tol=0.05)
+    assert cell.passed is False
+    assert replace(cell, modeled=1.02).passed is True

@@ -6,11 +6,10 @@ plus serialization); they are tighter than the published-table tolerances
 exercised in test_acceptance.py.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from vla_roofline.opgraph import ACTION, VISION, VLM
+from vla_roofline.record import replace
 from vla_roofline.roofline import kv_cache_bytes
 from vla_roofline.scenarios import (
     AUTOREGRESSIVE,

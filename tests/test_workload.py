@@ -5,10 +5,9 @@ conventions (attention projections + FFN matmuls + patch embedding), not
 read back from the implementation.
 """
 
-from dataclasses import replace
-
 import pytest
 
+from vla_roofline.record import replace
 from vla_roofline.workload import (
     TransformerConfig,
     VlaModelSpec,
