@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -34,11 +33,11 @@ from .scenarios import (
     Placement,
     ScenarioResult,
     async_scenario,
-    check_scenario,
     decoding_variant_spec,
     dual_system_scenario,
     dual_system_times,
     sync_scenario,
+    sync_sweep,
 )
 from .workload import VlaModelSpec
 
@@ -154,21 +153,20 @@ def _decimals_for(key: str) -> Optional[int]:
     return None
 
 
-def _format_value(key: str, value) -> str:
-    """Table and csv text of one value; like strict JSON, a NaN or infinity
-    is an error."""
+def _format_value(key: str, value, digits: Optional[int]) -> str:
+    """Table and csv text of one value, ``digits`` being
+    ``_decimals_for(key)``; like strict JSON, a NaN or infinity is an
+    error."""
     if value is None:
         return "N/A"
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} is {value}, not a finite number")
-    digits = _decimals_for(key)
     if digits is not None and isinstance(value, (int, float)):
         return f"{value:.{digits}f}"
     return str(value)
 
 
-def _json_value(key: str, value):
-    digits = _decimals_for(key)
+def _json_value(value, digits: Optional[int]):
     if digits is not None and isinstance(value, (int, float)):
         return round(value, digits)
     return value
@@ -176,6 +174,10 @@ def _json_value(key: str, value):
 
 def _json_text(payload) -> str:
     """Strict JSON: a NaN or infinity is an error, not an invalid token."""
+    # Only ``--format json`` needs the module; the other formats skip its
+    # import.
+    import json
+
     return json.dumps(payload, indent=2, allow_nan=False)
 
 
@@ -192,28 +194,33 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
 def _render_record(record: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_text({k: _json_value(k, v) for k, v in record.items()})
+        return _json_text({k: _json_value(v, _decimals_for(k))
+                           for k, v in record.items()})
+    cells = [(k, _format_value(k, v, _decimals_for(k)))
+             for k, v in record.items()]
     if fmt == "csv":
-        return _csv_text(["key", "value"],
-                         ([k, _format_value(k, v)] for k, v in record.items()))
+        return _csv_text(["key", "value"], cells)
     width = max(len(key) for key in record)
-    return "\n".join(f"{key.ljust(width)}  {_format_value(key, value)}"
-                     for key, value in record.items())
+    return "\n".join(f"{key.ljust(width)}  {text}" for key, text in cells)
 
 
 def _render_rows(rows: list[dict], fmt: str) -> str:
     if not rows:
         return "" if fmt != "json" else "[]"
-    columns = list(rows[0])
+    # Every row has the same columns, so each column's decimals are
+    # resolved once.
+    columns = [(col, _decimals_for(col)) for col in rows[0]]
     if fmt == "json":
-        return _json_text(
-            [{k: _json_value(k, row[k]) for k in columns} for row in rows])
-    cells = [[_format_value(col, row[col]) for col in columns] for row in rows]
+        return _json_text([{col: _json_value(row[col], digits)
+                            for col, digits in columns} for row in rows])
+    cells = [[_format_value(col, row[col], digits) for col, digits in columns]
+             for row in rows]
+    names = [col for col, _ in columns]
     if fmt == "csv":
-        return _csv_text(columns, cells)
+        return _csv_text(names, cells)
     widths = [max(len(col), *(len(row[i]) for row in cells))
-              for i, col in enumerate(columns)]
-    lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
+              for i, col in enumerate(names)]
+    lines = ["  ".join(col.ljust(w) for col, w in zip(names, widths))]
     for row in cells:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
@@ -334,19 +341,23 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
         ("dof", args.dof),
         ("steps", args.steps),
     )) if values is not None]
-    # Every point is configured and checked before any is priced, so a
-    # grid with an invalid point exits before pricing anything.
+    # sync_sweep checks each point as this generator configures it, and all
+    # of them before it prices any: a grid exits on its first invalid point,
+    # in grid order, before pricing anything.
     grid = []
-    for combo in product(*(values for _, values in axes)):
-        point = dict(zip((name for name, _ in axes), combo))
-        spec = _configure_spec(base, point.get("chunk"), point.get("steps"),
-                               point.get("dof"), point.get("decoding"))
-        check_scenario(spec, placement, point.get("context_steps"))
-        grid.append((point, spec))
+
+    def points():
+        for combo in product(*(values for _, values in axes)):
+            point = dict(zip((name for name, _ in axes), combo))
+            spec = _configure_spec(base, point.get("chunk"),
+                                   point.get("steps"), point.get("dof"),
+                                   point.get("decoding"))
+            grid.append((point, spec))
+            yield spec, point.get("context_steps")
+
+    results = sync_sweep(points(), placement)
     rows = []
-    for point, spec in grid:
-        result = sync_scenario(spec, placement,
-                               context_timestep=point.get("context_steps"))
+    for (point, spec), result in zip(grid, results):
         record = _scenario_record(spec.name, result)
         rows.append({**point,
                      **{col: record.get(col) for col in _SWEEP_COLUMNS}})

@@ -95,17 +95,19 @@ class OperatorGraph(Record):
     __slots__ = ("ops",)
 
     def __init__(self, ops: Iterable[Run] = ()) -> None:
-        counts: dict[Operator, int] = {}
+        # One hash per input run: each operator maps to a one-item list
+        # that holds its running count.
+        counts: dict[Operator, list[int]] = {}
         for op, count in ops:
             if count < 0:
                 raise ValueError(f"{op.label}: count must be >= 0")
-            counts[op] = counts.get(op, 0) + count
+            counts.setdefault(op, [0])[0] += count
         # tuple() of a list, not of a generator: a generator's tuple is
         # allocated at one size and shrunk, so freeing it stocks the
         # interpreter's per-size tuple free lists with sizes that are never
         # reused, about 1 MB of peak memory over many in-process calls.
         set_field(self, "ops", tuple(
-            [(op, count) for op, count in counts.items() if count]))
+            [(op, total[0]) for op, total in counts.items() if total[0]]))
 
     @property
     def total_flops(self) -> int:
@@ -321,6 +323,56 @@ def diffusion_runs(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
 # ---------------------------------------------------------------------------
 
 
+def context_history(spec: VlaModelSpec,
+                    context_timestep: Optional[int]) -> int:
+    """Camera tokens of the earlier steps that a step at ``context_timestep``
+    keeps in cache; ``None`` (or 1) is the stateless baseline."""
+    t = 1 if context_timestep is None else context_timestep
+    if t < 1:
+        raise ValueError("context_timestep must be >= 1")
+    return spec.vision_tokens() * (t - 1)
+
+
+def vision_runs(spec: VlaModelSpec) -> list[Run]:
+    """The vision phase: every camera image encoded, then bridged from
+    vision width to VLM width."""
+    runs = vit_encode_runs(spec.vision_encoder, spec.num_cameras,
+                           spec.tokens_per_image)
+    if spec.num_cameras > 0:
+        runs.append((matmul_op(spec.vision_tokens(), spec.vlm.hidden_size,
+                               spec.vision_encoder.hidden_size,
+                               spec.vision_encoder.precision_bytes,
+                               "mm_projector", VISION), 1))
+    return runs
+
+
+def vlm_runs(spec: VlaModelSpec,
+             context_timestep: Optional[int] = None) -> list[Run]:
+    """The VLM phase: prefill of the fresh prefix over any cached history."""
+    return prefill_runs(spec.vlm, spec.prefix_tokens(),
+                        context_history(spec, context_timestep))
+
+
+def action_runs(spec: VlaModelSpec,
+                context_timestep: Optional[int] = None) -> list[Run]:
+    """The action phase under the spec's decoding mode, attending the fresh
+    prefix and any cached history."""
+    history = context_history(spec, context_timestep)
+    prefix = spec.prefix_tokens()
+    if spec.decoding_mode == DIFFUSION:
+        return diffusion_runs(
+            spec.action_expert, prefix, kv_bytes_per_token(spec.vlm),
+            spec.chunk_size, spec.denoise_steps, spec.action_dof,
+            context_cfg=spec.vlm, history_tokens=history)
+    if spec.decoding_mode == AUTOREGRESSIVE:
+        # One single-token forward per action token.
+        step = parallel_decode_runs(spec.vlm, 1, prefix + history, ACTION)
+        return [(op, count * spec.action_tokens()) for op, count in step]
+    # AUTOREGRESSIVE_PARALLEL: VlaModelSpec admits no other mode.
+    return parallel_decode_runs(
+        spec.vlm, spec.action_tokens(), prefix + history, ACTION)
+
+
 def pipeline_graph(spec: VlaModelSpec,
                    context_timestep: Optional[int] = None) -> OperatorGraph:
     """The complete control-step graph: vision, VLM prefill, action phase.
@@ -330,32 +382,7 @@ def pipeline_graph(spec: VlaModelSpec,
     fresh prefix attends that history, and the action phase attends the full
     accumulated context.  ``None`` (or 1) is the stateless baseline.
     """
-    t = 1 if context_timestep is None else context_timestep
-    if t < 1:
-        raise ValueError("context_timestep must be >= 1")
-    history = spec.vision_tokens() * (t - 1)
-    prefix = spec.prefix_tokens()
-
-    runs = vit_encode_runs(spec.vision_encoder, spec.num_cameras,
-                           spec.tokens_per_image)
-    if spec.num_cameras > 0:
-        # Bridge from vision width to VLM width.
-        runs.append((matmul_op(spec.vision_tokens(), spec.vlm.hidden_size,
-                               spec.vision_encoder.hidden_size,
-                               spec.vision_encoder.precision_bytes,
-                               "mm_projector", VISION), 1))
-    runs += prefill_runs(spec.vlm, prefix, history)
-    if spec.decoding_mode == DIFFUSION:
-        runs += diffusion_runs(
-            spec.action_expert, prefix, kv_bytes_per_token(spec.vlm),
-            spec.chunk_size, spec.denoise_steps, spec.action_dof,
-            context_cfg=spec.vlm, history_tokens=history)
-    elif spec.decoding_mode == AUTOREGRESSIVE:
-        # One single-token forward per action token.
-        step = parallel_decode_runs(spec.vlm, 1, prefix + history, ACTION)
-        runs += [(op, count * spec.action_tokens()) for op, count in step]
-    else:  # AUTOREGRESSIVE_PARALLEL; VlaModelSpec admits no other mode
-        runs += parallel_decode_runs(
-            spec.vlm, spec.action_tokens(), prefix + history, ACTION)
-    # The one merge of all the parts' runs.
-    return OperatorGraph(runs)
+    context_history(spec, context_timestep)  # rejects a bad timestep first
+    # The one merge of all the phases' runs.
+    return OperatorGraph(vision_runs(spec) + vlm_runs(spec, context_timestep)
+                         + action_runs(spec, context_timestep))

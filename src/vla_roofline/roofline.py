@@ -11,10 +11,10 @@ balance point.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import opgraph
-from .opgraph import Operator, OperatorGraph
+from .opgraph import Operator, OperatorGraph, Run
 from .record import Record, set_field
 from .workload import VlaModelSpec, kv_bytes_per_token, weight_bytes
 
@@ -152,6 +152,56 @@ def fits(spec: VlaModelSpec, hw: AcceleratorConfig,
     return memory_footprint(spec, context_timesteps) <= hw.mem_capacity
 
 
+def price_phase(ops: Iterable[Run], hw: AcceleratorConfig,
+                ) -> tuple[float, int, int]:
+    """Seconds, FLOPs and bytes of one phase's runs on ``hw``.
+
+    Each run adds its count times its operator's :func:`op_time` in run
+    order, so the seconds are bit for bit those of the phase's runs inside a
+    whole graph; FLOPs and bytes are exact integers.
+    """
+    peak, bandwidth = hw.peak(), hw.mem_bandwidth
+    seconds, flops, data = 0.0, 0, 0
+    for op, count in ops:
+        # op_time inlined: the same two quotients and the same comparison.
+        t_compute = op.flops / peak
+        t_memory = op.bytes / bandwidth
+        seconds += count * (t_compute if t_compute > t_memory else t_memory)
+        flops += op.flops * count
+        data += op.bytes * count
+    return seconds, flops, data
+
+
+def phase_hardware(hw: AcceleratorConfig,
+                   action_hw: Optional[AcceleratorConfig] = None,
+                   ) -> dict[str, AcceleratorConfig]:
+    """The accelerator of each phase: ``hw``, except that the action phase
+    runs on ``action_hw`` when one is given (split serving)."""
+    hardware = {phase: hw for phase in opgraph.PHASES}
+    if action_hw:
+        hardware[opgraph.ACTION] = action_hw
+    return hardware
+
+
+def phase_figures(priced: Mapping[str, tuple[float, int, int]],
+                  hardware: Mapping[str, AcceleratorConfig],
+                  ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
+    """Latency, OI and boundedness per phase, in ``PHASES`` order, from each
+    priced phase's ``(seconds, flops, bytes)``; a phase that is not in
+    ``priced`` has no operators and is left out."""
+    latencies: dict[str, float] = {}
+    intensity: dict[str, float] = {}
+    labels: dict[str, str] = {}
+    for phase in opgraph.PHASES:
+        if phase not in priced:
+            continue
+        seconds, flops, data = priced[phase]
+        latencies[phase] = seconds
+        intensity[phase] = _intensity(flops, data)
+        labels[phase] = _label(intensity[phase], hardware[phase])
+    return latencies, intensity, labels
+
+
 def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
                     action_hw: Optional[AcceleratorConfig] = None,
                     ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
@@ -162,31 +212,13 @@ def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
     phase-keyed dicts (seconds, FLOP/byte, label), covering only phases that
     actually have operators.
 
-    One walk over the graph's runs prices every phase: each phase adds its
-    runs' seconds in graph order, so its latency is bit for bit
-    ``graph_time(graph.subgraph(phase), phase_hw)``, and its FLOP and
-    byte totals are exact integers.
+    Each phase's runs are priced by :func:`price_phase` in graph order, so
+    its latency is bit for bit ``graph_time(graph.subgraph(phase),
+    phase_hw)``, and its FLOP and byte totals are exact integers.
     """
-    phase_hw = {phase: hw for phase in opgraph.PHASES}
-    if action_hw:
-        phase_hw[opgraph.ACTION] = action_hw
-    # phase -> [seconds, flops, bytes]
-    sums: dict[str, list] = {}
-    for op, count in graph.ops:
-        acc = sums.get(op.phase)
-        if acc is None:
-            acc = sums[op.phase] = [0.0, 0, 0]
-        acc[0] += count * op_time(op, phase_hw[op.phase])[0]
-        acc[1] += op.flops * count
-        acc[2] += op.bytes * count
-    latencies: dict[str, float] = {}
-    intensity: dict[str, float] = {}
-    labels: dict[str, str] = {}
-    for phase in opgraph.PHASES:
-        if phase not in sums:
-            continue
-        seconds, flops, data = sums[phase]
-        latencies[phase] = seconds
-        intensity[phase] = _intensity(flops, data)
-        labels[phase] = _label(intensity[phase], phase_hw[phase])
-    return latencies, intensity, labels
+    hardware = phase_hardware(hw, action_hw)
+    runs: dict[str, list[Run]] = {}
+    for run in graph.ops:
+        runs.setdefault(run[0].phase, []).append(run)
+    return phase_figures({phase: price_phase(phase_runs, hardware[phase])
+                          for phase, phase_runs in runs.items()}, hardware)

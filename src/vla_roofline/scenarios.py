@@ -20,13 +20,15 @@ The sync, async, collaborative and dual-system functions take an optional
 prebuilt ``graph``, which must equal ``pipeline_graph(spec,
 context_timestep)``: a caller that prices one model on many placements
 builds its graph once.  Without it, a scenario builds the graph itself, and
-only once the footprint check has passed.
+only once the footprint check has passed.  :func:`sync_sweep` prices many
+points on one placement: it builds and prices each distinct vision and VLM
+phase once, and only the action phase per point.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import netmodel, opgraph, roofline
 from .configio import PresetLibrary
@@ -189,6 +191,52 @@ def check_scenario(spec: VlaModelSpec, placement: Placement,
     check_count(spec.name, "context_timesteps", context_timestep)
 
 
+def _price_runs(runs: list[opgraph.Run], hw: AcceleratorConfig,
+                ) -> Optional[tuple[float, int, int]]:
+    """``price_phase`` of one phase's runs, merged as a graph merges them;
+    ``None`` for a phase without operators."""
+    ops = opgraph.OperatorGraph(runs).ops
+    return roofline.price_phase(ops, hw) if ops else None
+
+
+def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
+               hw: AcceleratorConfig, action_hw: Optional[AcceleratorConfig],
+               graph: Optional[opgraph.OperatorGraph], memo: Optional[dict],
+               ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
+    """``phase_breakdown(pipeline_graph(spec, context_timestep), hw,
+    action_hw)``.
+
+    Without a ``memo`` it prices the whole graph: ``graph`` when given, else
+    a fresh build.  With one, it builds and prices the vision and VLM phases
+    only for keys the memo does not hold yet, keyed by the values that
+    define each phase, and the action phase every time; one memo serves one
+    placement.  An operator's phase is part of its identity and each phase
+    is priced in run order, so both ways give the same floats.
+    """
+    if memo is None:
+        if graph is None:
+            graph = opgraph.pipeline_graph(spec, context_timestep)
+        return roofline.phase_breakdown(graph, hw, action_hw)
+    hardware = roofline.phase_hardware(hw, action_hw)
+    vision_key = (opgraph.VISION, spec.vision_encoder, spec.num_cameras,
+                  spec.tokens_per_image, spec.vlm.hidden_size)
+    if vision_key not in memo:
+        memo[vision_key] = _price_runs(opgraph.vision_runs(spec),
+                                       hardware[opgraph.VISION])
+    vlm_key = (opgraph.VLM, spec.vlm, spec.prefix_tokens(),
+               opgraph.context_history(spec, context_timestep))
+    if vlm_key not in memo:
+        memo[vlm_key] = _price_runs(opgraph.vlm_runs(spec, context_timestep),
+                                    hardware[opgraph.VLM])
+    priced = {opgraph.VISION: memo[vision_key], opgraph.VLM: memo[vlm_key],
+              opgraph.ACTION: _price_runs(
+                  opgraph.action_runs(spec, context_timestep),
+                  hardware[opgraph.ACTION])}
+    return roofline.phase_figures(
+        {phase: sums for phase, sums in priced.items() if sums is not None},
+        hardware)
+
+
 def sync_scenario(spec: VlaModelSpec, placement: Placement,
                   context_timestep: Optional[int] = None,
                   graph: Optional[opgraph.OperatorGraph] = None,
@@ -197,14 +245,22 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
     check_scenario(spec, placement, context_timestep)
     if placement.kind == COLLABORATIVE:
         return collaborative_scenario(spec, placement, graph)
+    return _sync_scenario(spec, placement, context_timestep, graph, None)
+
+
+def _sync_scenario(spec: VlaModelSpec, placement: Placement,
+                   context_timestep: Optional[int],
+                   graph: Optional[opgraph.OperatorGraph],
+                   memo: Optional[dict]) -> ScenarioResult:
+    """``sync_scenario`` of a checked point on a placement that is not
+    collaborative; ``graph`` and ``memo`` as in :func:`_breakdown`."""
     hw = placement.hw
     footprint = roofline.memory_footprint(spec, context_timestep)
     if footprint > hw.mem_capacity:
         return _infeasible(spec, placement, footprint, hw)
 
-    if graph is None:
-        graph = opgraph.pipeline_graph(spec, context_timestep)
-    latencies, intensity, labels = roofline.phase_breakdown(graph, hw)
+    latencies, intensity, labels = _breakdown(
+        spec, context_timestep, hw, None, graph, memo)
     gpu_time = sum(latencies.values())
 
     network: dict[str, float] = {}
@@ -228,6 +284,31 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
         footprint_bytes=footprint,
         feasible=True,
     )
+
+
+def sync_sweep(points: Iterable[tuple[VlaModelSpec, Optional[int]]],
+               placement: Placement) -> list[ScenarioResult]:
+    """``sync_scenario(spec, placement, context_timestep)`` of each
+    ``(spec, context_timestep)`` point, in order.
+
+    Every point is checked, in the order ``points`` yields them, before any
+    is priced.  The points share one memo that lives for this call only:
+    each distinct vision phase and each distinct VLM phase (one per model
+    and context step) is built and priced once, and each point builds and
+    prices only its action phase.  A point that does not fit in memory
+    prices nothing.
+    """
+    grid = []
+    for spec, context_timestep in points:
+        check_scenario(spec, placement, context_timestep)
+        grid.append((spec, context_timestep))
+    memo: dict = {}
+    if placement.kind == COLLABORATIVE:
+        # check_scenario admits no context timestep here.
+        return [_collaborative_scenario(spec, placement, None, memo)
+                for spec, _ in grid]
+    return [_sync_scenario(spec, placement, context_timestep, None, memo)
+            for spec, context_timestep in grid]
 
 
 def async_scenario(spec: VlaModelSpec, placement: Placement,
@@ -273,6 +354,14 @@ def collaborative_scenario(spec: VlaModelSpec, placement: Placement,
     if placement.kind != COLLABORATIVE:
         raise ValueError("placement must be collaborative")
     check_scenario(spec, placement)
+    return _collaborative_scenario(spec, placement, graph, None)
+
+
+def _collaborative_scenario(spec: VlaModelSpec, placement: Placement,
+                            graph: Optional[opgraph.OperatorGraph],
+                            memo: Optional[dict]) -> ScenarioResult:
+    """``collaborative_scenario`` of a checked point; ``graph`` and ``memo``
+    as in :func:`_breakdown`."""
     server, device = placement.hw, placement.device_hw
 
     prefix_kv = spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
@@ -287,10 +376,8 @@ def collaborative_scenario(spec: VlaModelSpec, placement: Placement,
     if device_bytes > device.mem_capacity:
         return _infeasible(spec, placement, device_bytes, device, (split_note,))
 
-    if graph is None:
-        graph = opgraph.pipeline_graph(spec)
-    latencies, intensity, labels = roofline.phase_breakdown(
-        graph, server, action_hw=device)
+    latencies, intensity, labels = _breakdown(
+        spec, None, server, device, graph, memo)
 
     path = placement.network_path()
     network = {
@@ -373,9 +460,9 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
 def long_context_sweep(spec: VlaModelSpec, placement: Placement,
                        timesteps: Sequence[int]) -> tuple[ScenarioResult, ...]:
     """Latency and memory growth as camera history accumulates in cache:
-    one synchronous result per timestep, with its ``footprint_bytes``."""
-    return tuple([sync_scenario(spec, placement, context_timestep=t)
-                  for t in timesteps])
+    one synchronous result per timestep, with its ``footprint_bytes``.
+    The vision phase is priced once (see :func:`sync_sweep`)."""
+    return tuple(sync_sweep([(spec, t) for t in timesteps], placement))
 
 
 DIFFUSION_LARGE = "diffusion_large"
@@ -385,7 +472,9 @@ DECODING_VARIANTS = (DIFFUSION, DIFFUSION_LARGE, AUTOREGRESSIVE,
 
 def decoding_variant_spec(spec: VlaModelSpec, variant: str, chunk: int,
                            dof: int) -> VlaModelSpec:
-    base = replace(spec, chunk_size=chunk, action_dof=dof)
+    base = spec
+    if (chunk, dof) != (spec.chunk_size, spec.action_dof):
+        base = replace(spec, chunk_size=chunk, action_dof=dof)
     if variant == DIFFUSION:
         return base
     if variant == DIFFUSION_LARGE:

@@ -1,8 +1,10 @@
-"""Each table builder builds a graph once per distinct (spec, timestep), and
-a sweep checks its whole grid before it builds any graph.
+"""Each table builder builds a graph once per distinct (spec, timestep), a
+sweep builds each distinct vision and VLM phase once and only the action
+phase per point, and a sweep checks its whole grid before it builds
+anything.
 
-``pipeline_graph`` is bound by name in several modules, so the counter
-replaces every binding of it in every loaded package module.
+The builders are bound by name in several modules, so the counter replaces
+every binding of each of them in every loaded package module.
 """
 
 import sys
@@ -15,30 +17,90 @@ from vla_roofline import opgraph
 # One graph per distinct (spec, timestep) of each table: T1 3, T3 1, T4 1,
 # T5 4, T6 5, T8 1, T9 1, collab 1.
 REPRODUCE_ALL_GRAPHS = 17
+# Distinct operators merged into the graphs of ``reproduce all``.
+REPRODUCE_ALL_OPERATORS = 425
+BUILDERS = ("pipeline_graph", "vision_runs", "vlm_runs", "action_runs")
 
 
 @pytest.fixture
-def graph_builds(monkeypatch):
-    """The (spec name, timestep) of every ``pipeline_graph`` call."""
-    original = opgraph.pipeline_graph
-    builds = []
+def builds(monkeypatch):
+    """The (builder, spec name, timestep) of every graph or phase build;
+    ``vision_runs`` takes no timestep and records ``None``."""
+    calls = []
 
-    def counting(spec, context_timestep=None):
-        builds.append((spec.name, context_timestep))
-        return original(spec, context_timestep)
+    def counting(name, original):
+        def build(spec, *timestep):
+            calls.append((name, spec.name, *(timestep or (None,))))
+            return original(spec, *timestep)
+        return build
 
-    for name, module in list(sys.modules.items()):
-        if name == "vla_roofline" or name.startswith("vla_roofline."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return builds
+    for name in BUILDERS:
+        original = getattr(opgraph, name)
+        replacement = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "vla_roofline" or module_name.startswith(
+                    "vla_roofline."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, replacement)
+    return calls
 
 
-def test_reproduce_all_builds_each_table_graph_once(graph_builds, capsys):
+def _count(calls, builder):
+    return sum(1 for name, *_ in calls if name == builder)
+
+
+def test_reproduce_all_builds_each_table_graph_once(builds, capsys):
     assert cli.main(["reproduce", "all", "--format", "json"]) == 0
     assert capsys.readouterr().err == ""
-    assert len(graph_builds) <= REPRODUCE_ALL_GRAPHS
+    assert _count(builds, "pipeline_graph") <= REPRODUCE_ALL_GRAPHS
+    # Every phase build is part of a graph build.
+    for builder in BUILDERS[1:]:
+        assert _count(builds, builder) == _count(builds, "pipeline_graph")
+
+
+def test_reproduce_all_hashes_each_operator_once(monkeypatch, capsys):
+    original = opgraph.Operator.__hash__
+    hashes = []
+
+    def counting(op):
+        hashes.append(op.label)
+        return original(op)
+
+    monkeypatch.setattr(opgraph.Operator, "__hash__", counting)
+    assert cli.main(["reproduce", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert 0 < len(hashes) <= REPRODUCE_ALL_OPERATORS
+
+
+def test_sweep_prices_vision_once_and_vlm_once_per_context_step(builds,
+                                                               capsys):
+    argv = ["sweep", "--hw", "b100", "--context-steps", "1,10,100",
+            "--chunk", "5,50", "--decoding", "diffusion,autoregressive",
+            "--format", "csv"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count(",yes,") == 12
+    assert _count(builds, "pipeline_graph") == 0
+    assert [call for call in builds if call[0] == "vision_runs"] == [
+        ("vision_runs", "pi0", None)]
+    assert [call[2] for call in builds if call[0] == "vlm_runs"] == [1, 10, 100]
+    assert _count(builds, "action_runs") == 12
+    # The reuse lives in one command: a second sweep builds it all again.
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert _count(builds, "vision_runs") == 2
+    assert _count(builds, "vlm_runs") == 6
+
+
+def test_infeasible_sweep_builds_nothing(builds, capsys):
+    assert cli.main(["sweep", "--model", "pi0-xxl", "--hw", "rtx4090",
+                     "--chunk", "5,50", "--decoding",
+                     "diffusion,autoregressive", "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count(",no,") == 4 and ",yes," not in out
+    assert builds == []
 
 
 @pytest.mark.parametrize("args, message", [
@@ -51,11 +113,11 @@ def test_reproduce_all_builds_each_table_graph_once(graph_builds, capsys):
     (("--hw", "b100", "--context-steps", "5,0"),
      "context_timesteps must be >= 1"),
 ])
-def test_sweep_rejects_an_invalid_grid_before_pricing(graph_builds, capsys,
+def test_sweep_rejects_an_invalid_grid_before_pricing(builds, capsys,
                                                       args, message):
     assert cli.main(["sweep", *args]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
-    assert graph_builds == []
+    assert builds == []

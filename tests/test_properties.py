@@ -46,6 +46,7 @@ from vla_roofline.scenarios import (
     PLACEMENT_KINDS,
     collaborative_scenario,
     decoding_variant_spec,
+    sync_sweep,
 )
 from vla_roofline.workload import DECODING_MODES, DIFFUSION, TransformerConfig
 
@@ -341,6 +342,51 @@ def test_scenario_given_its_graph_equals_scenario_that_builds_it(
     if context_timestep is None:
         assert (dual_system_scenario(spec, placement, 5.0, graph)
                 == dual_system_scenario(spec, placement, 5.0))
+
+
+# Preset accelerators, and drawn ones whose memory ranges from far too
+# small for any preset model to enough for every one.
+sized_accelerators = st.one_of(preset_accelerators, st.builds(
+    replace, accelerators,
+    mem_capacity=st.integers(min_value=1, max_value=256 * 1024**3)))
+
+
+@st.composite
+def sweep_grids(draw, kind):
+    """``(spec, context_timestep)`` points of a drawn grid, as ``sweep``
+    builds them, for one placement kind."""
+    spec = _LIB.model(draw(st.sampled_from(sorted(_LIB.models))))
+    variants = DECODING_VARIANTS
+    timesteps = st.one_of(st.none(), st.integers(min_value=1, max_value=5_000))
+    if kind == COLLABORATIVE:
+        # Split serving needs an action expert and a stateless prefix.
+        variants = (DIFFUSION, DIFFUSION_LARGE)
+        timesteps = st.none()
+
+    def axis(values):
+        return draw(st.lists(values, min_size=1, max_size=2))
+
+    return [(decoding_variant_spec(replace(spec, denoise_steps=steps),
+                                   variant, chunk, dof), context_timestep)
+            for chunk in axis(st.integers(min_value=1, max_value=300))
+            for context_timestep in axis(timesteps)
+            for variant in axis(st.sampled_from(variants))
+            for dof in axis(st.integers(min_value=1, max_value=40))
+            for steps in axis(st.integers(min_value=0, max_value=20))]
+
+
+@given(data=st.data(), kind=st.sampled_from(PLACEMENT_KINDS),
+       hw=sized_accelerators, device_hw=sized_accelerators,
+       net=preset_networks, cloud_net=preset_networks)
+@settings(max_examples=40, deadline=None)
+def test_sync_sweep_equals_sync_scenario_at_every_point(
+        data, kind, hw, device_hw, net, cloud_net):
+    """Reusing the priced vision and VLM phases changes nothing, bit for
+    bit, on feasible and infeasible points alike."""
+    points = data.draw(sweep_grids(kind))
+    placement = _placement(kind, hw, device_hw, net, cloud_net)
+    assert sync_sweep(points, placement) == [
+        sync_scenario(spec, placement, t) for spec, t in points]
 
 
 def test_sweep_results_identical_under_thread_pool():
