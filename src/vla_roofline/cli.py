@@ -153,32 +153,81 @@ def _decimals_for(key: str) -> Optional[int]:
     return None
 
 
-def _format_value(key: str, value, digits: Optional[int]) -> str:
-    """Table and csv text of one value, ``digits`` being
-    ``_decimals_for(key)``; like strict JSON, a NaN or infinity is an
-    error."""
-    if value is None:
-        return "N/A"
+def _project(key: str, value, digits: Optional[int], text: bool):
+    """One field as its format writes it: text for table and csv
+    (``text``), else a JSON value.  ``digits`` is ``_decimals_for(key)``.
+    Every format refuses a NaN or infinity, as strict JSON does."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} is {value}, not a finite number")
-    if digits is not None and isinstance(value, (int, float)):
-        return f"{value:.{digits}f}"
-    return str(value)
+    rounded = digits is not None and isinstance(value, (int, float))
+    if not text:
+        return round(value, digits) if rounded else value
+    if value is None:
+        return "N/A"
+    return f"{value:.{digits}f}" if rounded else str(value)
 
 
-def _json_value(value, digits: Optional[int]):
-    if digits is not None and isinstance(value, (int, float)):
-        return round(value, digits)
-    return value
+def _unserializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
 
 
-def _json_text(payload) -> str:
-    """Strict JSON: a NaN or infinity is an error, not an invalid token."""
-    # Only ``--format json`` needs the module; the other formats skip its
-    # import.
-    import json
+_CONTAINERS = (dict, list, tuple)
 
-    return json.dumps(payload, indent=2, allow_nan=False)
+
+@functools.cache
+def _json_encoder(depth: int):
+    """The C encoder of ``json.encoder``, with ``indent=None`` and an item
+    separator that starts a line at ``depth``.  A container one level up
+    that holds no containers then comes out in ``indent=2`` layout, but
+    for the line breaks just inside its brackets."""
+    # Only ``--format json`` needs the C extension; the other formats skip
+    # its import.
+    from _json import encode_basestring_ascii, make_encoder
+
+    return make_encoder(None, _unserializable, encode_basestring_ascii, None,
+                        ": ", ",\n" + "  " * depth, False, False, False)
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
+    it, nested ``depth`` levels deep, without importing ``json``.  A
+    container that holds containers is written here; the rest are written
+    by the C encoder.  Dict keys are strings."""
+    if not isinstance(value, _CONTAINERS):
+        return "".join(_json_encoder(1)(value, 0))
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner, outer = "  " * (depth + 1), "  " * depth
+    items = value.values() if is_dict else value
+    if not any(isinstance(item, _CONTAINERS) for item in items):
+        text = "".join(_json_encoder(depth + 1)(value, 0))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+    if (not is_dict and all(isinstance(item, dict) and item for item in value)
+            and not any(isinstance(v, _CONTAINERS)
+                        for item in value for v in item.values())):
+        # A list of flat dicts, such as sweep rows, in one call.  With
+        # ensure_ascii every newline inside a string is escaped, and a key
+        # starts with a quote, so a raw "},\n<indent>{" can only be the
+        # boundary of two rows.
+        deep = "  " * (depth + 2)
+        text = "".join(_json_encoder(depth + 2)(value, 0))
+        body = text[2:-2].replace(f"}},\n{deep}{{",
+                                  f"\n{inner}}},\n{inner}{{\n{deep}")
+        return f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{outer}]"
+    if is_dict:
+        from _json import encode_basestring_ascii
+
+        parts = [f"{encode_basestring_ascii(key)}: "
+                 f"{_json_text(item, depth + 1)}"
+                 for key, item in value.items()]
+        opening, closing = "{", "}"
+    else:
+        parts = [_json_text(item, depth + 1) for item in value]
+        opening, closing = "[", "]"
+    return (f"{opening}\n{inner}" + f",\n{inner}".join(parts)
+            + f"\n{outer}{closing}")
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -193,11 +242,11 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
 
 def _render_record(record: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text({k: _json_value(v, _decimals_for(k))
-                           for k, v in record.items()})
-    cells = [(k, _format_value(k, v, _decimals_for(k)))
+    as_text = fmt != "json"
+    cells = [(k, _project(k, v, _decimals_for(k), as_text))
              for k, v in record.items()]
+    if not as_text:
+        return _json_text(dict(cells))
     if fmt == "csv":
         return _csv_text(["key", "value"], cells)
     width = max(len(key) for key in record)
@@ -211,9 +260,9 @@ def _render_rows(rows: list[dict], fmt: str) -> str:
     # resolved once.
     columns = [(col, _decimals_for(col)) for col in rows[0]]
     if fmt == "json":
-        return _json_text([{col: _json_value(row[col], digits)
+        return _json_text([{col: _project(col, row[col], digits, False)
                             for col, digits in columns} for row in rows])
-    cells = [[_format_value(col, row[col], digits) for col, digits in columns]
+    cells = [[_project(col, row[col], digits, True) for col, digits in columns]
              for row in rows]
     names = [col for col, _ in columns]
     if fmt == "csv":

@@ -1,0 +1,87 @@
+"""The CLI's JSON writer writes the bytes of ``json.dumps(payload,
+indent=2, allow_nan=False)`` for payloads in the shapes the four commands
+print, and for any nesting of JSON values."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vla_roofline.cli import _json_text
+
+# Text that a naive row splitter or escaper could get wrong: quotes,
+# backslashes, braces, a row boundary as text, raw newlines, control
+# characters, a line separator, non-ASCII and astral characters.
+TRICKY = ['"', "\\", "{", "}", "},\n  {", "}, {", "\n", "\r\n", "\x00",
+          "\x1f", "\x7f", "\u2028", "\u00e9", "\u00a0", "\U0001f916", ": ",
+          ","]
+STRINGS = st.one_of(st.text(max_size=8),
+                    st.lists(st.sampled_from(TRICKY), max_size=4).map("".join))
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e308, -1e308, 0.1, 2.675]))
+INTS = st.one_of(st.integers(), st.sampled_from([2 ** 53 + 1, -2 ** 64,
+                                                 10 ** 30]))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, STRINGS)
+KEYS = st.one_of(STRINGS, st.sampled_from(["model", "e2e_latency_ms"]))
+
+# One strategy per command's payload shape.
+RECORDS = st.dictionaries(KEYS, SCALARS, max_size=8)
+
+
+@st.composite
+def sweep_rows(draw):
+    columns = draw(st.lists(KEYS, min_size=1, max_size=6, unique=True))
+    return draw(st.lists(st.fixed_dictionaries(
+        {column: SCALARS for column in columns}), max_size=5))
+
+
+CELLS = st.fixed_dictionaries({column: STRINGS for column in (
+    "label", "unit", "modeled", "reference", "error", "status")})
+TABLES = st.lists(st.fixed_dictionaries({
+    "table": STRINGS, "passed": st.booleans(),
+    "cells": st.lists(CELLS, max_size=3)}), max_size=3)
+PRESET_NAMES = st.fixed_dictionaries({group: st.lists(STRINGS, max_size=3)
+                                      for group in ("models", "components",
+                                                    "hardware", "networks")})
+# Any nesting, empty dicts and lists included.
+TREES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.dictionaries(KEYS, children,
+                                                    max_size=4)),
+    max_leaves=12)
+PAYLOADS = st.one_of(RECORDS, sweep_rows(), TABLES, PRESET_NAMES, TREES)
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], [{}], [[]], {"a": {}}, [{"a": 1}, {}], [{"a": []}],
+    -0.0, 5e-324, 1e16, 1e308, 2 ** 53 + 1, True, None, "},\n  {",
+    [{"a": "},\n  {", "b": 1}, {"a": "}", "b": "{"}],
+    {"models": [], "hardware": ["b100", "thor"]},
+])
+def test_writer_matches_json_dumps_on_edge_cases(payload):
+    assert _json_text(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap", [
+    lambda x: x,
+    lambda x: {"e2e_latency_ms": x},
+    lambda x: [{"a": 1.0}, {"a": x}],
+    lambda x: [{"table": "T1", "cells": [{"modeled": x}]}],
+    lambda x: {"models": [1.0, x]},
+], ids=["scalar", "record", "rows", "tables", "nested"])
+def test_writer_rejects_non_finite_numbers(bad, wrap):
+    with pytest.raises(ValueError):
+        _json_text(wrap(bad))
