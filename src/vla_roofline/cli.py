@@ -26,6 +26,7 @@ from .record import replace
 from .roofline import GIB
 from .scenarios import (
     CLOUD_SERVER,
+    COLLABORATIVE,
     DECODING_VARIANTS,
     EDGE_SERVER,
     ON_DEVICE,
@@ -253,21 +254,20 @@ def _render_record(record: dict, fmt: str) -> str:
     return "\n".join(f"{key.ljust(width)}  {text}" for key, text in cells)
 
 
-def _render_rows(rows: list[dict], fmt: str) -> str:
-    if not rows:
-        return "" if fmt != "json" else "[]"
-    # Every row has the same columns, so each column's decimals are
-    # resolved once.
-    columns = [(col, _decimals_for(col)) for col in rows[0]]
+def _render_rows(names: Sequence[str], rows: list[Sequence], fmt: str) -> str:
+    """Rows of values, one per column of ``names``, as a table, as csv with
+    a header line, or as a JSON list of objects."""
+    # Each column's decimals are resolved once.
+    columns = [(col, _decimals_for(col)) for col in names]
     if fmt == "json":
-        return _json_text([{col: _project(col, row[col], digits, False)
-                            for col, digits in columns} for row in rows])
-    cells = [[_project(col, row[col], digits, True) for col, digits in columns]
-             for row in rows]
-    names = [col for col, _ in columns]
+        return _json_text([{col: _project(col, value, digits, False)
+                            for (col, digits), value in zip(columns, row)}
+                           for row in rows])
+    cells = [[_project(col, value, digits, True)
+              for (col, digits), value in zip(columns, row)] for row in rows]
     if fmt == "csv":
         return _csv_text(names, cells)
-    widths = [max(len(col), *(len(row[i]) for row in cells))
+    widths = [max([len(col), *(len(row[i]) for row in cells)])
               for i, col in enumerate(names)]
     lines = ["  ".join(col.ljust(w) for col, w in zip(names, widths))]
     for row in cells:
@@ -319,21 +319,29 @@ def _configure_spec(base: VlaModelSpec, chunk: Optional[int],
     return spec
 
 
+# The placement flags that each placement requires; it takes no other.
+_PLACEMENT_FLAGS = {ON_DEVICE: (), EDGE_SERVER: ("--net",),
+                    CLOUD_SERVER: ("--net", "--cloud-net"),
+                    COLLABORATIVE: ("--net", "--device-hw")}
+
+
 def _build_placement(args, lib: PresetLibrary, parser: _Parser) -> Placement:
     hw = lib.accelerator(args.hw)
+    required = _PLACEMENT_FLAGS[args.placement]
+    for flag in ("--net", "--cloud-net", "--device-hw"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if flag in required and not value:
+            parser.error(f"{args.placement} placement requires "
+                         + " and ".join(required))
+        if flag not in required and value is not None:
+            parser.error(f"{args.placement} placement does not use {flag}")
     if args.placement == ON_DEVICE:
         return Placement.on_device(hw)
     if args.placement == EDGE_SERVER:
-        if not args.net:
-            parser.error("edge-server placement requires --net")
         return Placement.edge_server(hw, lib.network(args.net))
     if args.placement == CLOUD_SERVER:
-        if not (args.net and args.cloud_net):
-            parser.error("cloud-server placement requires --net and --cloud-net")
         return Placement.cloud_server(hw, lib.network(args.net),
                                       lib.network(args.cloud_net))
-    if not (args.net and args.device_hw):
-        parser.error("collaborative placement requires --net and --device-hw")
     return Placement.collaborative(lib.accelerator(args.device_hw), hw,
                                    lib.network(args.net))
 
@@ -393,24 +401,24 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     # sync_sweep checks each point as this generator configures it, and all
     # of them before it prices any: a grid exits on its first invalid point,
     # in grid order, before pricing anything.
+    names = [name for name, _ in axes]
     grid = []
 
     def points():
         for combo in product(*(values for _, values in axes)):
-            point = dict(zip((name for name, _ in axes), combo))
+            point = dict(zip(names, combo))
             spec = _configure_spec(base, point.get("chunk"),
                                    point.get("steps"), point.get("dof"),
                                    point.get("decoding"))
-            grid.append((point, spec))
+            grid.append((combo, spec))
             yield spec, point.get("context_steps")
 
     results = sync_sweep(points(), placement)
     rows = []
-    for (point, spec), result in zip(grid, results):
+    for (combo, spec), result in zip(grid, results):
         record = _scenario_record(spec.name, result)
-        rows.append({**point,
-                     **{col: record.get(col) for col in _SWEEP_COLUMNS}})
-    return _render_rows(rows, args.format), 0
+        rows.append((*combo, *(record.get(col) for col in _SWEEP_COLUMNS)))
+    return _render_rows((*names, *_SWEEP_COLUMNS), rows, args.format), 0
 
 
 def _cell_status(cell: golden.GoldenCell) -> str:
@@ -448,9 +456,10 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
             "cells": [dict(zip(_CELL_COLUMNS, _cell_fields(c))) for c in cells],
         } for name, cells in groups]), code
     if args.format == "csv":
-        return _csv_text(("table", *_CELL_COLUMNS),
-                         ((name, *_cell_fields(c))
-                          for name, cells in groups for c in cells)), code
+        return _render_rows(("table", *_CELL_COLUMNS),
+                            [(name, *_cell_fields(c))
+                             for name, cells in groups for c in cells],
+                            "csv"), code
 
     lines = []
     for name, cells in groups:
@@ -485,10 +494,10 @@ def _run_list_presets(args, lib: PresetLibrary) -> tuple[str, int]:
     if args.format == "csv":
         kinds = {"models": "model", "components": "component",
                  "hardware": "hardware", "networks": "network"}
-        return _csv_text(["kind", "name"],
-                         ([kinds[group], name]
-                          for group, group_names in names.items()
-                          for name in group_names)), 0
+        return _render_rows(("kind", "name"),
+                            [(kinds[group], name)
+                             for group, group_names in names.items()
+                             for name in group_names], "csv"), 0
     lines = ["models:"]
     for name in names["models"]:
         spec = lib.models[name]

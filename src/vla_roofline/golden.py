@@ -168,11 +168,11 @@ def validation_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
 def baseline_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Stateless per-phase and end-to-end latency on five accelerators."""
     spec = lib.model("pi0")
-    graph = pipeline_graph(spec)
+    memo: dict = {}
     cells = []
     for hw_name in refs.BASELINE_HW:
         result = sync_scenario(
-            spec, Placement.on_device(lib.accelerator(hw_name)), graph=graph)
+            spec, Placement.on_device(lib.accelerator(hw_name)), memo=memo)
         row = refs.BASELINE[hw_name]
         for phase in PHASES:
             tol = 0.05 if (hw_name == "b100" and phase == VLM) else 0.15
@@ -197,7 +197,9 @@ def boundedness_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     The vision-OI cell is informational only: with fused-attention byte
     accounting the aggregate vision intensity lands near 425 FLOPs/byte,
     well above the reference figure, while every boundedness label still
-    agrees.  The discrepancy is documented rather than graded.
+    agrees.  The discrepancy is documented rather than graded.  This is the
+    one table that prices the whole pipeline graph (the layer tracer in
+    ``bench/`` reports its build).
     """
     graph = pipeline_graph(lib.model("pi0"))
     cells = []
@@ -255,10 +257,10 @@ def long_context_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     spec = lib.model("pi0")
     placements = {name: Placement.on_device(lib.accelerator(name))
                   for name in ("thor", "rtx4090", "b100")}
+    memo: dict = {}
     cells = []
     for t in refs.LONG_CONTEXT_TIMESTEPS:
-        graph = pipeline_graph(spec, t)
-        results = {name: sync_scenario(spec, placement, t, graph)
+        results = {name: sync_scenario(spec, placement, t, memo)
                    for name, placement in placements.items()}
         row = refs.LONG_CONTEXT[t]
         cells.append(GoldenCell(
@@ -281,7 +283,7 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Synchronous vs pipelined serving from a B100 across network presets."""
     spec = lib.model("pi0")
     hw = lib.accelerator("b100")
-    graph = pipeline_graph(spec)
+    memo: dict = {}
     cells = []
     for row in refs.ASYNC_TABLE:
         nets = [lib.network(name) for name in row["nets"]]
@@ -290,7 +292,7 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
         else:
             placement = Placement.cloud_server(hw, nets[0], nets[1])
         # The pipelined result is the synchronous one plus its async rate.
-        result = async_scenario(spec, placement, graph=graph)
+        result = async_scenario(spec, placement, memo=memo)
         label = row["label"]
         async_tol = 0.03 if row["network_bound"] else 0.15
         cells.append(GoldenCell(
@@ -315,7 +317,7 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
 def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     """Dual-system rates at System-2 caps of 5 and 10 Hz."""
     spec = lib.model("pi0")
-    graph = pipeline_graph(spec)
+    memo: dict = {}
     cells = []
     for row in refs.DUAL_SYSTEM:
         hw = lib.accelerator(row["hw"])
@@ -323,8 +325,8 @@ def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
             placement = Placement.on_device(hw)
         else:
             placement = Placement.edge_server(hw, lib.network(row["net"]))
-        at5 = dual_system_scenario(spec, placement, 5.0, graph)
-        at10 = dual_system_scenario(spec, placement, 10.0, graph)
+        at5 = dual_system_scenario(spec, placement, 5.0, memo)
+        at10 = dual_system_scenario(spec, placement, 10.0, memo)
         t_s1, t_s2 = (dual_system_times(at5) if at5.feasible
                       else (None, None))
         label = row["label"]
@@ -354,12 +356,12 @@ def collaboration_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     spec = lib.model("pi0")
     device = lib.accelerator("thor")
     server = lib.accelerator("b100")
-    graph = pipeline_graph(spec)
+    memo: dict = {}
     net_names = dict.fromkeys([*(name for name, _ in refs.COLLAB_KV_MS),
                                *sorted(lib.networks)])
     collab = {name: collaborative_scenario(
                   spec, Placement.collaborative(device, server,
-                                                lib.network(name)), graph)
+                                                lib.network(name)), memo)
               for name in net_names}
     cells = []
     for net_name, ref in refs.COLLAB_KV_MS:
@@ -370,7 +372,7 @@ def collaboration_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     for net_name in sorted(lib.networks):
         server_only = sync_scenario(
             spec, Placement.edge_server(server, lib.network(net_name)),
-            graph=graph)
+            memo=memo)
         pair = (collab[net_name].e2e_latency, server_only.e2e_latency)
         holds = ("N/A" if None in pair
                  else "holds" if pair[0] >= pair[1] else "violated")

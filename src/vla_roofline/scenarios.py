@@ -16,13 +16,12 @@ roofline times with network transfer times into end-to-end control rates:
 Memory-capacity violations are first-class results (``feasible=False`` with
 latencies/rates of ``None``), never exceptions.
 
-The sync, async, collaborative and dual-system functions take an optional
-prebuilt ``graph``, which must equal ``pipeline_graph(spec,
-context_timestep)``: a caller that prices one model on many placements
-builds its graph once.  Without it, a scenario builds the graph itself, and
-only once the footprint check has passed.  :func:`sync_sweep` prices many
-points on one placement: it builds and prices each distinct vision and VLM
-phase once, and only the action phase per point.
+A scenario builds and prices its vision, VLM and action phases once the
+footprint check has passed, through an optional ``memo``: a dict that the
+caller owns, which keeps each phase under the values that define it and
+each price under the accelerator figures it reads.  Calls that share one,
+for any mix of models, context steps and placements, build each distinct
+phase once; :func:`sync_sweep` gives its points one.
 """
 
 from __future__ import annotations
@@ -191,47 +190,55 @@ def check_scenario(spec: VlaModelSpec, placement: Placement,
     check_count(spec.name, "context_timesteps", context_timestep)
 
 
-def _price_runs(runs: list[opgraph.Run], hw: AcceleratorConfig,
-                ) -> Optional[tuple[float, int, int]]:
-    """``price_phase`` of one phase's runs, merged as a graph merges them;
-    ``None`` for a phase without operators."""
-    ops = opgraph.OperatorGraph(runs).ops
-    return roofline.price_phase(ops, hw) if ops else None
+def _priced_phase(memo: dict, key, hw: AcceleratorConfig, build,
+                  *args) -> Optional[tuple[float, int, int]]:
+    """``price_phase`` on ``hw`` of the runs of ``build(*args)``, merged as a
+    graph merges them, or ``None`` for no runs.  ``memo[key]`` holds the
+    runs and their prices, keyed by the figures ``price_phase`` reads."""
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (opgraph.OperatorGraph(build(*args)).ops, {})
+    ops, prices = entry
+    figures = (hw.peak(), hw.mem_bandwidth)
+    if figures not in prices:
+        prices[figures] = roofline.price_phase(ops, hw) if ops else None
+    return prices[figures]
 
 
 def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
                hw: AcceleratorConfig, action_hw: Optional[AcceleratorConfig],
-               graph: Optional[opgraph.OperatorGraph], memo: Optional[dict],
+               memo: Optional[dict],
                ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
     """``phase_breakdown(pipeline_graph(spec, context_timestep), hw,
-    action_hw)``.
-
-    Without a ``memo`` it prices the whole graph: ``graph`` when given, else
-    a fresh build.  With one, it builds and prices the vision and VLM phases
-    only for keys the memo does not hold yet, keyed by the values that
-    define each phase, and the action phase every time; one memo serves one
-    placement.  An operator's phase is part of its identity and each phase
-    is priced in run order, so both ways give the same floats.
-    """
+    action_hw)``, one phase at a time through ``memo``, each keyed by the
+    values its builder reads.  An operator's phase is part of its identity
+    and each phase is priced in run order, so the floats are the graph's,
+    bit for bit."""
     if memo is None:
-        if graph is None:
-            graph = opgraph.pipeline_graph(spec, context_timestep)
-        return roofline.phase_breakdown(graph, hw, action_hw)
+        memo = {}
     hardware = roofline.phase_hardware(hw, action_hw)
-    vision_key = (opgraph.VISION, spec.vision_encoder, spec.num_cameras,
-                  spec.tokens_per_image, spec.vlm.hidden_size)
-    if vision_key not in memo:
-        memo[vision_key] = _price_runs(opgraph.vision_runs(spec),
-                                       hardware[opgraph.VISION])
-    vlm_key = (opgraph.VLM, spec.vlm, spec.prefix_tokens(),
-               opgraph.context_history(spec, context_timestep))
-    if vlm_key not in memo:
-        memo[vlm_key] = _price_runs(opgraph.vlm_runs(spec, context_timestep),
-                                    hardware[opgraph.VLM])
-    priced = {opgraph.VISION: memo[vision_key], opgraph.VLM: memo[vlm_key],
-              opgraph.ACTION: _price_runs(
-                  opgraph.action_runs(spec, context_timestep),
-                  hardware[opgraph.ACTION])}
+    prefix = spec.prefix_tokens()
+    history = opgraph.context_history(spec, context_timestep)
+    # The VLM and action builders both read the VLM stack, the prefix and
+    # the history: their phases share one inner memo under those values,
+    # which a point then hashes once.
+    context = memo.setdefault((spec.vlm, prefix, history), {})
+    priced = {
+        opgraph.VISION: _priced_phase(
+            memo, (opgraph.VISION, spec.vision_encoder, spec.num_cameras,
+                   spec.tokens_per_image, spec.vlm.hidden_size),
+            hardware[opgraph.VISION], opgraph.vision_runs, spec),
+        opgraph.VLM: _priced_phase(
+            context, opgraph.VLM, hardware[opgraph.VLM], opgraph.vlm_runs,
+            spec, context_timestep),
+        # The other fields action_runs reads, not the spec: hashing a spec
+        # hashes every one of its stacks.
+        opgraph.ACTION: _priced_phase(
+            context, (spec.decoding_mode, spec.action_expert,
+                      spec.chunk_size, spec.denoise_steps, spec.action_dof),
+            hardware[opgraph.ACTION], opgraph.action_runs, spec,
+            context_timestep),
+    }
     return roofline.phase_figures(
         {phase: sums for phase, sums in priced.items() if sums is not None},
         hardware)
@@ -239,28 +246,18 @@ def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
 
 def sync_scenario(spec: VlaModelSpec, placement: Placement,
                   context_timestep: Optional[int] = None,
-                  graph: Optional[opgraph.OperatorGraph] = None,
-                  ) -> ScenarioResult:
+                  memo: Optional[dict] = None) -> ScenarioResult:
     """Synchronous serving: one full round trip per control step."""
     check_scenario(spec, placement, context_timestep)
     if placement.kind == COLLABORATIVE:
-        return collaborative_scenario(spec, placement, graph)
-    return _sync_scenario(spec, placement, context_timestep, graph, None)
-
-
-def _sync_scenario(spec: VlaModelSpec, placement: Placement,
-                   context_timestep: Optional[int],
-                   graph: Optional[opgraph.OperatorGraph],
-                   memo: Optional[dict]) -> ScenarioResult:
-    """``sync_scenario`` of a checked point on a placement that is not
-    collaborative; ``graph`` and ``memo`` as in :func:`_breakdown`."""
+        return collaborative_scenario(spec, placement, memo)
     hw = placement.hw
     footprint = roofline.memory_footprint(spec, context_timestep)
     if footprint > hw.mem_capacity:
         return _infeasible(spec, placement, footprint, hw)
 
     latencies, intensity, labels = _breakdown(
-        spec, context_timestep, hw, None, graph, memo)
+        spec, context_timestep, hw, None, memo)
     gpu_time = sum(latencies.values())
 
     network: dict[str, float] = {}
@@ -292,29 +289,21 @@ def sync_sweep(points: Iterable[tuple[VlaModelSpec, Optional[int]]],
     ``(spec, context_timestep)`` point, in order.
 
     Every point is checked, in the order ``points`` yields them, before any
-    is priced.  The points share one memo that lives for this call only:
-    each distinct vision phase and each distinct VLM phase (one per model
-    and context step) is built and priced once, and each point builds and
-    prices only its action phase.  A point that does not fit in memory
-    prices nothing.
+    is priced.  The points then share one memo that lives for this call
+    only, so each distinct phase is built once and priced once.
     """
     grid = []
     for spec, context_timestep in points:
         check_scenario(spec, placement, context_timestep)
         grid.append((spec, context_timestep))
     memo: dict = {}
-    if placement.kind == COLLABORATIVE:
-        # check_scenario admits no context timestep here.
-        return [_collaborative_scenario(spec, placement, None, memo)
-                for spec, _ in grid]
-    return [_sync_scenario(spec, placement, context_timestep, None, memo)
+    return [sync_scenario(spec, placement, context_timestep, memo)
             for spec, context_timestep in grid]
 
 
 def async_scenario(spec: VlaModelSpec, placement: Placement,
                    context_timestep: Optional[int] = None,
-                   graph: Optional[opgraph.OperatorGraph] = None,
-                   ) -> ScenarioResult:
+                   memo: Optional[dict] = None) -> ScenarioResult:
     """Pipelined serving: rate of the slowest stage, not the round trip.
 
     Observation uploads, GPU execution of consecutive steps, and action
@@ -328,7 +317,7 @@ def async_scenario(spec: VlaModelSpec, placement: Placement,
     if placement.kind == COLLABORATIVE:
         raise ValueError("asynchronous serving is not defined for "
                          "collaborative placements")
-    result = sync_scenario(spec, placement, context_timestep, graph)
+    result = sync_scenario(spec, placement, context_timestep, memo)
     if not result.feasible:
         return result
 
@@ -343,8 +332,7 @@ def async_scenario(spec: VlaModelSpec, placement: Placement,
 
 
 def collaborative_scenario(spec: VlaModelSpec, placement: Placement,
-                           graph: Optional[opgraph.OperatorGraph] = None,
-                           ) -> ScenarioResult:
+                           memo: Optional[dict] = None) -> ScenarioResult:
     """Split serving: vision+VLM on the server, action expert on the robot.
 
     The server uploads nothing back but the VLM KV cache of the fresh prefix,
@@ -354,14 +342,6 @@ def collaborative_scenario(spec: VlaModelSpec, placement: Placement,
     if placement.kind != COLLABORATIVE:
         raise ValueError("placement must be collaborative")
     check_scenario(spec, placement)
-    return _collaborative_scenario(spec, placement, graph, None)
-
-
-def _collaborative_scenario(spec: VlaModelSpec, placement: Placement,
-                            graph: Optional[opgraph.OperatorGraph],
-                            memo: Optional[dict]) -> ScenarioResult:
-    """``collaborative_scenario`` of a checked point; ``graph`` and ``memo``
-    as in :func:`_breakdown`."""
     server, device = placement.hw, placement.device_hw
 
     prefix_kv = spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
@@ -377,7 +357,7 @@ def _collaborative_scenario(spec: VlaModelSpec, placement: Placement,
         return _infeasible(spec, placement, device_bytes, device, (split_note,))
 
     latencies, intensity, labels = _breakdown(
-        spec, None, server, device, graph, memo)
+        spec, None, server, device, memo)
 
     path = placement.network_path()
     network = {
@@ -418,8 +398,7 @@ def dual_system_times(result: ScenarioResult) -> tuple[float, float]:
 
 
 def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
-                         s2_cap: float,
-                         graph: Optional[opgraph.OperatorGraph] = None,
+                         s2_cap: float, memo: Optional[dict] = None,
                          ) -> ScenarioResult:
     """Synchronous serving, plus System 1's rate under a System-2 cap.
 
@@ -435,7 +414,7 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
     if placement.kind == COLLABORATIVE:
         raise ValueError("dual-system serving is not defined for "
                          "collaborative placements")
-    result = sync_scenario(spec, placement, graph=graph)
+    result = sync_scenario(spec, placement, memo=memo)
     if not result.feasible:
         return result
 
@@ -444,6 +423,9 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
         note = (f"System 2 cannot sustain {s2_cap:g} Hz: refresh alone takes "
                 f"{t_s2 * 1e3:.2f} ms")
         return replace(result, feasible=False, notes=(note,))
+    if t_s1 == 0:
+        raise ValueError("dual-system serving needs System-1 work: this "
+                         "point has no camera, action or network time")
     f1 = (1.0 - s2_cap * t_s2) / t_s1
     notes: tuple[str, ...] = ()
     if f1 < s2_cap:
@@ -460,8 +442,8 @@ def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
 def long_context_sweep(spec: VlaModelSpec, placement: Placement,
                        timesteps: Sequence[int]) -> tuple[ScenarioResult, ...]:
     """Latency and memory growth as camera history accumulates in cache:
-    one synchronous result per timestep, with its ``footprint_bytes``.
-    The vision phase is priced once (see :func:`sync_sweep`)."""
+    one synchronous result per timestep, with its ``footprint_bytes``,
+    through one memo (see :func:`sync_sweep`)."""
     return tuple(sync_sweep([(spec, t) for t in timesteps], placement))
 
 
@@ -494,10 +476,7 @@ def scaling_sweep(library: PresetLibrary,
                                    ScenarioResult], ...]:
     """On-device synchronous result of each scaled-family model on each
     accelerator, as ``(spec, hw, result)`` in family-then-hardware order."""
-    rows = []
-    for spec in scaled_family(library):
-        graph = opgraph.pipeline_graph(spec)
-        for hw in hardware:
-            rows.append((spec, hw, sync_scenario(
-                spec, Placement.on_device(hw), graph=graph)))
-    return tuple(rows)
+    memo: dict = {}
+    return tuple((spec, hw, sync_scenario(spec, Placement.on_device(hw),
+                                          memo=memo))
+                 for spec in scaled_family(library) for hw in hardware)

@@ -50,3 +50,49 @@ def test_tracer_installs_and_traces_reproduce_all():
     metrics = out["metrics"]
     assert metrics["golden.cells_graded"] == 158
     assert metrics["golden.cells_failed"] == 0
+
+
+SWEEP_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import tracer
+    recorder = tracer.Tracer()
+    tracer.install(recorder)
+    from vla_roofline import cli
+    metrics = []
+    for argv in json.loads(sys.argv[1]):
+        recorder.reset()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        metrics.append((code, tracer.layer_metrics(recorder.spans)))
+    print(json.dumps(metrics))
+""")
+
+# (sweep arguments, grid points, infeasible points).  Collaborative points
+# go through ``sync_scenario`` into ``collaborative_scenario``, and count
+# once.
+SWEEPS = [
+    (["--hw", "rtx4090", "--context-steps", "1,2000", "--chunk", "5,50"],
+     4, 2),
+    (["--placement", "collaborative", "--net", "wifi7", "--hw", "b100",
+      "--device-hw", "thor", "--chunk", "5,50,100"], 3, 0),
+    (["--placement", "collaborative", "--net", "wifi7", "--hw", "b100",
+      "--device-hw", "rtx4090", "--model", "pi0-xxl", "--chunk", "5,50"],
+     2, 2),
+]
+
+
+def test_tracer_counts_every_sweep_point_as_a_scenario():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "bench"), str(ROOT / "src")])
+    argvs = [["sweep", *args, "--format", "json"] for args, _, _ in SWEEPS]
+    result = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT,
+                             json.dumps(argvs)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    for (code, metrics), (_, points, infeasible) in zip(
+            json.loads(result.stdout), SWEEPS):
+        assert code == 0
+        assert metrics["scenarios.calls"] == points
+        assert metrics["scenarios.infeasible"] == infeasible
+        assert metrics["opgraph.pipeline_graph.calls"] == 0

@@ -4,6 +4,7 @@ Exit code contract: 0 success (including infeasible N/A results), 1 usage
 or configuration errors, 2 reproduce-tolerance failures.
 """
 
+import copy
 import json
 import os
 import shutil
@@ -11,6 +12,9 @@ import subprocess
 import sys
 
 import pytest
+import yaml
+
+from vla_roofline import presets
 
 
 def run_cli(*args, env=None):
@@ -188,6 +192,30 @@ def test_missing_net_is_usage_error():
     assert "edge-server placement requires --net" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("args, message", [
+    (("--net", "wifi7"), "on-device placement does not use --net"),
+    (("--device-hw", "thor", "--net", "5g"),
+     "on-device placement does not use --net"),
+    (("--placement", "edge-server", "--net", "5g", "--cloud-net",
+      "fast-cloud"), "edge-server placement does not use --cloud-net"),
+    (("--placement", "edge-server", "--net", "5g", "--device-hw", "thor"),
+     "edge-server placement does not use --device-hw"),
+    (("--placement", "cloud-server", "--net", "5g", "--cloud-net",
+      "fast-cloud", "--device-hw", "thor"),
+     "cloud-server placement does not use --device-hw"),
+    (("--placement", "collaborative", "--net", "wifi7", "--device-hw", "thor",
+      "--cloud-net", "fast-cloud"),
+     "collaborative placement does not use --cloud-net"),
+])
+def test_placement_flag_the_placement_does_not_use_is_usage_error(
+        command, args, message):
+    result = run_cli(command, *args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == f"vla-roofline: error: {message}"
+
+
 def test_unknown_model_is_usage_error():
     result = run_cli("analyze", "--model", "pi9")
     assert result.returncode == 1
@@ -264,6 +292,16 @@ def _assert_preset_error(tmp_path, filename, text, args, message):
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and message in result.stderr
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_dual_system_without_system_1_work_is_an_error(tmp_path):
+    """Without cameras or denoising steps, System 1 takes no time on the
+    device, so its rate has no finite value."""
+    models = copy.deepcopy(presets.MODELS)
+    models["models"]["blind"] = {**models["models"]["pi0"], "num_cameras": 0}
+    _assert_preset_error(tmp_path, "models.yaml", yaml.safe_dump(models),
+                         ("--model", "blind", "--steps", "0", "--s2-cap", "5"),
+                         "dual-system serving needs System-1 work")
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

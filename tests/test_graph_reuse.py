@@ -1,7 +1,6 @@
-"""Each table builder builds a graph once per distinct (spec, timestep), a
-sweep builds each distinct vision and VLM phase once and only the action
-phase per point, and a sweep checks its whole grid before it builds
-anything.
+"""Each table builder builds each distinct phase once, a sweep builds each
+distinct vision and VLM phase once and only the action phase per point,
+and a sweep checks its whole grid before it builds anything.
 
 The builders are bound by name in several modules, so the counter replaces
 every binding of each of them in every loaded package module.
@@ -12,13 +11,16 @@ import sys
 import pytest
 
 import vla_roofline.cli as cli
-from vla_roofline import opgraph
+from vla_roofline import golden, load_presets, opgraph, references
 
-# One graph per distinct (spec, timestep) of each table: T1 3, T3 1, T4 1,
-# T5 4, T6 5, T8 1, T9 1, collab 1.
-REPRODUCE_ALL_GRAPHS = 17
-# Distinct operators merged into the graphs of ``reproduce all``.
-REPRODUCE_ALL_OPERATORS = 425
+# Builds of ``reproduce all``.  Only T4 builds a whole graph.  Each table
+# builds each distinct phase once: a VLM and an action phase per distinct
+# (spec, timestep) (T1 3, T3 1, T4 1, T5 4, T6 5, T8 1, T9 1, collab 1),
+# and a vision phase per distinct spec (T6 builds one, not five).
+REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, "vision_runs": 13,
+                        "vlm_runs": 17, "action_runs": 17}
+# Operators merged into the phases of ``reproduce all``.
+REPRODUCE_ALL_OPERATORS = 393
 BUILDERS = ("pipeline_graph", "vision_runs", "vlm_runs", "action_runs")
 
 
@@ -50,13 +52,20 @@ def _count(calls, builder):
     return sum(1 for name, *_ in calls if name == builder)
 
 
-def test_reproduce_all_builds_each_table_graph_once(builds, capsys):
+def test_reproduce_all_builds_each_phase_once_per_table(builds, capsys):
     assert cli.main(["reproduce", "all", "--format", "json"]) == 0
     assert capsys.readouterr().err == ""
-    assert _count(builds, "pipeline_graph") <= REPRODUCE_ALL_GRAPHS
-    # Every phase build is part of a graph build.
-    for builder in BUILDERS[1:]:
-        assert _count(builds, builder) == _count(builds, "pipeline_graph")
+    assert {name: _count(builds, name)
+            for name in BUILDERS} == REPRODUCE_ALL_BUILDS
+
+
+def test_long_context_table_builds_its_vision_phase_once(builds):
+    golden.long_context_table(load_presets())
+    assert [call for call in builds if call[0] == "vision_runs"] == [
+        ("vision_runs", "pi0", None)]
+    assert [call[2] for call in builds if call[0] == "vlm_runs"] == list(
+        references.LONG_CONTEXT_TIMESTEPS)
+    assert _count(builds, "pipeline_graph") == 0
 
 
 def test_reproduce_all_hashes_each_operator_once(monkeypatch, capsys):

@@ -310,45 +310,126 @@ def _placement(kind, hw, device_hw, net, cloud_net):
     return Placement.on_device(hw)
 
 
-@given(model=st.sampled_from(sorted(_LIB.models)),
-       variant=st.sampled_from(DECODING_VARIANTS),
-       kind=st.sampled_from(PLACEMENT_KINDS),
-       hw=preset_accelerators, device_hw=preset_accelerators,
-       net=preset_networks, cloud_net=preset_networks,
-       context_timestep=st.one_of(st.none(),
-                                  st.integers(min_value=1, max_value=10_000)))
-@settings(max_examples=60)
-def test_scenario_given_its_graph_equals_scenario_that_builds_it(
-        model, variant, kind, hw, device_hw, net, cloud_net, context_timestep):
-    """Passing the prebuilt pipeline graph changes nothing, bit for bit."""
-    spec = _LIB.model(model)
-    spec = decoding_variant_spec(spec, variant, spec.chunk_size,
-                                 spec.action_dof)
-    if kind == COLLABORATIVE:
-        # Split serving needs an action expert and a stateless prefix.
-        assume(variant in (DIFFUSION, DIFFUSION_LARGE)
-               and context_timestep is None)
-    placement = _placement(kind, hw, device_hw, net, cloud_net)
-    graph = pipeline_graph(spec, context_timestep)
-    assert (sync_scenario(spec, placement, context_timestep, graph)
-            == sync_scenario(spec, placement, context_timestep))
-    if kind == COLLABORATIVE:
-        assert (collaborative_scenario(spec, placement, graph)
-                == collaborative_scenario(spec, placement))
-        return
-    if kind != ON_DEVICE:
-        assert (async_scenario(spec, placement, context_timestep, graph)
-                == async_scenario(spec, placement, context_timestep))
-    if context_timestep is None:
-        assert (dual_system_scenario(spec, placement, 5.0, graph)
-                == dual_system_scenario(spec, placement, 5.0))
-
-
 # Preset accelerators, and drawn ones whose memory ranges from far too
 # small for any preset model to enough for every one.
 sized_accelerators = st.one_of(preset_accelerators, st.builds(
     replace, accelerators,
     mem_capacity=st.integers(min_value=1, max_value=256 * 1024**3)))
+
+
+def _accelerator_steps(hw):
+    """A new accelerator, or ``hw`` with one figure changed."""
+    return st.one_of(
+        preset_accelerators, accelerators,
+        st.integers(min_value=1, max_value=256 * 1024**3).map(
+            lambda capacity: replace(hw, mem_capacity=capacity)),
+        st.floats(min_value=1e6, max_value=1e13).map(
+            lambda bandwidth: replace(hw, mem_bandwidth=bandwidth)),
+        *(st.floats(min_value=1e9, max_value=1e16).map(
+            lambda peak, p=precision: replace(
+                hw, peak_flops={**hw.peak_flops, p: peak}))
+          for precision in (2, 4)))
+
+
+_WALK_AXES = {
+    "model": st.sampled_from(sorted(_LIB.models)),
+    "vision_encoder": st.sampled_from(sorted(
+        name for name, cfg in _LIB.components.items()
+        if cfg.patch_input_dim is not None)),
+    "variant": st.sampled_from(DECODING_VARIANTS),
+    "num_cameras": st.integers(min_value=0, max_value=3),
+    "chunk_size": st.integers(min_value=1, max_value=300),
+    "action_dof": st.integers(min_value=1, max_value=40),
+    "denoise_steps": st.integers(min_value=0, max_value=20),
+    "context_timestep": st.one_of(st.none(),
+                                  st.integers(min_value=1, max_value=10_000)),
+    "kind": st.sampled_from(PLACEMENT_KINDS),
+    "net": preset_networks,
+    "cloud_net": preset_networks,
+}
+
+
+def _walk_point(p):
+    """The ``(spec, placement, context_timestep)`` of a walk's values,
+    admitted by every scenario of its placement kind."""
+    variant, context_timestep = p["variant"], p["context_timestep"]
+    if p["kind"] == COLLABORATIVE:
+        # Split serving needs an action expert and a stateless prefix.
+        context_timestep = None
+        if variant not in (DIFFUSION, DIFFUSION_LARGE):
+            variant = DIFFUSION
+    spec = replace(_LIB.model(p["model"]),
+                   vision_encoder=_LIB.component(p["vision_encoder"]),
+                   num_cameras=p["num_cameras"], chunk_size=p["chunk_size"],
+                   action_dof=p["action_dof"],
+                   denoise_steps=p["denoise_steps"])
+    spec = decoding_variant_spec(spec, variant, spec.chunk_size,
+                                 spec.action_dof)
+    placement = _placement(p["kind"], p["hw"], p["device_hw"], p["net"],
+                           p["cloud_net"])
+    return spec, placement, context_timestep
+
+
+@st.composite
+def scenario_walks(draw):
+    """Points of a walk that changes each value once, in a drawn order (an
+    accelerator changes one figure, or is replaced), so that consecutive
+    points share every phase and price that the value does not define."""
+    values = {name: draw(axis) for name, axis in _WALK_AXES.items()}
+    values["hw"] = draw(st.one_of(preset_accelerators, accelerators))
+    values["device_hw"] = draw(st.one_of(preset_accelerators, accelerators))
+    points = [_walk_point(values)]
+    for name in draw(st.permutations(sorted(values))):
+        values[name] = draw(_WALK_AXES[name] if name in _WALK_AXES
+                            else _accelerator_steps(values[name]))
+        points.append(_walk_point(values))
+    return points
+
+
+def _outcome(call, memo):
+    """``call(memo)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return call(memo)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _scenario_calls(spec, placement, context_timestep):
+    """``(name, call)`` of every scenario function that admits the point;
+    ``call(memo)`` runs it with that memo."""
+    calls = [("sync", lambda memo: sync_scenario(
+        spec, placement, context_timestep, memo))]
+    if placement.kind == COLLABORATIVE:
+        return calls + [("collaborative", lambda memo: collaborative_scenario(
+            spec, placement, memo))]
+    if placement.kind != ON_DEVICE:
+        calls.append(("async", lambda memo: async_scenario(
+            spec, placement, context_timestep, memo)))
+    if context_timestep is None:
+        calls.append(("dual", lambda memo: dual_system_scenario(
+            spec, placement, 5.0, memo)))
+    return calls
+
+
+@given(points=scenario_walks())
+@settings(max_examples=60, deadline=None)
+def test_scenarios_sharing_one_memo_equal_fresh_calls_and_the_graph(points):
+    """One memo shared across specs, timesteps and placements changes
+    nothing, bit for bit, and a fresh call prices each phase as
+    ``phase_breakdown`` prices the whole pipeline graph."""
+    memo = {}
+    for spec, placement, context_timestep in points:
+        for name, call in _scenario_calls(spec, placement, context_timestep):
+            fresh = _outcome(call, None)
+            assert _outcome(call, memo) == fresh, name
+            if isinstance(fresh, str) or not fresh.phase_latencies:
+                continue
+            action_hw = (placement.device_hw
+                         if placement.kind == COLLABORATIVE else None)
+            assert (fresh.phase_latencies, fresh.operational_intensity,
+                    fresh.boundedness) == phase_breakdown(
+                pipeline_graph(spec, context_timestep), placement.hw,
+                action_hw), name
 
 
 @st.composite
@@ -381,8 +462,8 @@ def sweep_grids(draw, kind):
 @settings(max_examples=40, deadline=None)
 def test_sync_sweep_equals_sync_scenario_at_every_point(
         data, kind, hw, device_hw, net, cloud_net):
-    """Reusing the priced vision and VLM phases changes nothing, bit for
-    bit, on feasible and infeasible points alike."""
+    """Sharing one memo across the grid changes nothing, bit for bit, on
+    feasible and infeasible points alike."""
     points = data.draw(sweep_grids(kind))
     placement = _placement(kind, hw, device_hw, net, cloud_net)
     assert sync_sweep(points, placement) == [

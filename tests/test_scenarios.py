@@ -248,6 +248,31 @@ def test_dual_system_rejects_bad_inputs(lib, pi0, thor, b100):
         dual_system_scenario(pi0, collab, 5.0)
 
 
+def test_dual_system_needs_system_1_work(pi0, thor):
+    blind = replace(pi0, num_cameras=0, denoise_steps=0)
+    with pytest.raises(ValueError, match="System-1 work"):
+        dual_system_scenario(blind, Placement.on_device(thor), 5.0)
+
+
+# --- one memo across calls ----------------------------------------------------
+
+@pytest.mark.parametrize("change", [
+    {"mem_bandwidth": 1e12},
+    {"peak_flops": {2: 1e13, 4: 1e12}},
+])
+def test_one_memo_prices_accelerators_apart_by_each_figure(pi0, b100, change):
+    """Accelerators that differ in one figure that pricing reads get their
+    own prices from a shared memo."""
+    placements = [Placement.on_device(hw)
+                  for hw in (b100, replace(b100, **change))]
+    memo = {}
+    shared = [sync_scenario(pi0, placement, memo=memo)
+              for placement in placements]
+    assert shared == [sync_scenario(pi0, placement)
+                      for placement in placements]
+    assert shared[0].phase_latencies != shared[1].phase_latencies
+
+
 # --- long-context sweep -------------------------------------------------------
 
 def test_long_context_rows(lib, pi0, b100):
