@@ -444,7 +444,9 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     # Only this command loads ``golden`` and its reference tables.
     from . import golden
     names = _ALL_TABLES if args.table == "all" else (args.table,)
-    groups = [(name, golden.TABLES[name](lib)) for name in names]
+    # One memo for the command: the tables build each distinct phase once.
+    memo: dict = {}
+    groups = [(name, golden.TABLES[name](lib, memo)) for name in names]
     passed = {name: golden.table_passed(cells) for name, cells in groups}
     all_pass = all(passed.values())
     code = 0 if all_pass else 2

@@ -150,7 +150,7 @@ def _ratio(a: Optional[float], b: Optional[float]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def validation_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def validation_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
     """RTX 4090 end-to-end latency over camera count (chunk 63, no prompt)."""
     hw = lib.accelerator("rtx4090")
     base = lib.model("pi0")
@@ -158,17 +158,16 @@ def validation_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     for cams, ref in sorted(refs.VALIDATION_4090_MS.items()):
         spec = replace(base, name=f"pi0-{cams}cam", num_cameras=cams,
                        language_tokens=0, chunk_size=63)
-        result = sync_scenario(spec, Placement.on_device(hw))
+        result = sync_scenario(spec, Placement.on_device(hw), memo=memo)
         cells.append(GoldenCell(
             "T1", f"{cams} camera{'s' if cams > 1 else ''} e2e", "ms",
             modeled=_ms(result.e2e_latency), reference=ref, rel_tol=0.15))
     return tuple(cells)
 
 
-def baseline_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def baseline_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
     """Stateless per-phase and end-to-end latency on five accelerators."""
     spec = lib.model("pi0")
-    memo: dict = {}
     cells = []
     for hw_name in refs.BASELINE_HW:
         result = sync_scenario(
@@ -191,7 +190,8 @@ def baseline_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     return tuple(cells)
 
 
-def boundedness_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def boundedness_table(lib: PresetLibrary,
+                      memo: dict) -> tuple[GoldenCell, ...]:
     """Balance points, per-phase operator intensity, boundedness labels.
 
     The vision-OI cell is informational only: with fused-attention byte
@@ -199,7 +199,7 @@ def boundedness_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     well above the reference figure, while every boundedness label still
     agrees.  The discrepancy is documented rather than graded.  This is the
     one table that prices the whole pipeline graph (the layer tracer in
-    ``bench/`` reports its build).
+    ``bench/`` reports its build), so it reads no ``memo``.
     """
     graph = pipeline_graph(lib.model("pi0"))
     cells = []
@@ -231,12 +231,12 @@ def boundedness_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     return tuple(cells)
 
 
-def scaling_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def scaling_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
     """Scaled-family sizes and control rates on Thor / RTX 4090 / B100."""
     hardware = [lib.accelerator(name) for name in refs.SCALING_HW]
     cells = []
     seen_models = set()
-    for spec, hw, result in scaling_sweep(lib, hardware):
+    for spec, hw, result in scaling_sweep(lib, hardware, memo):
         if spec.name not in seen_models:
             seen_models.add(spec.name)
             cells.append(GoldenCell(
@@ -252,12 +252,12 @@ def scaling_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     return tuple(cells)
 
 
-def long_context_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def long_context_table(lib: PresetLibrary,
+                       memo: dict) -> tuple[GoldenCell, ...]:
     """Memory growth and latency as cached camera history accumulates."""
     spec = lib.model("pi0")
     placements = {name: Placement.on_device(lib.accelerator(name))
                   for name in ("thor", "rtx4090", "b100")}
-    memo: dict = {}
     cells = []
     for t in refs.LONG_CONTEXT_TIMESTEPS:
         results = {name: sync_scenario(spec, placement, t, memo)
@@ -279,11 +279,10 @@ def long_context_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     return tuple(cells)
 
 
-def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def async_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
     """Synchronous vs pipelined serving from a B100 across network presets."""
     spec = lib.model("pi0")
     hw = lib.accelerator("b100")
-    memo: dict = {}
     cells = []
     for row in refs.ASYNC_TABLE:
         nets = [lib.network(name) for name in row["nets"]]
@@ -314,10 +313,10 @@ def async_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     return tuple(cells)
 
 
-def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def dual_system_table(lib: PresetLibrary,
+                      memo: dict) -> tuple[GoldenCell, ...]:
     """Dual-system rates at System-2 caps of 5 and 10 Hz."""
     spec = lib.model("pi0")
-    memo: dict = {}
     cells = []
     for row in refs.DUAL_SYSTEM:
         hw = lib.accelerator(row["hw"])
@@ -351,12 +350,12 @@ def dual_system_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     return tuple(cells)
 
 
-def collaboration_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
+def collaboration_table(lib: PresetLibrary,
+                        memo: dict) -> tuple[GoldenCell, ...]:
     """KV-download legs of split serving, plus the server-dominance property."""
     spec = lib.model("pi0")
     device = lib.accelerator("thor")
     server = lib.accelerator("b100")
-    memo: dict = {}
     net_names = dict.fromkeys([*(name for name, _ in refs.COLLAB_KV_MS),
                                *sorted(lib.networks)])
     collab = {name: collaborative_scenario(
@@ -383,7 +382,10 @@ def collaboration_table(lib: PresetLibrary) -> tuple[GoldenCell, ...]:
     return tuple(cells)
 
 
-TABLES: Mapping[str, Callable[[PresetLibrary], tuple[GoldenCell, ...]]] = {
+# Each builder takes the library and a ``memo`` (see ``scenarios``): tables
+# that share one build each distinct phase once.
+TABLES: Mapping[str, Callable[[PresetLibrary, dict],
+                              tuple[GoldenCell, ...]]] = {
     "T1": validation_table,
     "T3": baseline_table,
     "T4": boundedness_table,

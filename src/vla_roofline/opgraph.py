@@ -75,8 +75,9 @@ class Operator(Record):
         if self.phase not in PHASES:
             raise ValueError(f"{self.label}: phase must be one of {PHASES}")
 
-    # Every graph hashes each of its operators to merge runs.  Attribute
-    # loads hash about a third faster than the base's attrgetter.
+    # A graph hashes each operator of its input runs to merge them; the
+    # builders' runs need no merge.  Attribute loads hash about a third
+    # faster than the base's attrgetter.
     def __hash__(self) -> int:
         return hash((self.label, self.flops, self.bytes, self.phase))
 
@@ -89,7 +90,9 @@ class OperatorGraph(Record):
 
     Construction takes any iterable of runs, merges equal operators into one
     run, kept where the operator first appears, and drops runs whose count
-    is zero.
+    is zero.  Every part and phase builder already emits each distinct
+    operator once, so the merge only changes runs joined from several
+    builders; a scenario prices a phase builder's runs without one.
     """
 
     __slots__ = ("ops",)
@@ -138,61 +141,65 @@ def matmul_op(m: int, n: int, k: int, p: int = 2, label: str = "matmul",
 # ---------------------------------------------------------------------------
 
 
-def _qkv_ops(cfg: TransformerConfig, q_len: int, phase: str) -> list[Operator]:
+def _qkv_runs(cfg: TransformerConfig, q_len: int, phase: str) -> list[Run]:
     p = cfg.precision_bytes
-    return [
-        matmul_op(q_len, cfg.q_width, cfg.hidden_size, p, "q_proj", phase),
-        matmul_op(q_len, cfg.kv_width, cfg.hidden_size, p, "k_proj", phase),
-        matmul_op(q_len, cfg.kv_width, cfg.hidden_size, p, "v_proj", phase),
-    ]
+    q = matmul_op(q_len, cfg.q_width, cfg.hidden_size, p, "q_proj", phase)
+    k = matmul_op(q_len, cfg.kv_width, cfg.hidden_size, p, "k_proj", phase)
+    v = matmul_op(q_len, cfg.kv_width, cfg.hidden_size, p, "v_proj", phase)
+    return [(q, 1), (k, 1), (v, 1)]
 
 
-def _ffn_ops(cfg: TransformerConfig, q_len: int, phase: str,
-             fuse_gate: bool) -> list[Operator]:
+def _ffn_runs(cfg: TransformerConfig, q_len: int, phase: str,
+              fuse_gate: bool) -> list[Run]:
+    """The FFN of one layer.  Its ``num_ffi`` up projections fold into one
+    run at the first one's position: ``ffn_up`` times ``num_ffi`` unfused,
+    or ``ffn_up`` then ``ffn_up_fused`` times ``num_ffi - 1`` fused."""
     p = cfg.precision_bytes
     h, inter = cfg.hidden_size, cfg.intermediate_size
-    ops = [matmul_op(q_len, inter, h, p, "ffn_up", phase)]
-    for _ in range(cfg.num_ffi - 1):
-        if fuse_gate:
+    up = matmul_op(q_len, inter, h, p, "ffn_up", phase)
+    if not fuse_gate:
+        runs = [(up, cfg.num_ffi)]
+    else:
+        runs = [(up, 1)]
+        if cfg.num_ffi > 1:
             # Combined with the first up projection in-flight: streams its
             # input and weights, writes nothing.
-            ops.append(Operator("ffn_up_fused", 2 * q_len * h * inter,
-                                p * (q_len * h + h * inter), phase))
-        else:
-            ops.append(matmul_op(q_len, inter, h, p, "ffn_up", phase))
-    ops.append(matmul_op(q_len, h, inter, p, "ffn_down", phase))
-    return ops
+            runs.append((Operator("ffn_up_fused", 2 * q_len * h * inter,
+                                  p * (q_len * h + h * inter), phase),
+                         cfg.num_ffi - 1))
+    runs.append((matmul_op(q_len, h, inter, p, "ffn_down", phase), 1))
+    return runs
 
 
 def _context_layer(cfg: TransformerConfig, q_len: int, prefix: int,
-                   phase: str) -> list[Operator]:
+                   phase: str) -> list[Run]:
     """One decoder layer under context (prefill-style) kernels."""
     p = cfg.precision_bytes
-    ops = _qkv_ops(cfg, q_len, phase)
+    runs = _qkv_runs(cfg, q_len, phase)
     flops = 4 * q_len * (prefix + q_len) * cfg.q_width + 2 * q_len * cfg.q_width * cfg.hidden_size
     data = p * 2 * prefix * cfg.kv_width  # pre-existing prefix KV only
     data += p * (q_len * cfg.q_width + cfg.q_width * cfg.hidden_size
                  + q_len * cfg.hidden_size)  # fused output projection
-    ops.append(Operator("attn_out", flops, data, phase))
-    ops.extend(_ffn_ops(cfg, q_len, phase, fuse_gate=True))
-    return ops
+    runs.append((Operator("attn_out", flops, data, phase), 1))
+    runs.extend(_ffn_runs(cfg, q_len, phase, fuse_gate=True))
+    return runs
 
 
 def _generation_layer(cfg: TransformerConfig, q_len: int, prefix: int,
-                      phase: str) -> list[Operator]:
+                      phase: str) -> list[Run]:
     """One decoder layer under generation (decode-style) kernels."""
     p = cfg.precision_bytes
     total = prefix + q_len
-    ops = _qkv_ops(cfg, q_len, phase)
+    runs = _qkv_runs(cfg, q_len, phase)
     flops = 4 * q_len * total * cfg.q_width + 2 * q_len * cfg.q_width * cfg.hidden_size
     data = p * (2 * q_len * cfg.q_width          # query re-read, output write
                 + 2 * total * cfg.kv_width       # full cache, fresh rows included
                 + cfg.num_q_heads * q_len * total)  # score-row spill
     data += p * (q_len * cfg.q_width + cfg.q_width * cfg.hidden_size
                  + q_len * cfg.hidden_size)
-    ops.append(Operator("attn_out", flops, data, phase))
-    ops.extend(_ffn_ops(cfg, q_len, phase, fuse_gate=False))
-    return ops
+    runs.append((Operator("attn_out", flops, data, phase), 1))
+    runs.extend(_ffn_runs(cfg, q_len, phase, fuse_gate=False))
+    return runs
 
 
 def _kv_window_elems(tokens: int, kv_width: int, groups: int,
@@ -211,10 +218,10 @@ def _kv_window_elems(tokens: int, kv_width: int, groups: int,
 
 def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
                   history: int, ctx_kv_width: int, ctx_kv_heads: int,
-                  phase: str) -> list[Operator]:
+                  phase: str) -> list[Run]:
     """One action-expert layer cross-attending cached VLM context."""
     p = cfg.precision_bytes
-    ops = _qkv_ops(cfg, q_len, phase)
+    runs = _qkv_runs(cfg, q_len, phase)
 
     own_groups = cfg.num_q_heads // cfg.num_kv_heads
     ctx_groups = max(1, -(-cfg.num_q_heads // ctx_kv_heads))
@@ -225,11 +232,12 @@ def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
                               cfg.num_q_heads, q_len)
     elems += 2 * history * ctx_kv_width  # old context streamed exactly once
     flops = 4 * q_len * (prefix + q_len + history) * cfg.q_width
-    ops.append(Operator("attention", flops, p * elems, phase))
+    runs.append((Operator("attention", flops, p * elems, phase), 1))
 
-    ops.append(matmul_op(q_len, cfg.hidden_size, cfg.q_width, p, "o_proj", phase))
-    ops.extend(_ffn_ops(cfg, q_len, phase, fuse_gate=True))
-    return ops
+    runs.append((matmul_op(q_len, cfg.hidden_size, cfg.q_width, p, "o_proj",
+                           phase), 1))
+    runs.extend(_ffn_runs(cfg, q_len, phase, fuse_gate=True))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +263,8 @@ def vit_encode_runs(cfg: TransformerConfig, num_images: int,
     embed = matmul_op(tokens, cfg.hidden_size, cfg.patch_input_dim,
                       cfg.precision_bytes, "patch_embed", VISION)
     return [(embed, 1)] + [
-        (op, cfg.num_layers) for op in _context_layer(cfg, tokens, 0, VISION)]
+        (op, count * cfg.num_layers)
+        for op, count in _context_layer(cfg, tokens, 0, VISION)]
 
 
 def prefill_runs(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
@@ -264,7 +273,7 @@ def prefill_runs(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
     if q_len < 1 or kv_prefix_len < 0:
         raise ValueError("need q_len >= 1 and kv_prefix_len >= 0")
     layer = _context_layer(cfg, q_len, kv_prefix_len, phase)
-    return [(op, cfg.num_layers) for op in layer]
+    return [(op, count * cfg.num_layers) for op, count in layer]
 
 
 def parallel_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
@@ -273,7 +282,7 @@ def parallel_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
     if num_action_tokens < 1 or kv_prefix_len < 0:
         raise ValueError("need num_action_tokens >= 1 and kv_prefix_len >= 0")
     layer = _generation_layer(cfg, num_action_tokens, kv_prefix_len, phase)
-    return [(op, cfg.num_layers) for op in layer]
+    return [(op, count * cfg.num_layers) for op, count in layer]
 
 
 def diffusion_runs(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
@@ -314,7 +323,7 @@ def diffusion_runs(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
     out_proj = matmul_op(chunk_size, action_dof, cfg_action.hidden_size, p,
                          "action_out_proj", ACTION)
     layers = steps * cfg_action.num_layers
-    return ([(in_proj, steps)] + [(op, layers) for op in layer]
+    return ([(in_proj, steps)] + [(op, count * layers) for op, count in layer]
             + [(out_proj, steps)])
 
 

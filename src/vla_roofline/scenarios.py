@@ -21,7 +21,8 @@ footprint check has passed, through an optional ``memo``: a dict that the
 caller owns, which keeps each phase under the values that define it and
 each price under the accelerator figures it reads.  Calls that share one,
 for any mix of models, context steps and placements, build each distinct
-phase once; :func:`sync_sweep` gives its points one.
+phase once; :func:`sync_sweep` gives its points one, and ``reproduce``
+gives one to all the golden tables it runs.
 """
 
 from __future__ import annotations
@@ -192,16 +193,18 @@ def check_scenario(spec: VlaModelSpec, placement: Placement,
 
 def _priced_phase(memo: dict, key, hw: AcceleratorConfig, build,
                   *args) -> Optional[tuple[float, int, int]]:
-    """``price_phase`` on ``hw`` of the runs of ``build(*args)``, merged as a
-    graph merges them, or ``None`` for no runs.  ``memo[key]`` holds the
-    runs and their prices, keyed by the figures ``price_phase`` reads."""
+    """``price_phase`` on ``hw`` of the runs of ``build(*args)``, or
+    ``None`` for no runs.  A phase builder emits each distinct operator in
+    one run, so its non-zero runs are the runs a graph merge would keep,
+    and no operator is hashed.  ``memo[key]`` holds the runs and their
+    prices, keyed by the figures ``price_phase`` reads."""
     entry = memo.get(key)
     if entry is None:
-        entry = memo[key] = (opgraph.OperatorGraph(build(*args)).ops, {})
-    ops, prices = entry
+        entry = memo[key] = ([run for run in build(*args) if run[1]], {})
+    runs, prices = entry
     figures = (hw.peak(), hw.mem_bandwidth)
     if figures not in prices:
-        prices[figures] = roofline.price_phase(ops, hw) if ops else None
+        prices[figures] = roofline.price_phase(runs, hw) if runs else None
     return prices[figures]
 
 
@@ -472,11 +475,14 @@ def decoding_variant_spec(spec: VlaModelSpec, variant: str, chunk: int,
 
 def scaling_sweep(library: PresetLibrary,
                   hardware: Sequence[AcceleratorConfig],
+                  memo: Optional[dict] = None,
                   ) -> tuple[tuple[VlaModelSpec, AcceleratorConfig,
                                    ScenarioResult], ...]:
     """On-device synchronous result of each scaled-family model on each
-    accelerator, as ``(spec, hw, result)`` in family-then-hardware order."""
-    memo: dict = {}
+    accelerator, as ``(spec, hw, result)`` in family-then-hardware order,
+    through ``memo`` (a fresh one when omitted)."""
+    if memo is None:
+        memo = {}
     return tuple((spec, hw, sync_scenario(spec, Placement.on_device(hw),
                                           memo=memo))
                  for spec in scaled_family(library) for hw in hardware)

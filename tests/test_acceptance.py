@@ -85,26 +85,27 @@ def test_c02_long_context_memory_growth_and_capacity_limits(lib):
 
 
 def test_c03_baseline_latencies_anchor_and_boundedness_labels(lib):
-    cells = golden.baseline_table(lib)
+    cells = golden.baseline_table(lib, {})
     latency_cells = [c for c in cells if c.unit == "ms"]
     assert len(latency_cells) == 20
     _assert_cells(cells)
     b100 = sync_scenario(lib.model("pi0"),
                          Placement.on_device(lib.accelerator("b100")))
     assert abs(b100.phase_latencies["vlm"] * 1e3 / 1.87 - 1) <= 0.05
-    labels = [c for c in golden.boundedness_table(lib) if c.kind == golden.LABEL]
+    labels = [c for c in golden.boundedness_table(lib, {})
+              if c.kind == golden.LABEL]
     assert len(labels) == 15
     _assert_cells(labels)
 
 
 def test_c04_network_sync_latencies_async_rates_and_speedups(lib):
-    cells = golden.async_table(lib)
+    cells = golden.async_table(lib, {})
     assert len([c for c in cells if c.label.endswith("sync latency")]) == 7
     _assert_cells(cells)
 
 
 def test_c05_dual_system_frequencies_and_thor_speedups(lib):
-    cells = golden.dual_system_table(lib)
+    cells = golden.dual_system_table(lib, {})
     assert len([c for c in cells if "async @" in c.label]) == 8
     _assert_cells(cells)
     thor = dual_system_scenario(
@@ -116,7 +117,7 @@ def test_c05_dual_system_frequencies_and_thor_speedups(lib):
 
 
 def test_c06_collaborative_kv_legs_and_server_dominance(lib):
-    cells = golden.collaboration_table(lib)
+    cells = golden.collaboration_table(lib, {})
     assert len([c for c in cells if c.unit == "ms"]) == 3
     assert len([c for c in cells if c.kind == golden.LABEL]) == 8
     _assert_cells(cells)
@@ -171,7 +172,7 @@ def _loglog_slope(points):
 
 
 def test_c08_scaling_frequencies_na_cells_and_loglog_slopes(lib):
-    cells = golden.scaling_table(lib)
+    cells = golden.scaling_table(lib, {})
     _assert_cells(cells)
     na_cells = [c for c in cells if c.reference is None]
     assert sorted(c.label for c in na_cells) == [
@@ -195,7 +196,7 @@ def test_c08_scaling_frequencies_na_cells_and_loglog_slopes(lib):
 
 
 def test_c09_validation_anchor_rtx4090_camera_sweep(lib):
-    cells = golden.validation_table(lib)
+    cells = golden.validation_table(lib, {})
     assert len(cells) == 3
     _assert_cells(cells)
     for cell, reference in zip(cells, (14.7, 22.5, 30.4)):

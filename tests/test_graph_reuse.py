@@ -1,6 +1,6 @@
-"""Each table builder builds each distinct phase once, a sweep builds each
-distinct vision and VLM phase once and only the action phase per point,
-and a sweep checks its whole grid before it builds anything.
+"""``reproduce`` builds each distinct phase once per command, a sweep
+builds each distinct vision and VLM phase once and only the action phase
+per point, and a sweep checks its whole grid before it builds anything.
 
 The builders are bound by name in several modules, so the counter replaces
 every binding of each of them in every loaded package module.
@@ -12,15 +12,18 @@ import pytest
 
 import vla_roofline.cli as cli
 from vla_roofline import golden, load_presets, opgraph, references
+from vla_roofline.scenarios import scaling_sweep
 
-# Builds of ``reproduce all``.  Only T4 builds a whole graph.  Each table
-# builds each distinct phase once: a VLM and an action phase per distinct
-# (spec, timestep) (T1 3, T3 1, T4 1, T5 4, T6 5, T8 1, T9 1, collab 1),
-# and a vision phase per distinct spec (T6 builds one, not five).
-REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, "vision_runs": 13,
-                        "vlm_runs": 17, "action_runs": 17}
-# Operators merged into the phases of ``reproduce all``.
-REPRODUCE_ALL_OPERATORS = 393
+# Builds of ``reproduce all``.  The tables share one memo, so a phase is
+# built the first time any table needs it, in ``_ALL_TABLES`` order:
+# vision T1 3 (the 3-camera one is pi0's) and T5 3; VLM and action T1 3,
+# T3 1 (pi0), T5 3 and T6 4 (t = 1 is pi0's).  T4 builds its own pi0
+# graph, which counts one ``pipeline_graph`` and one build of each phase.
+REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, "vision_runs": 7,
+                        "vlm_runs": 12, "action_runs": 12}
+# Operators hashed by ``reproduce all``: the runs of T4's one merge of the
+# pi0 graph.  The scenarios' phases are priced without a merge.
+REPRODUCE_ALL_OPERATORS = 25
 BUILDERS = ("pipeline_graph", "vision_runs", "vlm_runs", "action_runs")
 
 
@@ -52,15 +55,28 @@ def _count(calls, builder):
     return sum(1 for name, *_ in calls if name == builder)
 
 
-def test_reproduce_all_builds_each_phase_once_per_table(builds, capsys):
+def test_reproduce_all_builds_each_phase_once_per_command(builds, capsys):
     assert cli.main(["reproduce", "all", "--format", "json"]) == 0
     assert capsys.readouterr().err == ""
     assert {name: _count(builds, name)
             for name in BUILDERS} == REPRODUCE_ALL_BUILDS
 
 
+def test_tables_sharing_one_memo_equal_fresh_tables():
+    """One memo through every table of ``reproduce all``, in its order,
+    changes no cell; nor does it change ``scaling_sweep``."""
+    lib = load_presets()
+    memo = {}
+    for name in cli._ALL_TABLES:
+        assert golden.TABLES[name](lib, memo) == golden.TABLES[name](
+            lib, {}), name
+    assert memo
+    hardware = [lib.accelerator(name) for name in sorted(lib.hardware)]
+    assert scaling_sweep(lib, hardware, memo) == scaling_sweep(lib, hardware)
+
+
 def test_long_context_table_builds_its_vision_phase_once(builds):
-    golden.long_context_table(load_presets())
+    golden.long_context_table(load_presets(), {})
     assert [call for call in builds if call[0] == "vision_runs"] == [
         ("vision_runs", "pi0", None)]
     assert [call[2] for call in builds if call[0] == "vlm_runs"] == list(
@@ -79,7 +95,7 @@ def test_reproduce_all_hashes_each_operator_once(monkeypatch, capsys):
     monkeypatch.setattr(opgraph.Operator, "__hash__", counting)
     assert cli.main(["reproduce", "all", "--format", "json"]) == 0
     assert capsys.readouterr().err == ""
-    assert 0 < len(hashes) <= REPRODUCE_ALL_OPERATORS
+    assert len(hashes) == REPRODUCE_ALL_OPERATORS
 
 
 def test_sweep_prices_vision_once_and_vlm_once_per_context_step(builds,

@@ -33,6 +33,7 @@ from vla_roofline import (
     sync_scenario,
     transfer_time,
 )
+from vla_roofline import opgraph
 from vla_roofline.opgraph import ACTION, PHASES
 from vla_roofline.record import replace
 from vla_roofline.roofline import boundedness, graph_oi, phase_breakdown
@@ -48,7 +49,12 @@ from vla_roofline.scenarios import (
     decoding_variant_spec,
     sync_sweep,
 )
-from vla_roofline.workload import DECODING_MODES, DIFFUSION, TransformerConfig
+from vla_roofline.workload import (
+    DECODING_MODES,
+    DIFFUSION,
+    TransformerConfig,
+    VlaModelSpec,
+)
 
 operators = st.builds(
     Operator,
@@ -210,6 +216,65 @@ def test_param_count_is_linear_in_depth(cfg, factor):
 def test_kv_cache_ignores_extra_query_heads(cfg, ratio):
     wider = replace(cfg, num_q_heads=cfg.num_q_heads * ratio)
     assert kv_bytes_per_token(wider) == kv_bytes_per_token(cfg)
+
+
+@st.composite
+def layered_stacks(draw, patch=False):
+    """Stacks of 0-3 layers with 1-4 FFN up projections and grouped-query
+    heads; a vision stack (``patch``) has a patch input."""
+    kv_heads = draw(st.integers(min_value=1, max_value=3))
+    return TransformerConfig(
+        name="toy",
+        num_layers=draw(st.integers(min_value=0, max_value=3)),
+        hidden_size=draw(st.integers(min_value=1, max_value=48)),
+        intermediate_size=draw(st.integers(min_value=1, max_value=96)),
+        num_ffi=draw(st.integers(min_value=1, max_value=4)),
+        num_q_heads=kv_heads * draw(st.integers(min_value=1, max_value=4)),
+        num_kv_heads=kv_heads,
+        head_dim=draw(st.integers(min_value=1, max_value=16)),
+        precision_bytes=draw(st.sampled_from((1, 2, 4))),
+        patch_input_dim=(draw(st.integers(min_value=1, max_value=64))
+                         if patch else None),
+    )
+
+
+def _is_merged(runs):
+    """A builder's non-zero runs are what a graph merge of them keeps."""
+    return [run for run in runs if run[1]] == list(OperatorGraph(runs).ops)
+
+
+_tokens = st.integers(min_value=1, max_value=40)
+
+
+@given(vision=layered_stacks(patch=True), vlm=layered_stacks(),
+       expert=layered_stacks(), cameras=st.integers(min_value=0, max_value=3),
+       tokens_per_image=_tokens, language_tokens=_tokens, chunk=_tokens,
+       dof=_tokens, steps=st.integers(min_value=0, max_value=4),
+       history=st.integers(min_value=0, max_value=100),
+       decoding=st.sampled_from(DECODING_MODES),
+       context_timestep=st.one_of(st.none(),
+                                  st.integers(min_value=1, max_value=5)))
+def test_builders_emit_each_distinct_operator_once(
+        vision, vlm, expert, cameras, tokens_per_image, language_tokens,
+        chunk, dof, steps, history, decoding, context_timestep):
+    """Every part and phase builder returns runs that a merge leaves as
+    they are: the repeated FFN up projections come folded into one run."""
+    assert _is_merged(opgraph.vit_encode_runs(vision, cameras,
+                                              tokens_per_image))
+    assert _is_merged(opgraph.prefill_runs(vlm, language_tokens, history))
+    assert _is_merged(opgraph.parallel_decode_runs(vlm, chunk, history))
+    assert _is_merged(opgraph.diffusion_runs(
+        expert, language_tokens, kv_bytes_per_token(vlm), chunk, steps, dof,
+        context_cfg=vlm, history_tokens=history))
+    spec = VlaModelSpec(
+        "toy", vision, vlm,
+        action_expert=expert if decoding == DIFFUSION else None,
+        num_cameras=cameras, tokens_per_image=tokens_per_image,
+        language_tokens=language_tokens, action_dof=dof, chunk_size=chunk,
+        denoise_steps=steps, decoding_mode=decoding)
+    assert _is_merged(opgraph.vision_runs(spec))
+    assert _is_merged(opgraph.vlm_runs(spec, context_timestep))
+    assert _is_merged(opgraph.action_runs(spec, context_timestep))
 
 
 @given(op=operators, hw=accelerators,
