@@ -314,8 +314,7 @@ def _configure_spec(base: VlaModelSpec, chunk: Optional[int],
         if value is not None}
     spec = replace(base, **changes) if changes else base
     if decoding is not None:
-        spec = decoding_variant_spec(spec, decoding, spec.chunk_size,
-                                     spec.action_dof)
+        spec = decoding_variant_spec(spec, decoding)
     return spec
 
 
@@ -335,15 +334,11 @@ def _build_placement(args, lib: PresetLibrary, parser: _Parser) -> Placement:
                          + " and ".join(required))
         if flag not in required and value is not None:
             parser.error(f"{args.placement} placement does not use {flag}")
-    if args.placement == ON_DEVICE:
-        return Placement.on_device(hw)
-    if args.placement == EDGE_SERVER:
-        return Placement.edge_server(hw, lib.network(args.net))
-    if args.placement == CLOUD_SERVER:
-        return Placement.cloud_server(hw, lib.network(args.net),
-                                      lib.network(args.cloud_net))
-    return Placement.collaborative(lib.accelerator(args.device_hw), hw,
-                                   lib.network(args.net))
+    return Placement(
+        args.placement, hw,
+        device_hw=args.device_hw and lib.accelerator(args.device_hw),
+        access_net=args.net and lib.network(args.net),
+        cloud_net=args.cloud_net and lib.network(args.cloud_net))
 
 
 def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:

@@ -131,7 +131,10 @@ def table_passed(cells) -> bool:
     return all(cell.passed is not False for cell in cells)
 
 
-def _bound_label(side: str) -> str:
+def _bound_label(side: Optional[str]) -> str:
+    """A bound as the reference tables write it; N/A for no operators."""
+    if side is None:
+        return "N/A"
     return "Compute" if side == COMPUTE_BOUND else "Memory"
 
 
@@ -216,17 +219,17 @@ def boundedness_table(lib: PresetLibrary,
     for phase in PHASES:
         if oi_tols[phase] is None:
             cells.append(GoldenCell(
-                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity[phase],
+                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
                 reference=refs.PHASE_OI[phase], kind=INFO))
         else:
             cells.append(GoldenCell(
-                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity[phase],
+                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
                 reference=refs.PHASE_OI[phase], rel_tol=oi_tols[phase]))
     for hw_name in refs.BASELINE_HW:
         for phase in PHASES:
             cells.append(GoldenCell(
                 "T4", f"{hw_name} {phase} bound", "", kind=LABEL,
-                modeled_text=_bound_label(labels[hw_name][phase]),
+                modeled_text=_bound_label(labels[hw_name].get(phase)),
                 reference_text=refs.BOUNDEDNESS[hw_name][phase]))
     return tuple(cells)
 

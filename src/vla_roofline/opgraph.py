@@ -1,11 +1,12 @@
 """Operator graphs for every forward-pass workload in the pipeline.
 
-Each workload (vision encode, prefill, decode, parallel decode, diffusion)
-lowers to run-length ``(Operator, count)`` pairs: an :class:`Operator` record
-carries exact FLOP and HBM-byte counts for one kernel launch, and its count
-says how often the workload launches it (once per layer, per denoising pass,
-per decoded token).  A control step is a handful of distinct layer operators
-repeated thousands of times, so a graph holds a few dozen runs however many
+Each workload (vision encode, VLM prefill, and the action phase as token
+decode, parallel decode or diffusion) lowers to run-length ``(Operator,
+count)`` pairs: an :class:`Operator` record carries exact FLOP and HBM-byte
+counts for one kernel launch, and its count says how often the workload
+launches it (once per layer, per denoising pass, per decoded token).  A
+control step is a handful of distinct layer operators repeated thousands of
+times, so a graph holds a few dozen runs however many
 kernels it models, and the roofline layer prices each distinct operator once,
 times its count.  Because operators are priced independently, *where* bytes
 are attributed matters as much as how many there are.  Three kernel
@@ -51,7 +52,6 @@ from .workload import (
     DIFFUSION,
     TransformerConfig,
     VlaModelSpec,
-    kv_bytes_per_token,
 )
 
 VISION = "vision"
@@ -74,12 +74,6 @@ class Operator(Record):
             raise ValueError(f"{self.label}: flops and bytes must be >= 0")
         if self.phase not in PHASES:
             raise ValueError(f"{self.label}: phase must be one of {PHASES}")
-
-    # A graph hashes each operator of its input runs to merge them; the
-    # builders' runs need no merge.  Attribute loads hash about a third
-    # faster than the base's attrgetter.
-    def __hash__(self) -> int:
-        return hash((self.label, self.flops, self.bytes, self.phase))
 
 
 Run = tuple[Operator, int]
@@ -185,20 +179,20 @@ def _context_layer(cfg: TransformerConfig, q_len: int, prefix: int,
     return runs
 
 
-def _generation_layer(cfg: TransformerConfig, q_len: int, prefix: int,
-                      phase: str) -> list[Run]:
-    """One decoder layer under generation (decode-style) kernels."""
+def _generation_layer(cfg: TransformerConfig, q_len: int,
+                      prefix: int) -> list[Run]:
+    """One action-phase decoder layer under generation kernels."""
     p = cfg.precision_bytes
     total = prefix + q_len
-    runs = _qkv_runs(cfg, q_len, phase)
+    runs = _qkv_runs(cfg, q_len, ACTION)
     flops = 4 * q_len * total * cfg.q_width + 2 * q_len * cfg.q_width * cfg.hidden_size
     data = p * (2 * q_len * cfg.q_width          # query re-read, output write
                 + 2 * total * cfg.kv_width       # full cache, fresh rows included
                 + cfg.num_q_heads * q_len * total)  # score-row spill
     data += p * (q_len * cfg.q_width + cfg.q_width * cfg.hidden_size
                  + q_len * cfg.hidden_size)
-    runs.append((Operator("attn_out", flops, data, phase), 1))
-    runs.extend(_ffn_runs(cfg, q_len, phase, fuse_gate=False))
+    runs.append((Operator("attn_out", flops, data, ACTION), 1))
+    runs.extend(_ffn_runs(cfg, q_len, ACTION, fuse_gate=False))
     return runs
 
 
@@ -217,11 +211,11 @@ def _kv_window_elems(tokens: int, kv_width: int, groups: int,
 
 
 def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
-                  history: int, ctx_kv_width: int, ctx_kv_heads: int,
-                  phase: str) -> list[Run]:
+                  history: int, ctx_kv_width: int,
+                  ctx_kv_heads: int) -> list[Run]:
     """One action-expert layer cross-attending cached VLM context."""
     p = cfg.precision_bytes
-    runs = _qkv_runs(cfg, q_len, phase)
+    runs = _qkv_runs(cfg, q_len, ACTION)
 
     own_groups = cfg.num_q_heads // cfg.num_kv_heads
     ctx_groups = max(1, -(-cfg.num_q_heads // ctx_kv_heads))
@@ -232,11 +226,11 @@ def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
                               cfg.num_q_heads, q_len)
     elems += 2 * history * ctx_kv_width  # old context streamed exactly once
     flops = 4 * q_len * (prefix + q_len + history) * cfg.q_width
-    runs.append((Operator("attention", flops, p * elems, phase), 1))
+    runs.append((Operator("attention", flops, p * elems, ACTION), 1))
 
     runs.append((matmul_op(q_len, cfg.hidden_size, cfg.q_width, p, "o_proj",
-                           phase), 1))
-    runs.extend(_ffn_runs(cfg, q_len, phase, fuse_gate=True))
+                           ACTION), 1))
+    runs.extend(_ffn_runs(cfg, q_len, ACTION, fuse_gate=True))
     return runs
 
 
@@ -267,28 +261,27 @@ def vit_encode_runs(cfg: TransformerConfig, num_images: int,
         for op, count in _context_layer(cfg, tokens, 0, VISION)]
 
 
-def prefill_runs(cfg: TransformerConfig, q_len: int, kv_prefix_len: int = 0,
-                 phase: str = VLM) -> list[Run]:
-    """Prefill of ``q_len`` fresh tokens over an optional existing prefix."""
+def prefill_runs(cfg: TransformerConfig, q_len: int,
+                 kv_prefix_len: int = 0) -> list[Run]:
+    """VLM prefill of ``q_len`` fresh tokens over an optional prefix."""
     if q_len < 1 or kv_prefix_len < 0:
         raise ValueError("need q_len >= 1 and kv_prefix_len >= 0")
-    layer = _context_layer(cfg, q_len, kv_prefix_len, phase)
+    layer = _context_layer(cfg, q_len, kv_prefix_len, VLM)
     return [(op, count * cfg.num_layers) for op, count in layer]
 
 
 def parallel_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
-                         kv_prefix_len: int, phase: str = VLM) -> list[Run]:
-    """All ``num_action_tokens`` decoded in one generation-kernel forward."""
+                         kv_prefix_len: int) -> list[Run]:
+    """All ``num_action_tokens`` decoded in one action-phase forward."""
     if num_action_tokens < 1 or kv_prefix_len < 0:
         raise ValueError("need num_action_tokens >= 1 and kv_prefix_len >= 0")
-    layer = _generation_layer(cfg, num_action_tokens, kv_prefix_len, phase)
+    layer = _generation_layer(cfg, num_action_tokens, kv_prefix_len)
     return [(op, count * cfg.num_layers) for op, count in layer]
 
 
-def diffusion_runs(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
-                   vlm_kv_bytes_per_token: int, chunk_size: int, steps: int,
-                   action_dof: int, *,
-                   context_cfg: Optional[TransformerConfig] = None,
+def diffusion_runs(cfg_action: TransformerConfig,
+                   context_cfg: TransformerConfig, vlm_prefix_tokens: int,
+                   chunk_size: int, steps: int, action_dof: int,
                    history_tokens: int = 0) -> list[Run]:
     """Flow-matching action generation: ``steps`` identical denoising passes.
 
@@ -296,11 +289,8 @@ def diffusion_runs(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
     every expert layer jointly attending the cached VLM prefix (and any
     accumulated ``history_tokens`` of older context), and projects actions
     out.  Passes are identical, so the cost is exactly linear in ``steps``.
-
-    ``context_cfg`` gives the cached context's KV geometry (width and head
-    count; normally the VLM config).  Without it the per-layer context width
-    is recovered from ``vlm_kv_bytes_per_token`` assuming the stacks are
-    depth-matched, which is exact for the baseline policy.
+    ``context_cfg`` is the stack whose KV cache the expert attends (the
+    VLM): the context is read at its KV width and head count.
     """
     if vlm_prefix_tokens < 0 or history_tokens < 0:
         raise ValueError("context token counts must be >= 0")
@@ -309,15 +299,9 @@ def diffusion_runs(cfg_action: TransformerConfig, vlm_prefix_tokens: int,
     if steps == 0:
         return []
     p = cfg_action.precision_bytes
-    if context_cfg is not None:
-        ctx_kv_width = context_cfg.kv_width
-        ctx_kv_heads = context_cfg.num_kv_heads
-    else:
-        ctx_kv_width = vlm_kv_bytes_per_token // (2 * p * cfg_action.num_layers)
-        ctx_kv_heads = cfg_action.num_kv_heads
-
     layer = _expert_layer(cfg_action, chunk_size, vlm_prefix_tokens,
-                          history_tokens, ctx_kv_width, ctx_kv_heads, ACTION)
+                          history_tokens, context_cfg.kv_width,
+                          context_cfg.num_kv_heads)
     in_proj = matmul_op(chunk_size, cfg_action.hidden_size, action_dof, p,
                         "action_in_proj", ACTION)
     out_proj = matmul_op(chunk_size, action_dof, cfg_action.hidden_size, p,
@@ -370,16 +354,15 @@ def action_runs(spec: VlaModelSpec,
     prefix = spec.prefix_tokens()
     if spec.decoding_mode == DIFFUSION:
         return diffusion_runs(
-            spec.action_expert, prefix, kv_bytes_per_token(spec.vlm),
-            spec.chunk_size, spec.denoise_steps, spec.action_dof,
-            context_cfg=spec.vlm, history_tokens=history)
+            spec.action_expert, spec.vlm, prefix, spec.chunk_size,
+            spec.denoise_steps, spec.action_dof, history)
     if spec.decoding_mode == AUTOREGRESSIVE:
         # One single-token forward per action token.
-        step = parallel_decode_runs(spec.vlm, 1, prefix + history, ACTION)
+        step = parallel_decode_runs(spec.vlm, 1, prefix + history)
         return [(op, count * spec.action_tokens()) for op, count in step]
     # AUTOREGRESSIVE_PARALLEL: VlaModelSpec admits no other mode.
-    return parallel_decode_runs(
-        spec.vlm, spec.action_tokens(), prefix + history, ACTION)
+    return parallel_decode_runs(spec.vlm, spec.action_tokens(),
+                                prefix + history)
 
 
 def pipeline_graph(spec: VlaModelSpec,

@@ -2,10 +2,11 @@
 
 Every operator is priced as ``max(flops / peak, bytes / bandwidth)`` and a
 graph's latency is the sum over its operators, i.e. kernels run back to back
-and each one is limited by whichever hardware ceiling it hits first.  Whether
-a whole *phase* is compute- or memory-bound is decided on its aggregate
-operational intensity (total FLOPs / total bytes) against the accelerator's
-balance point.
+and each one is limited by whichever hardware ceiling it hits first.  One
+loop, :func:`price_phase`, adds those times over ``(operator, count)`` runs;
+:func:`op_time` is its per-operator reference.  Whether a whole *phase* is
+compute- or memory-bound is decided on its aggregate operational intensity
+(total FLOPs / total bytes) against the accelerator's balance point.
 """
 
 from __future__ import annotations
@@ -78,17 +79,12 @@ def op_time(op: Operator, hw: AcceleratorConfig,
     return t_memory, MEMORY_BOUND
 
 
-def graph_time(graph: OperatorGraph, hw: AcceleratorConfig,
-               precision_bytes: int = 2) -> float:
-    """Sum of per-operator roofline times in seconds, every phase on ``hw``.
-
-    Each run is priced once: its operator's time times its count.  Per-phase
+def graph_time(graph: OperatorGraph, hw: AcceleratorConfig) -> float:
+    """Sum of per-operator roofline times in seconds, every phase on ``hw``:
+    the seconds of :func:`price_phase` over the graph's runs.  Per-phase
     subtotals come from :func:`phase_breakdown`.
     """
-    total = 0.0
-    for op, count in graph.ops:
-        total += count * op_time(op, hw, precision_bytes)[0]
-    return total
+    return price_phase(graph.ops, hw)[0]
 
 
 def _intensity(flops: int, data: int) -> float:
@@ -98,8 +94,8 @@ def _intensity(flops: int, data: int) -> float:
     return flops / data
 
 
-def _label(oi: float, hw: AcceleratorConfig, precision_bytes: int = 2) -> str:
-    if oi > hw.balance_oi(precision_bytes):
+def _label(oi: float, hw: AcceleratorConfig) -> str:
+    if oi > hw.balance_oi():
         return COMPUTE_BOUND
     return MEMORY_BOUND
 
@@ -109,10 +105,9 @@ def graph_oi(graph: OperatorGraph) -> float:
     return _intensity(graph.total_flops, graph.total_bytes)
 
 
-def boundedness(graph: OperatorGraph, hw: AcceleratorConfig,
-                precision_bytes: int = 2) -> str:
+def boundedness(graph: OperatorGraph, hw: AcceleratorConfig) -> str:
     """Aggregate compute/memory label: compute iff OI exceeds the balance."""
-    return _label(graph_oi(graph), hw, precision_bytes)
+    return _label(graph_oi(graph), hw)
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +115,25 @@ def boundedness(graph: OperatorGraph, hw: AcceleratorConfig,
 # ---------------------------------------------------------------------------
 
 
+def kv_cache_bytes(spec: VlaModelSpec, context_timesteps: int) -> int:
+    """Live KV-cache bytes after ``context_timesteps`` long-context steps,
+    in which only the camera tokens of each step are retained."""
+    if context_timesteps < 1:
+        raise ValueError("context_timesteps must be >= 1")
+    return spec.vision_tokens() * context_timesteps * kv_bytes_per_token(spec.vlm)
+
+
 def memory_footprint(spec: VlaModelSpec,
                      context_timesteps: Optional[int] = None) -> int:
     """Resident bytes: all component weights plus the live VLM KV cache.
 
-    Stateless serving (``context_timesteps=None``) caches one fresh prefix.
-    In the long-context regime only the camera tokens of each step are
-    retained, so after ``t`` steps the cache holds ``vision_tokens * t``
-    tokens.
+    Stateless serving (``context_timesteps=None``) caches one fresh prefix;
+    the long-context regime caches :func:`kv_cache_bytes`.
     """
     weights = sum(weight_bytes(c) for c in spec.components())
     if context_timesteps is None:
-        cached_tokens = spec.prefix_tokens()
-    else:
-        if context_timesteps < 1:
-            raise ValueError("context_timesteps must be >= 1")
-        cached_tokens = spec.vision_tokens() * context_timesteps
-    return weights + cached_tokens * kv_bytes_per_token(spec.vlm)
-
-
-def kv_cache_bytes(spec: VlaModelSpec, context_timesteps: int) -> int:
-    """Live KV-cache bytes after ``context_timesteps`` long-context steps."""
-    if context_timesteps < 1:
-        raise ValueError("context_timesteps must be >= 1")
-    return spec.vision_tokens() * context_timesteps * kv_bytes_per_token(spec.vlm)
+        return weights + spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
+    return weights + kv_cache_bytes(spec, context_timesteps)
 
 
 def fits(spec: VlaModelSpec, hw: AcceleratorConfig,

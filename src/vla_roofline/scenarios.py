@@ -397,7 +397,7 @@ def dual_system_times(result: ScenarioResult) -> tuple[float, float]:
                if phase != opgraph.VLM)
     for leg in result.network_latencies.values():
         t_s1 += leg
-    return t_s1, result.phase_latencies[opgraph.VLM]
+    return t_s1, result.phase_latencies.get(opgraph.VLM, 0.0)
 
 
 def dual_system_scenario(spec: VlaModelSpec, placement: Placement,
@@ -455,34 +455,28 @@ DECODING_VARIANTS = (DIFFUSION, DIFFUSION_LARGE, AUTOREGRESSIVE,
                      AUTOREGRESSIVE_PARALLEL)
 
 
-def decoding_variant_spec(spec: VlaModelSpec, variant: str, chunk: int,
-                           dof: int) -> VlaModelSpec:
-    base = spec
-    if (chunk, dof) != (spec.chunk_size, spec.action_dof):
-        base = replace(spec, chunk_size=chunk, action_dof=dof)
+def decoding_variant_spec(spec: VlaModelSpec, variant: str) -> VlaModelSpec:
     if variant == DIFFUSION:
-        return base
+        return spec
     if variant == DIFFUSION_LARGE:
         big = replace(spec.vlm, name=f"{spec.vlm.name}-expert",
                       patch_input_dim=None)
-        return replace(base, name=f"{spec.name}-large-expert",
+        return replace(spec, name=f"{spec.name}-large-expert",
                        action_expert=big)
     if variant in (AUTOREGRESSIVE, AUTOREGRESSIVE_PARALLEL):
-        return replace(base, name=f"{spec.name}-{variant}",
+        return replace(spec, name=f"{spec.name}-{variant}",
                        decoding_mode=variant, action_expert=None)
     raise ValueError(f"unknown decoding variant {variant!r}")
 
 
 def scaling_sweep(library: PresetLibrary,
                   hardware: Sequence[AcceleratorConfig],
-                  memo: Optional[dict] = None,
+                  memo: dict,
                   ) -> tuple[tuple[VlaModelSpec, AcceleratorConfig,
                                    ScenarioResult], ...]:
     """On-device synchronous result of each scaled-family model on each
     accelerator, as ``(spec, hw, result)`` in family-then-hardware order,
-    through ``memo`` (a fresh one when omitted)."""
-    if memo is None:
-        memo = {}
+    through ``memo``."""
     return tuple((spec, hw, sync_scenario(spec, Placement.on_device(hw),
                                           memo=memo))
                  for spec in scaled_family(library) for hw in hardware)

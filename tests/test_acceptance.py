@@ -141,7 +141,8 @@ def test_c07_sweep_linearity_chunk_cost_and_decoding_tradeoffs(lib):
     assert at250.e2e_latency / at50.e2e_latency - 1 <= 0.15
 
     rows = {(variant, chunk):
-            on_b100(decoding_variant_spec(spec, variant, chunk, 14))
+            on_b100(decoding_variant_spec(
+                replace(spec, chunk_size=chunk, action_dof=14), variant))
             for chunk in (5, 10, 50)
             for variant in ("diffusion", "autoregressive",
                             "autoregressive_parallel")}

@@ -268,6 +268,25 @@ def test_reproduce_fails_with_doctored_presets(tmp_path):
     assert "overall: FAIL" in result.stdout
 
 
+def test_phase_without_operators_fails_its_boundedness_cells(tmp_path):
+    """A VLM stack of no layers leaves pi0 no VLM operators: its OI and
+    bound cells read N/A and fail, and the command exits 2."""
+    models = copy.deepcopy(presets.MODELS)
+    models["components"]["gemma-2b"]["num_decoder_layers"] = 0
+    (tmp_path / "models.yaml").write_text(yaml.safe_dump(models),
+                                          encoding="utf-8")
+    result = run_cli("reproduce", "T4", "--format", "json",
+                     env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
+    assert result.returncode == 2
+    assert result.stderr == ""
+    [table] = json.loads(result.stdout)
+    assert not table["passed"]
+    failed = {cell["label"]: cell["modeled"] for cell in table["cells"]
+              if cell["status"] == "FAIL"}
+    assert failed == {"vlm OI": "N/A", **{f"{hw} vlm bound": "N/A" for hw in
+                      ("thor", "rtx4090", "a100", "h100", "b100")}}
+
+
 def test_env_override_changes_analyze_output(tmp_path):
     (tmp_path / "networks.yaml").write_text(
         "toy-link: {bandwidth_mbps: 1, base_latency_ms: 100}\n",

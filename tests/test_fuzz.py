@@ -158,6 +158,17 @@ SMALL_MEMORY = yaml.safe_dump({
     "rtx4090": {**presets.HARDWARE["rtx4090"], "Memory_GB": 1}})
 
 
+# A phase with no operators once crashed the T4 table and the dual-system
+# paths.
+NO_DENOISING = yaml.safe_dump({**presets.MODELS, "models": {
+    **presets.MODELS["models"],
+    "pi0": {**presets.MODELS["models"]["pi0"], "denoise_steps": 0}}})
+NO_VLM_LAYERS = yaml.safe_dump({**presets.MODELS, "components": {
+    **presets.MODELS["components"],
+    "gemma-2b": {**presets.MODELS["components"]["gemma-2b"],
+                 "num_decoder_layers": 0}}})
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(mutated_preset_files(), argvs())
 @example({"networks.yaml": "4g: {bandwidth_mbps: 1, base_latency_ms: 1}\n"
@@ -166,6 +177,10 @@ SMALL_MEMORY = yaml.safe_dump({
 @example({"hardware.yaml": SMALL_MEMORY}, ["reproduce", "all"])
 @example({"hardware.yaml": SMALL_MEMORY},
          ["reproduce", "all", "--format", "json"])
+@example({"models.yaml": NO_DENOISING}, ["reproduce", "all"])
+@example({"models.yaml": NO_VLM_LAYERS},
+         ["reproduce", "T4", "--format", "json"])
+@example({"models.yaml": NO_VLM_LAYERS}, ["analyze", "--s2-cap", "5"])
 def test_mutated_presets_end_in_a_result_or_an_error(files, argv):
     with tempfile.TemporaryDirectory() as preset_dir, \
             mock.patch.dict(os.environ, {PRESET_DIR_ENV: preset_dir}):

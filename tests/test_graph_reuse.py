@@ -72,7 +72,8 @@ def test_tables_sharing_one_memo_equal_fresh_tables():
             lib, {}), name
     assert memo
     hardware = [lib.accelerator(name) for name in sorted(lib.hardware)]
-    assert scaling_sweep(lib, hardware, memo) == scaling_sweep(lib, hardware)
+    assert scaling_sweep(lib, hardware, memo) == scaling_sweep(
+        lib, hardware, {})
 
 
 def test_long_context_table_builds_its_vision_phase_once(builds):

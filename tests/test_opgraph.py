@@ -27,7 +27,6 @@ from vla_roofline.scenarios import DECODING_VARIANTS, decoding_variant_spec
 from vla_roofline.workload import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
-    kv_bytes_per_token,
     scaled_family,
 )
 
@@ -124,9 +123,8 @@ def test_vision_requires_patch_dim(lib):
 # --- Action expert: diffusion over cached VLM context ----------------------
 
 def test_diffusion_step_totals(lib, pi0):
-    graph = OperatorGraph(diffusion_runs(pi0.action_expert, 800,
-                                         kv_bytes_per_token(pi0.vlm), 50, 1,
-                                         14, context_cfg=pi0.vlm))
+    graph = OperatorGraph(diffusion_runs(pi0.action_expert, pi0.vlm, 800,
+                                         50, 1, 14))
     assert graph.total_bytes == 731_061_488
     assert graph.total_flops == 37_412_454_400
 
@@ -134,9 +132,7 @@ def test_diffusion_step_totals(lib, pi0):
 def test_diffusion_attention_window_choice(lib, pi0):
     """The context window is read per KV-group only while that is cheaper
     than materialising score rows; the baseline sits on the score side."""
-    runs = diffusion_runs(pi0.action_expert, 800,
-                          kv_bytes_per_token(pi0.vlm), 50, 1, 14,
-                          context_cfg=pi0.vlm)
+    runs = diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50, 1, 14)
     attn, count = next(run for run in runs if run[0].label == "attention")
     assert count == pi0.action_expert.num_layers
     # 2*(2*50*2048 + [2*800*256 + 4*8*50*800] + [2*50*256 + 4*8*50*50])
@@ -145,28 +141,16 @@ def test_diffusion_attention_window_choice(lib, pi0):
 
 
 def test_diffusion_is_linear_in_steps(lib, pi0):
-    one = OperatorGraph(diffusion_runs(pi0.action_expert, 800, 18_432, 50, 1,
-                                       14, context_cfg=pi0.vlm))
-    ten = OperatorGraph(diffusion_runs(pi0.action_expert, 800, 18_432, 50, 10,
-                                       14, context_cfg=pi0.vlm))
+    one = OperatorGraph(diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50,
+                                       1, 14))
+    ten = OperatorGraph(diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50,
+                                       10, 14))
     assert ten.total_flops == 10 * one.total_flops
     assert ten.total_bytes == 10 * one.total_bytes
 
 
 def test_diffusion_zero_steps_is_empty(pi0):
-    assert diffusion_runs(pi0.action_expert, 800, 18_432, 50, 0, 14) == []
-
-
-def test_diffusion_context_width_fallback_matches_explicit(pi0):
-    """Without the context config, the cached-context KV width is recovered
-    from bytes-per-token; identical here because the stacks are both 18
-    layers deep."""
-    explicit = OperatorGraph(diffusion_runs(
-        pi0.action_expert, 800, 18_432, 50, 10, 14, context_cfg=pi0.vlm))
-    recovered = OperatorGraph(diffusion_runs(
-        pi0.action_expert, 800, 18_432, 50, 10, 14))
-    assert explicit.total_bytes == recovered.total_bytes
-    assert explicit.total_flops == recovered.total_flops
+    assert diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50, 0, 14) == []
 
 
 # --- Decode kernels ---------------------------------------------------------
@@ -221,7 +205,7 @@ def test_autoregressive_pipeline_decodes_each_action_token(pi0):
     ar = replace(pi0, action_expert=None, decoding_mode=AUTOREGRESSIVE)
     graph = pipeline_graph(ar)
     action = graph.subgraph(ACTION)
-    step = OperatorGraph(parallel_decode_runs(pi0.vlm, 1, 800, ACTION))
+    step = OperatorGraph(parallel_decode_runs(pi0.vlm, 1, 800))
     assert action.ops == tuple((op, 700 * count) for op, count in step.ops)
     assert action.total_bytes == 700 * step.total_bytes
     assert action.total_flops == 700 * step.total_flops
@@ -266,8 +250,7 @@ def test_layer_builders_repeat_one_layer(lib, pi0):
         (parallel_decode_runs(gemma, 50, 800), gemma.num_layers,
          {"ffn_up": gemma.num_ffi * gemma.num_layers}),
         (vit_encode_runs(siglip, 3), siglip.num_layers, {"patch_embed": 1}),
-        (diffusion_runs(pi0.action_expert, 800, 18_432, 50, 1, 14,
-                        context_cfg=pi0.vlm),
+        (diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50, 1, 14),
          pi0.action_expert.num_layers,
          {"action_in_proj": 1, "action_out_proj": 1}),
     )
@@ -298,9 +281,7 @@ def test_pipeline_runs_digest(lib):
     digest = hashlib.sha256()
     for spec in specs:
         for variant in DECODING_VARIANTS:
-            variant_spec = decoding_variant_spec(spec, variant,
-                                                 spec.chunk_size,
-                                                 spec.action_dof)
+            variant_spec = decoding_variant_spec(spec, variant)
             for timestep in (None, 10, 1000):
                 runs = [(op.label, op.flops, op.bytes, op.phase, count)
                         for op, count in pipeline_graph(variant_spec,

@@ -264,8 +264,7 @@ def test_builders_emit_each_distinct_operator_once(
     assert _is_merged(opgraph.prefill_runs(vlm, language_tokens, history))
     assert _is_merged(opgraph.parallel_decode_runs(vlm, chunk, history))
     assert _is_merged(opgraph.diffusion_runs(
-        expert, language_tokens, kv_bytes_per_token(vlm), chunk, steps, dof,
-        context_cfg=vlm, history_tokens=history))
+        expert, vlm, language_tokens, chunk, steps, dof, history))
     spec = VlaModelSpec(
         "toy", vision, vlm,
         action_expert=expert if decoding == DIFFUSION else None,
@@ -344,9 +343,7 @@ def test_phase_breakdown_prices_each_phase_like_its_subgraph(
         model, decoding, context_timestep, hw, action_hw):
     """One walk over the runs gives, bit for bit, what pricing each phase's
     subgraph separately gives."""
-    spec = _LIB.model(model)
-    spec = decoding_variant_spec(spec, decoding, spec.chunk_size,
-                                 spec.action_dof)
+    spec = decoding_variant_spec(_LIB.model(model), decoding)
     graph = pipeline_graph(spec, context_timestep)
     expected = {}
     for phase in PHASES:
@@ -428,8 +425,7 @@ def _walk_point(p):
                    num_cameras=p["num_cameras"], chunk_size=p["chunk_size"],
                    action_dof=p["action_dof"],
                    denoise_steps=p["denoise_steps"])
-    spec = decoding_variant_spec(spec, variant, spec.chunk_size,
-                                 spec.action_dof)
+    spec = decoding_variant_spec(spec, variant)
     placement = _placement(p["kind"], p["hw"], p["device_hw"], p["net"],
                            p["cloud_net"])
     return spec, placement, context_timestep
@@ -512,8 +508,9 @@ def sweep_grids(draw, kind):
     def axis(values):
         return draw(st.lists(values, min_size=1, max_size=2))
 
-    return [(decoding_variant_spec(replace(spec, denoise_steps=steps),
-                                   variant, chunk, dof), context_timestep)
+    return [(decoding_variant_spec(
+                replace(spec, denoise_steps=steps, chunk_size=chunk,
+                        action_dof=dof), variant), context_timestep)
             for chunk in axis(st.integers(min_value=1, max_value=300))
             for context_timestep in axis(timesteps)
             for variant in axis(st.sampled_from(variants))

@@ -304,8 +304,9 @@ def test_long_context_infeasible_on_small_gpus(lib, pi0):
 def _decodings(spec, hw, chunk=50, dof=14):
     """On-device result of every decoding variant at one chunk size and DoF."""
     placement = Placement.on_device(hw)
-    return {variant: sync_scenario(
-                decoding_variant_spec(spec, variant, chunk, dof), placement)
+    spec = replace(spec, chunk_size=chunk, action_dof=dof)
+    return {variant: sync_scenario(decoding_variant_spec(spec, variant),
+                                   placement)
             for variant in DECODING_VARIANTS}
 
 
@@ -380,7 +381,7 @@ def test_chunk_growth_is_sublinear_e2e(lib, pi0, b100):
 
 def test_scaling_sweep_frequencies(lib):
     hardware = [lib.accelerator(n) for n in ("thor", "rtx4090", "b100")]
-    rows = scaling_sweep(lib, hardware)
+    rows = scaling_sweep(lib, hardware, {})
     table = {(spec.name, hw.name): result for spec, hw, result in rows}
     assert len(rows) == 12
 
