@@ -279,6 +279,13 @@ def parallel_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
     return [(op, count * cfg.num_layers) for op, count in layer]
 
 
+def token_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
+                      kv_prefix_len: int) -> list[Run]:
+    """Autoregressive decoding: one single-token forward per action token."""
+    step = parallel_decode_runs(cfg, 1, kv_prefix_len)
+    return [(op, count * num_action_tokens) for op, count in step]
+
+
 def diffusion_runs(cfg_action: TransformerConfig,
                    context_cfg: TransformerConfig, vlm_prefix_tokens: int,
                    chunk_size: int, steps: int, action_dof: int,
@@ -326,43 +333,43 @@ def context_history(spec: VlaModelSpec,
     return spec.vision_tokens() * (t - 1)
 
 
-def vision_runs(spec: VlaModelSpec) -> list[Run]:
+def vision_runs(encoder: TransformerConfig, num_cameras: int,
+                tokens_per_image: int, vlm_hidden: int) -> list[Run]:
     """The vision phase: every camera image encoded, then bridged from
-    vision width to VLM width."""
-    runs = vit_encode_runs(spec.vision_encoder, spec.num_cameras,
-                           spec.tokens_per_image)
-    if spec.num_cameras > 0:
-        runs.append((matmul_op(spec.vision_tokens(), spec.vlm.hidden_size,
-                               spec.vision_encoder.hidden_size,
-                               spec.vision_encoder.precision_bytes,
+    vision width to the VLM's ``vlm_hidden``."""
+    runs = vit_encode_runs(encoder, num_cameras, tokens_per_image)
+    if num_cameras > 0:
+        runs.append((matmul_op(num_cameras * tokens_per_image, vlm_hidden,
+                               encoder.hidden_size, encoder.precision_bytes,
                                "mm_projector", VISION), 1))
     return runs
 
 
-def vlm_runs(spec: VlaModelSpec,
-             context_timestep: Optional[int] = None) -> list[Run]:
-    """The VLM phase: prefill of the fresh prefix over any cached history."""
-    return prefill_runs(spec.vlm, spec.prefix_tokens(),
-                        context_history(spec, context_timestep))
+def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,
+                 ) -> dict[str, tuple]:
+    """``{phase: (builder, args)}`` in ``PHASES`` order: ``builder(*args)``
+    returns the phase's runs, and ``args`` are exactly the values that
+    builder reads.  Each builder is looked up when this is called.
 
-
-def action_runs(spec: VlaModelSpec,
-                context_timestep: Optional[int] = None) -> list[Run]:
-    """The action phase under the spec's decoding mode, attending the fresh
-    prefix and any cached history."""
+    The VLM prefills the fresh prefix over any cached history, and the
+    action phase attends both under the spec's decoding mode.
+    """
     history = context_history(spec, context_timestep)
     prefix = spec.prefix_tokens()
     if spec.decoding_mode == DIFFUSION:
-        return diffusion_runs(
+        action = (diffusion_runs, (
             spec.action_expert, spec.vlm, prefix, spec.chunk_size,
-            spec.denoise_steps, spec.action_dof, history)
-    if spec.decoding_mode == AUTOREGRESSIVE:
-        # One single-token forward per action token.
-        step = parallel_decode_runs(spec.vlm, 1, prefix + history)
-        return [(op, count * spec.action_tokens()) for op, count in step]
-    # AUTOREGRESSIVE_PARALLEL: VlaModelSpec admits no other mode.
-    return parallel_decode_runs(spec.vlm, spec.action_tokens(),
-                                prefix + history)
+            spec.denoise_steps, spec.action_dof, history))
+    else:  # VlaModelSpec admits no other mode than the two decoders.
+        decode = (token_decode_runs if spec.decoding_mode == AUTOREGRESSIVE
+                  else parallel_decode_runs)
+        action = (decode, (spec.vlm, spec.action_tokens(), prefix + history))
+    return {
+        VISION: (vision_runs, (spec.vision_encoder, spec.num_cameras,
+                               spec.tokens_per_image, spec.vlm.hidden_size)),
+        VLM: (prefill_runs, (spec.vlm, prefix, history)),
+        ACTION: action,
+    }
 
 
 def pipeline_graph(spec: VlaModelSpec,
@@ -374,7 +381,7 @@ def pipeline_graph(spec: VlaModelSpec,
     fresh prefix attends that history, and the action phase attends the full
     accumulated context.  ``None`` (or 1) is the stateless baseline.
     """
-    context_history(spec, context_timestep)  # rejects a bad timestep first
     # The one merge of all the phases' runs.
-    return OperatorGraph(vision_runs(spec) + vlm_runs(spec, context_timestep)
-                         + action_runs(spec, context_timestep))
+    return OperatorGraph(
+        run for build, args in phase_builds(spec, context_timestep).values()
+        for run in build(*args))

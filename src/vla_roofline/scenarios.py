@@ -18,11 +18,12 @@ latencies/rates of ``None``), never exceptions.
 
 A scenario builds and prices its vision, VLM and action phases once the
 footprint check has passed, through an optional ``memo``: a dict that the
-caller owns, which keeps each phase under the values that define it and
-each price under the accelerator figures it reads.  Calls that share one,
-for any mix of models, context steps and placements, build each distinct
-phase once; :func:`sync_sweep` gives its points one, and ``reproduce``
-gives one to all the golden tables it runs.
+caller owns.  It keys each phase by its builder and that builder's
+arguments, as :func:`opgraph.phase_builds` names them, and each price by
+the accelerator figures it reads.  Calls that share one, for any mix of
+models, context steps and placements, build each distinct phase once;
+:func:`sync_sweep` gives its points one, and ``reproduce`` gives one to
+all the golden tables it runs.
 """
 
 from __future__ import annotations
@@ -147,15 +148,12 @@ class ScenarioResult(Record):
         set_field(self, "notes", notes)
 
 
-def _capacity_note(spec: VlaModelSpec, footprint: int,
-                   hw: AcceleratorConfig) -> str:
-    return (f"{spec.name} needs {footprint / roofline.GIB:.2f} GB but "
-            f"{hw.name} has {hw.mem_capacity / roofline.GIB:.2f} GB")
-
-
-def _infeasible(spec: VlaModelSpec, placement: Placement, footprint: int,
+def _infeasible(spec: VlaModelSpec, placement: Placement, need: int,
                 capacity_hw: AcceleratorConfig,
-                extra_notes: tuple[str, ...] = ()) -> ScenarioResult:
+                notes: tuple[str, ...]) -> ScenarioResult:
+    note = (f"{spec.name} needs {need / roofline.GIB:.2f} GB but "
+            f"{capacity_hw.name} has "
+            f"{capacity_hw.mem_capacity / roofline.GIB:.2f} GB")
     return ScenarioResult(
         placement=placement.describe(),
         phase_latencies={},
@@ -165,9 +163,9 @@ def _infeasible(spec: VlaModelSpec, placement: Placement, footprint: int,
         async_frequency=None,
         boundedness={},
         operational_intensity={},
-        footprint_bytes=footprint,
+        footprint_bytes=need,
         feasible=False,
-        notes=(_capacity_note(spec, footprint, capacity_hw),) + extra_notes,
+        notes=(note,) + notes,
     )
 
 
@@ -191,86 +189,79 @@ def check_scenario(spec: VlaModelSpec, placement: Placement,
     check_count(spec.name, "context_timesteps", context_timestep)
 
 
-def _priced_phase(memo: dict, key, hw: AcceleratorConfig, build,
-                  *args) -> Optional[tuple[float, int, int]]:
-    """``price_phase`` on ``hw`` of the runs of ``build(*args)``, or
-    ``None`` for no runs.  A phase builder emits each distinct operator in
-    one run, so its non-zero runs are the runs a graph merge would keep,
-    and no operator is hashed.  ``memo[key]`` holds the runs and their
-    prices, keyed by the figures ``price_phase`` reads."""
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = ([run for run in build(*args) if run[1]], {})
-    runs, prices = entry
-    figures = (hw.peak(), hw.mem_bandwidth)
-    if figures not in prices:
-        prices[figures] = roofline.price_phase(runs, hw) if runs else None
-    return prices[figures]
-
-
 def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
                hw: AcceleratorConfig, action_hw: Optional[AcceleratorConfig],
                memo: Optional[dict],
                ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
     """``phase_breakdown(pipeline_graph(spec, context_timestep), hw,
-    action_hw)``, one phase at a time through ``memo``, each keyed by the
-    values its builder reads.  An operator's phase is part of its identity
-    and each phase is priced in run order, so the floats are the graph's,
-    bit for bit."""
+    action_hw)``, one phase at a time through ``memo``: ``memo[(builder,
+    args)]`` of :func:`opgraph.phase_builds` holds a phase's non-zero runs
+    and their price under each ``(peak, bandwidth)``.  A phase builder emits
+    each distinct operator in one run, so these are the runs a graph merge
+    keeps, in run order, and the floats are the graph's, bit for bit."""
     if memo is None:
         memo = {}
     hardware = roofline.phase_hardware(hw, action_hw)
-    prefix = spec.prefix_tokens()
-    history = opgraph.context_history(spec, context_timestep)
-    # The VLM and action builders both read the VLM stack, the prefix and
-    # the history: their phases share one inner memo under those values,
-    # which a point then hashes once.
-    context = memo.setdefault((spec.vlm, prefix, history), {})
-    priced = {
-        opgraph.VISION: _priced_phase(
-            memo, (opgraph.VISION, spec.vision_encoder, spec.num_cameras,
-                   spec.tokens_per_image, spec.vlm.hidden_size),
-            hardware[opgraph.VISION], opgraph.vision_runs, spec),
-        opgraph.VLM: _priced_phase(
-            context, opgraph.VLM, hardware[opgraph.VLM], opgraph.vlm_runs,
-            spec, context_timestep),
-        # The other fields action_runs reads, not the spec: hashing a spec
-        # hashes every one of its stacks.
-        opgraph.ACTION: _priced_phase(
-            context, (spec.decoding_mode, spec.action_expert,
-                      spec.chunk_size, spec.denoise_steps, spec.action_dof),
-            hardware[opgraph.ACTION], opgraph.action_runs, spec,
-            context_timestep),
-    }
-    return roofline.phase_figures(
-        {phase: sums for phase, sums in priced.items() if sums is not None},
-        hardware)
+    priced = {}
+    for phase, key in opgraph.phase_builds(spec, context_timestep).items():
+        entry = memo.get(key)
+        if entry is None:
+            build, args = key
+            entry = memo[key] = ([run for run in build(*args) if run[1]], {})
+        runs, prices = entry
+        if runs:
+            phase_hw = hardware[phase]
+            figures = (phase_hw.peak(), phase_hw.mem_bandwidth)
+            if figures not in prices:
+                prices[figures] = roofline.price_phase(runs, phase_hw)
+            priced[phase] = prices[figures]
+    return roofline.phase_figures(priced, hardware)
 
 
 def sync_scenario(spec: VlaModelSpec, placement: Placement,
                   context_timestep: Optional[int] = None,
                   memo: Optional[dict] = None) -> ScenarioResult:
-    """Synchronous serving: one full round trip per control step."""
+    """Synchronous serving: one full round trip per control step.
+
+    A collaborative placement splits the stacks: the server runs vision and
+    the VLM and sends back nothing but the VLM KV cache of the fresh prefix,
+    which the robot's action expert then attends locally.  Each side must
+    hold its stacks and that cache.
+    """
     check_scenario(spec, placement, context_timestep)
+    hw, action_hw, notes = placement.hw, None, ()
     if placement.kind == COLLABORATIVE:
-        return collaborative_scenario(spec, placement, memo)
-    hw = placement.hw
-    footprint = roofline.memory_footprint(spec, context_timestep)
-    if footprint > hw.mem_capacity:
-        return _infeasible(spec, placement, footprint, hw)
+        action_hw = placement.device_hw
+        prefix_kv = spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
+        server_bytes = (weight_bytes(spec.vision_encoder)
+                        + weight_bytes(spec.vlm) + prefix_kv)
+        device_bytes = weight_bytes(spec.action_expert) + prefix_kv
+        footprint = server_bytes + device_bytes
+        notes = (f"server holds {server_bytes / roofline.GIB:.2f} GB, "
+                 f"device {device_bytes / roofline.GIB:.2f} GB",)
+        needs = ((server_bytes, hw), (device_bytes, action_hw))
+    else:
+        footprint = roofline.memory_footprint(spec, context_timestep)
+        needs = ((footprint, hw),)
+    for need, capacity_hw in needs:
+        if need > capacity_hw.mem_capacity:
+            return _infeasible(spec, placement, need, capacity_hw, notes)
 
     latencies, intensity, labels = _breakdown(
-        spec, context_timestep, hw, None, memo)
-    gpu_time = sum(latencies.values())
+        spec, context_timestep, hw, action_hw, memo)
 
     network: dict[str, float] = {}
     path = placement.network_path()
     if path:
         network["observation_upload"] = netmodel.path_time(
             netmodel.observation_payload(spec), path)
-        network["action_download"] = netmodel.path_time(
-            netmodel.action_payload(spec), path)
-    e2e = gpu_time + sum(network.values())
+        if placement.kind == COLLABORATIVE:
+            network["kv_download"] = netmodel.path_time(
+                netmodel.kv_payload(spec.prefix_tokens(), spec.vlm), path)
+        else:
+            network["action_download"] = netmodel.path_time(
+                netmodel.action_payload(spec), path)
+    e2e = sum(latencies.values()) + sum(network.values())
 
     return ScenarioResult(
         placement=placement.describe(),
@@ -283,6 +274,7 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
         operational_intensity=intensity,
         footprint_bytes=footprint,
         feasible=True,
+        notes=notes,
     )
 
 
@@ -336,53 +328,12 @@ def async_scenario(spec: VlaModelSpec, placement: Placement,
 
 def collaborative_scenario(spec: VlaModelSpec, placement: Placement,
                            memo: Optional[dict] = None) -> ScenarioResult:
-    """Split serving: vision+VLM on the server, action expert on the robot.
-
-    The server uploads nothing back but the VLM KV cache of the fresh prefix,
-    which the robot's action expert then attends locally.  Requires diffusion
-    decoding (the action expert is the on-robot half).
-    """
+    """Split serving, priced by :func:`sync_scenario`: vision+VLM on the
+    server, action expert on the robot.  Requires diffusion decoding (the
+    action expert is the on-robot half)."""
     if placement.kind != COLLABORATIVE:
         raise ValueError("placement must be collaborative")
-    check_scenario(spec, placement)
-    server, device = placement.hw, placement.device_hw
-
-    prefix_kv = spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
-    server_bytes = (weight_bytes(spec.vision_encoder)
-                    + weight_bytes(spec.vlm) + prefix_kv)
-    device_bytes = weight_bytes(spec.action_expert) + prefix_kv
-    footprint = server_bytes + device_bytes
-    split_note = (f"server holds {server_bytes / roofline.GIB:.2f} GB, "
-                  f"device {device_bytes / roofline.GIB:.2f} GB")
-    if server_bytes > server.mem_capacity:
-        return _infeasible(spec, placement, server_bytes, server, (split_note,))
-    if device_bytes > device.mem_capacity:
-        return _infeasible(spec, placement, device_bytes, device, (split_note,))
-
-    latencies, intensity, labels = _breakdown(
-        spec, None, server, device, memo)
-
-    path = placement.network_path()
-    network = {
-        "observation_upload": netmodel.path_time(
-            netmodel.observation_payload(spec), path),
-        "kv_download": netmodel.path_time(
-            netmodel.kv_payload(spec.prefix_tokens(), spec.vlm), path),
-    }
-    e2e = sum(latencies.values()) + sum(network.values())
-    return ScenarioResult(
-        placement=placement.describe(),
-        phase_latencies=latencies,
-        network_latencies=network,
-        e2e_latency=e2e,
-        sync_frequency=1.0 / e2e,
-        async_frequency=None,
-        boundedness=labels,
-        operational_intensity=intensity,
-        footprint_bytes=footprint,
-        feasible=True,
-        notes=(split_note,),
-    )
+    return sync_scenario(spec, placement, memo=memo)
 
 
 # ---------------------------------------------------------------------------

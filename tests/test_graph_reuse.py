@@ -2,6 +2,7 @@
 builds each distinct vision and VLM phase once and only the action phase
 per point, and a sweep checks its whole grid before it builds anything.
 
+A phase build is one call of a builder that ``opgraph.phase_builds`` names.
 The builders are bound by name in several modules, so the counter replaces
 every binding of each of them in every loaded package module.
 """
@@ -12,34 +13,46 @@ import pytest
 
 import vla_roofline.cli as cli
 from vla_roofline import golden, load_presets, opgraph, references
+from vla_roofline.opgraph import ACTION, VISION, VLM
 from vla_roofline.scenarios import scaling_sweep
 
+# The phase of each phase builder.
+PHASE_BUILDERS = {"vision_runs": VISION, "prefill_runs": VLM,
+                  "diffusion_runs": ACTION, "token_decode_runs": ACTION,
+                  "parallel_decode_runs": ACTION}
 # Builds of ``reproduce all``.  The tables share one memo, so a phase is
 # built the first time any table needs it, in ``_ALL_TABLES`` order:
 # vision T1 3 (the 3-camera one is pi0's) and T5 3; VLM and action T1 3,
 # T3 1 (pi0), T5 3 and T6 4 (t = 1 is pi0's).  T4 builds its own pi0
 # graph, which counts one ``pipeline_graph`` and one build of each phase.
-REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, "vision_runs": 7,
-                        "vlm_runs": 12, "action_runs": 12}
+REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, VISION: 7, VLM: 12, ACTION: 12}
 # Operators hashed by ``reproduce all``: the runs of T4's one merge of the
 # pi0 graph.  The scenarios' phases are priced without a merge.
 REPRODUCE_ALL_OPERATORS = 25
-BUILDERS = ("pipeline_graph", "vision_runs", "vlm_runs", "action_runs")
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The (builder, spec name, timestep) of every graph or phase build;
-    ``vision_runs`` takes no timestep and records ``None``."""
+    """The ``(builder name, args)`` of every phase or graph build.  A
+    builder that another phase builder calls (``token_decode_runs`` calls
+    ``parallel_decode_runs``) makes no build of its own."""
     calls = []
+    building = []  # the phase builders running now
 
     def counting(name, original):
-        def build(spec, *timestep):
-            calls.append((name, spec.name, *(timestep or (None,))))
-            return original(spec, *timestep)
+        def build(*args):
+            if not building:
+                calls.append((name, args))
+            if name == "pipeline_graph":
+                return original(*args)
+            building.append(name)
+            try:
+                return original(*args)
+            finally:
+                building.pop()
         return build
 
-    for name in BUILDERS:
+    for name in ("pipeline_graph", *PHASE_BUILDERS):
         original = getattr(opgraph, name)
         replacement = counting(name, original)
         for module_name, module in list(sys.modules.items()):
@@ -51,15 +64,26 @@ def builds(monkeypatch):
     return calls
 
 
-def _count(calls, builder):
-    return sum(1 for name, *_ in calls if name == builder)
+def _count(calls, kind):
+    """Builds of a phase, or calls of ``pipeline_graph``."""
+    return sum(1 for name, _ in calls
+               if PHASE_BUILDERS.get(name, name) == kind)
+
+
+def _args(calls, phase):
+    return [args for name, args in calls if PHASE_BUILDERS.get(name) == phase]
+
+
+def _phase_args(spec, phase, timesteps=(None,)):
+    """The arguments of ``spec``'s phase at each timestep."""
+    return [opgraph.phase_builds(spec, t)[phase][1] for t in timesteps]
 
 
 def test_reproduce_all_builds_each_phase_once_per_command(builds, capsys):
     assert cli.main(["reproduce", "all", "--format", "json"]) == 0
     assert capsys.readouterr().err == ""
-    assert {name: _count(builds, name)
-            for name in BUILDERS} == REPRODUCE_ALL_BUILDS
+    assert {kind: _count(builds, kind)
+            for kind in REPRODUCE_ALL_BUILDS} == REPRODUCE_ALL_BUILDS
 
 
 def test_tables_sharing_one_memo_equal_fresh_tables():
@@ -77,11 +101,12 @@ def test_tables_sharing_one_memo_equal_fresh_tables():
 
 
 def test_long_context_table_builds_its_vision_phase_once(builds):
-    golden.long_context_table(load_presets(), {})
-    assert [call for call in builds if call[0] == "vision_runs"] == [
-        ("vision_runs", "pi0", None)]
-    assert [call[2] for call in builds if call[0] == "vlm_runs"] == list(
-        references.LONG_CONTEXT_TIMESTEPS)
+    lib = load_presets()
+    golden.long_context_table(lib, {})
+    pi0 = lib.model("pi0")
+    assert _args(builds, VISION) == _phase_args(pi0, VISION)
+    assert _args(builds, VLM) == _phase_args(
+        pi0, VLM, references.LONG_CONTEXT_TIMESTEPS)
     assert _count(builds, "pipeline_graph") == 0
 
 
@@ -108,15 +133,29 @@ def test_sweep_prices_vision_once_and_vlm_once_per_context_step(builds,
     out, err = capsys.readouterr()
     assert err == "" and out.count(",yes,") == 12
     assert _count(builds, "pipeline_graph") == 0
-    assert [call for call in builds if call[0] == "vision_runs"] == [
-        ("vision_runs", "pi0", None)]
-    assert [call[2] for call in builds if call[0] == "vlm_runs"] == [1, 10, 100]
-    assert _count(builds, "action_runs") == 12
+    pi0 = load_presets().model("pi0")
+    assert _args(builds, VISION) == _phase_args(pi0, VISION)
+    assert _args(builds, VLM) == _phase_args(pi0, VLM, (1, 10, 100))
+    assert _count(builds, ACTION) == 12
     # The reuse lives in one command: a second sweep builds it all again.
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == out
-    assert _count(builds, "vision_runs") == 2
-    assert _count(builds, "vlm_runs") == 6
+    assert _count(builds, VISION) == 2
+    assert _count(builds, VLM) == 6
+
+
+def test_autoregressive_sweep_builds_its_action_phase_once_per_decoding(
+        builds, capsys):
+    """Token and parallel decoding do not read the denoising steps, so the
+    three step counts share one action phase per decoding."""
+    assert cli.main(["sweep", "--hw", "b100", "--steps", "1,10,50",
+                     "--decoding", "autoregressive,autoregressive_parallel",
+                     "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count(",yes,") == 6
+    assert [name for name, _ in builds
+            if PHASE_BUILDERS.get(name) == ACTION] == [
+        "token_decode_runs", "parallel_decode_runs"]
 
 
 def test_infeasible_sweep_builds_nothing(builds, capsys):

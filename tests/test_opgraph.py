@@ -18,8 +18,11 @@ from vla_roofline.opgraph import (
     diffusion_runs,
     matmul_op,
     parallel_decode_runs,
+    phase_builds,
     pipeline_graph,
     prefill_runs,
+    token_decode_runs,
+    vision_runs,
     vit_encode_runs,
 )
 from vla_roofline.record import replace
@@ -207,6 +210,7 @@ def test_autoregressive_pipeline_decodes_each_action_token(pi0):
     action = graph.subgraph(ACTION)
     step = OperatorGraph(parallel_decode_runs(pi0.vlm, 1, 800))
     assert action.ops == tuple((op, 700 * count) for op, count in step.ops)
+    assert action.ops == tuple(token_decode_runs(pi0.vlm, 700, 800))
     assert action.total_bytes == 700 * step.total_bytes
     assert action.total_flops == 700 * step.total_flops
 
@@ -217,6 +221,24 @@ def test_parallel_pipeline_uses_one_forward(pi0):
     action = pipeline_graph(par).subgraph(ACTION)
     assert action.total_flops == \
         OperatorGraph(parallel_decode_runs(pi0.vlm, 700, 800)).total_flops
+
+
+def test_phase_builds_give_each_builder_the_values_it_reads(pi0):
+    """One ``(builder, args)`` per phase, in pipeline order; the decoders
+    read neither the action expert nor the denoising steps."""
+    history = 9 * 768  # camera tokens of the 9 earlier steps
+    builds = phase_builds(pi0, context_timestep=10)
+    assert list(builds) == [VISION, VLM, ACTION]
+    assert builds == {
+        VISION: (vision_runs, (pi0.vision_encoder, 3, 256, 2048)),
+        VLM: (prefill_runs, (pi0.vlm, 800, history)),
+        ACTION: (diffusion_runs, (pi0.action_expert, pi0.vlm, 800, 50, 10,
+                                  14, history)),
+    }
+    for mode, builder in ((AUTOREGRESSIVE, token_decode_runs),
+                          (AUTOREGRESSIVE_PARALLEL, parallel_decode_runs)):
+        spec = replace(pi0, action_expert=None, decoding_mode=mode)
+        assert phase_builds(spec)[ACTION] == (builder, (pi0.vlm, 700, 800))
 
 
 def test_long_context_grows_history(pi0):

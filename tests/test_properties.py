@@ -271,9 +271,9 @@ def test_builders_emit_each_distinct_operator_once(
         num_cameras=cameras, tokens_per_image=tokens_per_image,
         language_tokens=language_tokens, action_dof=dof, chunk_size=chunk,
         denoise_steps=steps, decoding_mode=decoding)
-    assert _is_merged(opgraph.vision_runs(spec))
-    assert _is_merged(opgraph.vlm_runs(spec, context_timestep))
-    assert _is_merged(opgraph.action_runs(spec, context_timestep))
+    for build, args in opgraph.phase_builds(spec,
+                                            context_timestep).values():
+        assert _is_merged(build(*args))
 
 
 @given(op=operators, hw=accelerators,
