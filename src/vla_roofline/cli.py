@@ -25,11 +25,9 @@ from .opgraph import PHASES
 from .record import replace
 from .roofline import GIB
 from .scenarios import (
-    CLOUD_SERVER,
-    COLLABORATIVE,
     DECODING_VARIANTS,
-    EDGE_SERVER,
     ON_DEVICE,
+    PLACEMENT_FIELDS,
     PLACEMENT_KINDS,
     Placement,
     ScenarioResult,
@@ -318,16 +316,16 @@ def _configure_spec(base: VlaModelSpec, chunk: Optional[int],
     return spec
 
 
-# The placement flags that each placement requires; it takes no other.
-_PLACEMENT_FLAGS = {ON_DEVICE: (), EDGE_SERVER: ("--net",),
-                    CLOUD_SERVER: ("--net", "--cloud-net"),
-                    COLLABORATIVE: ("--net", "--device-hw")}
+# The flag that sets each optional Placement field, in checking order.
+_FIELD_FLAGS = {"access_net": "--net", "cloud_net": "--cloud-net",
+                "device_hw": "--device-hw"}
 
 
 def _build_placement(args, lib: PresetLibrary, parser: _Parser) -> Placement:
     hw = lib.accelerator(args.hw)
-    required = _PLACEMENT_FLAGS[args.placement]
-    for flag in ("--net", "--cloud-net", "--device-hw"):
+    required = [_FIELD_FLAGS[field]
+                for field in PLACEMENT_FIELDS[args.placement]]
+    for flag in _FIELD_FLAGS.values():
         value = getattr(args, flag[2:].replace("-", "_"))
         if flag in required and not value:
             parser.error(f"{args.placement} placement requires "

@@ -79,10 +79,11 @@ MODELS = {
             "num_kv_heads": 8,
             "head_dim": 128,
         },
-        # Action experts for the scaled family: half the VLM width, a quarter
-        # of its FFN, the VLM's head size and query:KV grouping, and the
-        # deepest stack that stays within 10% of the published expert
-        # parameter count.
+        # Action experts for the scaled family (pi0-l/xl/xxl below, which
+        # the scaling table T5 prices as written here): half the VLM width,
+        # a quarter of its FFN, the VLM's head size and query:KV grouping,
+        # and the deepest stack that stays within 10% of the published
+        # expert parameter count (1.5/2.9/11.7 B).
         "act-l": {
             "num_decoder_layers": 48,
             "hidden_size": 2048,

@@ -51,7 +51,11 @@ ON_DEVICE = "on-device"
 EDGE_SERVER = "edge-server"
 CLOUD_SERVER = "cloud-server"
 COLLABORATIVE = "collaborative"
-PLACEMENT_KINDS = (ON_DEVICE, EDGE_SERVER, CLOUD_SERVER, COLLABORATIVE)
+# The optional Placement fields that each kind reads; it takes no other.
+PLACEMENT_FIELDS = {ON_DEVICE: (), EDGE_SERVER: ("access_net",),
+                    CLOUD_SERVER: ("access_net", "cloud_net"),
+                    COLLABORATIVE: ("access_net", "device_hw")}
+PLACEMENT_KINDS = tuple(PLACEMENT_FIELDS)
 
 
 class Placement(Record):
@@ -99,6 +103,10 @@ class Placement(Record):
             raise ValueError("cloud-server placement needs access and cloud links")
         if self.kind == COLLABORATIVE and self.device_hw is None:
             raise ValueError("collaborative placement needs a device accelerator")
+        for field in ("device_hw", "access_net", "cloud_net"):
+            if (field not in PLACEMENT_FIELDS[self.kind]
+                    and getattr(self, field) is not None):
+                raise ValueError(f"{self.kind} placement does not use {field}")
 
     def network_path(self) -> tuple[NetworkConfig, ...]:
         """The links between robot and server, robot side first; empty on

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .record import Record, replace, set_field
+from .record import Record, set_field
 
 if TYPE_CHECKING:
     from .configio import PresetLibrary
@@ -211,74 +211,10 @@ class VlaModelSpec(Record):
 # Scaled model family
 # ---------------------------------------------------------------------------
 
-# (model preset, vision preset, VLM preset, action-expert parameter target).
-# The baseline is carried through unchanged; the larger policies swap in a
-# bigger vision tower and a published LLM backbone and derive their action
-# expert from that backbone (see _derive_action_expert).
-SCALED_FAMILY_RECIPE = (
-    ("pi0", None, None, None),
-    ("pi0-l", "siglip-giant", "llama2-7b", 1_500_000_000),
-    ("pi0-xl", "siglip-giant", "llama2-13b", 2_900_000_000),
-    ("pi0-xxl", "siglip-giant", "llama2-70b", 11_700_000_000),
-)
-
-# Tolerated relative error between a derived expert and its parameter target.
-_EXPERT_TARGET_TOLERANCE = 0.10
-
-
-def _derive_action_expert(vlm: TransformerConfig, target_params: int,
-                          name: str) -> TransformerConfig:
-    """Shrink a VLM backbone into its action expert.
-
-    Width is halved, the FFN quartered, head geometry is inherited with the
-    head count re-derived from the new width, and the KV grouping ratio is
-    preserved.  Depth is then the largest layer count whose parameter total
-    stays within the published +10% envelope of ``target_params``; committing
-    to the deep end of the envelope is the calibration that best reproduces
-    published latencies for the scaled policies.
-    """
-    hidden = vlm.hidden_size // 2
-    intermediate = vlm.intermediate_size // 4
-    head_dim = vlm.head_dim
-    num_q = max(1, hidden // head_dim)
-    group = vlm.num_q_heads // vlm.num_kv_heads
-    num_kv = max(1, num_q // group)
-    per_layer = replace(vlm, name=name, num_layers=1, hidden_size=hidden,
-                        intermediate_size=intermediate, num_q_heads=num_q,
-                        num_kv_heads=num_kv, head_dim=head_dim,
-                        patch_input_dim=None)
-    layer_params = param_count(per_layer)
-    num_layers = int((1.0 + _EXPERT_TARGET_TOLERANCE) * target_params // layer_params)
-    expert = replace(per_layer, num_layers=num_layers)
-    err = param_count(expert) / target_params - 1.0
-    if abs(err) > _EXPERT_TARGET_TOLERANCE:
-        raise ValueError(
-            f"{name}: derived expert misses its {target_params:,}-parameter "
-            f"target by {err:+.1%}"
-        )
-    return expert
+# The model presets of the scaling ladder, smallest to largest.
+SCALED_FAMILY = ("pi0", "pi0-l", "pi0-xl", "pi0-xxl")
 
 
 def scaled_family(library: PresetLibrary) -> tuple[VlaModelSpec, ...]:
-    """The four-policy scaling ladder, smallest to largest.
-
-    The first entry is the baseline preset itself; each subsequent entry
-    recombines preset stacks per :data:`SCALED_FAMILY_RECIPE`.  Raises if a
-    derived action expert lands further than 10% from its parameter target.
-    """
-    baseline = library.model("pi0")
-    family = []
-    for model_name, vision_name, vlm_name, expert_target in SCALED_FAMILY_RECIPE:
-        if vision_name is None:
-            family.append(baseline)
-            continue
-        vlm = library.component(vlm_name)
-        expert = _derive_action_expert(vlm, expert_target, f"{model_name}-expert")
-        family.append(replace(
-            baseline,
-            name=model_name,
-            vision_encoder=library.component(vision_name),
-            vlm=vlm,
-            action_expert=expert,
-        ))
-    return tuple(family)
+    """The :data:`SCALED_FAMILY` presets as ``library`` defines them."""
+    return tuple(library.model(name) for name in SCALED_FAMILY)

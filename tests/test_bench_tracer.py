@@ -67,9 +67,9 @@ SWEEP_SCRIPT = textwrap.dedent("""
     print(json.dumps(metrics))
 """)
 
-# (sweep arguments, grid points, infeasible points).  Collaborative points
-# go through ``sync_scenario`` into ``collaborative_scenario``, and count
-# once.
+# (sweep arguments, grid points, infeasible points).  ``sync_scenario``
+# prices collaborative points itself (``collaborative_scenario`` forwards
+# to it, not the reverse), so each counts once.
 SWEEPS = [
     (["--hw", "rtx4090", "--context-steps", "1,2000", "--chunk", "5,50"],
      4, 2),

@@ -287,6 +287,30 @@ def test_phase_without_operators_fails_its_boundedness_cells(tmp_path):
                       ("thor", "rtx4090", "a100", "h100", "b100")}}
 
 
+@pytest.mark.parametrize("section, name, field, value", [
+    ("components", "act-l", "num_decoder_layers", 4),
+    ("models", "pi0", "num_cameras", 1),
+])
+def test_scaling_table_prices_the_model_analyze_prices(tmp_path, section,
+                                                       name, field, value):
+    """Under an override, T5's pi0-l row and `analyze --model pi0-l` read
+    the one pi0-l preset that the override defines."""
+    models = copy.deepcopy(presets.MODELS)
+    models[section][name][field] = value
+    (tmp_path / "models.yaml").write_text(yaml.safe_dump(models),
+                                          encoding="utf-8")
+    env = {"VLA_ROOFLINE_PRESETS": str(tmp_path)}
+    table = run_cli("reproduce", "T5", "--format", "json", env=env)
+    assert table.returncode in (0, 2) and table.stderr == ""
+    [group] = json.loads(table.stdout)
+    [cell] = [cell["modeled"] for cell in group["cells"]
+              if cell["label"] == "pi0-l on b100"]
+    record = run_cli("analyze", "--model", "pi0-l", "--hw", "b100",
+                     "--format", "json", env=env)
+    assert record.returncode == 0
+    assert cell == f"{json.loads(record.stdout)['sync_frequency_hz']:.1f}"
+
+
 def test_env_override_changes_analyze_output(tmp_path):
     (tmp_path / "networks.yaml").write_text(
         "toy-link: {bandwidth_mbps: 1, base_latency_ms: 100}\n",

@@ -80,6 +80,16 @@ def test_network_path_has_one_or_two_hops(lib, thor, b100):
         Placement("edge-server", b100)
     with pytest.raises(ValueError, match="access and cloud links"):
         Placement("cloud-server", b100, access_net=wifi7)
+    with pytest.raises(ValueError, match="edge-server placement does not "
+                                         "use device_hw"):
+        Placement("edge-server", b100, access_net=wifi7, device_hw=thor)
+    with pytest.raises(ValueError, match="on-device placement does not use "
+                                         "access_net"):
+        Placement("on-device", thor, access_net=wifi7)
+    with pytest.raises(ValueError, match="collaborative placement does not "
+                                         "use cloud_net"):
+        Placement("collaborative", b100, device_hw=thor, access_net=wifi7,
+                  cloud_net=cloud)
 
 
 SERVER_ROWS = [

@@ -87,34 +87,19 @@ def test_scaled_family_totals_and_depths(lib):
     assert [m.action_expert.num_layers for m in family[1:]] == [48, 60, 102]
 
 
-def test_scaled_family_matches_packaged_presets(lib):
-    """The act-l/xl/xxl preset entries are the derived experts, frozen."""
-    for derived in scaled_family(lib)[1:]:
-        packaged = lib.model(derived.name)
-        assert derived == replace(packaged,
-                                  action_expert=derived.action_expert)
-        assert param_count(packaged.action_expert) == \
-            param_count(derived.action_expert)
-
-
-def test_derived_expert_geometry(lib):
-    """Width halves, FFN quarters, head_dim and the Q:KV ratio carry over."""
-    family = scaled_family(lib)
-    xxl = family[3]
-    llama = lib.component("llama2-70b")
-    expert = xxl.action_expert
-    assert expert.hidden_size == llama.hidden_size // 2
-    assert expert.intermediate_size == llama.intermediate_size // 4
-    assert expert.head_dim == llama.head_dim
+@pytest.mark.parametrize("name", ["pi0-l", "pi0-xl", "pi0-xxl"])
+def test_derived_expert_geometry(lib, name):
+    """Each scaled model's expert is its backbone with the width halved and
+    the FFN quartered; head_dim and the Q:KV ratio carry over, and the query
+    heads fill the halved width."""
+    model = lib.model(name)
+    expert, vlm = model.action_expert, model.vlm
+    assert expert.hidden_size == vlm.hidden_size // 2
+    assert expert.intermediate_size == vlm.intermediate_size // 4
+    assert expert.head_dim == vlm.head_dim
     assert expert.num_q_heads // expert.num_kv_heads == \
-        llama.num_q_heads // llama.num_kv_heads
-
-
-def test_expert_derivation_rejects_unreachable_target(lib):
-    from vla_roofline.workload import _derive_action_expert
-    with pytest.raises(ValueError, match="target"):
-        # Target far below one layer's parameters cannot be hit.
-        _derive_action_expert(lib.component("llama2-70b"), 1_000_000, "tiny")
+        vlm.num_q_heads // vlm.num_kv_heads
+    assert expert.num_q_heads == expert.hidden_size // expert.head_dim
 
 
 def test_transformer_config_validation():
