@@ -38,7 +38,7 @@ from .scenarios import (
     sync_scenario,
     sync_sweep,
 )
-from .workload import VlaModelSpec
+from .workload import DIFFUSION, VlaModelSpec
 
 if TYPE_CHECKING:
     from . import golden
@@ -206,15 +206,7 @@ def _json_text(value, depth: int = 0) -> str:
     if (not is_dict and all(isinstance(item, dict) and item for item in value)
             and not any(isinstance(v, _CONTAINERS)
                         for item in value for v in item.values())):
-        # A list of flat dicts, such as sweep rows, in one call.  With
-        # ensure_ascii every newline inside a string is escaped, and a key
-        # starts with a quote, so a raw "},\n<indent>{" can only be the
-        # boundary of two rows.
-        deep = "  " * (depth + 2)
-        text = "".join(_json_encoder(depth + 2)(value, 0))
-        body = text[2:-2].replace(f"}},\n{deep}{{",
-                                  f"\n{inner}}},\n{inner}{{\n{deep}")
-        return f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{outer}]"
+        return _json_rows(value, depth)  # such as sweep rows or table cells
     if is_dict:
         from _json import encode_basestring_ascii
 
@@ -227,6 +219,20 @@ def _json_text(value, depth: int = 0) -> str:
         opening, closing = "[", "]"
     return (f"{opening}\n{inner}" + f",\n{inner}".join(parts)
             + f"\n{outer}{closing}")
+
+
+def _json_rows(rows: list[dict], depth: int = 0) -> str:
+    """A non-empty list of non-empty dicts of scalars, such as sweep rows,
+    as :func:`_json_text` writes it at ``depth``, in one call of the C
+    encoder.  With ensure_ascii every newline inside a string is escaped,
+    and a key starts with a quote, so a raw "},\n<indent>{" can only be the
+    boundary of two rows."""
+    outer = "  " * depth
+    inner, deep = outer + "  ", outer + "    "
+    text = "".join(_json_encoder(depth + 2)(rows, 0))
+    body = text[2:-2].replace(f"}},\n{deep}{{",
+                              f"\n{inner}}},\n{inner}{{\n{deep}")
+    return f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{outer}]"
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -258,7 +264,8 @@ def _render_rows(names: Sequence[str], rows: list[Sequence], fmt: str) -> str:
     # Each column's decimals are resolved once.
     columns = [(col, _decimals_for(col)) for col in names]
     if fmt == "json":
-        return _json_text([{col: _project(col, value, digits, False)
+        # Projected values are scalars, so the rows skip _json_text's scan.
+        return _json_rows([{col: _project(col, value, digits, False)
                             for (col, digits), value in zip(columns, row)}
                            for row in rows])
     cells = [[_project(col, value, digits, True)
@@ -397,12 +404,26 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     names = [name for name, _ in axes]
     grid = []
 
+    # Each count triple and each decoding variant of the base is configured
+    # once.  A point configures its triple on the base before its decoding,
+    # as ``_configure_spec`` does, so the grid's first error is the same.
+    triples: dict = {}
+    variants: dict = {}
+
     def points():
         for combo in product(*(values for _, values in axes)):
             point = dict(zip(names, combo))
-            spec = _configure_spec(base, point.get("chunk"),
-                                   point.get("steps"), point.get("dof"),
-                                   point.get("decoding"))
+            counts = (point.get("chunk"), point.get("steps"),
+                      point.get("dof"))
+            if counts not in triples:
+                triples[counts] = _configure_spec(base, *counts, None)
+            spec = triples[counts]
+            decoding = point.get("decoding")
+            if decoding is not None:
+                if decoding not in variants:
+                    variants[decoding] = decoding_variant_spec(base, decoding)
+                if decoding != DIFFUSION:
+                    spec = _configure_spec(variants[decoding], *counts, None)
             grid.append((combo, spec))
             yield spec, point.get("context_steps")
 

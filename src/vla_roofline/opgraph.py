@@ -214,6 +214,8 @@ def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
                   history: int, ctx_kv_width: int,
                   ctx_kv_heads: int) -> list[Run]:
     """One action-expert layer cross-attending cached VLM context."""
+    if prefix < 0 or history < 0:
+        raise ValueError("context token counts must be >= 0")
     p = cfg.precision_bytes
     runs = _qkv_runs(cfg, q_len, ACTION)
 
@@ -279,36 +281,29 @@ def parallel_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
     return [(op, count * cfg.num_layers) for op, count in layer]
 
 
-def token_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
-                      kv_prefix_len: int) -> list[Run]:
-    """Autoregressive decoding: one single-token forward per action token."""
-    step = parallel_decode_runs(cfg, 1, kv_prefix_len)
+def token_decode_runs(step: list[Run], num_action_tokens: int) -> list[Run]:
+    """Autoregressive decoding: ``step``, the runs of one single-token
+    forward (``parallel_decode_runs(cfg, 1, kv_prefix_len)``), once per
+    action token."""
     return [(op, count * num_action_tokens) for op, count in step]
 
 
-def diffusion_runs(cfg_action: TransformerConfig,
-                   context_cfg: TransformerConfig, vlm_prefix_tokens: int,
-                   chunk_size: int, steps: int, action_dof: int,
-                   history_tokens: int = 0) -> list[Run]:
+def diffusion_runs(layer: list[Run], cfg_action: TransformerConfig,
+                   chunk_size: int, steps: int,
+                   action_dof: int) -> list[Run]:
     """Flow-matching action generation: ``steps`` identical denoising passes.
 
     Each pass projects the noisy chunk in (``action_dof -> hidden``), runs
-    every expert layer jointly attending the cached VLM prefix (and any
-    accumulated ``history_tokens`` of older context), and projects actions
-    out.  Passes are identical, so the cost is exactly linear in ``steps``.
-    ``context_cfg`` is the stack whose KV cache the expert attends (the
-    VLM): the context is read at its KV width and head count.
+    every expert layer, and projects actions out.  ``layer`` holds the runs
+    of one expert layer over the chunk (see :func:`_expert_layer`), which
+    attends the cached VLM prefix and any older context.  Passes are
+    identical, so the cost is exactly linear in ``steps``.
     """
-    if vlm_prefix_tokens < 0 or history_tokens < 0:
-        raise ValueError("context token counts must be >= 0")
     if chunk_size < 1 or action_dof < 1 or steps < 0:
         raise ValueError("need chunk_size >= 1, action_dof >= 1, steps >= 0")
     if steps == 0:
         return []
     p = cfg_action.precision_bytes
-    layer = _expert_layer(cfg_action, chunk_size, vlm_prefix_tokens,
-                          history_tokens, context_cfg.kv_width,
-                          context_cfg.num_kv_heads)
     in_proj = matmul_op(chunk_size, cfg_action.hidden_size, action_dof, p,
                         "action_in_proj", ACTION)
     out_proj = matmul_op(chunk_size, action_dof, cfg_action.hidden_size, p,
@@ -347,9 +342,11 @@ def vision_runs(encoder: TransformerConfig, num_cameras: int,
 
 def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,
                  ) -> dict[str, tuple]:
-    """``{phase: (builder, args)}`` in ``PHASES`` order: ``builder(*args)``
-    returns the phase's runs, and ``args`` are exactly the values that
-    builder reads.  Each builder is looked up when this is called.
+    """``{phase: (builder, args)}`` in ``PHASES`` order: :func:`build` of
+    that key returns the phase's runs, and ``args`` are exactly the values
+    that builder reads.  A nested ``(builder, args)`` key names a layer the
+    builder repeats: diffusion's expert layer, token decoding's one-token
+    step.  Each builder is looked up when this is called.
 
     The VLM prefills the fresh prefix over any cached history, and the
     action phase attends both under the spec's decoding mode.
@@ -357,19 +354,37 @@ def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,
     history = context_history(spec, context_timestep)
     prefix = spec.prefix_tokens()
     if spec.decoding_mode == DIFFUSION:
-        action = (diffusion_runs, (
-            spec.action_expert, spec.vlm, prefix, spec.chunk_size,
-            spec.denoise_steps, spec.action_dof, history))
-    else:  # VlaModelSpec admits no other mode than the two decoders.
-        decode = (token_decode_runs if spec.decoding_mode == AUTOREGRESSIVE
-                  else parallel_decode_runs)
-        action = (decode, (spec.vlm, spec.action_tokens(), prefix + history))
+        layer = (_expert_layer, (spec.action_expert, spec.chunk_size, prefix,
+                                 history, spec.vlm.kv_width,
+                                 spec.vlm.num_kv_heads))
+        action = (diffusion_runs, (layer, spec.action_expert, spec.chunk_size,
+                                   spec.denoise_steps, spec.action_dof))
+    elif spec.decoding_mode == AUTOREGRESSIVE:
+        step = (parallel_decode_runs, (spec.vlm, 1, prefix + history))
+        action = (token_decode_runs, (step, spec.action_tokens()))
+    else:  # VlaModelSpec admits no other mode than the three decoders.
+        action = (parallel_decode_runs, (spec.vlm, spec.action_tokens(),
+                                         prefix + history))
     return {
         VISION: (vision_runs, (spec.vision_encoder, spec.num_cameras,
                                spec.tokens_per_image, spec.vlm.hidden_size)),
         VLM: (prefill_runs, (spec.vlm, prefix, history)),
         ACTION: action,
     }
+
+
+def build(key: tuple, memo: dict) -> tuple[list[Run], dict]:
+    """``memo[key]``, built if missing: the non-zero runs of a
+    :func:`phase_builds` key and a dict for their prices.  No builder takes
+    a tuple argument, so a tuple argument is a nested key, built the same
+    way, and the builder gets its runs."""
+    entry = memo.get(key)
+    if entry is None:
+        builder, args = key
+        runs = builder(*[build(arg, memo)[0] if type(arg) is tuple else arg
+                         for arg in args])
+        entry = memo[key] = ([run for run in runs if run[1]], {})
+    return entry
 
 
 def pipeline_graph(spec: VlaModelSpec,
@@ -383,5 +398,5 @@ def pipeline_graph(spec: VlaModelSpec,
     """
     # The one merge of all the phases' runs.
     return OperatorGraph(
-        run for build, args in phase_builds(spec, context_timestep).values()
-        for run in build(*args))
+        run for key in phase_builds(spec, context_timestep).values()
+        for run in build(key, {})[0])

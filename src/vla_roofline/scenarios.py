@@ -18,12 +18,12 @@ latencies/rates of ``None``), never exceptions.
 
 A scenario builds and prices its vision, VLM and action phases once the
 footprint check has passed, through an optional ``memo``: a dict that the
-caller owns.  It keys each phase by its builder and that builder's
-arguments, as :func:`opgraph.phase_builds` names them, and each price by
-the accelerator figures it reads.  Calls that share one, for any mix of
-models, context steps and placements, build each distinct phase once;
-:func:`sync_sweep` gives its points one, and ``reproduce`` gives one to
-all the golden tables it runs.
+caller owns.  It keys each phase, and each layer a phase repeats, by its
+builder and that builder's arguments, as :func:`opgraph.phase_builds`
+names them, and each price by the accelerator figures it reads.  Calls
+that share one, for any mix of models, context steps and placements,
+build each distinct phase and layer once; :func:`sync_sweep` gives its
+points one, and ``reproduce`` gives one to all the golden tables it runs.
 """
 
 from __future__ import annotations
@@ -203,20 +203,17 @@ def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
                ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
     """``phase_breakdown(pipeline_graph(spec, context_timestep), hw,
     action_hw)``, one phase at a time through ``memo``: ``memo[(builder,
-    args)]`` of :func:`opgraph.phase_builds` holds a phase's non-zero runs
-    and their price under each ``(peak, bandwidth)``.  A phase builder emits
-    each distinct operator in one run, so these are the runs a graph merge
-    keeps, in run order, and the floats are the graph's, bit for bit."""
+    args)]`` of :func:`opgraph.phase_builds`, as :func:`opgraph.build`
+    fills it, holds a phase's non-zero runs and their price under each
+    ``(peak, bandwidth)``.  A phase builder emits each distinct operator in
+    one run, so these are the runs a graph merge keeps, in run order, and
+    the floats are the graph's, bit for bit."""
     if memo is None:
         memo = {}
     hardware = roofline.phase_hardware(hw, action_hw)
     priced = {}
     for phase, key in opgraph.phase_builds(spec, context_timestep).items():
-        entry = memo.get(key)
-        if entry is None:
-            build, args = key
-            entry = memo[key] = ([run for run in build(*args) if run[1]], {})
-        runs, prices = entry
+        runs, prices = opgraph.build(key, memo)
         if runs:
             phase_hw = hardware[phase]
             figures = (phase_hw.peak(), phase_hw.mem_bandwidth)
@@ -415,13 +412,16 @@ DECODING_VARIANTS = (DIFFUSION, DIFFUSION_LARGE, AUTOREGRESSIVE,
 
 
 def decoding_variant_spec(spec: VlaModelSpec, variant: str) -> VlaModelSpec:
+    """``spec`` under one of :data:`DECODING_VARIANTS`, which each set
+    ``decoding_mode``: ``diffusion`` refuses a model without an action
+    expert, and ``diffusion_large`` gives any model a VLM-sized one."""
     if variant == DIFFUSION:
-        return spec
+        return replace(spec, decoding_mode=DIFFUSION)
     if variant == DIFFUSION_LARGE:
         big = replace(spec.vlm, name=f"{spec.vlm.name}-expert",
                       patch_input_dim=None)
         return replace(spec, name=f"{spec.name}-large-expert",
-                       action_expert=big)
+                       action_expert=big, decoding_mode=DIFFUSION)
     if variant in (AUTOREGRESSIVE, AUTOREGRESSIVE_PARALLEL):
         return replace(spec, name=f"{spec.name}-{variant}",
                        decoding_mode=variant, action_expert=None)

@@ -64,7 +64,7 @@ class TransformerConfig(Record):
 
     __slots__ = ("name", "num_layers", "hidden_size", "intermediate_size",
                  "num_ffi", "num_q_heads", "num_kv_heads", "head_dim",
-                 "precision_bytes", "patch_input_dim")
+                 "precision_bytes", "patch_input_dim", "_weight_bytes")
 
     def __init__(self, name: str, num_layers: int, hidden_size: int,
                  intermediate_size: int, num_ffi: int, num_q_heads: int,
@@ -107,6 +107,8 @@ class TransformerConfig(Record):
                      "num_ffi", "num_q_heads", "num_kv_heads", "head_dim",
                      "patch_input_dim"):
             check_count(self.name, attr, getattr(self, attr))
+        set_field(self, "_weight_bytes",
+                  param_count(self) * self.precision_bytes)
 
     @property
     def q_width(self) -> int:
@@ -130,8 +132,9 @@ def param_count(cfg: TransformerConfig) -> int:
 
 
 def weight_bytes(cfg: TransformerConfig) -> int:
-    """Resident weight footprint in bytes at the stack's precision."""
-    return param_count(cfg) * cfg.precision_bytes
+    """Resident weight footprint in bytes at the stack's precision;
+    computed once per stack."""
+    return cfg._weight_bytes
 
 
 def kv_bytes_per_token(cfg: TransformerConfig) -> int:

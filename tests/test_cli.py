@@ -14,7 +14,7 @@ import sys
 import pytest
 import yaml
 
-from vla_roofline import presets
+from vla_roofline import cli, presets
 
 
 def run_cli(*args, env=None):
@@ -311,6 +311,41 @@ def test_scaling_table_prices_the_model_analyze_prices(tmp_path, section,
     assert cell == f"{json.loads(record.stdout)['sync_frequency_hz']:.1f}"
 
 
+@pytest.fixture
+def ar_model_env(tmp_path):
+    """An override that adds ``ar-model``: pi0 with no action expert,
+    decoding autoregressively on its VLM."""
+    models = copy.deepcopy(presets.MODELS)
+    entry = dict(models["models"]["pi0"], decoding_mode="autoregressive")
+    del entry["action_expert"]
+    models["models"]["ar-model"] = entry
+    (tmp_path / "models.yaml").write_text(yaml.safe_dump(models),
+                                          encoding="utf-8")
+    return {"VLA_ROOFLINE_PRESETS": str(tmp_path)}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_every_decoding_sets_its_mode(ar_model_env, fmt):
+    """``diffusion`` on a model without an action expert is an error, not
+    the model's own decoding; ``diffusion_large`` gives it a VLM-sized
+    expert."""
+    base = ("--model", "ar-model", "--hw", "b100", "--format", fmt)
+    for args in (("analyze", "--decoding", "diffusion"),
+                 ("sweep", "--decoding", "diffusion,autoregressive"),
+                 ("sweep", "--decoding", "autoregressive,diffusion")):
+        result = run_cli(*args, *base, env=ar_model_env)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "error: ar-model: diffusion decoding requires an action "
+                   "expert\n")
+    large = run_cli("analyze", "--decoding", "diffusion_large", *base,
+                    env=ar_model_env)
+    assert large.returncode == 0 and large.stderr == ""
+    assert "ar-model-large-expert" in large.stdout
+    sweep = run_cli("sweep", "--decoding", "diffusion_large,autoregressive",
+                    *base, env=ar_model_env)
+    assert sweep.returncode == 0 and sweep.stderr == ""
+
+
 def test_env_override_changes_analyze_output(tmp_path):
     (tmp_path / "networks.yaml").write_text(
         "toy-link: {bandwidth_mbps: 1, base_latency_ms: 100}\n",
@@ -474,6 +509,35 @@ def test_sweep_decoding_axis():
     assert len(lines) == 3
     assert lines[1].startswith("diffusion,")
     assert lines[2].startswith("autoregressive,")
+
+
+# Grids whose first invalid point fails on its counts, its decoding or
+# both, with each sweep's error line; a sweep that configures each count
+# triple and decoding once must fail on the same point with the same line.
+_CHUNK = "pi0: tokens_per_image, action_dof and chunk_size must be >= 1"
+_COUNTS = "pi0: counts must be >= 0"
+_BOGUS = "unknown decoding variant 'bogus'"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("--decoding bogus", _BOGUS),
+    ("--decoding bogus --chunk 0", _CHUNK),
+    ("--chunk 5,0 --decoding bogus", _BOGUS),
+    ("--chunk 5,0 --decoding diffusion,bogus", _BOGUS),
+    ("--chunk 0,5 --decoding diffusion,bogus", _CHUNK),
+    ("--chunk 0 --decoding autoregressive", _CHUNK),
+    ("--chunk 5 --decoding autoregressive,bogus", _BOGUS),
+    ("--dof 0,4 --decoding diffusion_large", _CHUNK),
+    ("--dof 4,0 --steps 3,-1 --decoding "
+     "autoregressive_parallel,diffusion_large", _COUNTS),
+    ("--steps -1 --decoding autoregressive", _COUNTS),
+    ("--chunk 9007199254740993",
+     "pi0: chunk_size is too large (at most 2**53)"),
+    ("--context-steps 0 --chunk 0", _CHUNK),
+])
+def test_invalid_sweep_grid_keeps_its_error_line(capsys, grid, message):
+    assert cli.main(["sweep", *grid.split()]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("flag, value", [

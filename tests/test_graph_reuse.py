@@ -1,10 +1,12 @@
 """``reproduce`` builds each distinct phase once per command, a sweep
-builds each distinct vision and VLM phase once and only the action phase
-per point, and a sweep checks its whole grid before it builds anything.
+builds each distinct phase and each layer a phase repeats once per command,
+and a sweep checks its whole grid before it builds anything.
 
-A phase build is one call of a builder that ``opgraph.phase_builds`` names.
-The builders are bound by name in several modules, so the counter replaces
-every binding of each of them in every loaded package module.
+A build is one ``(builder, args)`` key of ``opgraph.phase_builds`` that
+``opgraph.build`` does not find in its memo, so it calls the builder; a key
+nested in another is a layer build.  ``build`` and ``pipeline_graph`` are
+bound by name in several modules, so the counter replaces every binding of
+each of them in every loaded package module.
 """
 
 import sys
@@ -20,58 +22,67 @@ from vla_roofline.scenarios import scaling_sweep
 PHASE_BUILDERS = {"vision_runs": VISION, "prefill_runs": VLM,
                   "diffusion_runs": ACTION, "token_decode_runs": ACTION,
                   "parallel_decode_runs": ACTION}
+# The kind of a build whose key is nested in another: the expert layer of
+# diffusion, or the one-token step of token decoding.
+LAYER = "layer"
 # Builds of ``reproduce all``.  The tables share one memo, so a phase is
 # built the first time any table needs it, in ``_ALL_TABLES`` order:
 # vision T1 3 (the 3-camera one is pi0's) and T5 3; VLM and action T1 3,
-# T3 1 (pi0), T5 3 and T6 4 (t = 1 is pi0's).  T4 builds its own pi0
-# graph, which counts one ``pipeline_graph`` and one build of each phase.
+# T3 1 (pi0), T5 3 and T6 4 (t = 1 is pi0's).  Each diffusion action phase
+# builds its own expert layer.  T4 builds its own pi0 graph, which counts
+# one ``pipeline_graph`` and one build of each phase and layer.
 REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, VISION: 7, VLM: 12, ACTION: 12}
 # Operators hashed by ``reproduce all``: the runs of T4's one merge of the
 # pi0 graph.  The scenarios' phases are priced without a merge.
 REPRODUCE_ALL_OPERATORS = 25
 
 
+def _replace_everywhere(monkeypatch, original, replacement):
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "vla_roofline" or module_name.startswith(
+                "vla_roofline."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """The ``(builder name, args)`` of every phase or graph build.  A
-    builder that another phase builder calls (``token_decode_runs`` calls
-    ``parallel_decode_runs``) makes no build of its own."""
+    """The ``(kind, builder name, args)`` of every build and every
+    ``pipeline_graph`` call.  The kind of a build is its phase, or
+    ``LAYER`` for a nested key; ``args`` are the key's, nested keys
+    included."""
     calls = []
-    building = []  # the phase builders running now
+    nesting = []  # the keys being built now
+    original_build, original_graph = opgraph.build, opgraph.pipeline_graph
 
-    def counting(name, original):
-        def build(*args):
-            if not building:
-                calls.append((name, args))
-            if name == "pipeline_graph":
-                return original(*args)
-            building.append(name)
-            try:
-                return original(*args)
-            finally:
-                building.pop()
-        return build
+    def build(key, memo):
+        if key not in memo:
+            name = key[0].__name__
+            kind = LAYER if nesting else PHASE_BUILDERS[name]
+            calls.append((kind, name, key[1]))
+        nesting.append(key)
+        try:
+            return original_build(key, memo)
+        finally:
+            nesting.pop()
 
-    for name in ("pipeline_graph", *PHASE_BUILDERS):
-        original = getattr(opgraph, name)
-        replacement = counting(name, original)
-        for module_name, module in list(sys.modules.items()):
-            if module_name == "vla_roofline" or module_name.startswith(
-                    "vla_roofline."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, replacement)
+    def pipeline_graph(*args):
+        calls.append(("pipeline_graph", "pipeline_graph", args))
+        return original_graph(*args)
+
+    _replace_everywhere(monkeypatch, original_build, build)
+    _replace_everywhere(monkeypatch, original_graph, pipeline_graph)
     return calls
 
 
 def _count(calls, kind):
-    """Builds of a phase, or calls of ``pipeline_graph``."""
-    return sum(1 for name, _ in calls
-               if PHASE_BUILDERS.get(name, name) == kind)
+    """Builds of a phase or of layers, or calls of ``pipeline_graph``."""
+    return sum(1 for call_kind, _, _ in calls if call_kind == kind)
 
 
-def _args(calls, phase):
-    return [args for name, args in calls if PHASE_BUILDERS.get(name) == phase]
+def _args(calls, kind):
+    return [args for call_kind, _, args in calls if call_kind == kind]
 
 
 def _phase_args(spec, phase, timesteps=(None,)):
@@ -153,9 +164,37 @@ def test_autoregressive_sweep_builds_its_action_phase_once_per_decoding(
                      "--format", "csv"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and out.count(",yes,") == 6
-    assert [name for name, _ in builds
-            if PHASE_BUILDERS.get(name) == ACTION] == [
+    assert [name for kind, name, _ in builds if kind == ACTION] == [
         "token_decode_runs", "parallel_decode_runs"]
+    assert _count(builds, LAYER) == 1
+
+
+@pytest.mark.parametrize("args, layer, actions", [
+    # DoF and steps change the action phase, not the expert layer.
+    (("--dof", "4,5,6", "--steps", "5,10", "--decoding", "diffusion"),
+     "_expert_layer", 6),
+    # Chunk and DoF change the token count, not the one-token step.
+    (("--chunk", "5,50", "--dof", "4,6", "--decoding", "autoregressive"),
+     "parallel_decode_runs", 4),
+])
+def test_sweep_builds_each_repeated_layer_once_per_command(
+        builds, capsys, args, layer, actions):
+    argv = ["sweep", "--hw", "b100", *args, "--format", "csv"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count(",yes,") == actions
+    spec = cli._configure_spec(load_presets().model("pi0"), None, None, None,
+                               args[-1])
+    nested = opgraph.phase_builds(spec)[ACTION][1][0]
+    assert nested[0].__name__ == layer
+    assert [(name, key_args) for kind, name, key_args in builds
+            if kind == LAYER] == [(layer, nested[1])]
+    assert _count(builds, ACTION) == actions
+    # A second command builds the layer and every phase again.
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert _count(builds, LAYER) == 2
+    assert _count(builds, ACTION) == 2 * actions
 
 
 def test_infeasible_sweep_builds_nothing(builds, capsys):

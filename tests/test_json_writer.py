@@ -1,6 +1,7 @@
-"""The CLI's JSON writer writes the bytes of ``json.dumps(payload,
-indent=2, allow_nan=False)`` for payloads in the shapes the four commands
-print, and for any nesting of JSON values."""
+"""The CLI's JSON writers write the bytes of ``json.dumps(payload,
+indent=2, allow_nan=False)``: ``_json_text`` for payloads in the shapes the
+four commands print and for any nesting of JSON values, and ``_json_rows``
+for sweep rows."""
 
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vla_roofline.cli import _json_text
+from vla_roofline.cli import _json_rows, _json_text
 
 # Text that a naive row splitter or escaper could get wrong: quotes,
 # backslashes, braces, a row boundary as text, raw newlines, control
@@ -72,6 +73,21 @@ def test_writer_matches_json_dumps(payload):
 ])
 def test_writer_matches_json_dumps_on_edge_cases(payload):
     assert _json_text(payload) == _dumps(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_rows().filter(bool))
+def test_row_writer_matches_json_dumps(rows):
+    """``sweep`` writes its rows, never an empty list, with ``_json_rows``."""
+    assert _json_rows(rows) == _dumps(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 1}], [{"a": "},\n  {", "b": 1}, {"a": "}", "b": "{"}],
+    [{"a": None, "b": -0.0}, {"a": 1e308, "b": "\u2028"}],
+])
+def test_row_writer_matches_json_dumps_on_edge_cases(rows):
+    assert _json_rows(rows) == _dumps(rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -15,6 +15,7 @@ from vla_roofline.opgraph import (
     VISION,
     VLM,
     OperatorGraph,
+    _expert_layer,
     diffusion_runs,
     matmul_op,
     parallel_decode_runs,
@@ -30,7 +31,7 @@ from vla_roofline.scenarios import DECODING_VARIANTS, decoding_variant_spec
 from vla_roofline.workload import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
-    scaled_family,
+    SCALED_FAMILY,
 )
 
 
@@ -125,9 +126,16 @@ def test_vision_requires_patch_dim(lib):
 
 # --- Action expert: diffusion over cached VLM context ----------------------
 
+def _diffusion(expert, vlm, prefix, chunk, steps, dof, history=0):
+    """The diffusion action phase, on the expert layer it repeats."""
+    layer = _expert_layer(expert, chunk, prefix, history, vlm.kv_width,
+                          vlm.num_kv_heads)
+    return diffusion_runs(layer, expert, chunk, steps, dof)
+
+
 def test_diffusion_step_totals(lib, pi0):
-    graph = OperatorGraph(diffusion_runs(pi0.action_expert, pi0.vlm, 800,
-                                         50, 1, 14))
+    graph = OperatorGraph(_diffusion(pi0.action_expert, pi0.vlm, 800,
+                                     50, 1, 14))
     assert graph.total_bytes == 731_061_488
     assert graph.total_flops == 37_412_454_400
 
@@ -135,7 +143,7 @@ def test_diffusion_step_totals(lib, pi0):
 def test_diffusion_attention_window_choice(lib, pi0):
     """The context window is read per KV-group only while that is cheaper
     than materialising score rows; the baseline sits on the score side."""
-    runs = diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50, 1, 14)
+    runs = _diffusion(pi0.action_expert, pi0.vlm, 800, 50, 1, 14)
     attn, count = next(run for run in runs if run[0].label == "attention")
     assert count == pi0.action_expert.num_layers
     # 2*(2*50*2048 + [2*800*256 + 4*8*50*800] + [2*50*256 + 4*8*50*50])
@@ -144,16 +152,16 @@ def test_diffusion_attention_window_choice(lib, pi0):
 
 
 def test_diffusion_is_linear_in_steps(lib, pi0):
-    one = OperatorGraph(diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50,
-                                       1, 14))
-    ten = OperatorGraph(diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50,
-                                       10, 14))
+    one = OperatorGraph(_diffusion(pi0.action_expert, pi0.vlm, 800, 50,
+                                   1, 14))
+    ten = OperatorGraph(_diffusion(pi0.action_expert, pi0.vlm, 800, 50,
+                                   10, 14))
     assert ten.total_flops == 10 * one.total_flops
     assert ten.total_bytes == 10 * one.total_bytes
 
 
 def test_diffusion_zero_steps_is_empty(pi0):
-    assert diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50, 0, 14) == []
+    assert _diffusion(pi0.action_expert, pi0.vlm, 800, 50, 0, 14) == []
 
 
 # --- Decode kernels ---------------------------------------------------------
@@ -210,7 +218,8 @@ def test_autoregressive_pipeline_decodes_each_action_token(pi0):
     action = graph.subgraph(ACTION)
     step = OperatorGraph(parallel_decode_runs(pi0.vlm, 1, 800))
     assert action.ops == tuple((op, 700 * count) for op, count in step.ops)
-    assert action.ops == tuple(token_decode_runs(pi0.vlm, 700, 800))
+    assert action.ops == tuple(token_decode_runs(
+        parallel_decode_runs(pi0.vlm, 1, 800), 700))
     assert action.total_bytes == 700 * step.total_bytes
     assert action.total_flops == 700 * step.total_flops
 
@@ -232,13 +241,19 @@ def test_phase_builds_give_each_builder_the_values_it_reads(pi0):
     assert builds == {
         VISION: (vision_runs, (pi0.vision_encoder, 3, 256, 2048)),
         VLM: (prefill_runs, (pi0.vlm, 800, history)),
-        ACTION: (diffusion_runs, (pi0.action_expert, pi0.vlm, 800, 50, 10,
-                                  14, history)),
+        ACTION: (diffusion_runs, (
+            (_expert_layer, (pi0.action_expert, 50, 800, history, 256, 1)),
+            pi0.action_expert, 50, 10, 14)),
     }
-    for mode, builder in ((AUTOREGRESSIVE, token_decode_runs),
-                          (AUTOREGRESSIVE_PARALLEL, parallel_decode_runs)):
+    decoders = {
+        # Token decoding repeats the one-token step, a nested key.
+        AUTOREGRESSIVE: (token_decode_runs, (
+            (parallel_decode_runs, (pi0.vlm, 1, 800)), 700)),
+        AUTOREGRESSIVE_PARALLEL: (parallel_decode_runs, (pi0.vlm, 700, 800)),
+    }
+    for mode, action in decoders.items():
         spec = replace(pi0, action_expert=None, decoding_mode=mode)
-        assert phase_builds(spec)[ACTION] == (builder, (pi0.vlm, 700, 800))
+        assert phase_builds(spec)[ACTION] == action
 
 
 def test_long_context_grows_history(pi0):
@@ -272,7 +287,7 @@ def test_layer_builders_repeat_one_layer(lib, pi0):
         (parallel_decode_runs(gemma, 50, 800), gemma.num_layers,
          {"ffn_up": gemma.num_ffi * gemma.num_layers}),
         (vit_encode_runs(siglip, 3), siglip.num_layers, {"patch_embed": 1}),
-        (diffusion_runs(pi0.action_expert, pi0.vlm, 800, 50, 1, 14),
+        (_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 1, 14),
          pi0.action_expert.num_layers,
          {"action_in_proj": 1, "action_out_proj": 1}),
     )
@@ -292,14 +307,15 @@ def test_runs_merge_equal_operators_in_first_seen_order():
 
 # Recorded before the part builders returned plain runs; the runs of every
 # pipeline must not change.
-RUNS_DIGEST = "150c6970864d7c26a0a93f49d1310fb386be334760e2e7a1f8a0d4af6b9a794f"
+RUNS_DIGEST = "cff51b6e71c2dbe28a3f2180121b18c76e52289ea84b2f52f46a31f81070f949"
 
 
 def test_pipeline_runs_digest(lib):
-    """SHA-256 of the runs of every preset and scaled-family model, in every
-    decoding variant, stateless and at two context timesteps."""
+    """SHA-256 of the runs of every preset model, the scaled family among
+    them, in every decoding variant, stateless and at two context
+    timesteps."""
+    assert set(SCALED_FAMILY) <= set(lib.models)
     specs = [lib.model(name) for name in sorted(lib.models)]
-    specs += scaled_family(lib)
     digest = hashlib.sha256()
     for spec in specs:
         for variant in DECODING_VARIANTS:

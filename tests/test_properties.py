@@ -4,7 +4,12 @@ Nothing in here depends on a particular preset's published numbers; these
 are the laws any configuration must satisfy.
 """
 
+import contextlib
+import io
+import json
+import pickle
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,9 +38,9 @@ from vla_roofline import (
     sync_scenario,
     transfer_time,
 )
-from vla_roofline import opgraph
+from vla_roofline import cli, opgraph
 from vla_roofline.opgraph import ACTION, PHASES
-from vla_roofline.record import replace
+from vla_roofline.record import replace, set_field
 from vla_roofline.roofline import boundedness, graph_oi, phase_breakdown
 from vla_roofline.scenarios import (
     CLOUD_SERVER,
@@ -54,6 +59,7 @@ from vla_roofline.workload import (
     DIFFUSION,
     TransformerConfig,
     VlaModelSpec,
+    weight_bytes,
 )
 
 operators = st.builds(
@@ -238,6 +244,22 @@ def layered_stacks(draw, patch=False):
     )
 
 
+@given(cfg=st.one_of(layered_stacks(), layered_stacks(patch=True)),
+       layers=st.integers(min_value=0, max_value=5),
+       precision=st.sampled_from((1, 2, 4)))
+def test_weight_bytes_are_derived_once_per_stack(cfg, layers, precision):
+    """``weight_bytes`` reads a slot set at construction: ``replace``
+    recomputes it, and it stays out of ``==``, hash, repr and pickling."""
+    assert weight_bytes(cfg) == param_count(cfg) * cfg.precision_bytes
+    changed = replace(cfg, num_layers=layers, precision_bytes=precision)
+    assert weight_bytes(changed) == param_count(changed) * precision
+    stale = replace(cfg)
+    set_field(stale, "_weight_bytes", -1)
+    assert stale == cfg and hash(stale) == hash(cfg)
+    assert repr(stale) == repr(cfg) and "_weight_bytes" not in repr(cfg)
+    assert weight_bytes(pickle.loads(pickle.dumps(stale))) == weight_bytes(cfg)
+
+
 def _is_merged(runs):
     """A builder's non-zero runs are what a graph merge of them keeps."""
     return [run for run in runs if run[1]] == list(OperatorGraph(runs).ops)
@@ -263,17 +285,18 @@ def test_builders_emit_each_distinct_operator_once(
                                               tokens_per_image))
     assert _is_merged(opgraph.prefill_runs(vlm, language_tokens, history))
     assert _is_merged(opgraph.parallel_decode_runs(vlm, chunk, history))
-    assert _is_merged(opgraph.diffusion_runs(
-        expert, vlm, language_tokens, chunk, steps, dof, history))
+    layer = opgraph._expert_layer(expert, chunk, language_tokens, history,
+                                  vlm.kv_width, vlm.num_kv_heads)
+    assert _is_merged(layer)
+    assert _is_merged(opgraph.diffusion_runs(layer, expert, chunk, steps, dof))
     spec = VlaModelSpec(
         "toy", vision, vlm,
         action_expert=expert if decoding == DIFFUSION else None,
         num_cameras=cameras, tokens_per_image=tokens_per_image,
         language_tokens=language_tokens, action_dof=dof, chunk_size=chunk,
         denoise_steps=steps, decoding_mode=decoding)
-    for build, args in opgraph.phase_builds(spec,
-                                            context_timestep).values():
-        assert _is_merged(build(*args))
+    for key in opgraph.phase_builds(spec, context_timestep).values():
+        assert _is_merged(opgraph.build(key, {})[0])
 
 
 @given(op=operators, hw=accelerators,
@@ -530,6 +553,50 @@ def test_sync_sweep_equals_sync_scenario_at_every_point(
     placement = _placement(kind, hw, device_hw, net, cloud_net)
     assert sync_sweep(points, placement) == [
         sync_scenario(spec, placement, t) for spec, t in points]
+
+
+def _cli_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _axis(values):
+    return st.one_of(st.none(), st.lists(values, min_size=1, max_size=2))
+
+
+@given(chunk=_axis(st.integers(min_value=1, max_value=300)),
+       steps=_axis(st.integers(min_value=0, max_value=20)),
+       dof=_axis(st.integers(min_value=1, max_value=40)),
+       decoding=_axis(st.sampled_from(DECODING_VARIANTS)),
+       context_steps=_axis(st.integers(min_value=1, max_value=5_000)),
+       model=st.sampled_from(sorted(_LIB.models)),
+       hw=st.sampled_from(sorted(_LIB.hardware)),
+       placement=st.sampled_from([(), ("--placement", EDGE_SERVER, "--net",
+                                       "wifi7")]))
+@settings(max_examples=30, deadline=None)
+def test_each_sweep_row_is_the_analyze_record_of_its_point(
+        chunk, steps, dof, decoding, context_steps, model, hw, placement):
+    """A sweep configures each count triple and each decoding once; its
+    rows, in grid order, still read what ``analyze`` prints for each
+    point, duplicate axis values included."""
+    axes = {name: values for name, values in (
+        ("chunk", chunk), ("context_steps", context_steps),
+        ("decoding", decoding), ("dof", dof), ("steps", steps))
+        if values is not None}
+    common = ("--model", model, "--hw", hw, *placement)
+    flags = [(f"--{name.replace('_', '-')}", name) for name in axes]
+    rows = _cli_json("sweep", *common, *(
+        arg for flag, name in flags
+        for arg in (flag, ",".join(map(str, axes[name])))))
+    assert [tuple(row[name] for name in axes) for row in rows] == list(
+        product(*axes.values()))
+    for row in rows:
+        record = _cli_json("analyze", *common, *(
+            arg for flag, name in flags for arg in (flag, str(row[name]))))
+        assert {col: row[col] for col in cli._SWEEP_COLUMNS} == {
+            col: record.get(col) for col in cli._SWEEP_COLUMNS}
 
 
 def test_sweep_results_identical_under_thread_pool():
