@@ -435,8 +435,8 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     return _render_rows((*names, *_SWEEP_COLUMNS), rows, args.format), 0
 
 
-def _cell_status(cell: golden.GoldenCell) -> str:
-    return {True: "ok", False: "FAIL", None: "info"}[cell.passed]
+# A golden cell's printed status, by its verdict.
+_CELL_STATUS = {True: "ok", False: "FAIL", None: "info"}
 
 
 def _cell_error_text(cell: golden.GoldenCell) -> str:
@@ -451,7 +451,7 @@ def _cell_fields(cell: golden.GoldenCell) -> tuple[str, ...]:
     """A golden cell's printed fields, in ``_CELL_COLUMNS`` order."""
     return (cell.label, cell.unit, cell.printed_modeled,
             cell.printed_reference, _cell_error_text(cell),
-            _cell_status(cell))
+            _CELL_STATUS[cell.passed])
 
 
 def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
@@ -482,7 +482,7 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
         rows = [(c.label,
                  f"{c.printed_modeled} {c.unit}".rstrip(),
                  f"{c.printed_reference} {c.unit}".rstrip(),
-                 _cell_error_text(c), _cell_status(c)) for c in cells]
+                 _cell_error_text(c), _CELL_STATUS[c.passed]) for c in cells]
         widths = [max(len(row[i]) for row in rows) for i in range(4)]
         for row in rows:
             lines.append("  ".join((

@@ -54,7 +54,7 @@ class GoldenCell(Record):
 
     __slots__ = ("table", "label", "unit", "modeled", "reference", "rel_tol",
                  "abs_tol", "kind", "modeled_text", "reference_text",
-                 "_passed")
+                 "_reference_value", "_passed")
 
     def __init__(self, table: str, label: str, unit: str,
                  modeled: Optional[float] = None,
@@ -72,15 +72,20 @@ class GoldenCell(Record):
         set_field(self, "kind", kind)
         set_field(self, "modeled_text", modeled_text)
         set_field(self, "reference_text", reference_text)
+        set_field(self, "_reference_value",
+                  None if self.reference is None or self.kind == LABEL
+                  else float(self.reference))
         set_field(self, "_passed", self._verdict())
 
     @property
     def reference_value(self) -> Optional[float]:
-        return float(self.reference) if self.reference is not None else None
+        """The reference parsed once per cell; None without one, and for a
+        label cell, which grades its text."""
+        return self._reference_value
 
     @property
     def tolerance(self) -> Optional[float]:
-        if self.reference is None:
+        if self._reference_value is None:
             return None
         slack = (self.abs_tol if self.abs_tol is not None
                  else 0.5 * printed_ulp(self.reference))

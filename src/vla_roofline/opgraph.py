@@ -375,7 +375,7 @@ def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,
 
 def build(key: tuple, memo: dict) -> tuple[list[Run], dict]:
     """``memo[key]``, built if missing: the non-zero runs of a
-    :func:`phase_builds` key and a dict for their prices.  No builder takes
+    :func:`phase_builds` key and a dict for their figures.  No builder takes
     a tuple argument, so a tuple argument is a nested key, built the same
     way, and the builder gets its runs."""
     entry = memo.get(key)

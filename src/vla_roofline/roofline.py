@@ -173,23 +173,15 @@ def phase_hardware(hw: AcceleratorConfig,
     return hardware
 
 
-def phase_figures(priced: Mapping[str, tuple[float, int, int]],
-                  hardware: Mapping[str, AcceleratorConfig],
-                  ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
-    """Latency, OI and boundedness per phase, in ``PHASES`` order, from each
-    priced phase's ``(seconds, flops, bytes)``; a phase that is not in
-    ``priced`` has no operators and is left out."""
-    latencies: dict[str, float] = {}
-    intensity: dict[str, float] = {}
-    labels: dict[str, str] = {}
-    for phase in opgraph.PHASES:
-        if phase not in priced:
-            continue
-        seconds, flops, data = priced[phase]
-        latencies[phase] = seconds
-        intensity[phase] = _intensity(flops, data)
-        labels[phase] = _label(intensity[phase], hardware[phase])
-    return latencies, intensity, labels
+def figure_phase(runs: Iterable[Run], hw: AcceleratorConfig,
+                 ) -> tuple[float, float, str]:
+    """Seconds, operational intensity and bound of one phase's runs on
+    ``hw``: the seconds of :func:`price_phase`, and a label that reads only
+    ``hw``'s peak and bandwidth.  Raises ``ValueError`` if the runs move
+    zero bytes."""
+    seconds, flops, data = price_phase(runs, hw)
+    oi = _intensity(flops, data)
+    return seconds, oi, _label(oi, hw)
 
 
 def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
@@ -199,10 +191,10 @@ def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
 
     Every phase runs on ``hw`` except the action phase, which runs on
     ``action_hw`` when one is given (split serving).  Returns three
-    phase-keyed dicts (seconds, FLOP/byte, label), covering only phases that
-    actually have operators.
+    phase-keyed dicts (seconds, FLOP/byte, label) in ``PHASES`` order,
+    covering only phases that actually have operators.
 
-    Each phase's runs are priced by :func:`price_phase` in graph order, so
+    Each phase's runs are figured by :func:`figure_phase` in graph order, so
     its latency is bit for bit ``graph_time(graph.subgraph(phase),
     phase_hw)``, and its FLOP and byte totals are exact integers.
     """
@@ -210,5 +202,11 @@ def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
     runs: dict[str, list[Run]] = {}
     for run in graph.ops:
         runs.setdefault(run[0].phase, []).append(run)
-    return phase_figures({phase: price_phase(phase_runs, hardware[phase])
-                          for phase, phase_runs in runs.items()}, hardware)
+    latencies: dict[str, float] = {}
+    intensity: dict[str, float] = {}
+    labels: dict[str, str] = {}
+    for phase in opgraph.PHASES:
+        if phase in runs:
+            latencies[phase], intensity[phase], labels[phase] = figure_phase(
+                runs[phase], hardware[phase])
+    return latencies, intensity, labels

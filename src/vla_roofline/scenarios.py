@@ -20,10 +20,11 @@ A scenario builds and prices its vision, VLM and action phases once the
 footprint check has passed, through an optional ``memo``: a dict that the
 caller owns.  It keys each phase, and each layer a phase repeats, by its
 builder and that builder's arguments, as :func:`opgraph.phase_builds`
-names them, and each price by the accelerator figures it reads.  Calls
-that share one, for any mix of models, context steps and placements,
-build each distinct phase and layer once; :func:`sync_sweep` gives its
-points one, and ``reproduce`` gives one to all the golden tables it runs.
+names them, and a phase's seconds, OI and bound by the accelerator figures
+they read.  Calls that share one, for any mix of models, context steps and
+placements, build each distinct phase and layer once and figure it once per
+accelerator; :func:`sync_sweep` gives its points one, and ``reproduce``
+gives one to all the golden tables it runs.
 """
 
 from __future__ import annotations
@@ -204,23 +205,27 @@ def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
     """``phase_breakdown(pipeline_graph(spec, context_timestep), hw,
     action_hw)``, one phase at a time through ``memo``: ``memo[(builder,
     args)]`` of :func:`opgraph.phase_builds`, as :func:`opgraph.build`
-    fills it, holds a phase's non-zero runs and their price under each
-    ``(peak, bandwidth)``.  A phase builder emits each distinct operator in
-    one run, so these are the runs a graph merge keeps, in run order, and
-    the floats are the graph's, bit for bit."""
+    fills it, holds a phase's non-zero runs and their
+    :func:`roofline.figure_phase` under each ``(peak, bandwidth)``, the only
+    accelerator figures it reads.  A phase builder emits each distinct
+    operator in one run, so these are the runs a graph merge keeps, in run
+    order, and the floats are the graph's, bit for bit."""
     if memo is None:
         memo = {}
     hardware = roofline.phase_hardware(hw, action_hw)
-    priced = {}
+    latencies: dict[str, float] = {}
+    intensity: dict[str, float] = {}
+    labels: dict[str, str] = {}
     for phase, key in opgraph.phase_builds(spec, context_timestep).items():
-        runs, prices = opgraph.build(key, memo)
+        runs, figured = opgraph.build(key, memo)
         if runs:
             phase_hw = hardware[phase]
             figures = (phase_hw.peak(), phase_hw.mem_bandwidth)
-            if figures not in prices:
-                prices[figures] = roofline.price_phase(runs, phase_hw)
-            priced[phase] = prices[figures]
-    return roofline.phase_figures(priced, hardware)
+            entry = figured.get(figures)
+            if entry is None:
+                entry = figured[figures] = roofline.figure_phase(runs, phase_hw)
+            latencies[phase], intensity[phase], labels[phase] = entry
+    return latencies, intensity, labels
 
 
 def sync_scenario(spec: VlaModelSpec, placement: Placement,

@@ -64,7 +64,8 @@ class TransformerConfig(Record):
 
     __slots__ = ("name", "num_layers", "hidden_size", "intermediate_size",
                  "num_ffi", "num_q_heads", "num_kv_heads", "head_dim",
-                 "precision_bytes", "patch_input_dim", "_weight_bytes")
+                 "precision_bytes", "patch_input_dim", "_weight_bytes",
+                 "_hash")
 
     def __init__(self, name: str, num_layers: int, hidden_size: int,
                  intermediate_size: int, num_ffi: int, num_q_heads: int,
@@ -109,6 +110,11 @@ class TransformerConfig(Record):
             check_count(self.name, attr, getattr(self, attr))
         set_field(self, "_weight_bytes",
                   param_count(self) * self.precision_bytes)
+        set_field(self, "_hash", hash(self._values(self)))
+
+    def __hash__(self) -> int:
+        # Memo keys hold stacks, so the field tuple is hashed once.
+        return self._hash
 
     @property
     def q_width(self) -> int:

@@ -1,6 +1,7 @@
 """``reproduce`` builds each distinct phase once per command, a sweep
 builds each distinct phase and each layer a phase repeats once per command,
-and a sweep checks its whole grid before it builds anything.
+each built phase is figured (its seconds, OI and bound) once per
+accelerator, and a sweep checks its whole grid before it builds anything.
 
 A build is one ``(builder, args)`` key of ``opgraph.phase_builds`` that
 ``opgraph.build`` does not find in its memo, so it calls the builder; a key
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 import vla_roofline.cli as cli
-from vla_roofline import golden, load_presets, opgraph, references
+from vla_roofline import golden, load_presets, opgraph, references, roofline
 from vla_roofline.opgraph import ACTION, VISION, VLM
 from vla_roofline.scenarios import scaling_sweep
 
@@ -32,6 +33,11 @@ LAYER = "layer"
 # builds its own expert layer.  T4 builds its own pi0 graph, which counts
 # one ``pipeline_graph`` and one build of each phase and layer.
 REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, VISION: 7, VLM: 12, ACTION: 12}
+# Phases figured by ``reproduce all``: 61 distinct phases on the
+# accelerators that price them, through the command's memo, plus T4's
+# pi0 graph, whose three phases ``phase_breakdown`` figures on each of the
+# five baseline accelerators without a memo.
+REPRODUCE_ALL_FIGURES = 61 + 15
 # Operators hashed by ``reproduce all``: the runs of T4's one merge of the
 # pi0 graph.  The scenarios' phases are priced without a merge.
 REPRODUCE_ALL_OPERATORS = 25
@@ -76,6 +82,21 @@ def builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def figures(monkeypatch):
+    """The ``(phase, accelerator name, runs)`` of every
+    ``roofline.figure_phase`` call."""
+    calls = []
+    original = roofline.figure_phase
+
+    def figure_phase(runs, hw):
+        calls.append((runs[0][0].phase, hw.name, runs))
+        return original(runs, hw)
+
+    _replace_everywhere(monkeypatch, original, figure_phase)
+    return calls
+
+
 def _count(calls, kind):
     """Builds of a phase or of layers, or calls of ``pipeline_graph``."""
     return sum(1 for call_kind, _, _ in calls if call_kind == kind)
@@ -95,6 +116,47 @@ def test_reproduce_all_builds_each_phase_once_per_command(builds, capsys):
     assert capsys.readouterr().err == ""
     assert {kind: _count(builds, kind)
             for kind in REPRODUCE_ALL_BUILDS} == REPRODUCE_ALL_BUILDS
+
+
+def test_reproduce_all_figures_each_priced_phase_once(figures, monkeypatch,
+                                                      capsys):
+    """Every priced phase is figured, and a memo hit figures nothing: a
+    repeat of a phase on the same peak and bandwidth is T4's alone."""
+    priced = []
+    original = roofline.price_phase
+
+    def price_phase(runs, hw):
+        priced.append(hw.name)
+        return original(runs, hw)
+
+    _replace_everywhere(monkeypatch, original, price_phase)
+    assert cli.main(["reproduce", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(figures) == len(priced) == REPRODUCE_ALL_FIGURES
+    lib = load_presets()
+    distinct = {(tuple(runs), lib.accelerator(name).peak(),
+                 lib.accelerator(name).mem_bandwidth)
+                for _, name, runs in figures}
+    assert len(distinct) == REPRODUCE_ALL_FIGURES - 15
+
+
+def test_sweep_figures_each_phase_once_per_accelerator(builds, figures,
+                                                      capsys):
+    """Split serving over a 2 x 2 grid: vision and the VLM are built once
+    and figured once on the server; each of the four action phases is
+    figured once on the robot."""
+    assert cli.main(["sweep", "--placement", "collaborative", "--net",
+                     "wifi7", "--device-hw", "thor", "--hw", "b100",
+                     "--chunk", "5,50", "--steps", "5,10",
+                     "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count(",yes,") == 4
+    assert [(phase, name) for phase, name, _ in figures] == [
+        (VISION, "b100"), (VLM, "b100"), (ACTION, "thor"), (ACTION, "thor"),
+        (ACTION, "thor"), (ACTION, "thor")]
+    assert len({id(runs) for _, _, runs in figures}) == len(figures)
+    assert len(figures) == sum(_count(builds, kind)
+                               for kind in (VISION, VLM, ACTION))
 
 
 def test_tables_sharing_one_memo_equal_fresh_tables():

@@ -5,6 +5,7 @@ are the laws any configuration must satisfy.
 """
 
 import contextlib
+import copy
 import io
 import json
 import pickle
@@ -258,6 +259,26 @@ def test_weight_bytes_are_derived_once_per_stack(cfg, layers, precision):
     assert stale == cfg and hash(stale) == hash(cfg)
     assert repr(stale) == repr(cfg) and "_weight_bytes" not in repr(cfg)
     assert weight_bytes(pickle.loads(pickle.dumps(stale))) == weight_bytes(cfg)
+
+
+@given(cfg=st.one_of(layered_stacks(), layered_stacks(patch=True)),
+       layers=st.integers(min_value=0, max_value=5),
+       name=st.sampled_from(("toy", "other")))
+def test_stack_hash_is_derived_once_per_stack(cfg, layers, name):
+    """A stack hashes as its field tuple from a slot set at construction:
+    ``replace``, ``copy.copy`` and pickling rehash it, and the slot stays
+    out of ``==`` and repr."""
+    for same in (cfg, replace(cfg, num_layers=layers, name=name),
+                 copy.copy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert hash(same) == hash(same._values(same))
+    assert hash(replace(cfg, num_layers=layers)) == hash(
+        (*cfg._values(cfg)[:1], layers, *cfg._values(cfg)[2:]))
+    stale = replace(cfg)
+    set_field(stale, "_hash", -1)
+    assert stale == cfg and repr(stale) == repr(cfg)
+    assert "_hash" not in repr(cfg)
+    assert hash(pickle.loads(pickle.dumps(stale))) == hash(cfg)
+    assert hash(copy.copy(stale)) == hash(cfg)
 
 
 def _is_merged(runs):

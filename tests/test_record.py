@@ -3,19 +3,22 @@
 Each record type is checked against a frozen dataclass twin with the same
 name, fields and values: the same repr and hash, equal to a copy of itself
 but not to the twin, no assignment or deletion, and ``replace`` validates a
-change exactly as direct construction does.
+change exactly as direct construction does.  A golden cell parses its
+reference once, into a slot that none of that sees.
 """
 
 import copy
 import dataclasses
 import inspect
+import pickle
 
 import pytest
 
-from vla_roofline.golden import GoldenCell
+from vla_roofline import golden
+from vla_roofline.golden import LABEL, GoldenCell
 from vla_roofline.netmodel import observation_payload
 from vla_roofline.opgraph import Operator, pipeline_graph
-from vla_roofline.record import replace
+from vla_roofline.record import replace, set_field
 from vla_roofline.scenarios import Placement, sync_scenario
 
 RECORDS = [
@@ -89,3 +92,47 @@ def test_replaced_golden_cell_grades_again():
                       rel_tol=0.05)
     assert cell.passed is False
     assert replace(cell, modeled=1.02).passed is True
+    # A new reference is parsed again, and the cell graded against it.
+    moved = replace(cell, reference="1.19")
+    assert moved.reference_value == 1.19 and moved.passed is True
+    assert moved.relative_error == pytest.approx(1.2 / 1.19 - 1.0)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The references that ``golden`` parses with ``float``."""
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return float(text)
+
+    monkeypatch.setattr(golden, "float", counting, raising=False)
+    return parsed
+
+
+def test_golden_cell_parses_its_reference_once(parses):
+    cell = GoldenCell("T1", "1 cam", "ms", modeled=1.02, reference="1.0",
+                      rel_tol=0.05)
+    assert parses == ["1.0"]
+    assert cell.passed is True and cell.reference_value == 1.0
+    assert cell.tolerance == pytest.approx(0.1)
+    assert cell.relative_error == pytest.approx(0.02)
+    assert parses == ["1.0"]
+    # The parsed value is derived: out of ==, hash, repr and pickling.
+    stale = replace(cell)
+    set_field(stale, "_reference_value", -1.0)
+    assert stale == cell and hash(stale) == hash(cell)
+    assert repr(stale) == repr(cell) and "_reference_value" not in repr(cell)
+    assert pickle.loads(pickle.dumps(stale)).reference_value == 1.0
+
+
+def test_golden_cell_without_a_number_parses_nothing(parses):
+    label = GoldenCell("T4", "thor vlm bound", "", kind=LABEL,
+                       modeled_text="Memory", reference_text="Memory")
+    missing = GoldenCell("T3", "b100 vlm latency", "ms", modeled=None)
+    for cell in (label, missing):
+        assert cell.reference_value is None and cell.tolerance is None
+        assert cell.relative_error is None
+    assert label.passed is True and missing.passed is True
+    assert parses == []
