@@ -175,17 +175,17 @@ _CONTAINERS = (dict, list, tuple)
 
 
 @functools.cache
-def _json_encoder(depth: int):
-    """The C encoder of ``json.encoder``, with ``indent=None`` and an item
-    separator that starts a line at ``depth``.  A container one level up
-    that holds no containers then comes out in ``indent=2`` layout, but
-    for the line breaks just inside its brackets."""
+def _json_encoder(separator: str):
+    """The C encoder of ``json.encoder``, with ``indent=None`` and
+    ``separator`` between items.  With a comma, a line break and a line's
+    indent, a container one level up that holds no containers comes out in
+    ``indent=2`` layout, but for the line breaks just inside its brackets."""
     # Only ``--format json`` needs the C extension; the other formats skip
     # its import.
     from _json import encode_basestring_ascii, make_encoder
 
     return make_encoder(None, _unserializable, encode_basestring_ascii, None,
-                        ": ", ",\n" + "  " * depth, False, False, False)
+                        ": ", separator, False, False, False)
 
 
 def _json_text(value, depth: int = 0) -> str:
@@ -194,19 +194,15 @@ def _json_text(value, depth: int = 0) -> str:
     container that holds containers is written here; the rest are written
     by the C encoder.  Dict keys are strings."""
     if not isinstance(value, _CONTAINERS):
-        return "".join(_json_encoder(1)(value, 0))
+        return "".join(_json_encoder("\n")(value, 0))
     is_dict = isinstance(value, dict)
     if not value:
         return "{}" if is_dict else "[]"
     inner, outer = "  " * (depth + 1), "  " * depth
     items = value.values() if is_dict else value
     if not any(isinstance(item, _CONTAINERS) for item in items):
-        text = "".join(_json_encoder(depth + 1)(value, 0))
+        text = "".join(_json_encoder(",\n" + inner)(value, 0))
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
-    if (not is_dict and all(isinstance(item, dict) and item for item in value)
-            and not any(isinstance(v, _CONTAINERS)
-                        for item in value for v in item.values())):
-        return _json_rows(value, depth)  # such as sweep rows or table cells
     if is_dict:
         from _json import encode_basestring_ascii
 
@@ -221,18 +217,29 @@ def _json_text(value, depth: int = 0) -> str:
             + f"\n{outer}{closing}")
 
 
-def _json_rows(rows: list[dict], depth: int = 0) -> str:
-    """A non-empty list of non-empty dicts of scalars, such as sweep rows,
-    as :func:`_json_text` writes it at ``depth``, in one call of the C
-    encoder.  With ensure_ascii every newline inside a string is escaped,
-    and a key starts with a quote, so a raw "},\n<indent>{" can only be the
-    boundary of two rows."""
+def _json_rows(names: Sequence[str], rows: Sequence[Sequence],
+               depth: int = 0) -> str:
+    """Rows of scalars, one per column of non-empty ``names``, as the list
+    of objects that :func:`_json_text` writes at ``depth``.  Every value is
+    encoded in one C-encoder call, one per line: with ensure_ascii no
+    encoded scalar holds a raw newline, so a count of lines other than one
+    per value (a container of two or more items) is a ValueError."""
+    if not rows:
+        return "[]"
+    from _json import encode_basestring_ascii
+
+    values = [value for row in rows for value in row]
+    lines = "".join(_json_encoder("\n")(values, 0))[1:-1].split("\n")
+    if len(lines) != len(rows) * len(names):
+        raise ValueError("JSON rows need one scalar per column")
     outer = "  " * depth
     inner, deep = outer + "  ", outer + "    "
-    text = "".join(_json_encoder(depth + 2)(rows, 0))
-    body = text[2:-2].replace(f"}},\n{deep}{{",
-                              f"\n{inner}}},\n{inner}{{\n{deep}")
-    return f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{outer}]"
+    # The names go into a %-template, so a "%" in one is doubled.
+    fields = ",\n".join(
+        f"{deep}{encode_basestring_ascii(name).replace('%', '%%')}: %s"
+        for name in names)
+    template = ",\n".join([f"{inner}{{\n{fields}\n{inner}}}"] * len(rows))
+    return f"[\n{template % tuple(lines)}\n{outer}]"
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -263,13 +270,10 @@ def _render_rows(names: Sequence[str], rows: list[Sequence], fmt: str) -> str:
     a header line, or as a JSON list of objects."""
     # Each column's decimals are resolved once.
     columns = [(col, _decimals_for(col)) for col in names]
-    if fmt == "json":
-        # Projected values are scalars, so the rows skip _json_text's scan.
-        return _json_rows([{col: _project(col, value, digits, False)
-                            for (col, digits), value in zip(columns, row)}
-                           for row in rows])
-    cells = [[_project(col, value, digits, True)
+    cells = [[_project(col, value, digits, fmt != "json")
               for (col, digits), value in zip(columns, row)] for row in rows]
+    if fmt == "json":
+        return _json_rows(names, cells)
     if fmt == "csv":
         return _csv_text(names, cells)
     widths = [max([len(col), *(len(row[i]) for row in cells)])
@@ -466,11 +470,11 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     code = 0 if all_pass else 2
 
     if args.format == "json":
-        return _json_text([{
-            "table": name,
-            "passed": passed[name],
-            "cells": [dict(zip(_CELL_COLUMNS, _cell_fields(c))) for c in cells],
-        } for name, cells in groups]), code
+        return "[\n" + ",\n".join(
+            f'  {{\n    "table": {_json_text(name)},\n'
+            f'    "passed": {_json_text(passed[name])},\n    "cells": '
+            + _json_rows(_CELL_COLUMNS, [_cell_fields(c) for c in cells], 2)
+            + "\n  }" for name, cells in groups) + "\n]", code
     if args.format == "csv":
         return _render_rows(("table", *_CELL_COLUMNS),
                             [(name, *_cell_fields(c))

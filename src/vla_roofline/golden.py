@@ -149,8 +149,10 @@ def _ms(seconds: Optional[float]) -> Optional[float]:
     return None if seconds is None else seconds * 1e3
 
 
+# So does a ratio over a zero rate, such as the sync frequency of phases
+# that an override prices as infinite seconds.
 def _ratio(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    return None if a is None or b is None else a / b
+    return None if a is None or not b else a / b
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 from vla_roofline import cli, presets
+from vla_roofline.configio import load_presets
 
 
 def run_cli(*args, env=None):
@@ -285,6 +286,62 @@ def test_phase_without_operators_fails_its_boundedness_cells(tmp_path):
               if cell["status"] == "FAIL"}
     assert failed == {"vlm OI": "N/A", **{f"{hw} vlm bound": "N/A" for hw in
                       ("thor", "rtx4090", "a100", "h100", "b100")}}
+
+
+@pytest.fixture
+def subnormal_b100_env(tmp_path):
+    """An override whose b100 has a subnormal BF16 peak: every phase on it
+    prices as infinite seconds and every rate as 0 Hz."""
+    hardware = copy.deepcopy(presets.HARDWARE)
+    hardware["b100"]["BF16_TFLOPS"] = 1.0e-320
+    (tmp_path / "hardware.yaml").write_text(yaml.safe_dump(hardware),
+                                            encoding="utf-8")
+    return {"VLA_ROOFLINE_PRESETS": str(tmp_path)}
+
+
+@pytest.mark.parametrize("table", ["T8", "all"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_zero_rate_fails_its_speedup_cells(subnormal_b100_env, table, fmt):
+    """A speedup over a 0 Hz sync rate is a failed N/A cell, not a
+    ZeroDivisionError."""
+    result = run_cli("reproduce", table, "--format", fmt,
+                     env=subnormal_b100_env)
+    assert (result.returncode, result.stderr) == (2, "")
+    if fmt == "json":
+        cells = {cell["label"]: cell for group in json.loads(result.stdout)
+                 for cell in group["cells"]}
+        speedup = cells["Ethernet 10G speedup"]
+        assert (speedup["modeled"], speedup["status"]) == ("N/A", "FAIL")
+
+
+@pytest.mark.parametrize("override", [False, True],
+                         ids=["packaged", "subnormal-b100"])
+def test_reproduce_all_json_matches_json_dumps(
+        capsys, monkeypatch, subnormal_b100_env, override):
+    """``reproduce all --format json`` is ``json.dumps(indent=2)`` of one
+    object per table with its cells as objects; the override brings in
+    ``"passed": false``, ``N/A`` and ``inf`` text."""
+    from vla_roofline import golden
+
+    if override:
+        monkeypatch.setenv("VLA_ROOFLINE_PRESETS",
+                           subnormal_b100_env["VLA_ROOFLINE_PRESETS"])
+    else:
+        monkeypatch.delenv("VLA_ROOFLINE_PRESETS", raising=False)
+    code = cli.main(["reproduce", "all", "--format", "json"])
+    text, err = capsys.readouterr()
+    lib, memo = load_presets(), {}
+    doc = []
+    for name in cli._ALL_TABLES:
+        cells = golden.TABLES[name](lib, memo)
+        doc.append({"table": name, "passed": golden.table_passed(cells),
+                    "cells": [dict(zip(cli._CELL_COLUMNS, cli._cell_fields(c)))
+                              for c in cells]})
+    assert (code, err) == ((2, "") if override else (0, ""))
+    assert text == json.dumps(doc, indent=2) + "\n"
+    if override:
+        assert all(word in text for word in ('"passed": false', '"N/A"',
+                                             '"inf"', '"+inf%"'))
 
 
 @pytest.mark.parametrize("section, name, field, value", [

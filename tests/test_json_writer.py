@@ -1,7 +1,8 @@
 """The CLI's JSON writers write the bytes of ``json.dumps(payload,
 indent=2, allow_nan=False)``: ``_json_text`` for payloads in the shapes the
 four commands print and for any nesting of JSON values, and ``_json_rows``
-for sweep rows."""
+for rows of scalars under column names, such as sweep rows and golden
+cells."""
 
 import json
 import math
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 from vla_roofline.cli import _json_rows, _json_text
 
-# Text that a naive row splitter or escaper could get wrong: quotes,
-# backslashes, braces, a row boundary as text, raw newlines, control
-# characters, a line separator, non-ASCII and astral characters.
+# Text that a naive row splitter, escaper or template could get wrong:
+# quotes, backslashes, braces, a row boundary as text, raw newlines, control
+# characters, a line separator, non-ASCII and astral characters, and
+# printf-style format markers.
 TRICKY = ['"', "\\", "{", "}", "},\n  {", "}, {", "\n", "\r\n", "\x00",
           "\x1f", "\x7f", "\u2028", "\u00e9", "\u00a0", "\U0001f916", ": ",
-          ","]
+          ",", "%", "%s", "%%", "%(a)s"]
 STRINGS = st.one_of(st.text(max_size=8),
                     st.lists(st.sampled_from(TRICKY), max_size=4).map("".join))
 FLOATS = st.one_of(
@@ -75,19 +77,55 @@ def test_writer_matches_json_dumps_on_edge_cases(payload):
     assert _json_text(payload) == _dumps(payload)
 
 
+def _row_args(dicts: list[dict]) -> tuple[list, list]:
+    """``_json_rows``'s arguments for a non-empty list of dicts with the
+    same keys, in the first dict's key order."""
+    names = list(dicts[0])
+    return names, [[row[name] for name in names] for row in dicts]
+
+
+def _dumps_rows(names, rows, depth: int) -> str:
+    """The rows as dicts, as ``json.dumps(indent=2)`` writes them ``depth``
+    levels deep: every line but the first indented by ``depth`` more
+    levels."""
+    dicts = [dict(zip(names, row)) for row in rows]
+    return _dumps(dicts).replace("\n", "\n" + "  " * depth)
+
+
+@st.composite
+def named_rows(draw):
+    names = draw(st.lists(KEYS, min_size=1, max_size=6, unique=True))
+    width = len(names)
+    return names, draw(st.lists(st.lists(SCALARS, min_size=width,
+                                         max_size=width), max_size=5))
+
+
 @settings(max_examples=300, deadline=None)
-@given(sweep_rows().filter(bool))
-def test_row_writer_matches_json_dumps(rows):
-    """``sweep`` writes its rows, never an empty list, with ``_json_rows``."""
-    assert _json_rows(rows) == _dumps(rows)
+@given(named_rows(), st.integers(min_value=0, max_value=3))
+def test_row_writer_matches_json_dumps(table, depth):
+    """``sweep`` writes its rows with ``_json_rows`` at depth 0, and
+    ``reproduce`` each table's cells at depth 2."""
+    names, rows = table
+    assert _json_rows(names, rows, depth) == _dumps_rows(names, rows, depth)
 
 
 @pytest.mark.parametrize("rows", [
     [{"a": 1}], [{"a": "},\n  {", "b": 1}, {"a": "}", "b": "{"}],
     [{"a": None, "b": -0.0}, {"a": 1e308, "b": "\u2028"}],
+    [{"%s": "%s", "%": 100, "%(a)s": "%%"}, {"%s": "\n", "%": 1.5,
+                                            "%(a)s": None}],
 ])
 def test_row_writer_matches_json_dumps_on_edge_cases(rows):
-    assert _json_rows(rows) == _dumps(rows)
+    assert _json_rows(*_row_args(rows)) == _dumps(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, [1, 2]]], [[{"a": 1, "b": 2}, "x"]], [["x"], ["y", "z"]],
+    [[math.nan, 1]], [[1, math.inf]],
+], ids=["list", "dict", "short-row", "nan", "inf"])
+def test_row_writer_rejects_values_that_are_not_one_finite_scalar(rows):
+    with pytest.raises(ValueError):
+        _json_rows(["a", "b"], rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
