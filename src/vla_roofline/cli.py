@@ -3,7 +3,9 @@ the bundled reference tables, and list the available presets.
 
 Output is deterministic (no timestamps, stable ordering) so runs can be
 diffed.  Formatting follows the reference tables: milliseconds with two
-decimals, Hz with one, memory in GiB printed as "GB".  Exit codes: 0 for
+decimals, Hz with one, memory in GiB printed as "GB".  Tables have one
+layout rule: columns are joined by two spaces and padded to their widest
+cell, and reproduce's numeric columns are right-aligned.  Exit codes: 0 for
 success (including infeasible-but-valid N/A results), 1 for usage or
 configuration errors, 2 when a reproduce run misses its tolerances.
 """
@@ -253,6 +255,20 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+# How ``_aligned`` pads a column's cells: "<" on the right, ">" on the
+# left, "." not at all.
+_PAD = {"<": str.ljust, ">": str.rjust, ".": lambda cell, width: cell}
+
+
+def _aligned(rows: Sequence[Sequence[str]], align: str) -> str:
+    """Lines of text cells, the columns joined by two spaces and each padded
+    to its widest cell as its character of ``align`` says."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    pads = [_PAD[side] for side in align]
+    return "\n".join("  ".join(pad(cell, width) for pad, cell, width
+                               in zip(pads, row, widths)) for row in rows)
+
+
 def _render_record(record: dict, fmt: str) -> str:
     as_text = fmt != "json"
     cells = [(k, _project(k, v, _decimals_for(k), as_text))
@@ -261,32 +277,11 @@ def _render_record(record: dict, fmt: str) -> str:
         return _json_text(dict(cells))
     if fmt == "csv":
         return _csv_text(["key", "value"], cells)
-    width = max(len(key) for key in record)
-    return "\n".join(f"{key.ljust(width)}  {text}" for key, text in cells)
+    return _aligned(cells, "<.")
 
 
-def _render_rows(names: Sequence[str], rows: list[Sequence], fmt: str) -> str:
-    """Rows of values, one per column of ``names``, as a table, as csv with
-    a header line, or as a JSON list of objects."""
-    # Each column's decimals are resolved once.
-    columns = [(col, _decimals_for(col)) for col in names]
-    cells = [[_project(col, value, digits, fmt != "json")
-              for (col, digits), value in zip(columns, row)] for row in rows]
-    if fmt == "json":
-        return _json_rows(names, cells)
-    if fmt == "csv":
-        return _csv_text(names, cells)
-    widths = [max([len(col), *(len(row[i]) for row in cells)])
-              for i, col in enumerate(names)]
-    lines = ["  ".join(col.ljust(w) for col, w in zip(names, widths))]
-    for row in cells:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _scenario_record(model_name: str, result: ScenarioResult) -> dict:
+def _scenario_record(result: ScenarioResult) -> dict:
     record: dict = {
-        "model": model_name,
         "placement": result.placement,
         "feasible": "yes" if result.feasible else "no",
     }
@@ -377,12 +372,10 @@ def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
         }
         for i, note in enumerate(dual.notes, 1):
             record[f"note_{i}"] = note
-    elif args.use_async:
-        record = _scenario_record(
-            spec.name, async_scenario(spec, placement, args.context_steps))
     else:
-        record = _scenario_record(
-            spec.name, sync_scenario(spec, placement, args.context_steps))
+        scenario = async_scenario if args.use_async else sync_scenario
+        record = {"model": spec.name, **_scenario_record(
+            scenario(spec, placement, args.context_steps))}
     return _render_record(record, args.format), 0
 
 
@@ -406,7 +399,7 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     # of them before it prices any: a grid exits on its first invalid point,
     # in grid order, before pricing anything.
     names = [name for name, _ in axes]
-    grid = []
+    combos = list(product(*(values for _, values in axes)))
 
     # Each count triple and each decoding variant of the base is configured
     # once.  A point configures its triple on the base before its decoding,
@@ -415,7 +408,7 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     variants: dict = {}
 
     def points():
-        for combo in product(*(values for _, values in axes)):
+        for combo in combos:
             point = dict(zip(names, combo))
             counts = (point.get("chunk"), point.get("steps"),
                       point.get("dof"))
@@ -428,15 +421,21 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
                     variants[decoding] = decoding_variant_spec(base, decoding)
                 if decoding != DIFFUSION:
                     spec = _configure_spec(variants[decoding], *counts, None)
-            grid.append((combo, spec))
             yield spec, point.get("context_steps")
 
-    results = sync_sweep(points(), placement)
-    rows = []
-    for (combo, spec), result in zip(grid, results):
-        record = _scenario_record(spec.name, result)
-        rows.append((*combo, *(record.get(col) for col in _SWEEP_COLUMNS)))
-    return _render_rows((*names, *_SWEEP_COLUMNS), rows, args.format), 0
+    rows = [(*combo, *map(_scenario_record(result).get, _SWEEP_COLUMNS))
+            for combo, result in zip(combos,
+                                     sync_sweep(points(), placement))]
+    header = (*names, *_SWEEP_COLUMNS)
+    # Each column's decimals are resolved once.
+    columns = [(col, _decimals_for(col)) for col in header]
+    cells = [[_project(col, value, digits, args.format != "json")
+              for (col, digits), value in zip(columns, row)] for row in rows]
+    if args.format == "json":
+        return _json_rows(header, cells), 0
+    if args.format == "csv":
+        return _csv_text(header, cells), 0
+    return _aligned([header, *cells], "<" * len(header)), 0
 
 
 # A golden cell's printed status, by its verdict.
@@ -476,22 +475,17 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
             + _json_rows(_CELL_COLUMNS, [_cell_fields(c) for c in cells], 2)
             + "\n  }" for name, cells in groups) + "\n]", code
     if args.format == "csv":
-        return _render_rows(("table", *_CELL_COLUMNS),
-                            [(name, *_cell_fields(c))
-                             for name, cells in groups for c in cells],
-                            "csv"), code
+        return _csv_text(("table", *_CELL_COLUMNS),
+                         [(name, *_cell_fields(c))
+                          for name, cells in groups for c in cells]), code
 
     lines = []
     for name, cells in groups:
-        rows = [(c.label,
-                 f"{c.printed_modeled} {c.unit}".rstrip(),
-                 f"{c.printed_reference} {c.unit}".rstrip(),
-                 _cell_error_text(c), _CELL_STATUS[c.passed]) for c in cells]
-        widths = [max(len(row[i]) for row in rows) for i in range(4)]
-        for row in rows:
-            lines.append("  ".join((
-                name, row[0].ljust(widths[0]), row[1].rjust(widths[1]),
-                row[2].rjust(widths[2]), row[3].rjust(widths[3]), row[4])))
+        lines.append(_aligned(
+            [(name, c.label, f"{c.printed_modeled} {c.unit}".rstrip(),
+              f"{c.printed_reference} {c.unit}".rstrip(),
+              _cell_error_text(c), _CELL_STATUS[c.passed]) for c in cells],
+            "<<>>>."))
         graded = [c for c in cells if c.passed is not None]
         failed = [c for c in graded if not c.passed]
         verdict = "PASS" if not failed else f"FAIL ({len(failed)} cell(s))"
@@ -502,48 +496,47 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     return "\n".join(lines), code
 
 
+# The library's preset groups, in listing order.  A csv row names its
+# group in the singular, as its kind.
+_PRESET_GROUPS = ("models", "components", "hardware", "networks")
+
+
+def _describe(group: str, preset) -> str:
+    """One preset's summary in the ``list-presets`` table."""
+    if group == "models":
+        expert = preset.action_expert.name if preset.action_expert else "none"
+        return (f"{preset.vision_encoder.name} + {preset.vlm.name} + "
+                f"{expert}, {preset.decoding_mode}, chunk "
+                f"{preset.chunk_size}, {preset.denoise_steps} steps")
+    if group == "components":
+        return (f"{preset.num_layers} layers, hidden {preset.hidden_size}, "
+                f"ffn {preset.intermediate_size}, {preset.num_q_heads}Q/"
+                f"{preset.num_kv_heads}KV, head dim {preset.head_dim}")
+    if group == "hardware":
+        return (f"{preset.peak(2) / 1e12:.0f} TFLOP/s bf16, "
+                f"{preset.mem_bandwidth / 1e9:.0f} GB/s, "
+                f"{preset.mem_capacity / GIB:.0f} GB")
+    return (f"{preset.upload_bw / 1e6:.0f} Mbps up / "
+            f"{preset.download_bw / 1e6:.0f} Mbps down, base "
+            f"{preset.base_latency * 1e3:.2f} ms")
+
+
 def _run_list_presets(args, lib: PresetLibrary) -> tuple[str, int]:
-    names = {
-        "models": sorted(lib.models),
-        "components": sorted(lib.components),
-        "hardware": sorted(lib.hardware),
-        "networks": sorted(lib.networks),
-    }
+    groups = {group: sorted(getattr(lib, group).items())
+              for group in _PRESET_GROUPS}
     if args.format == "json":
-        return _json_text({k: list(v) for k, v in names.items()}), 0
+        return _json_text({group: [name for name, _ in presets]
+                           for group, presets in groups.items()}), 0
     if args.format == "csv":
-        kinds = {"models": "model", "components": "component",
-                 "hardware": "hardware", "networks": "network"}
-        return _render_rows(("kind", "name"),
-                            [(kinds[group], name)
-                             for group, group_names in names.items()
-                             for name in group_names], "csv"), 0
-    lines = ["models:"]
-    for name in names["models"]:
-        spec = lib.models[name]
-        expert = spec.action_expert.name if spec.action_expert else "none"
-        lines.append(f"  {name:<14} {spec.vision_encoder.name} + "
-                     f"{spec.vlm.name} + {expert}, {spec.decoding_mode}, "
-                     f"chunk {spec.chunk_size}, {spec.denoise_steps} steps")
-    lines.append("components:")
-    for name in names["components"]:
-        cfg = lib.components[name]
-        lines.append(f"  {name:<14} {cfg.num_layers} layers, hidden "
-                     f"{cfg.hidden_size}, ffn {cfg.intermediate_size}, "
-                     f"{cfg.num_q_heads}Q/{cfg.num_kv_heads}KV, "
-                     f"head dim {cfg.head_dim}")
-    lines.append("hardware:")
-    for name in names["hardware"]:
-        hw = lib.hardware[name]
-        lines.append(f"  {name:<14} {hw.peak(2) / 1e12:.0f} TFLOP/s bf16, "
-                     f"{hw.mem_bandwidth / 1e9:.0f} GB/s, "
-                     f"{hw.mem_capacity / GIB:.0f} GB")
-    lines.append("networks:")
-    for name in names["networks"]:
-        net = lib.networks[name]
-        lines.append(f"  {name:<14} {net.upload_bw / 1e6:.0f} Mbps up / "
-                     f"{net.download_bw / 1e6:.0f} Mbps down, base "
-                     f"{net.base_latency * 1e3:.2f} ms")
+        return _csv_text(("kind", "name"),
+                         [(group.removesuffix("s"), name)
+                          for group, presets in groups.items()
+                          for name, _ in presets]), 0
+    lines = []
+    for group, presets in groups.items():
+        lines.append(f"{group}:")
+        lines.extend(f"  {name:<14} {_describe(group, preset)}"
+                     for name, preset in presets)
     return "\n".join(lines), 0
 
 

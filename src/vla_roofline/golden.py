@@ -50,19 +50,17 @@ _PRINTED_DECIMALS = {"ms": 2, "Hz": 1, "GB": 2, "FLOPs/B": 1, "x": 2,
 
 
 class GoldenCell(Record):
-    """One graded (or informational) cell of a reference table."""
+    """One graded (or informational) cell of a reference table.  A label
+    cell holds its modeled and reference texts in ``modeled`` and
+    ``reference``."""
 
-    __slots__ = ("table", "label", "unit", "modeled", "reference", "rel_tol",
-                 "abs_tol", "kind", "modeled_text", "reference_text",
-                 "_reference_value", "_passed")
+    __slots__ = ("label", "unit", "modeled", "reference", "rel_tol",
+                 "abs_tol", "kind", "_reference_value", "_passed")
 
-    def __init__(self, table: str, label: str, unit: str,
-                 modeled: Optional[float] = None,
+    def __init__(self, label: str, unit: str,
+                 modeled: float | str | None = None,
                  reference: Optional[str] = None, rel_tol: float = 0.0,
-                 abs_tol: Optional[float] = None, kind: str = VALUE,
-                 modeled_text: Optional[str] = None,
-                 reference_text: Optional[str] = None) -> None:
-        set_field(self, "table", table)
+                 abs_tol: Optional[float] = None, kind: str = VALUE) -> None:
         set_field(self, "label", label)
         set_field(self, "unit", unit)
         set_field(self, "modeled", modeled)
@@ -70,8 +68,6 @@ class GoldenCell(Record):
         set_field(self, "rel_tol", rel_tol)
         set_field(self, "abs_tol", abs_tol)
         set_field(self, "kind", kind)
-        set_field(self, "modeled_text", modeled_text)
-        set_field(self, "reference_text", reference_text)
         set_field(self, "_reference_value",
                   None if self.reference is None or self.kind == LABEL
                   else float(self.reference))
@@ -95,7 +91,7 @@ class GoldenCell(Record):
     def printed_modeled(self) -> str:
         """The modeled value or label as ``reproduce`` prints it."""
         if self.kind == LABEL:
-            return self.modeled_text or ""
+            return self.modeled
         if self.modeled is None:
             return "N/A"
         return f"{self.modeled:.{_PRINTED_DECIMALS.get(self.unit, 2)}f}"
@@ -103,8 +99,6 @@ class GoldenCell(Record):
     @property
     def printed_reference(self) -> str:
         """The reference value or label as ``reproduce`` prints it."""
-        if self.kind == LABEL:
-            return self.reference_text or ""
         return self.reference if self.reference is not None else "N/A"
 
     @property
@@ -124,7 +118,7 @@ class GoldenCell(Record):
         if self.kind == INFO:
             return None
         if self.kind == LABEL:
-            return self.modeled_text == self.reference_text
+            return self.modeled == self.reference
         if self.reference is None:
             return self.modeled is None
         if self.modeled is None:
@@ -170,7 +164,7 @@ def validation_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
                        language_tokens=0, chunk_size=63)
         result = sync_scenario(spec, Placement.on_device(hw), memo=memo)
         cells.append(GoldenCell(
-            "T1", f"{cams} camera{'s' if cams > 1 else ''} e2e", "ms",
+            f"{cams} camera{'s' if cams > 1 else ''} e2e", "ms",
             modeled=_ms(result.e2e_latency), reference=ref, rel_tol=0.15))
     return tuple(cells)
 
@@ -186,17 +180,15 @@ def baseline_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
         for phase in PHASES:
             tol = 0.05 if (hw_name == "b100" and phase == VLM) else 0.15
             cells.append(GoldenCell(
-                "T3", f"{hw_name} {phase} latency", "ms",
+                f"{hw_name} {phase} latency", "ms",
                 modeled=_ms(result.phase_latencies.get(phase)),
                 reference=row[phase], rel_tol=tol))
         cells.append(GoldenCell(
-            "T3", f"{hw_name} e2e latency", "ms",
-            modeled=_ms(result.e2e_latency), reference=row["e2e"],
-            rel_tol=0.15))
+            f"{hw_name} e2e latency", "ms", modeled=_ms(result.e2e_latency),
+            reference=row["e2e"], rel_tol=0.15))
         cells.append(GoldenCell(
-            "T3", f"{hw_name} frequency", "Hz",
-            modeled=result.sync_frequency, reference=row["freq"],
-            rel_tol=0.15))
+            f"{hw_name} frequency", "Hz", modeled=result.sync_frequency,
+            reference=row["freq"], rel_tol=0.15))
     return tuple(cells)
 
 
@@ -219,25 +211,24 @@ def boundedness_table(lib: PresetLibrary,
         # A phase's OI does not depend on the accelerator it is priced on.
         _, intensity, labels[hw_name] = phase_breakdown(graph, hw)
         cells.append(GoldenCell(
-            "T4", f"{hw_name} balance OI", "FLOPs/B",
-            modeled=hw.balance_oi(),
+            f"{hw_name} balance OI", "FLOPs/B", modeled=hw.balance_oi(),
             reference=refs.BALANCE_OI[hw_name], abs_tol=0.1))
     oi_tols = {VISION: None, VLM: 0.15, ACTION: 0.15}
     for phase in PHASES:
         if oi_tols[phase] is None:
             cells.append(GoldenCell(
-                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
+                f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
                 reference=refs.PHASE_OI[phase], kind=INFO))
         else:
             cells.append(GoldenCell(
-                "T4", f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
+                f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
                 reference=refs.PHASE_OI[phase], rel_tol=oi_tols[phase]))
     for hw_name in refs.BASELINE_HW:
         for phase in PHASES:
             cells.append(GoldenCell(
-                "T4", f"{hw_name} {phase} bound", "", kind=LABEL,
-                modeled_text=_bound_label(labels[hw_name].get(phase)),
-                reference_text=refs.BOUNDEDNESS[hw_name][phase]))
+                f"{hw_name} {phase} bound", "", kind=LABEL,
+                modeled=_bound_label(labels[hw_name].get(phase)),
+                reference=refs.BOUNDEDNESS[hw_name][phase]))
     return tuple(cells)
 
 
@@ -250,15 +241,13 @@ def scaling_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
         if spec.name not in seen_models:
             seen_models.add(spec.name)
             cells.append(GoldenCell(
-                "T5", f"{spec.name} total params", "Gparams",
+                f"{spec.name} total params", "Gparams",
                 modeled=spec.total_params() / 1e9,
                 reference=refs.SCALING_TOTAL_PARAMS_B[spec.name],
                 rel_tol=0.03))
         cells.append(GoldenCell(
-            "T5", f"{spec.name} on {hw.name}", "Hz",
-            modeled=result.sync_frequency,
-            reference=refs.SCALING_FREQ[spec.name][hw.name],
-            rel_tol=0.20))
+            f"{spec.name} on {hw.name}", "Hz", modeled=result.sync_frequency,
+            reference=refs.SCALING_FREQ[spec.name][hw.name], rel_tol=0.20))
     return tuple(cells)
 
 
@@ -274,16 +263,15 @@ def long_context_table(lib: PresetLibrary,
                    for name, placement in placements.items()}
         row = refs.LONG_CONTEXT[t]
         cells.append(GoldenCell(
-            "T6", f"t={t} total memory", "GB",
+            f"t={t} total memory", "GB",
             modeled=results["b100"].footprint_bytes / GIB,
             reference=row["total_gb"], rel_tol=0.02))
         cells.append(GoldenCell(
-            "T6", f"t={t} KV cache", "GB",
-            modeled=kv_cache_bytes(spec, t) / GIB,
+            f"t={t} KV cache", "GB", modeled=kv_cache_bytes(spec, t) / GIB,
             reference=row["kv_gb"], rel_tol=0.02))
         for name, result in results.items():
             cells.append(GoldenCell(
-                "T6", f"t={t} {name} latency", "ms",
+                f"t={t} {name} latency", "ms",
                 modeled=_ms(result.e2e_latency),
                 reference=row[name], rel_tol=0.20))
     return tuple(cells)
@@ -305,19 +293,16 @@ def async_table(lib: PresetLibrary, memo: dict) -> tuple[GoldenCell, ...]:
         label = row["label"]
         async_tol = 0.03 if row["network_bound"] else 0.15
         cells.append(GoldenCell(
-            "T8", f"{label} sync latency", "ms",
-            modeled=_ms(result.e2e_latency), reference=row["latency_ms"],
-            rel_tol=0.05))
+            f"{label} sync latency", "ms", modeled=_ms(result.e2e_latency),
+            reference=row["latency_ms"], rel_tol=0.05))
         cells.append(GoldenCell(
-            "T8", f"{label} sync freq", "Hz",
-            modeled=result.sync_frequency, reference=row["sync_hz"],
-            rel_tol=0.05))
+            f"{label} sync freq", "Hz", modeled=result.sync_frequency,
+            reference=row["sync_hz"], rel_tol=0.05))
         cells.append(GoldenCell(
-            "T8", f"{label} async freq", "Hz",
-            modeled=result.async_frequency, reference=row["async_hz"],
-            rel_tol=async_tol))
+            f"{label} async freq", "Hz", modeled=result.async_frequency,
+            reference=row["async_hz"], rel_tol=async_tol))
         cells.append(GoldenCell(
-            "T8", f"{label} speedup", "x",
+            f"{label} speedup", "x",
             modeled=_ratio(result.async_frequency, result.sync_frequency),
             reference=row["speedup"], rel_tol=0.07))
     return tuple(cells)
@@ -340,21 +325,21 @@ def dual_system_table(lib: PresetLibrary,
                       else (None, None))
         label = row["label"]
         cells.append(GoldenCell(
-            "T9", f"{label} S1 latency", "ms", modeled=_ms(t_s1),
+            f"{label} S1 latency", "ms", modeled=_ms(t_s1),
             reference=row["s1_ms"], rel_tol=0.03))
         cells.append(GoldenCell(
-            "T9", f"{label} S2 latency", "ms", modeled=_ms(t_s2),
+            f"{label} S2 latency", "ms", modeled=_ms(t_s2),
             reference=row["s2_ms"], rel_tol=0.05))
         cells.append(GoldenCell(
-            "T9", f"{label} sync freq", "Hz", modeled=at5.sync_frequency,
+            f"{label} sync freq", "Hz", modeled=at5.sync_frequency,
             reference=row["sync_hz"], rel_tol=0.15))
         for cap, dual in ((5, at5), (10, at10)):
             cells.append(GoldenCell(
-                "T9", f"{label} async @ {cap} Hz cap", "Hz",
+                f"{label} async @ {cap} Hz cap", "Hz",
                 modeled=dual.async_frequency, reference=row[f"f{cap}"],
                 rel_tol=0.03))
             cells.append(GoldenCell(
-                "T9", f"{label} speedup @ {cap} Hz cap", "x",
+                f"{label} speedup @ {cap} Hz cap", "x",
                 modeled=_ratio(dual.async_frequency, dual.sync_frequency),
                 reference=row[f"sp{cap}"], abs_tol=0.03))
     return tuple(cells)
@@ -375,7 +360,7 @@ def collaboration_table(lib: PresetLibrary,
     cells = []
     for net_name, ref in refs.COLLAB_KV_MS:
         cells.append(GoldenCell(
-            "collab", f"{net_name} KV download", "ms",
+            f"{net_name} KV download", "ms",
             modeled=_ms(collab[net_name].network_latencies.get("kv_download")),
             reference=ref, rel_tol=0.06))
     for net_name in sorted(lib.networks):
@@ -386,9 +371,8 @@ def collaboration_table(lib: PresetLibrary,
         holds = ("N/A" if None in pair
                  else "holds" if pair[0] >= pair[1] else "violated")
         cells.append(GoldenCell(
-            "collab", f"{net_name}: collaborative >= server-only", "",
-            kind=LABEL, modeled_text=holds,
-            reference_text="holds"))
+            f"{net_name}: collaborative >= server-only", "", kind=LABEL,
+            modeled=holds, reference="holds"))
     return tuple(cells)
 
 

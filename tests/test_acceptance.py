@@ -39,8 +39,7 @@ from vla_roofline.scenarios import decoding_variant_spec
 def _assert_cells(cells):
     failures = [
         f"{cell.label}: modeled {cell.modeled!r} vs reference "
-        f"{cell.reference or cell.reference_text!r} "
-        f"(tolerance {cell.tolerance})"
+        f"{cell.reference!r} (tolerance {cell.tolerance})"
         for cell in cells if cell.passed is False
     ]
     assert not failures, "\n".join(failures)

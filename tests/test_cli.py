@@ -314,6 +314,85 @@ def test_zero_rate_fails_its_speedup_cells(subnormal_b100_env, table, fmt):
         assert (speedup["modeled"], speedup["status"]) == ("N/A", "FAIL")
 
 
+# `reproduce T3` and `reproduce T8` as the subnormal-b100 override prints
+# them: `inf ms`, `-100.0%` and `N/A x` cells widen the right-aligned
+# columns, and an empty error cell is padded like the others.
+OVERRIDE_TABLES = {
+    "T3": """\
+T3  thor vision latency      6.19 ms   6.06 ms    +2.1%  ok
+T3  thor vlm latency        20.20 ms  20.30 ms    -0.5%  ok
+T3  thor action latency     27.08 ms  26.20 ms    +3.3%  ok
+T3  thor e2e latency        53.46 ms  52.57 ms    +1.7%  ok
+T3  thor frequency           18.7 Hz   19.0 Hz    -1.5%  ok
+T3  rtx4090 vision latency   4.30 ms   4.02 ms    +7.0%  ok
+T3  rtx4090 vlm latency     19.79 ms  19.79 ms    -0.0%  ok
+T3  rtx4090 action latency   7.25 ms   7.25 ms    +0.0%  ok
+T3  rtx4090 e2e latency     31.34 ms  31.06 ms    +0.9%  ok
+T3  rtx4090 frequency        31.9 Hz   32.2 Hz    -0.9%  ok
+T3  a100 vision latency      2.27 ms   2.13 ms    +6.8%  ok
+T3  a100 vlm latency        10.47 ms  10.47 ms    -0.0%  ok
+T3  a100 action latency      3.59 ms   3.60 ms    -0.4%  ok
+T3  a100 e2e latency        16.32 ms  16.20 ms    +0.8%  ok
+T3  a100 frequency           61.3 Hz   61.7 Hz    -0.7%  ok
+T3  h100 vision latency      0.72 ms   0.71 ms    +1.1%  ok
+T3  h100 vlm latency         3.32 ms   3.30 ms    +0.7%  ok
+T3  h100 action latency      2.18 ms   2.14 ms    +2.0%  ok
+T3  h100 e2e latency         6.22 ms   6.15 ms    +1.2%  ok
+T3  h100 frequency          160.7 Hz  162.5 Hz    -1.1%  ok
+T3  b100 vision latency       inf ms   0.40 ms    +inf%  FAIL
+T3  b100 vlm latency          inf ms   1.87 ms    +inf%  FAIL
+T3  b100 action latency       inf ms   0.91 ms    +inf%  FAIL
+T3  b100 e2e latency          inf ms   3.18 ms    +inf%  FAIL
+T3  b100 frequency            0.0 Hz  314.4 Hz  -100.0%  FAIL
+T3: FAIL (5 cell(s)) — 25 graded, 0 informational
+
+overall: FAIL
+""",
+    "T8": """\
+T8  Ethernet 10G sync latency        inf ms    3.3 ms    +inf%  FAIL
+T8  Ethernet 10G sync freq           0.0 Hz  301.4 Hz  -100.0%  FAIL
+T8  Ethernet 10G async freq          0.0 Hz  314.4 Hz  -100.0%  FAIL
+T8  Ethernet 10G speedup              N/A x    1.04 x           FAIL
+T8  Ethernet 1G sync latency         inf ms    3.8 ms    +inf%  FAIL
+T8  Ethernet 1G sync freq            0.0 Hz  266.5 Hz  -100.0%  FAIL
+T8  Ethernet 1G async freq           0.0 Hz  314.4 Hz  -100.0%  FAIL
+T8  Ethernet 1G speedup               N/A x    1.18 x           FAIL
+T8  WiFi 7 sync latency              inf ms    8.4 ms    +inf%  FAIL
+T8  WiFi 7 sync freq                 0.0 Hz  119.7 Hz  -100.0%  FAIL
+T8  WiFi 7 async freq                0.0 Hz  314.4 Hz  -100.0%  FAIL
+T8  WiFi 7 speedup                    N/A x    2.63 x           FAIL
+T8  5G sync latency                  inf ms   27.8 ms    +inf%  FAIL
+T8  5G sync freq                     0.0 Hz   35.9 Hz  -100.0%  FAIL
+T8  5G async freq                    0.0 Hz  215.3 Hz  -100.0%  FAIL
+T8  5G speedup                        N/A x    5.99 x           FAIL
+T8  4G sync latency                  inf ms   73.0 ms    +inf%  FAIL
+T8  4G sync freq                     0.0 Hz   13.7 Hz  -100.0%  FAIL
+T8  4G async freq                    0.0 Hz   50.5 Hz  -100.0%  FAIL
+T8  4G speedup                        N/A x    3.68 x           FAIL
+T8  Wired + Fast Cloud sync latency  inf ms   23.4 ms    +inf%  FAIL
+T8  Wired + Fast Cloud sync freq     0.0 Hz   42.8 Hz  -100.0%  FAIL
+T8  Wired + Fast Cloud async freq    0.0 Hz  314.4 Hz  -100.0%  FAIL
+T8  Wired + Fast Cloud speedup        N/A x    7.34 x           FAIL
+T8  4G + Slow Cloud sync latency     inf ms  273.4 ms    +inf%  FAIL
+T8  4G + Slow Cloud sync freq        0.0 Hz    3.7 Hz  -100.0%  FAIL
+T8  4G + Slow Cloud async freq       0.0 Hz   50.5 Hz  -100.0%  FAIL
+T8  4G + Slow Cloud speedup           N/A x   13.79 x           FAIL
+T8: FAIL (28 cell(s)) — 28 graded, 0 informational
+
+overall: FAIL
+""",
+}
+
+
+@pytest.mark.parametrize("table", sorted(OVERRIDE_TABLES))
+def test_override_table_layout(capsys, monkeypatch, subnormal_b100_env,
+                               table):
+    monkeypatch.setenv("VLA_ROOFLINE_PRESETS",
+                       subnormal_b100_env["VLA_ROOFLINE_PRESETS"])
+    code = cli.main(["reproduce", table])
+    assert (code, *capsys.readouterr()) == (2, OVERRIDE_TABLES[table], "")
+
+
 @pytest.mark.parametrize("override", [False, True],
                          ids=["packaged", "subnormal-b100"])
 def test_reproduce_all_json_matches_json_dumps(

@@ -45,7 +45,7 @@ RECORDS = [
                      Placement.on_device(lib.accelerator("b100"))),
                  None, None, id="ScenarioResult"),
     pytest.param(lambda lib: lib, None, None, id="PresetLibrary"),
-    pytest.param(lambda lib: GoldenCell("T1", "1 cam", "ms", modeled=1.02,
+    pytest.param(lambda lib: GoldenCell("1 cam", "ms", modeled=1.02,
                                         reference="1.0", rel_tol=0.05),
                  None, None, id="GoldenCell"),
 ]
@@ -88,7 +88,7 @@ def test_record_behaves_like_a_frozen_dataclass(lib, make, field, invalid):
 
 
 def test_replaced_golden_cell_grades_again():
-    cell = GoldenCell("T1", "1 cam", "ms", modeled=1.2, reference="1.0",
+    cell = GoldenCell("1 cam", "ms", modeled=1.2, reference="1.0",
                       rel_tol=0.05)
     assert cell.passed is False
     assert replace(cell, modeled=1.02).passed is True
@@ -112,7 +112,7 @@ def parses(monkeypatch):
 
 
 def test_golden_cell_parses_its_reference_once(parses):
-    cell = GoldenCell("T1", "1 cam", "ms", modeled=1.02, reference="1.0",
+    cell = GoldenCell("1 cam", "ms", modeled=1.02, reference="1.0",
                       rel_tol=0.05)
     assert parses == ["1.0"]
     assert cell.passed is True and cell.reference_value == 1.0
@@ -128,9 +128,9 @@ def test_golden_cell_parses_its_reference_once(parses):
 
 
 def test_golden_cell_without_a_number_parses_nothing(parses):
-    label = GoldenCell("T4", "thor vlm bound", "", kind=LABEL,
-                       modeled_text="Memory", reference_text="Memory")
-    missing = GoldenCell("T3", "b100 vlm latency", "ms", modeled=None)
+    label = GoldenCell("thor vlm bound", "", kind=LABEL,
+                       modeled="Memory", reference="Memory")
+    missing = GoldenCell("b100 vlm latency", "ms", modeled=None)
     for cell in (label, missing):
         assert cell.reference_value is None and cell.tolerance is None
         assert cell.relative_error is None
