@@ -513,7 +513,7 @@ def _describe(group: str, preset) -> str:
                 f"ffn {preset.intermediate_size}, {preset.num_q_heads}Q/"
                 f"{preset.num_kv_heads}KV, head dim {preset.head_dim}")
     if group == "hardware":
-        return (f"{preset.peak(2) / 1e12:.0f} TFLOP/s bf16, "
+        return (f"{preset.peak_flops / 1e12:.0f} TFLOP/s bf16, "
                 f"{preset.mem_bandwidth / 1e9:.0f} GB/s, "
                 f"{preset.mem_capacity / GIB:.0f} GB")
     return (f"{preset.upload_bw / 1e6:.0f} Mbps up / "

@@ -147,21 +147,21 @@ def accelerator_from_mapping(name: str,
                              data: Mapping[str, Any]) -> AcceleratorConfig:
     context = f"accelerator {name!r}"
     _reject_unknown(data, _HARDWARE_FIELDS, context)
-    peaks = {
-        4: _number(data, "FP32_TFLOPS", context) * _TFLOPS,
-        2: _number(data, "BF16_TFLOPS", context) * _TFLOPS,
-    }
+    # Every phase is priced at the BF16 peak; the FP32 and INT8 peaks are
+    # validated like it, but not kept.
+    peaks = [_number(data, "FP32_TFLOPS", context) * _TFLOPS,
+             _number(data, "BF16_TFLOPS", context) * _TFLOPS]
     if data.get("INT8_TOPS") is not None:
-        peaks[1] = _number(data, "INT8_TOPS", context) * _TFLOPS
+        peaks.append(_number(data, "INT8_TOPS", context) * _TFLOPS)
     capacity = _number(data, "Memory_GB", context) * _GIB
     if not math.isfinite(capacity):
         raise ValueError(f"{context}: Memory_GB must be finite")
-    return AcceleratorConfig(
-        name=name,
-        peak_flops=MappingProxyType(peaks),
-        mem_bandwidth=_number(data, "HBM_BW_GBs", context) * _GB_PER_S,
-        mem_capacity=int(capacity),
-    )
+    bandwidth = _number(data, "HBM_BW_GBs", context) * _GB_PER_S
+    if not all(math.isfinite(v) and v > 0 for v in peaks):
+        raise ValueError(f"{name}: peak FLOP/s must be finite and positive")
+    return AcceleratorConfig(name=name, peak_flops=peaks[1],
+                             mem_bandwidth=bandwidth,
+                             mem_capacity=int(capacity))
 
 
 _NETWORK_FIELDS = frozenset({

@@ -12,7 +12,7 @@ compute- or memory-bound is decided on its aggregate operational intensity
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from . import opgraph
 from .opgraph import Operator, OperatorGraph, Run
@@ -26,53 +26,37 @@ GIB = 1024 ** 3
 
 
 class AcceleratorConfig(Record):
-    """One accelerator: peak FLOP/s per precision, HBM bandwidth and capacity.
-
-    ``peak_flops`` maps precision bytes to peak FLOP/s; 2-byte and 4-byte
-    entries are mandatory, a 1-byte entry is optional.  ``mem_bandwidth`` is
-    in bytes/s, ``mem_capacity`` in bytes.
+    """One accelerator: the peak FLOP/s every phase is priced at, HBM
+    bandwidth in bytes/s and capacity in bytes.  The peak is the BF16 one,
+    whatever a component's ``precision_bytes``, which scales only bytes.
     """
 
     __slots__ = ("name", "peak_flops", "mem_bandwidth", "mem_capacity")
 
-    def __init__(self, name: str, peak_flops: Mapping[int, float],
+    def __init__(self, name: str, peak_flops: float,
                  mem_bandwidth: float, mem_capacity: int) -> None:
         set_field(self, "name", name)
         set_field(self, "peak_flops", peak_flops)
         set_field(self, "mem_bandwidth", mem_bandwidth)
         set_field(self, "mem_capacity", mem_capacity)
-        for required in (2, 4):
-            if required not in self.peak_flops:
-                raise ValueError(
-                    f"{self.name}: peak_flops needs a {required}-byte entry")
-        if not all(math.isfinite(v) and v > 0 for v in self.peak_flops.values()):
+        if not (math.isfinite(self.peak_flops) and self.peak_flops > 0):
             raise ValueError(f"{self.name}: peak FLOP/s must be finite and positive")
         if not all(math.isfinite(v) and v > 0
                    for v in (self.mem_bandwidth, self.mem_capacity)):
             raise ValueError(f"{self.name}: bandwidth and capacity must be "
                              "finite and positive")
 
-    def peak(self, precision_bytes: int = 2) -> float:
-        try:
-            return self.peak_flops[precision_bytes]
-        except KeyError:
-            raise ValueError(
-                f"{self.name}: no peak FLOP/s entry for "
-                f"{precision_bytes}-byte precision"
-            ) from None
-
-    def balance_oi(self, precision_bytes: int = 2) -> float:
+    def balance_oi(self) -> float:
         """Operational intensity (FLOP/byte) where compute and memory meet."""
-        return self.peak(precision_bytes) / self.mem_bandwidth
+        return self.peak_flops / self.mem_bandwidth
 
 
-def op_time(op: Operator, hw: AcceleratorConfig,
-            precision_bytes: int = 2) -> tuple[float, str]:
+def op_time(op: Operator, hw: AcceleratorConfig) -> tuple[float, str]:
     """Roofline time of one operator in seconds, plus the binding side.
 
     Ties (including the empty operator) count as memory bound.
     """
-    t_compute = op.flops / hw.peak(precision_bytes)
+    t_compute = op.flops / hw.peak_flops
     t_memory = op.bytes / hw.mem_bandwidth
     if t_compute > t_memory:
         return t_compute, COMPUTE_BOUND
@@ -150,7 +134,7 @@ def price_phase(ops: Iterable[Run], hw: AcceleratorConfig,
     order, so the seconds are bit for bit those of the phase's runs inside a
     whole graph; FLOPs and bytes are exact integers.
     """
-    peak, bandwidth = hw.peak(), hw.mem_bandwidth
+    peak, bandwidth = hw.peak_flops, hw.mem_bandwidth
     seconds, flops, data = 0.0, 0, 0
     for op, count in ops:
         # op_time inlined: the same two quotients and the same comparison.

@@ -206,10 +206,11 @@ def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
     action_hw)``, one phase at a time through ``memo``: ``memo[(builder,
     args)]`` of :func:`opgraph.phase_builds`, as :func:`opgraph.build`
     fills it, holds a phase's non-zero runs and their
-    :func:`roofline.figure_phase` under each ``(peak, bandwidth)``, the only
-    accelerator figures it reads.  A phase builder emits each distinct
-    operator in one run, so these are the runs a graph merge keeps, in run
-    order, and the floats are the graph's, bit for bit."""
+    :func:`roofline.figure_phase` under each ``(peak_flops,
+    mem_bandwidth)``, the only accelerator figures it reads.  A phase
+    builder emits each distinct operator in one run, so these are the runs
+    a graph merge keeps, in run order, and the floats are the graph's, bit
+    for bit."""
     if memo is None:
         memo = {}
     hardware = roofline.phase_hardware(hw, action_hw)
@@ -220,7 +221,7 @@ def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
         runs, figured = opgraph.build(key, memo)
         if runs:
             phase_hw = hardware[phase]
-            figures = (phase_hw.peak(), phase_hw.mem_bandwidth)
+            figures = (phase_hw.peak_flops, phase_hw.mem_bandwidth)
             entry = figured.get(figures)
             if entry is None:
                 entry = figured[figures] = roofline.figure_phase(runs, phase_hw)

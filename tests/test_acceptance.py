@@ -212,7 +212,7 @@ def test_c10_model_invariants_and_parallel_determinism(lib):
     for hw in hardware:
         for op, _ in graph.ops[:40]:
             seconds, side = op_time(op, hw)
-            walls = (op.flops / hw.peak(2), op.bytes / hw.mem_bandwidth)
+            walls = (op.flops / hw.peak_flops, op.bytes / hw.mem_bandwidth)
             assert seconds == max(walls)
             assert seconds in walls
 

@@ -269,6 +269,27 @@ def test_reproduce_fails_with_doctored_presets(tmp_path):
     assert "overall: FAIL" in result.stdout
 
 
+def test_fp32_and_int8_figures_change_no_number(tmp_path):
+    """Every phase is priced at the BF16 peak: an override whose FP32 peaks
+    are 7.5 times the packaged ones, and whose INT8 peaks are 1 or absent,
+    prints what the packaged presets print."""
+    hardware = copy.deepcopy(presets.HARDWARE)
+    for i, name in enumerate(sorted(hardware)):
+        hardware[name]["FP32_TFLOPS"] *= 7.5
+        if i % 2:
+            del hardware[name]["INT8_TOPS"]
+        else:
+            hardware[name]["INT8_TOPS"] = 1
+    (tmp_path / "hardware.yaml").write_text(yaml.safe_dump(hardware),
+                                            encoding="utf-8")
+    env = {"VLA_ROOFLINE_PRESETS": str(tmp_path)}
+    for args in (("reproduce", "all", "--format", "json"),
+                 ("list-presets",)):
+        packaged, override = run_cli(*args), run_cli(*args, env=env)
+        assert (override.returncode, override.stderr, override.stdout) == (
+            0, "", packaged.stdout)
+
+
 def test_phase_without_operators_fails_its_boundedness_cells(tmp_path):
     """A VLM stack of no layers leaves pi0 no VLM operators: its OI and
     bound cells read N/A and fail, and the command exits 2."""
@@ -531,6 +552,13 @@ def test_dual_system_without_system_1_work_is_an_error(tmp_path):
     pytest.param("hardware.yaml", "nan-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: .nan, "
                  "HBM_BW_GBs: 1, Memory_GB: 1}\n", ("--hw", "nan-hw"),
                  id="nan-peak"),
+    pytest.param("hardware.yaml", "nan-hw: {FP32_TFLOPS: .nan, BF16_TFLOPS: 1, "
+                 "HBM_BW_GBs: 1, Memory_GB: 1}\n", ("--hw", "nan-hw"),
+                 id="nan-fp32-peak"),
+    # 1e300 TOP/s is finite, but 1e312 FLOP/s overflows to infinity.
+    pytest.param("hardware.yaml", "big-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: 1, "
+                 "INT8_TOPS: 1.0e+300, HBM_BW_GBs: 1, Memory_GB: 1}\n",
+                 ("--hw", "big-hw"), id="overflowing-int8-peak"),
     pytest.param("hardware.yaml", "big-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: 1, "
                  "HBM_BW_GBs: 1, Memory_GB: .inf}\n", ("--hw", "big-hw"),
                  id="inf-memory"),
@@ -578,6 +606,15 @@ def test_malformed_preset_yaml_is_an_error(tmp_path, fmt, filename, text,
                  "HBM_BW_GBs: 1, Memory_GB: 1}\n",
                  "accelerator 'thor': FP32_TFLOPS must be a number, got [1]",
                  id="hardware-list"),
+    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: 1, BF16_TFLOPS: 1, "
+                 "INT8_TOPS: x, HBM_BW_GBs: 1, Memory_GB: 1}\n",
+                 "accelerator 'thor': INT8_TOPS must be a number, got 'x'",
+                 id="hardware-int8-string"),
+    # A zero peak is found only after every number has been read.
+    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: 0, BF16_TFLOPS: 1, "
+                 "HBM_BW_GBs: x, Memory_GB: 1}\n",
+                 "accelerator 'thor': HBM_BW_GBs must be a number, got 'x'",
+                 id="hardware-zero-peak-string-bandwidth"),
     pytest.param("networks.yaml",
                  "wifi7: {bandwidth_mbps: {up: 1}, base_latency_ms: 1}\n",
                  "network 'wifi7': bandwidth_mbps must be a number, "

@@ -85,8 +85,8 @@ def test_library_is_read_only(lib):
         lib.components["fake"] = lib.component("gemma-2b")
     with pytest.raises(TypeError):
         lib.models["fake"] = lib.model("pi0")
-    with pytest.raises(TypeError):
-        lib.accelerator("thor").peak_flops[2] = 1.0
+    with pytest.raises(AttributeError):
+        lib.accelerator("thor").peak_flops = 1.0
 
 
 PACKAGED = {"models.yaml": presets.MODELS, "hardware.yaml": presets.HARDWARE,

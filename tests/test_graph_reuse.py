@@ -134,7 +134,7 @@ def test_reproduce_all_figures_each_priced_phase_once(figures, monkeypatch,
     assert capsys.readouterr().err == ""
     assert len(figures) == len(priced) == REPRODUCE_ALL_FIGURES
     lib = load_presets()
-    distinct = {(tuple(runs), lib.accelerator(name).peak(),
+    distinct = {(tuple(runs), lib.accelerator(name).peak_flops,
                  lib.accelerator(name).mem_bandwidth)
                 for _, name, runs in figures}
     assert len(distinct) == REPRODUCE_ALL_FIGURES - 15

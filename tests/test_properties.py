@@ -74,10 +74,7 @@ operators = st.builds(
 accelerators = st.builds(
     AcceleratorConfig,
     name=st.just("hw"),
-    peak_flops=st.fixed_dictionaries({
-        2: st.floats(min_value=1e9, max_value=1e16),
-        4: st.floats(min_value=1e9, max_value=1e16),
-    }),
+    peak_flops=st.floats(min_value=1e9, max_value=1e16),
     mem_bandwidth=st.floats(min_value=1e6, max_value=1e13),
     mem_capacity=st.just(256 * 1024**3),
 )
@@ -112,7 +109,7 @@ networks = st.builds(
 @given(op=operators, hw=accelerators)
 def test_op_time_is_the_max_of_both_walls(op, hw):
     seconds, side = op_time(op, hw)
-    t_compute = op.flops / hw.peak(2)
+    t_compute = op.flops / hw.peak_flops
     t_memory = op.bytes / hw.mem_bandwidth
     assert seconds == max(t_compute, t_memory)
     # The returned time is exactly one of the walls, and the label names it
@@ -323,8 +320,7 @@ def test_builders_emit_each_distinct_operator_once(
 @given(op=operators, hw=accelerators,
        scale=st.floats(min_value=1.5, max_value=100.0))
 def test_faster_compute_only_helps_compute_bound_operators(op, hw, scale):
-    faster = replace(hw, peak_flops={p: v * scale
-                                     for p, v in hw.peak_flops.items()})
+    faster = replace(hw, peak_flops=hw.peak_flops * scale)
     before, side = op_time(op, hw)
     after, _ = op_time(op, faster)
     assert after <= before
@@ -431,10 +427,8 @@ def _accelerator_steps(hw):
             lambda capacity: replace(hw, mem_capacity=capacity)),
         st.floats(min_value=1e6, max_value=1e13).map(
             lambda bandwidth: replace(hw, mem_bandwidth=bandwidth)),
-        *(st.floats(min_value=1e9, max_value=1e16).map(
-            lambda peak, p=precision: replace(
-                hw, peak_flops={**hw.peak_flops, p: peak}))
-          for precision in (2, 4)))
+        st.floats(min_value=1e9, max_value=1e16).map(
+            lambda peak: replace(hw, peak_flops=peak)))
 
 
 _WALK_AXES = {

@@ -20,7 +20,7 @@ from vla_roofline.roofline import (
 )
 
 # Round numbers so each expected time is exact in binary-friendly arithmetic.
-HW = AcceleratorConfig(name="unit", peak_flops={2: 100.0, 4: 50.0},
+HW = AcceleratorConfig(name="unit", peak_flops=100.0,
                        mem_bandwidth=10.0, mem_capacity=1000)
 
 
@@ -34,11 +34,6 @@ def test_op_time_takes_the_slower_side():
 def test_op_time_tie_counts_as_memory_bound():
     tied = Operator("t", flops=1000, bytes=100, phase=VLM)
     assert op_time(tied, HW) == (10.0, MEMORY_BOUND)
-
-
-def test_op_time_respects_precision():
-    op = Operator("fp32", flops=1000, bytes=10, phase=VLM)
-    assert op_time(op, HW, precision_bytes=4)[0] == 20.0
 
 
 def test_graph_time_sums_per_operator_maxima():
@@ -62,7 +57,7 @@ def test_graph_time_sums_per_operator_maxima():
     ("b100", 218.75),
 ])
 def test_balance_oi_of_packaged_accelerators(lib, hw_name, balance):
-    assert lib.accelerator(hw_name).balance_oi(2) == pytest.approx(
+    assert lib.accelerator(hw_name).balance_oi() == pytest.approx(
         balance, rel=1e-12)
 
 

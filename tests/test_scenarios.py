@@ -268,7 +268,7 @@ def test_dual_system_needs_system_1_work(pi0, thor):
 
 @pytest.mark.parametrize("change", [
     {"mem_bandwidth": 1e12},
-    {"peak_flops": {2: 1e13, 4: 1e12}},
+    {"peak_flops": 1e13},
 ])
 def test_one_memo_prices_accelerators_apart_by_each_figure(pi0, b100, change):
     """Accelerators that differ in one figure that pricing reads get their
