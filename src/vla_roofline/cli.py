@@ -144,28 +144,37 @@ def build_parser() -> _Parser:
 # Record building and rendering
 # ---------------------------------------------------------------------------
 
+# A column's decimals, by the last three characters of its name.
 _DECIMALS = {"_ms": 2, "_hz": 1, "_gb": 2, "_oi": 1}
 
 
-def _decimals_for(key: str) -> Optional[int]:
-    for suffix, digits in _DECIMALS.items():
-        if key.endswith(suffix):
-            return digits
-    return None
-
-
-def _project(key: str, value, digits: Optional[int], text: bool):
-    """One field as its format writes it: text for table and csv
-    (``text``), else a JSON value.  ``digits`` is ``_decimals_for(key)``.
-    Every format refuses a NaN or infinity, as strict JSON does."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{key} is {value}, not a finite number")
-    rounded = digits is not None and isinstance(value, (int, float))
-    if not text:
-        return round(value, digits) if rounded else value
-    if value is None:
-        return "N/A"
-    return f"{value:.{digits}f}" if rounded else str(value)
+def _project_columns(names: Sequence[str], columns: Sequence[Sequence],
+                     fmt: str) -> list[tuple]:
+    """The rows of a table given as value ``columns``, one per name of
+    ``names``, with each cell as ``fmt`` writes it: text for table and csv,
+    else a JSON value.  Only ints and floats are rounded, and None is N/A
+    in text.  Every format refuses a NaN or infinity, as strict JSON does,
+    and names the first in row-major order."""
+    if not all(all(map(math.isfinite, [v for v in column
+                                       if isinstance(v, float)]))
+               for column in columns):
+        for row in zip(*columns):
+            for name, value in zip(names, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{name} is {value}, not a finite number")
+    cells = []
+    for name, column in zip(names, columns):
+        digits = _DECIMALS.get(name[-3:])
+        if fmt != "json":
+            # An empty format spec writes a number as ``str`` does.
+            spec = "" if digits is None else f".{digits}f"
+            column = [format(v, spec) if isinstance(v, (int, float))
+                      else "N/A" if v is None else str(v) for v in column]
+        elif digits is not None:
+            column = [round(v, digits) if isinstance(v, (int, float)) else v
+                      for v in column]
+        cells.append(column)
+    return list(zip(*cells))
 
 
 def _unserializable(value):
@@ -269,39 +278,40 @@ def _aligned(rows: Sequence[Sequence[str]], align: str) -> str:
                                in zip(pads, row, widths)) for row in rows)
 
 
-def _render_record(record: dict, fmt: str) -> str:
-    as_text = fmt != "json"
-    cells = [(k, _project(k, v, _decimals_for(k), as_text))
-             for k, v in record.items()]
-    if not as_text:
-        return _json_text(dict(cells))
-    if fmt == "csv":
-        return _csv_text(["key", "value"], cells)
-    return _aligned(cells, "<.")
+# A sweep row is its grid point plus these record keys, None where absent.
+_SWEEP_COLUMNS = ("feasible", *(f"{phase}_latency_ms" for phase in PHASES),
+                  "e2e_latency_ms", "sync_frequency_hz", "footprint_gb")
+
+
+def _result_columns(results: Sequence[ScenarioResult]) -> list[list]:
+    """The ``_SWEEP_COLUMNS`` of ``results``, one value list per column:
+    the one place a result field becomes a printed value."""
+    return [["yes" if r.feasible else "no" for r in results],
+            *([None if (t := r.phase_latencies.get(phase)) is None
+               else t * 1e3 for r in results] for phase in PHASES),
+            [None if r.e2e_latency is None else r.e2e_latency * 1e3
+             for r in results],
+            [r.sync_frequency for r in results],
+            [r.footprint_bytes / GIB for r in results]]
 
 
 def _scenario_record(result: ScenarioResult) -> dict:
-    record: dict = {
-        "placement": result.placement,
-        "feasible": "yes" if result.feasible else "no",
-    }
-    for phase in PHASES:
-        if phase in result.phase_latencies:
-            record[f"{phase}_latency_ms"] = result.phase_latencies[phase] * 1e3
+    feasible, *phases, e2e, sync, footprint = (
+        column[0] for column in _result_columns([result]))
+    record = {"placement": result.placement, "feasible": feasible}
+    record.update((f"{phase}_latency_ms", ms)
+                  for phase, ms in zip(PHASES, phases) if ms is not None)
     for leg in sorted(result.network_latencies):
         record[f"{leg}_ms"] = result.network_latencies[leg] * 1e3
-    record["e2e_latency_ms"] = (result.e2e_latency * 1e3
-                                if result.e2e_latency is not None else None)
-    record["sync_frequency_hz"] = result.sync_frequency
+    record["e2e_latency_ms"] = e2e
+    record["sync_frequency_hz"] = sync
     if result.async_frequency is not None:
         record["async_frequency_hz"] = result.async_frequency
     for phase in PHASES:
         if phase in result.boundedness:
             record[f"{phase}_bound"] = result.boundedness[phase]
             record[f"{phase}_oi"] = result.operational_intensity[phase]
-    record["footprint_gb"] = result.footprint_bytes / GIB
-    for i, note in enumerate(result.notes, 1):
-        record[f"note_{i}"] = note
+    record["footprint_gb"] = footprint
     return record
 
 
@@ -356,50 +366,44 @@ def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
         if args.use_async:
             raise ValueError("dual-system serving already reports its "
                              "asynchronous frequency; drop --async")
-        dual = dual_system_scenario(spec, placement, args.s2_cap)
+        result = dual_system_scenario(spec, placement, args.s2_cap)
         s1_ms = s2_ms = None
-        if dual.e2e_latency is not None:
-            s1_ms, s2_ms = (t * 1e3 for t in dual_system_times(dual))
+        if result.e2e_latency is not None:
+            s1_ms, s2_ms = (t * 1e3 for t in dual_system_times(result))
         record = {
-            "model": spec.name,
-            "placement": dual.placement,
+            "placement": result.placement,
             "s2_cap_hz": args.s2_cap,
-            "feasible": "yes" if dual.feasible else "no",
+            "feasible": "yes" if result.feasible else "no",
             "s1_latency_ms": s1_ms,
             "s2_latency_ms": s2_ms,
-            "sync_frequency_hz": dual.sync_frequency,
-            "async_frequency_hz": dual.async_frequency,
+            "sync_frequency_hz": result.sync_frequency,
+            "async_frequency_hz": result.async_frequency,
         }
-        for i, note in enumerate(dual.notes, 1):
-            record[f"note_{i}"] = note
     else:
         scenario = async_scenario if args.use_async else sync_scenario
-        record = {"model": spec.name, **_scenario_record(
-            scenario(spec, placement, args.context_steps))}
-    return _render_record(record, args.format), 0
-
-
-# A sweep row is its grid point plus these record keys, None where absent.
-_SWEEP_COLUMNS = ("feasible", *(f"{phase}_latency_ms" for phase in PHASES),
-                  "e2e_latency_ms", "sync_frequency_hz", "footprint_gb")
+        result = scenario(spec, placement, args.context_steps)
+        record = _scenario_record(result)
+    record = {"model": spec.name, **record, **{
+        f"note_{i}": note for i, note in enumerate(result.notes, 1)}}
+    (row,) = _project_columns(list(record), [[v] for v in record.values()],
+                              args.format)
+    cells = list(zip(record, row))
+    if args.format == "json":
+        return _json_text(dict(cells)), 0
+    if args.format == "csv":
+        return _csv_text(["key", "value"], cells), 0
+    return _aligned(cells, "<."), 0
 
 
 def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     base = lib.model(args.model)
     placement = _build_placement(args, lib, parser)
-    # Axes iterate in lexicographic name order; values keep user order.
-    axes = [(name, values) for name, values in sorted((
-        ("chunk", args.chunk),
-        ("context_steps", args.context_steps),
-        ("decoding", args.decoding),
-        ("dof", args.dof),
-        ("steps", args.steps),
-    )) if values is not None]
-    # sync_sweep checks each point as this generator configures it, and all
-    # of them before it prices any: a grid exits on its first invalid point,
-    # in grid order, before pricing anything.
-    names = [name for name, _ in axes]
-    combos = list(product(*(values for _, values in axes)))
+    # Axes iterate in lexicographic name order; values keep user order.  An
+    # axis the grid does not set takes the one value None and has no column.
+    axes = {"chunk": args.chunk, "context_steps": args.context_steps,
+            "decoding": args.decoding, "dof": args.dof, "steps": args.steps}
+    combos = list(product(*((None,) if values is None else values
+                            for values in axes.values())))
 
     # Each count triple and each decoding variant of the base is configured
     # once.  A point configures its triple on the base before its decoding,
@@ -407,44 +411,36 @@ def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     triples: dict = {}
     variants: dict = {}
 
+    # sync_sweep checks each point as this generator configures it, and all
+    # of them before it prices any: a grid exits on its first invalid point,
+    # in grid order, before pricing anything.
     def points():
-        for combo in combos:
-            point = dict(zip(names, combo))
-            counts = (point.get("chunk"), point.get("steps"),
-                      point.get("dof"))
+        for chunk, context_steps, decoding, dof, steps in combos:
+            counts = (chunk, steps, dof)
             if counts not in triples:
                 triples[counts] = _configure_spec(base, *counts, None)
             spec = triples[counts]
-            decoding = point.get("decoding")
             if decoding is not None:
                 if decoding not in variants:
                     variants[decoding] = decoding_variant_spec(base, decoding)
                 if decoding != DIFFUSION:
                     spec = _configure_spec(variants[decoding], *counts, None)
-            yield spec, point.get("context_steps")
+            yield spec, context_steps
 
-    rows = [(*combo, *map(_scenario_record(result).get, _SWEEP_COLUMNS))
-            for combo, result in zip(combos,
-                                     sync_sweep(points(), placement))]
-    header = (*names, *_SWEEP_COLUMNS)
-    # Each column's decimals are resolved once.
-    columns = [(col, _decimals_for(col)) for col in header]
-    cells = [[_project(col, value, digits, args.format != "json")
-              for (col, digits), value in zip(columns, row)] for row in rows]
+    grid = {name: column for (name, values), column
+            in zip(axes.items(), zip(*combos)) if values is not None}
+    header = (*grid, *_SWEEP_COLUMNS)
+    rows = _project_columns(header, [*grid.values(), *_result_columns(
+        sync_sweep(points(), placement))], args.format)
     if args.format == "json":
-        return _json_rows(header, cells), 0
+        return _json_rows(header, rows), 0
     if args.format == "csv":
-        return _csv_text(header, cells), 0
-    return _aligned([header, *cells], "<" * len(header)), 0
+        return _csv_text(header, rows), 0
+    return _aligned([header, *rows], "<" * len(header)), 0
 
 
 # A golden cell's printed status, by its verdict.
 _CELL_STATUS = {True: "ok", False: "FAIL", None: "info"}
-
-
-def _cell_error_text(cell: golden.GoldenCell) -> str:
-    rel = cell.relative_error
-    return "" if rel is None else f"{rel * 100:+.1f}%"
 
 
 _CELL_COLUMNS = ("label", "unit", "modeled", "reference", "error", "status")
@@ -452,8 +448,10 @@ _CELL_COLUMNS = ("label", "unit", "modeled", "reference", "error", "status")
 
 def _cell_fields(cell: golden.GoldenCell) -> tuple[str, ...]:
     """A golden cell's printed fields, in ``_CELL_COLUMNS`` order."""
+    rel = cell.relative_error
     return (cell.label, cell.unit, cell.printed_modeled,
-            cell.printed_reference, _cell_error_text(cell),
+            cell.printed_reference,
+            "" if rel is None else f"{rel * 100:+.1f}%",
             _CELL_STATUS[cell.passed])
 
 
@@ -482,10 +480,10 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     lines = []
     for name, cells in groups:
         lines.append(_aligned(
-            [(name, c.label, f"{c.printed_modeled} {c.unit}".rstrip(),
-              f"{c.printed_reference} {c.unit}".rstrip(),
-              _cell_error_text(c), _CELL_STATUS[c.passed]) for c in cells],
-            "<<>>>."))
+            [(name, label, f"{modeled} {unit}".rstrip(),
+              f"{reference} {unit}".rstrip(), error, status)
+             for label, unit, modeled, reference, error, status
+             in map(_cell_fields, cells)], "<<>>>."))
         graded = [c for c in cells if c.passed is not None]
         failed = [c for c in graded if not c.passed]
         verdict = "PASS" if not failed else f"FAIL ({len(failed)} cell(s))"
@@ -544,6 +542,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out == "":
+            raise ValueError("--out needs a file path, not an empty string")
         lib = load_presets()
         if args.command == "analyze":
             text, code = _run_analyze(args, lib, parser)
@@ -557,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
+    if args.out is not None:
         try:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
         except OSError as exc:

@@ -529,14 +529,89 @@ def _assert_preset_error(tmp_path, filename, text, args, message):
     assert len(result.stderr.splitlines()) == 1
 
 
+def _blind_models_yaml() -> str:
+    """The packaged models plus ``blind``: pi0 without cameras."""
+    models = copy.deepcopy(presets.MODELS)
+    models["models"]["blind"] = {**models["models"]["pi0"], "num_cameras": 0}
+    return yaml.safe_dump(models)
+
+
 def test_dual_system_without_system_1_work_is_an_error(tmp_path):
     """Without cameras or denoising steps, System 1 takes no time on the
     device, so its rate has no finite value."""
-    models = copy.deepcopy(presets.MODELS)
-    models["models"]["blind"] = {**models["models"]["pi0"], "num_cameras": 0}
-    _assert_preset_error(tmp_path, "models.yaml", yaml.safe_dump(models),
+    _assert_preset_error(tmp_path, "models.yaml", _blind_models_yaml(),
                          ("--model", "blind", "--steps", "0", "--s2-cap", "5"),
                          "dual-system serving needs System-1 work")
+
+
+_BLIND_SWEEP = {
+    "table": (
+        "steps  feasible  vision_latency_ms  vlm_latency_ms  "
+        "action_latency_ms  e2e_latency_ms  sync_frequency_hz  footprint_gb\n"
+        "0      yes       N/A                0.50            "
+        "N/A                0.50            1988.5             5.04        \n"
+        "10     yes       N/A                0.50            "
+        "0.84               1.34            744.2              5.04        \n"),
+    "csv": (
+        "steps,feasible,vision_latency_ms,vlm_latency_ms,action_latency_ms,"
+        "e2e_latency_ms,sync_frequency_hz,footprint_gb\n"
+        "0,yes,N/A,0.50,N/A,0.50,1988.5,5.04\n"
+        "10,yes,N/A,0.50,0.84,1.34,744.2,5.04\n"),
+    "json": (
+        '[\n'
+        '  {\n'
+        '    "steps": 0,\n'
+        '    "feasible": "yes",\n'
+        '    "vision_latency_ms": null,\n'
+        '    "vlm_latency_ms": 0.5,\n'
+        '    "action_latency_ms": null,\n'
+        '    "e2e_latency_ms": 0.5,\n'
+        '    "sync_frequency_hz": 1988.5,\n'
+        '    "footprint_gb": 5.04\n'
+        '  },\n'
+        '  {\n'
+        '    "steps": 10,\n'
+        '    "feasible": "yes",\n'
+        '    "vision_latency_ms": null,\n'
+        '    "vlm_latency_ms": 0.5,\n'
+        '    "action_latency_ms": 0.84,\n'
+        '    "e2e_latency_ms": 1.34,\n'
+        '    "sync_frequency_hz": 744.2,\n'
+        '    "footprint_gb": 5.04\n'
+        '  }\n'
+        ']\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_sweep_column_mixing_none_and_numbers_in_feasible_rows(tmp_path, fmt):
+    """Without cameras no row has a vision phase, and at 0 steps a row has
+    no action phase: both print N/A (null) next to numbers of feasible
+    rows."""
+    (tmp_path / "models.yaml").write_text(_blind_models_yaml(),
+                                          encoding="utf-8")
+    result = run_cli("sweep", "--model", "blind", "--steps", "0,10",
+                     "--format", fmt,
+                     env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == _BLIND_SWEEP[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_sweep_refuses_its_first_non_finite_cell_in_row_major_order(
+        tmp_path, fmt):
+    # At a 2e-305 TFLOP/s peak every phase takes about 1e300 s or more.  At
+    # 1 camera step only the sum overflows (e2e_latency_ms); at 1000 steps
+    # vlm_latency_ms overflows too, but in a later row.
+    (tmp_path / "hardware.yaml").write_text(
+        "tiny: {FP32_TFLOPS: 1, BF16_TFLOPS: 2e-305, HBM_BW_GBs: 1000, "
+        "Memory_GB: 1000000}\n", encoding="utf-8")
+    result = run_cli("sweep", "--hw", "tiny", "--context-steps", "1,1000",
+                     "--format", fmt,
+                     env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: e2e_latency_ms is inf, not a finite number\n"
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -749,16 +824,17 @@ def test_out_writes_file_instead_of_stdout(tmp_path):
     assert content.endswith("\n")
 
 
-@pytest.mark.parametrize("missing, reason", [
-    (True, "No such file or directory"),
-    (False, "Is a directory"),
-], ids=["missing-directory", "directory"])
-def test_out_that_cannot_be_written_is_an_error(tmp_path, missing, reason):
-    target = tmp_path / "missing" / "report.txt" if missing else tmp_path
-    result = run_cli("analyze", "--out", str(target))
+@pytest.mark.parametrize("target, stderr", [
+    ("missing/report.txt", "{target}: No such file or directory"),
+    ("", "{target}: Is a directory"),
+    (None, "--out needs a file path, not an empty string"),
+], ids=["missing-directory", "directory", "empty"])
+def test_out_that_cannot_be_written_is_an_error(tmp_path, target, stderr):
+    target = "" if target is None else str(tmp_path / target)
+    result = run_cli("analyze", "--out", target)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr == f"error: {target}: {reason}\n"
+    assert result.stderr == f"error: {stderr.format(target=target)}\n"
 
 
 def test_list_presets_names_everything():

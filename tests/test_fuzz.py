@@ -50,7 +50,8 @@ def _value(action: argparse.Action) -> st.SearchStrategy[str]:
     """Text for one option or positional: mostly valid, sometimes junk."""
     if action.dest == "out":
         # Never a junk name: that would write a file into the working tree.
-        return st.sampled_from([os.devnull, "/nonexistent/out.txt"])
+        # An empty name is refused before anything is written.
+        return st.sampled_from([os.devnull, "/nonexistent/out.txt", ""])
     if action.dest in PRESET_NAMES:
         valid = st.sampled_from(PRESET_NAMES[action.dest])
     elif action.type in (cli._int_list, cli._str_list):

@@ -8,12 +8,13 @@ import contextlib
 import copy
 import io
 import json
+import math
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vla_roofline import (
@@ -612,6 +613,72 @@ def test_each_sweep_row_is_the_analyze_record_of_its_point(
             arg for flag, name in flags for arg in (flag, str(row[name]))))
         assert {col: row[col] for col in cli._SWEEP_COLUMNS} == {
             col: record.get(col) for col in cli._SWEEP_COLUMNS}
+
+
+def _reference_decimals(key):
+    for suffix, digits in {"_ms": 2, "_hz": 1, "_gb": 2, "_oi": 1}.items():
+        if key.endswith(suffix):
+            return digits
+    return None
+
+
+def _reference_project(key, value, digits, text):
+    """One cell projected on its own, as the renderer once did per cell."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} is {value}, not a finite number")
+    rounded = digits is not None and isinstance(value, (int, float))
+    if not text:
+        return round(value, digits) if rounded else value
+    if value is None:
+        return "N/A"
+    return f"{value:.{digits}f}" if rounded else str(value)
+
+
+# Real column names, with and without a decimals suffix.
+_PROJECTED_NAMES = ("chunk", "decoding", "model", "placement", "vlm_bound",
+                    "note_1", *cli._SWEEP_COLUMNS, "observation_upload_ms",
+                    "async_frequency_hz", "s2_cap_hz", "vlm_oi")
+_CELLS = st.one_of(
+    st.none(), st.integers(min_value=-2 ** 53, max_value=2 ** 53),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan]), st.text(max_size=3))
+
+
+@st.composite
+def _tables(draw):
+    names = draw(st.lists(st.sampled_from(_PROJECTED_NAMES), min_size=1,
+                          max_size=4))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * len(names)), max_size=4))
+    return names, rows
+
+
+@given(table=_tables(), fmt=st.sampled_from(cli.FORMATS))
+# Column order would name the NaN of the first column; row order names the
+# infinity of the first row.
+@example(table=(["vlm_latency_ms", "e2e_latency_ms"],
+                [(1.0, math.inf), (math.nan, 2.0)]), fmt="json")
+@example(table=(["footprint_gb", "feasible"],
+                [(None, "yes"), (3, None), ("x", 1.005), (2.675, 7)]),
+         fmt="table")
+@settings(max_examples=150, deadline=None)
+def test_column_projection_matches_the_cell_by_cell_reference(table, fmt):
+    """The projector gives the cells, types included, of the per-cell
+    reference in row-major order, or its error for the first non-finite
+    cell in that order."""
+    names, rows = table
+    columns = [[row[i] for row in rows] for i in range(len(names))]
+    try:
+        expected = [tuple(_reference_project(key, value,
+                                             _reference_decimals(key),
+                                             fmt != "json")
+                          for key, value in zip(names, row)) for row in rows]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            cli._project_columns(names, columns, fmt)
+        assert str(raised.value) == str(exc)
+    else:
+        assert repr(cli._project_columns(names, columns, fmt)) == repr(
+            expected)
 
 
 def test_sweep_results_identical_under_thread_pool():
