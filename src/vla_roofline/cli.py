@@ -12,7 +12,6 @@ configuration errors, 2 when a reproduce run misses its tolerances.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import math
@@ -20,6 +19,7 @@ import os
 import sys
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .configio import PresetLibrary, load_presets
@@ -43,6 +43,8 @@ from .scenarios import (
 from .workload import DIFFUSION, VlaModelSpec
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import golden
 
 FORMATS = ("table", "csv", "json")
@@ -52,92 +54,163 @@ REPRODUCE_IDS = ("T1", "T3", "T4", "T5", "T6", "T8", "T9",
 _ALL_TABLES = ("T1", "T3", "T4", "T5", "T6", "T8", "T9", "collab")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; we reserve 2 for golden
-    failures, so usage errors are remapped to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
+# argparse is imported only to print help or a usage error; a well-formed
+# command line is read by ``_read_argv``.
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
 def _str_list(text: str) -> tuple[str, ...]:
     parts = tuple(part.strip() for part in text.split(","))
     if not all(parts):
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected comma-separated names, got {text!r}")
     return parts
 
 
+# Each subcommand's help line and its arguments, as ``add_argument`` takes
+# them: ``build_parser`` builds argparse from this one declaration, and
+# ``_read_argv`` reads a well-formed command line by it.
+_OUTPUT_FLAGS = (
+    ("--format", dict(choices=FORMATS, default="table",
+                      help="output format (default: table)")),
+    ("--out", dict(metavar="PATH",
+                   help="write output to PATH instead of stdout")),
+)
+_PLACEMENT_FLAGS = (
+    ("--model", dict(default="pi0", help="model preset name")),
+    ("--hw", dict(default="b100", help="serving accelerator preset")),
+    ("--placement", dict(choices=PLACEMENT_KINDS, default=ON_DEVICE)),
+    ("--net", dict(help="access network preset (server placements)")),
+    ("--cloud-net", dict(help="second hop for cloud-server")),
+    ("--device-hw", dict(help="robot-side accelerator (collaborative)")),
+)
+_COMMANDS = {
+    "analyze": ("evaluate one model/placement combination", (
+        *_PLACEMENT_FLAGS,
+        ("--chunk", dict(type=int, help="action chunk size")),
+        ("--steps", dict(type=int, help="denoising steps")),
+        ("--dof", dict(type=int, help="action degrees of freedom")),
+        ("--decoding", dict(choices=DECODING_VARIANTS,
+                            help="decoding strategy override")),
+        ("--context-steps", dict(type=int,
+                                 help="timesteps of cached camera history")),
+        ("--s2-cap", dict(type=float,
+                          help="dual-system mode: System-2 rate cap in Hz")),
+        ("--async", dict(dest="use_async", action="store_true",
+                         help="pipelined serving rate instead of synchronous")),
+        *_OUTPUT_FLAGS)),
+    "sweep": ("evaluate a cartesian grid of design choices", (
+        *_PLACEMENT_FLAGS,
+        ("--chunk", dict(type=_int_list, help="e.g. 5,10,50,250")),
+        ("--steps", dict(type=_int_list, help="e.g. 1,10,50")),
+        ("--dof", dict(type=_int_list, help="e.g. 7,14,40")),
+        ("--decoding", dict(type=_str_list,
+                            help=f"subset of {','.join(DECODING_VARIANTS)}")),
+        ("--context-steps", dict(type=_int_list, help="e.g. 1,10,100,1000")),
+        *_OUTPUT_FLAGS)),
+    "reproduce": ("compare modeled tables against bundled references", (
+        ("table", dict(choices=REPRODUCE_IDS)),
+        *_OUTPUT_FLAGS)),
+    "list-presets": ("show addressable presets", _OUTPUT_FLAGS),
+}
+
+
 # Parsing leaves the parser unchanged, so one parser serves every call.
 @functools.cache
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with status 2 on bad usage; we reserve 2 for
+        golden failures, so usage errors are remapped to 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="vla-roofline",
         description="Roofline-based latency/throughput model for "
                     "vision-language-action inference.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output_flags(p):
-        p.add_argument("--format", choices=FORMATS, default="table",
-                       help="output format (default: table)")
-        p.add_argument("--out", metavar="PATH",
-                       help="write output to PATH instead of stdout")
-
-    def add_placement_flags(p):
-        p.add_argument("--model", default="pi0", help="model preset name")
-        p.add_argument("--hw", default="b100",
-                       help="serving accelerator preset")
-        p.add_argument("--placement", choices=PLACEMENT_KINDS, default=ON_DEVICE)
-        p.add_argument("--net", help="access network preset (server placements)")
-        p.add_argument("--cloud-net", help="second hop for cloud-server")
-        p.add_argument("--device-hw",
-                       help="robot-side accelerator (collaborative)")
-
-    analyze = sub.add_parser(
-        "analyze", help="evaluate one model/placement combination")
-    add_placement_flags(analyze)
-    analyze.add_argument("--chunk", type=int, help="action chunk size")
-    analyze.add_argument("--steps", type=int, help="denoising steps")
-    analyze.add_argument("--dof", type=int, help="action degrees of freedom")
-    analyze.add_argument("--decoding", choices=DECODING_VARIANTS,
-                         help="decoding strategy override")
-    analyze.add_argument("--context-steps", type=int,
-                         help="timesteps of cached camera history")
-    analyze.add_argument("--s2-cap", type=float,
-                         help="dual-system mode: System-2 rate cap in Hz")
-    analyze.add_argument("--async", dest="use_async", action="store_true",
-                         help="pipelined serving rate instead of synchronous")
-    add_output_flags(analyze)
-
-    sweep = sub.add_parser(
-        "sweep", help="evaluate a cartesian grid of design choices")
-    add_placement_flags(sweep)
-    sweep.add_argument("--chunk", type=_int_list, help="e.g. 5,10,50,250")
-    sweep.add_argument("--steps", type=_int_list, help="e.g. 1,10,50")
-    sweep.add_argument("--dof", type=_int_list, help="e.g. 7,14,40")
-    sweep.add_argument("--decoding", type=_str_list,
-                       help=f"subset of {','.join(DECODING_VARIANTS)}")
-    sweep.add_argument("--context-steps", type=_int_list,
-                       help="e.g. 1,10,100,1000")
-    add_output_flags(sweep)
-
-    reproduce = sub.add_parser(
-        "reproduce", help="compare modeled tables against bundled references")
-    reproduce.add_argument("table", choices=REPRODUCE_IDS)
-    add_output_flags(reproduce)
-
-    listing = sub.add_parser("list-presets", help="show addressable presets")
-    add_output_flags(listing)
-
+    for command, (summary, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for name, spec in flags:
+            command_parser.add_argument(name, **spec)
     return parser
+
+
+def _reading(flags) -> tuple[dict, list, dict]:
+    """What ``_read_argv`` reads of a command's ``flags``: each option
+    string with its dest, converter and choices (no converter for a
+    switch), each positional likewise in order, and the defaults by dest."""
+    options, positionals, defaults = {}, [], {}
+    for name, spec in flags:
+        switch = spec.get("action") == "store_true"
+        dest = spec.get("dest", name.lstrip("-").replace("-", "_"))
+        defaults[dest] = spec.get("default", False if switch else None)
+        entry = (dest, None if switch else spec.get("type", str),
+                 spec.get("choices"))
+        if name.startswith("-"):
+            options[name] = entry
+        else:
+            positionals.append(entry)
+    return options, positionals, defaults
+
+
+_READINGS = {command: _reading(flags)
+             for command, (_, flags) in _COMMANDS.items()}
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments ``build_parser().parse_args(argv)`` gives, or None
+    where only argparse may read ``argv``.  Read here: a known command, then
+    exact option strings and positionals, each value one that does not
+    start with "-", that its type converts and that is among its choices,
+    every positional filled.  Everything else, help and every usage error
+    among it, is argparse's, with its messages and exit codes."""
+    if not argv or argv[0] not in _READINGS:
+        return None
+    options, positionals, defaults = _READINGS[argv[0]]
+    values = {"command": argv[0], **defaults}
+    unfilled = iter(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            entry = options.get(token)
+            if entry is None:
+                return None
+            dest, convert, choices = entry
+            if convert is None:
+                values[dest] = True
+                continue
+            # A missing value reads as one that starts with "-".
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        else:
+            dest, convert, choices = next(unfilled, (None, None, None))
+            if dest is None:
+                return None
+        try:
+            value = convert(token)
+        # Whatever a converter raises, argparse reports (or raises) it.
+        except Exception:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if next(unfilled, None) is not None:
+        return None
+    return SimpleNamespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +410,18 @@ _FIELD_FLAGS = {"access_net": "--net", "cloud_net": "--cloud-net",
                 "device_hw": "--device-hw"}
 
 
-def _build_placement(args, lib: PresetLibrary, parser: _Parser) -> Placement:
+def _build_placement(args, lib: PresetLibrary) -> Placement:
     hw = lib.accelerator(args.hw)
     required = [_FIELD_FLAGS[field]
                 for field in PLACEMENT_FIELDS[args.placement]]
     for flag in _FIELD_FLAGS.values():
         value = getattr(args, flag[2:].replace("-", "_"))
         if flag in required and not value:
-            parser.error(f"{args.placement} placement requires "
-                         + " and ".join(required))
+            build_parser().error(f"{args.placement} placement requires "
+                                 + " and ".join(required))
         if flag not in required and value is not None:
-            parser.error(f"{args.placement} placement does not use {flag}")
+            build_parser().error(
+                f"{args.placement} placement does not use {flag}")
     return Placement(
         args.placement, hw,
         device_hw=args.device_hw and lib.accelerator(args.device_hw),
@@ -355,10 +429,10 @@ def _build_placement(args, lib: PresetLibrary, parser: _Parser) -> Placement:
         cloud_net=args.cloud_net and lib.network(args.cloud_net))
 
 
-def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
+def _run_analyze(args, lib: PresetLibrary) -> tuple[str, int]:
     spec = _configure_spec(lib.model(args.model), args.chunk, args.steps,
                            args.dof, args.decoding)
-    placement = _build_placement(args, lib, parser)
+    placement = _build_placement(args, lib)
     if args.s2_cap is not None:
         if args.context_steps is not None:
             raise ValueError("dual-system serving does not model cached "
@@ -395,9 +469,9 @@ def _run_analyze(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
     return _aligned(cells, "<."), 0
 
 
-def _run_sweep(args, lib: PresetLibrary, parser: _Parser) -> tuple[str, int]:
+def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
     base = lib.model(args.model)
-    placement = _build_placement(args, lib, parser)
+    placement = _build_placement(args, lib)
     # Axes iterate in lexicographic name order; values keep user order.  An
     # axis the grid does not set takes the one value None and has no column.
     axes = {"chunk": args.chunk, "context_steps": args.context_steps,
@@ -539,16 +613,19 @@ def _run_list_presets(args, lib: PresetLibrary) -> tuple[str, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if args.out == "":
             raise ValueError("--out needs a file path, not an empty string")
         lib = load_presets()
         if args.command == "analyze":
-            text, code = _run_analyze(args, lib, parser)
+            text, code = _run_analyze(args, lib)
         elif args.command == "sweep":
-            text, code = _run_sweep(args, lib, parser)
+            text, code = _run_sweep(args, lib)
         elif args.command == "reproduce":
             text, code = _run_reproduce(args, lib)
         else:

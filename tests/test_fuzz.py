@@ -5,8 +5,10 @@ Arguments are drawn from the parser's own subcommands, flags and choices,
 with preset names, numbers at and beyond the validated ranges, and some
 junk.  A second fuzz runs the same arguments over mutated preset YAML under
 ``VLA_ROOFLINE_PRESETS``.  Every call must return (or exit with) 0, 1 or 2
-without an exception, and ``--format json`` output must be strict JSON.
-Examples are capped to keep this file at about two seconds.
+without an exception, and ``--format json`` output must be strict JSON.  A
+third fuzz, with junk tokens spliced in, checks that ``cli._read_argv``
+reads each argument list as argparse does or leaves it to argparse.
+Examples are capped to keep this file at about three seconds.
 """
 
 import argparse
@@ -108,6 +110,38 @@ def test_cli_arguments_end_in_a_result_or_an_error(argv):
     with mock.patch.dict(os.environ):
         os.environ.pop(PRESET_DIR_ENV, None)
         _run(argv)
+
+
+# Tokens argparse reads in its own way: help, an abbreviation, an inline
+# value, the end of options, negative numbers, an empty value, a stray
+# positional.
+JUNK_TOKENS = ("--form", "--format=json", "-h", "--", "-5", "-1e3", "", "T1")
+
+
+@st.composite
+def argvs_with_junk(draw) -> list[str]:
+    """An argv with junk tokens inserted, or put in place of a token."""
+    argv = draw(argvs())
+    for token in draw(st.lists(st.sampled_from(JUNK_TOKENS), max_size=2)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [token]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(argvs(), argvs_with_junk()))
+@example(["analyze", "--s2-cap", "nan", "--async", "--async"])
+@example(["sweep", "--model", "pi0-l", "--model", "pi0", "--chunk", "5,10"])
+@example(["reproduce", "--out", "", "T1", "--format", "csv"])
+@example(["reproduce", "--format", "json"])
+@example(["analyze", "--model", "-h"])
+def test_the_argv_reader_reads_what_argparse_reads(argv):
+    """``cli._read_argv`` gives argparse's attributes (compared by repr, so
+    NaN equals NaN) or leaves the command line to argparse."""
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert repr(sorted(vars(read).items())) == repr(
+            sorted(vars(PARSER.parse_args(argv)).items()))
 
 
 PACKAGED = {"models.yaml": presets.MODELS, "hardware.yaml": presets.HARDWARE,

@@ -42,3 +42,14 @@ def test_catalogue_outputs_match_the_oracle(bench, workload):
         if expected[loop.request_key(argv)] != f"{code}:{digest}":
             differs.append(" ".join(argv))
     assert differs == []
+
+
+def test_every_catalogue_request_is_read_without_argparse(bench):
+    """The benchmark times the command lines ``cli._read_argv`` reads, and
+    each reads as argparse reads it."""
+    _, _, workloads = bench
+    for _, catalogue, _ in workloads.WORKLOADS.values():
+        for argv in catalogue():
+            read = cli._read_argv(argv)
+            assert read is not None, argv
+            assert vars(read) == vars(cli.build_parser().parse_args(argv))

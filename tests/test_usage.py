@@ -1,0 +1,175 @@
+"""The CLI's help and usage-error text, byte for byte, and when argparse
+loads.
+
+argparse writes all of this text, from the flag table in ``cli``; the texts
+are those of Python 3.11 on an 80-column terminal, so an edit of the table
+that changes one byte of help or of an error fails here.  A well-formed
+command line is read without argparse, so a process that runs only those
+never imports it.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from vla_roofline import cli
+
+# Exit code, stdout and stderr, by the argv joined with spaces.
+TEXTS = {
+    "--help": (0, """\
+usage: vla-roofline [-h] {analyze,sweep,reproduce,list-presets} ...
+
+Roofline-based latency/throughput model for vision-language-action inference.
+
+positional arguments:
+  {analyze,sweep,reproduce,list-presets}
+    analyze             evaluate one model/placement combination
+    sweep               evaluate a cartesian grid of design choices
+    reproduce           compare modeled tables against bundled references
+    list-presets        show addressable presets
+
+options:
+  -h, --help            show this help message and exit
+""",
+        ""),
+    "analyze --help": (0, """\
+usage: vla-roofline analyze [-h] [--model MODEL] [--hw HW]
+                            [--placement {on-device,edge-server,cloud-server,collaborative}]
+                            [--net NET] [--cloud-net CLOUD_NET]
+                            [--device-hw DEVICE_HW] [--chunk CHUNK]
+                            [--steps STEPS] [--dof DOF]
+                            [--decoding {diffusion,diffusion_large,autoregressive,autoregressive_parallel}]
+                            [--context-steps CONTEXT_STEPS] [--s2-cap S2_CAP]
+                            [--async] [--format {table,csv,json}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --model MODEL         model preset name
+  --hw HW               serving accelerator preset
+  --placement {on-device,edge-server,cloud-server,collaborative}
+  --net NET             access network preset (server placements)
+  --cloud-net CLOUD_NET
+                        second hop for cloud-server
+  --device-hw DEVICE_HW
+                        robot-side accelerator (collaborative)
+  --chunk CHUNK         action chunk size
+  --steps STEPS         denoising steps
+  --dof DOF             action degrees of freedom
+  --decoding {diffusion,diffusion_large,autoregressive,autoregressive_parallel}
+                        decoding strategy override
+  --context-steps CONTEXT_STEPS
+                        timesteps of cached camera history
+  --s2-cap S2_CAP       dual-system mode: System-2 rate cap in Hz
+  --async               pipelined serving rate instead of synchronous
+  --format {table,csv,json}
+                        output format (default: table)
+  --out PATH            write output to PATH instead of stdout
+""",
+        ""),
+    "sweep --help": (0, """\
+usage: vla-roofline sweep [-h] [--model MODEL] [--hw HW]
+                          [--placement {on-device,edge-server,cloud-server,collaborative}]
+                          [--net NET] [--cloud-net CLOUD_NET]
+                          [--device-hw DEVICE_HW] [--chunk CHUNK]
+                          [--steps STEPS] [--dof DOF] [--decoding DECODING]
+                          [--context-steps CONTEXT_STEPS]
+                          [--format {table,csv,json}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --model MODEL         model preset name
+  --hw HW               serving accelerator preset
+  --placement {on-device,edge-server,cloud-server,collaborative}
+  --net NET             access network preset (server placements)
+  --cloud-net CLOUD_NET
+                        second hop for cloud-server
+  --device-hw DEVICE_HW
+                        robot-side accelerator (collaborative)
+  --chunk CHUNK         e.g. 5,10,50,250
+  --steps STEPS         e.g. 1,10,50
+  --dof DOF             e.g. 7,14,40
+  --decoding DECODING   subset of diffusion,diffusion_large,autoregressive,aut
+                        oregressive_parallel
+  --context-steps CONTEXT_STEPS
+                        e.g. 1,10,100,1000
+  --format {table,csv,json}
+                        output format (default: table)
+  --out PATH            write output to PATH instead of stdout
+""",
+        ""),
+    "reproduce --help": (0, """\
+usage: vla-roofline reproduce [-h] [--format {table,csv,json}] [--out PATH]
+                              {T1,T3,T4,T5,T6,T8,T9,scaling,collab,all}
+
+positional arguments:
+  {T1,T3,T4,T5,T6,T8,T9,scaling,collab,all}
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,csv,json}
+                        output format (default: table)
+  --out PATH            write output to PATH instead of stdout
+""",
+        ""),
+    "list-presets --help": (0, """\
+usage: vla-roofline list-presets [-h] [--format {table,csv,json}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,csv,json}
+                        output format (default: table)
+  --out PATH            write output to PATH instead of stdout
+""",
+        ""),
+    "": (1, "",
+        """\
+usage: vla-roofline [-h] {analyze,sweep,reproduce,list-presets} ...
+vla-roofline: error: the following arguments are required: command
+"""),
+    "reproduce T99": (1, "",
+        """\
+usage: vla-roofline reproduce [-h] [--format {table,csv,json}] [--out PATH]
+                              {T1,T3,T4,T5,T6,T8,T9,scaling,collab,all}
+vla-roofline reproduce: error: argument table: invalid choice: 'T99' (choose from 'T1', 'T3', 'T4', 'T5', 'T6', 'T8', 'T9', 'scaling', 'collab', 'all')
+"""),
+    "analyze --placement edge-server": (1, "",
+        """\
+usage: vla-roofline [-h] {analyze,sweep,reproduce,list-presets} ...
+vla-roofline: error: edge-server placement requires --net
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", TEXTS, ids=lambda argv: argv or "no-command")
+def test_help_and_usage_errors_keep_their_text(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv.split())
+    assert (exited.value.code, *capsys.readouterr()) == TEXTS[argv]
+
+
+LAZY_ARGPARSE = """\
+import contextlib, io, sys
+from vla_roofline import cli
+results = []
+for argv in (["analyze"], ["sweep", "--chunk", "5,10"], ["reproduce", "T1"],
+             ["list-presets"], ["--help"], ["sweep", "--chunk", "x"]):
+    if argv == ["--help"]:
+        results.append("argparse" in sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            results.append(cli.main(argv))
+        except SystemExit as exc:
+            results.append(exc.code)
+print(results)
+"""
+
+
+def test_well_formed_commands_never_import_argparse():
+    """One well-formed call per command leaves argparse unloaded; help and
+    a usage error then load it and exit 0 and 1."""
+    result = subprocess.run([sys.executable, "-c", LAZY_ARGPARSE],
+                            capture_output=True, text=True)
+    assert result.stdout == "[0, 0, 0, 0, False, 0, 1]\n", result.stderr
