@@ -15,7 +15,7 @@ imported from its module.
 """
 
 from .configio import load_presets
-from .netmodel import UPLOAD, NetworkConfig, Payload, transfer_time
+from .netmodel import NetworkConfig, transfer_time
 from .opgraph import VLM, Operator, OperatorGraph, pipeline_graph, prefill_runs
 from .roofline import (
     COMPUTE_BOUND,

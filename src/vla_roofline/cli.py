@@ -274,8 +274,8 @@ def _json_encoder(separator: str):
 
 def _json_text(value, depth: int = 0) -> str:
     """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
-    it, nested ``depth`` levels deep, without importing ``json``.  A
-    container that holds containers is written here; the rest are written
+    it, nested ``depth`` levels deep, without importing ``json``.  Only a
+    dict may hold containers, and it is written here; the rest are written
     by the C encoder.  Dict keys are strings."""
     if not isinstance(value, _CONTAINERS):
         return "".join(_json_encoder("\n")(value, 0))
@@ -287,27 +287,21 @@ def _json_text(value, depth: int = 0) -> str:
     if not any(isinstance(item, _CONTAINERS) for item in items):
         text = "".join(_json_encoder(",\n" + inner)(value, 0))
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
-    if is_dict:
-        from _json import encode_basestring_ascii
+    from _json import encode_basestring_ascii
 
-        parts = [f"{encode_basestring_ascii(key)}: "
-                 f"{_json_text(item, depth + 1)}"
-                 for key, item in value.items()]
-        opening, closing = "{", "}"
-    else:
-        parts = [_json_text(item, depth + 1) for item in value]
-        opening, closing = "[", "]"
-    return (f"{opening}\n{inner}" + f",\n{inner}".join(parts)
-            + f"\n{outer}{closing}")
+    return ("{\n" + inner + f",\n{inner}".join(
+        f"{encode_basestring_ascii(key)}: {_json_text(item, depth + 1)}"
+        for key, item in value.items()) + f"\n{outer}}}")
 
 
 def _json_rows(names: Sequence[str], rows: Sequence[Sequence],
                depth: int = 0) -> str:
-    """Rows of scalars, one per column of non-empty ``names``, as the list
-    of objects that :func:`_json_text` writes at ``depth``.  Every value is
-    encoded in one C-encoder call, one per line: with ensure_ascii no
-    encoded scalar holds a raw newline, so a count of lines other than one
-    per value (a container of two or more items) is a ValueError."""
+    """Rows of scalars, one per column of non-empty ``names``, as
+    ``json.dumps(indent=2)`` writes a list of objects ``depth`` levels
+    deep.  Every value is encoded in one C-encoder call, one per line: with
+    ensure_ascii no encoded scalar holds a raw newline, so a count of lines
+    other than one per value (a container of two or more items) is a
+    ValueError."""
     if not rows:
         return "[]"
     from _json import encode_basestring_ascii
@@ -417,11 +411,10 @@ def _build_placement(args, lib: PresetLibrary) -> Placement:
     for flag in _FIELD_FLAGS.values():
         value = getattr(args, flag[2:].replace("-", "_"))
         if flag in required and not value:
-            build_parser().error(f"{args.placement} placement requires "
-                                 + " and ".join(required))
+            raise ValueError(f"{args.placement} placement requires "
+                             + " and ".join(required))
         if flag not in required and value is not None:
-            build_parser().error(
-                f"{args.placement} placement does not use {flag}")
+            raise ValueError(f"{args.placement} placement does not use {flag}")
     return Placement(
         args.placement, hw,
         device_hw=args.device_hw and lib.accelerator(args.device_hw),

@@ -1,8 +1,9 @@
-"""Network links, payloads, and transfer-time arithmetic.
+"""Network links and transfer-time arithmetic.
 
-A transfer costs a fixed one-way base latency plus serialization at the
-effective (efficiency-scaled) bandwidth of the payload's direction.  Paths of
-one or two hops (device -> edge, or device -> edge -> cloud) sum per hop.
+A transfer of a byte count costs a fixed one-way base latency plus
+serialization at the link's effective rate in that direction: bandwidth
+times efficiency.  Paths of one or two hops (device -> edge, or device ->
+edge -> cloud) sum per hop.
 """
 
 from __future__ import annotations
@@ -11,14 +12,11 @@ import math
 from typing import Sequence
 
 from .record import Record, set_field
-from .workload import TransformerConfig, VlaModelSpec, kv_bytes_per_token
-
-UPLOAD = "upload"
-DOWNLOAD = "download"
-DIRECTIONS = (UPLOAD, DOWNLOAD)
+from .workload import VlaModelSpec
 
 # Calibrated wire size of one compressed multi-camera observation (JPEG-class
-# compression of three 224x224 RGB frames plus proprioception).
+# compression of three 224x224 RGB frames plus proprioception).  Every
+# policy uploads it once per step.
 COMPRESSED_OBSERVATION_BYTES = 46_500
 
 # Actions travel as float32 values.
@@ -47,55 +45,24 @@ class NetworkConfig(Record):
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"{self.name}: efficiency must be in (0, 1]")
 
-    def bandwidth(self, direction: str) -> float:
-        if direction == UPLOAD:
-            return self.upload_bw
-        if direction == DOWNLOAD:
-            return self.download_bw
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    def rate(self, upload: bool) -> float:
+        """Effective bits/s toward the server (``upload``) or back."""
+        return (self.upload_bw if upload else self.download_bw) * self.efficiency
 
 
-class Payload(Record):
-    """Bytes moving in one direction."""
-
-    __slots__ = ("bytes", "direction")
-
-    def __init__(self, bytes: int, direction: str) -> None:
-        set_field(self, "bytes", bytes)
-        set_field(self, "direction", direction)
-        if self.bytes < 0:
-            raise ValueError("payload bytes must be >= 0")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
+def transfer_time(nbytes: int, net: NetworkConfig, upload: bool) -> float:
+    """Seconds to move ``nbytes`` across one link, up or down."""
+    if nbytes < 0:
+        raise ValueError("a transfer moves >= 0 bytes")
+    return net.base_latency + nbytes * 8 / net.rate(upload)
 
 
-def transfer_time(payload: Payload, net: NetworkConfig) -> float:
-    """Seconds to move a payload across one link."""
-    bw = net.bandwidth(payload.direction) * net.efficiency
-    return net.base_latency + payload.bytes * 8 / bw
+def path_time(nbytes: int, hops: Sequence[NetworkConfig],
+              upload: bool) -> float:
+    """Seconds to move ``nbytes`` across every link of a path, in order."""
+    return sum(transfer_time(nbytes, hop, upload) for hop in hops)
 
 
-def path_time(payload: Payload, hops: Sequence[NetworkConfig]) -> float:
-    """Seconds to move a payload across every link of a path, in order."""
-    return sum(transfer_time(payload, hop) for hop in hops)
-
-
-def observation_payload(spec: VlaModelSpec) -> Payload:
-    """The per-step observation upload (camera frames + proprioception).
-
-    Every policy ships the same calibrated compressed observation.
-    """
-    return Payload(COMPRESSED_OBSERVATION_BYTES, UPLOAD)
-
-
-def action_payload(spec: VlaModelSpec) -> Payload:
+def action_bytes(spec: VlaModelSpec) -> int:
     """The per-step action download: one chunk of DoF values."""
-    return Payload(spec.chunk_size * spec.action_dof * ACTION_VALUE_BYTES,
-                   DOWNLOAD)
-
-
-def kv_payload(tokens: int, cfg: TransformerConfig) -> Payload:
-    """A KV-cache shipment for ``tokens`` tokens of one stack's cache."""
-    if tokens < 0:
-        raise ValueError("tokens must be >= 0")
-    return Payload(tokens * kv_bytes_per_token(cfg), DOWNLOAD)
+    return spec.chunk_size * spec.action_dof * ACTION_VALUE_BYTES

@@ -52,7 +52,7 @@ ON_DEVICE = "on-device"
 EDGE_SERVER = "edge-server"
 CLOUD_SERVER = "cloud-server"
 COLLABORATIVE = "collaborative"
-# The optional Placement fields that each kind reads; it takes no other.
+# The optional Placement fields that each kind needs; it takes no other.
 PLACEMENT_FIELDS = {ON_DEVICE: (), EDGE_SERVER: ("access_net",),
                     CLOUD_SERVER: ("access_net", "cloud_net"),
                     COLLABORATIVE: ("access_net", "device_hw")}
@@ -97,26 +97,17 @@ class Placement(Record):
         set_field(self, "cloud_net", cloud_net)
         if self.kind not in PLACEMENT_KINDS:
             raise ValueError(f"kind must be one of {PLACEMENT_KINDS}")
-        if self.kind in (EDGE_SERVER, COLLABORATIVE) and self.access_net is None:
-            raise ValueError(f"{self.kind} placement needs a network")
-        if self.kind == CLOUD_SERVER and (self.access_net is None
-                                          or self.cloud_net is None):
-            raise ValueError("cloud-server placement needs access and cloud links")
-        if self.kind == COLLABORATIVE and self.device_hw is None:
-            raise ValueError("collaborative placement needs a device accelerator")
-        for field in ("device_hw", "access_net", "cloud_net"):
-            if (field not in PLACEMENT_FIELDS[self.kind]
-                    and getattr(self, field) is not None):
-                raise ValueError(f"{self.kind} placement does not use {field}")
+        used = PLACEMENT_FIELDS[self.kind]
+        for field in ("access_net", "cloud_net", "device_hw"):
+            if (field in used) != (getattr(self, field) is not None):
+                verb = "needs" if field in used else "does not use"
+                raise ValueError(f"{self.kind} placement {verb} {field}")
 
     def network_path(self) -> tuple[NetworkConfig, ...]:
         """The links between robot and server, robot side first; empty on
         the device."""
-        if self.kind == ON_DEVICE:
-            return ()
-        if self.kind == CLOUD_SERVER:
-            return (self.access_net, self.cloud_net)
-        return (self.access_net,)
+        return tuple(net for net in (self.access_net, self.cloud_net)
+                     if net is not None)
 
     def describe(self) -> str:
         if self.kind == ON_DEVICE:
@@ -251,7 +242,9 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
         notes = (f"server holds {server_bytes / roofline.GIB:.2f} GB, "
                  f"device {device_bytes / roofline.GIB:.2f} GB",)
         needs = ((server_bytes, hw), (device_bytes, action_hw))
+        download = ("kv_download", prefix_kv)
     else:
+        download = ("action_download", netmodel.action_bytes(spec))
         footprint = roofline.memory_footprint(spec, context_timestep)
         needs = ((footprint, hw),)
     for need, capacity_hw in needs:
@@ -265,13 +258,9 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
     path = placement.network_path()
     if path:
         network["observation_upload"] = netmodel.path_time(
-            netmodel.observation_payload(spec), path)
-        if placement.kind == COLLABORATIVE:
-            network["kv_download"] = netmodel.path_time(
-                netmodel.kv_payload(spec.prefix_tokens(), spec.vlm), path)
-        else:
-            network["action_download"] = netmodel.path_time(
-                netmodel.action_payload(spec), path)
+            netmodel.COMPRESSED_OBSERVATION_BYTES, path, upload=True)
+        leg, nbytes = download
+        network[leg] = netmodel.path_time(nbytes, path, upload=False)
     e2e = sum(latencies.values()) + sum(network.values())
 
     return ScenarioResult(
@@ -329,11 +318,11 @@ def async_scenario(spec: VlaModelSpec, placement: Placement,
 
     gpu_time = sum(result.phase_latencies.values())
     rates = [1.0 / gpu_time]
-    obs = netmodel.observation_payload(spec)
-    act = netmodel.action_payload(spec)
+    up_bits = 8 * netmodel.COMPRESSED_OBSERVATION_BYTES
+    down_bits = 8 * netmodel.action_bytes(spec)
     for hop in placement.network_path():
-        rates.append(hop.upload_bw * hop.efficiency / (8 * obs.bytes))
-        rates.append(hop.download_bw * hop.efficiency / (8 * act.bytes))
+        rates.append(hop.rate(upload=True) / up_bits)
+        rates.append(hop.rate(upload=False) / down_bits)
     return replace(result, async_frequency=min(rates))
 
 

@@ -13,8 +13,6 @@ import pytest
 
 from vla_roofline import (
     GIB,
-    UPLOAD,
-    Payload,
     Placement,
     async_scenario,
     dual_system_scenario,
@@ -227,9 +225,9 @@ def test_c10_model_invariants_and_parallel_determinism(lib):
     # Affine transfer law across every bundled link.
     for name in sorted(lib.networks):
         net = lib.network(name)
-        t_small = transfer_time(Payload(10_000, UPLOAD), net)
-        t_big = transfer_time(Payload(90_000, UPLOAD), net)
-        t_sum = transfer_time(Payload(100_000, UPLOAD), net)
+        t_small = transfer_time(10_000, net, upload=True)
+        t_big = transfer_time(90_000, net, upload=True)
+        t_sum = transfer_time(100_000, net, upload=True)
         assert t_sum == pytest.approx(t_small + t_big - net.base_latency,
                                       rel=1e-12)
 

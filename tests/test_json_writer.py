@@ -1,8 +1,8 @@
 """The CLI's JSON writers write the bytes of ``json.dumps(payload,
-indent=2, allow_nan=False)``: ``_json_text`` for payloads in the shapes the
-four commands print and for any nesting of JSON values, and ``_json_rows``
-for rows of scalars under column names, such as sweep rows and golden
-cells."""
+indent=2, allow_nan=False)``: ``_json_text`` for the payloads ``analyze``,
+``list-presets`` and ``reproduce`` give it and for any nesting of JSON
+values in which only dicts hold containers, and ``_json_rows`` for rows of
+scalars under column names, such as sweep rows and golden cells."""
 
 import json
 import math
@@ -30,31 +30,17 @@ INTS = st.one_of(st.integers(), st.sampled_from([2 ** 53 + 1, -2 ** 64,
 SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, STRINGS)
 KEYS = st.one_of(STRINGS, st.sampled_from(["model", "e2e_latency_ms"]))
 
-# One strategy per command's payload shape.
+# One strategy per payload shape a command gives ``_json_text``.
 RECORDS = st.dictionaries(KEYS, SCALARS, max_size=8)
-
-
-@st.composite
-def sweep_rows(draw):
-    columns = draw(st.lists(KEYS, min_size=1, max_size=6, unique=True))
-    return draw(st.lists(st.fixed_dictionaries(
-        {column: SCALARS for column in columns}), max_size=5))
-
-
-CELLS = st.fixed_dictionaries({column: STRINGS for column in (
-    "label", "unit", "modeled", "reference", "error", "status")})
-TABLES = st.lists(st.fixed_dictionaries({
-    "table": STRINGS, "passed": st.booleans(),
-    "cells": st.lists(CELLS, max_size=3)}), max_size=3)
 PRESET_NAMES = st.fixed_dictionaries({group: st.lists(STRINGS, max_size=3)
                                       for group in ("models", "components",
                                                     "hardware", "networks")})
-# Any nesting, empty dicts and lists included.
+# Any nesting in which only dicts hold containers, empty ones included.
 TREES = st.recursive(SCALARS, lambda children: st.one_of(
-    st.lists(children, max_size=4), st.dictionaries(KEYS, children,
-                                                    max_size=4)),
+    st.lists(SCALARS, max_size=4), st.dictionaries(KEYS, children,
+                                                   max_size=4)),
     max_leaves=12)
-PAYLOADS = st.one_of(RECORDS, sweep_rows(), TABLES, PRESET_NAMES, TREES)
+PAYLOADS = st.one_of(RECORDS, PRESET_NAMES, TREES)
 
 
 def _dumps(payload) -> str:
@@ -68,9 +54,8 @@ def test_writer_matches_json_dumps(payload):
 
 
 @pytest.mark.parametrize("payload", [
-    {}, [], [{}], [[]], {"a": {}}, [{"a": 1}, {}], [{"a": []}],
+    {}, [], {"a": {}}, {"a": []}, {"a": {"b": []}, "c": [1]},
     -0.0, 5e-324, 1e16, 1e308, 2 ** 53 + 1, True, None, "},\n  {",
-    [{"a": "},\n  {", "b": 1}, {"a": "}", "b": "{"}],
     {"models": [], "hardware": ["b100", "thor"]},
 ])
 def test_writer_matches_json_dumps_on_edge_cases(payload):
@@ -121,8 +106,8 @@ def test_row_writer_matches_json_dumps_on_edge_cases(rows):
 
 @pytest.mark.parametrize("rows", [
     [[1, [1, 2]]], [[{"a": 1, "b": 2}, "x"]], [["x"], ["y", "z"]],
-    [[math.nan, 1]], [[1, math.inf]],
-], ids=["list", "dict", "short-row", "nan", "inf"])
+    [[math.nan, 1]], [[1, math.inf]], [[1.0, 2.0], [3.0, -math.inf]],
+], ids=["list", "dict", "short-row", "nan", "inf", "-inf-second-row"])
 def test_row_writer_rejects_values_that_are_not_one_finite_scalar(rows):
     with pytest.raises(ValueError):
         _json_rows(["a", "b"], rows)
@@ -132,10 +117,9 @@ def test_row_writer_rejects_values_that_are_not_one_finite_scalar(rows):
 @pytest.mark.parametrize("wrap", [
     lambda x: x,
     lambda x: {"e2e_latency_ms": x},
-    lambda x: [{"a": 1.0}, {"a": x}],
-    lambda x: [{"table": "T1", "cells": [{"modeled": x}]}],
+    lambda x: [1.0, x],
     lambda x: {"models": [1.0, x]},
-], ids=["scalar", "record", "rows", "tables", "nested"])
+], ids=["scalar", "record", "list", "nested"])
 def test_writer_rejects_non_finite_numbers(bad, wrap):
     with pytest.raises(ValueError):
         _json_text(wrap(bad))

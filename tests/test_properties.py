@@ -20,12 +20,10 @@ from hypothesis import strategies as st
 from vla_roofline import (
     COMPUTE_BOUND,
     MEMORY_BOUND,
-    UPLOAD,
     AcceleratorConfig,
     NetworkConfig,
     Operator,
     OperatorGraph,
-    Payload,
     Placement,
     VLM,
     async_scenario,
@@ -178,11 +176,12 @@ def test_runs_are_distinct_positive_and_first_seen(runs, n):
 
 @given(net=networks,
        a=st.integers(min_value=0, max_value=10**9),
-       b=st.integers(min_value=0, max_value=10**9))
-def test_transfer_time_is_affine_in_bytes(net, a, b):
-    t_a = transfer_time(Payload(a, UPLOAD), net)
-    t_b = transfer_time(Payload(b, UPLOAD), net)
-    t_ab = transfer_time(Payload(a + b, UPLOAD), net)
+       b=st.integers(min_value=0, max_value=10**9),
+       upload=st.booleans())
+def test_transfer_time_is_affine_in_bytes(net, a, b, upload):
+    t_a = transfer_time(a, net, upload)
+    t_b = transfer_time(b, net, upload)
+    t_ab = transfer_time(a + b, net, upload)
     assert t_ab == pytest.approx(t_a + t_b - net.base_latency, rel=1e-9)
     assert t_a >= net.base_latency
 

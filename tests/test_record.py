@@ -16,7 +16,6 @@ import pytest
 
 from vla_roofline import golden
 from vla_roofline.golden import LABEL, GoldenCell
-from vla_roofline.netmodel import observation_payload
 from vla_roofline.opgraph import Operator, pipeline_graph
 from vla_roofline.record import replace, set_field
 from vla_roofline.scenarios import Placement, sync_scenario
@@ -35,8 +34,6 @@ RECORDS = [
                  id="AcceleratorConfig"),
     pytest.param(lambda lib: lib.network("wifi7"), "efficiency", 2.0,
                  id="NetworkConfig"),
-    pytest.param(lambda lib: observation_payload(lib.model("pi0")),
-                 "direction", "sideways", id="Payload"),
     pytest.param(lambda lib: Placement.edge_server(lib.accelerator("b100"),
                                                    lib.network("wifi7")),
                  "access_net", None, id="Placement"),

@@ -6,6 +6,8 @@ plus serialization); they are tighter than the published-table tolerances
 exercised in test_acceptance.py.
 """
 
+from itertools import combinations
+
 import pytest
 
 from vla_roofline.opgraph import ACTION, VISION, VLM
@@ -17,6 +19,8 @@ from vla_roofline.scenarios import (
     DIFFUSION,
     DECODING_VARIANTS,
     DIFFUSION_LARGE,
+    PLACEMENT_FIELDS,
+    PLACEMENT_KINDS,
     Placement,
     async_scenario,
     collaborative_scenario,
@@ -76,20 +80,59 @@ def test_network_path_has_one_or_two_hops(lib, thor, b100):
     assert Placement.collaborative(thor, b100, wifi7).network_path() == (wifi7,)
     assert (Placement.cloud_server(b100, wifi7, cloud).network_path()
             == (wifi7, cloud))
-    with pytest.raises(ValueError, match="needs a network"):
+    with pytest.raises(ValueError, match="^edge-server placement needs "
+                                         "access_net$"):
         Placement("edge-server", b100)
-    with pytest.raises(ValueError, match="access and cloud links"):
+    with pytest.raises(ValueError, match="^cloud-server placement needs "
+                                         "cloud_net$"):
         Placement("cloud-server", b100, access_net=wifi7)
-    with pytest.raises(ValueError, match="edge-server placement does not "
-                                         "use device_hw"):
+    with pytest.raises(ValueError, match="^edge-server placement does not "
+                                         "use device_hw$"):
         Placement("edge-server", b100, access_net=wifi7, device_hw=thor)
-    with pytest.raises(ValueError, match="on-device placement does not use "
-                                         "access_net"):
+    with pytest.raises(ValueError, match="^on-device placement does not use "
+                                         "access_net$"):
         Placement("on-device", thor, access_net=wifi7)
-    with pytest.raises(ValueError, match="collaborative placement does not "
-                                         "use cloud_net"):
+    with pytest.raises(ValueError, match="^collaborative placement does not "
+                                         "use cloud_net$"):
         Placement("collaborative", b100, device_hw=thor, access_net=wifi7,
                   cloud_net=cloud)
+    with pytest.raises(ValueError, match="^kind must be one of"):
+        Placement("orbit", b100)
+
+
+# Placement checks its optional fields in this order.
+OPTIONAL_FIELDS = ("access_net", "cloud_net", "device_hw")
+# What each kind's network_path() is, by the links given.
+PATHS = {"on-device": (), "edge-server": ("access_net",),
+         "cloud-server": ("access_net", "cloud_net"),
+         "collaborative": ("access_net",)}
+
+
+@pytest.mark.parametrize("kind", PLACEMENT_KINDS)
+@pytest.mark.parametrize("given", [
+    subset for size in range(len(OPTIONAL_FIELDS) + 1)
+    for subset in combinations(OPTIONAL_FIELDS, size)],
+    ids=lambda given: "+".join(given) or "none")
+def test_placement_builds_only_with_its_kinds_fields(lib, thor, b100, kind,
+                                                     given):
+    """Every kind with each of the 8 subsets of its optional fields: it
+    builds only from exactly ``PLACEMENT_FIELDS[kind]``, and otherwise names
+    the first field, in checking order, that is missing or not used."""
+    values = {"access_net": lib.network("wifi7"),
+              "cloud_net": lib.network("fast-cloud"), "device_hw": thor}
+    fields = {field: values[field] for field in given}
+    used = PLACEMENT_FIELDS[kind]
+    if set(given) == set(used):
+        placement = Placement(kind, b100, **fields)
+        assert placement.network_path() == tuple(values[field]
+                                                 for field in PATHS[kind])
+        return
+    first = next(field for field in OPTIONAL_FIELDS
+                 if (field in used) != (field in given))
+    verb = "needs" if first in used else "does not use"
+    with pytest.raises(ValueError) as raised:
+        Placement(kind, b100, **fields)
+    assert str(raised.value) == f"{kind} placement {verb} {first}"
 
 
 SERVER_ROWS = [
