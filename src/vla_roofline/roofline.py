@@ -2,11 +2,12 @@
 
 Every operator is priced as ``max(flops / peak, bytes / bandwidth)`` and a
 graph's latency is the sum over its operators, i.e. kernels run back to back
-and each one is limited by whichever hardware ceiling it hits first.  One
-loop, :func:`price_phase`, adds those times over ``(operator, count)`` runs;
-:func:`op_time` is its per-operator reference.  Whether a whole *phase* is
-compute- or memory-bound is decided on its aggregate operational intensity
-(total FLOPs / total bytes) against the accelerator's balance point.
+and each one is limited by whichever hardware ceiling it hits first.  So
+:func:`price_phase` sums, as exact integers, the FLOPs of the runs that hit
+the compute wall and the bytes of those that hit the memory wall, whatever
+their order.  Whether a whole *phase* is compute- or memory-bound is decided
+on its aggregate operational intensity (total FLOPs / total bytes) against
+the accelerator's balance point.
 """
 
 from __future__ import annotations
@@ -130,20 +131,20 @@ def price_phase(ops: Iterable[Run], hw: AcceleratorConfig,
                 ) -> tuple[float, int, int]:
     """Seconds, FLOPs and bytes of one phase's runs on ``hw``.
 
-    Each run adds its count times its operator's :func:`op_time` in run
-    order, so the seconds are bit for bit those of the phase's runs inside a
-    whole graph; FLOPs and bytes are exact integers.
+    Compute-bound runs (by :func:`op_time`'s test) add FLOPs, the others
+    bytes, to exact integer sums; the seconds are those sums over the peak
+    and the bandwidth, whatever the order or split of the runs.
     """
     peak, bandwidth = hw.peak_flops, hw.mem_bandwidth
-    seconds, flops, data = 0.0, 0, 0
+    compute_flops, memory_bytes, flops, data = 0, 0, 0, 0
     for op, count in ops:
-        # op_time inlined: the same two quotients and the same comparison.
-        t_compute = op.flops / peak
-        t_memory = op.bytes / bandwidth
-        seconds += count * (t_compute if t_compute > t_memory else t_memory)
+        if op.flops / peak > op.bytes / bandwidth:
+            compute_flops += op.flops * count
+        else:
+            memory_bytes += op.bytes * count
         flops += op.flops * count
         data += op.bytes * count
-    return seconds, flops, data
+    return compute_flops / peak + memory_bytes / bandwidth, flops, data
 
 
 def phase_hardware(hw: AcceleratorConfig,
@@ -160,9 +161,9 @@ def phase_hardware(hw: AcceleratorConfig,
 def figure_phase(runs: Iterable[Run], hw: AcceleratorConfig,
                  ) -> tuple[float, float, str]:
     """Seconds, operational intensity and bound of one phase's runs on
-    ``hw``: the seconds of :func:`price_phase`, and a label that reads only
-    ``hw``'s peak and bandwidth.  Raises ``ValueError`` if the runs move
-    zero bytes."""
+    ``hw``: the wall sums of :func:`price_phase`, and a label that reads
+    only ``hw``'s peak and bandwidth.  Raises ``ValueError`` if the runs
+    move zero bytes."""
     seconds, flops, data = price_phase(runs, hw)
     oi = _intensity(flops, data)
     return seconds, oi, _label(oi, hw)
@@ -178,9 +179,9 @@ def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
     phase-keyed dicts (seconds, FLOP/byte, label) in ``PHASES`` order,
     covering only phases that actually have operators.
 
-    Each phase's runs are figured by :func:`figure_phase` in graph order, so
-    its latency is bit for bit ``graph_time(graph.subgraph(phase),
-    phase_hw)``, and its FLOP and byte totals are exact integers.
+    Each phase's runs are figured by :func:`figure_phase`, so its latency
+    is ``graph_time(graph.subgraph(phase), phase_hw)``: the phase's
+    compute-wall plus memory-wall seconds.
     """
     hardware = phase_hardware(hw, action_hw)
     runs: dict[str, list[Run]] = {}

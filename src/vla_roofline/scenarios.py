@@ -198,10 +198,7 @@ def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
     args)]`` of :func:`opgraph.phase_builds`, as :func:`opgraph.build`
     fills it, holds a phase's non-zero runs and their
     :func:`roofline.figure_phase` under each ``(peak_flops,
-    mem_bandwidth)``, the only accelerator figures it reads.  A phase
-    builder emits each distinct operator in one run, so these are the runs
-    a graph merge keeps, in run order, and the floats are the graph's, bit
-    for bit."""
+    mem_bandwidth)``, the only accelerator figures it reads."""
     if memo is None:
         memo = {}
     hardware = roofline.phase_hardware(hw, action_hw)

@@ -39,8 +39,9 @@ AUTOREGRESSIVE = "autoregressive"
 AUTOREGRESSIVE_PARALLEL = "autoregressive_parallel"
 DECODING_MODES = (DIFFUSION, AUTOREGRESSIVE, AUTOREGRESSIVE_PARALLEL)
 
-# The largest integer a float holds exactly.  Counts are priced in float
-# arithmetic, so a larger one is rejected rather than priced inexactly.
+# The largest integer a float holds exactly.  Phase pricing multiplies counts
+# as integers, but wall sums, byte counts and footprints are read as floats
+# once divided, so a larger count is rejected rather than priced inexactly.
 MAX_COUNT = 2 ** 53
 
 

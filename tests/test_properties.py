@@ -41,7 +41,13 @@ from vla_roofline import (
 from vla_roofline import cli, opgraph
 from vla_roofline.opgraph import ACTION, PHASES
 from vla_roofline.record import replace, set_field
-from vla_roofline.roofline import boundedness, graph_oi, phase_breakdown
+from vla_roofline.roofline import (
+    boundedness,
+    figure_phase,
+    graph_oi,
+    phase_breakdown,
+    price_phase,
+)
 from vla_roofline.scenarios import (
     CLOUD_SERVER,
     COLLABORATIVE,
@@ -151,6 +157,33 @@ def test_run_graph_prices_like_its_flat_operator_list(runs, hw):
     for phase, seconds in reference.items():
         assert graph_time(graph.subgraph(phase), hw) == pytest.approx(
             seconds, rel=1e-12, abs=0.0)
+
+
+_counts = st.integers(min_value=0, max_value=300)
+
+# Added up in float, these runs' times give 0.01 in this order and
+# 0.010000000000000002 reversed.
+_ORDER_SENSITIVE_RUNS = [
+    (Operator(label=label, flops=10**12, bytes=0, phase=VLM), count)
+    for label, count in (("q_proj", 1), ("attn_out", 1), ("ffn_up", 8))]
+
+
+@given(runs_and_order=run_lists.flatmap(
+           lambda runs: st.tuples(st.just(runs), st.permutations(runs))),
+       hw=accelerators)
+@example(runs_and_order=(_ORDER_SENSITIVE_RUNS, _ORDER_SENSITIVE_RUNS[::-1]),
+         hw=AcceleratorConfig("hw", 1e15, 1e12, 1))
+def test_phase_pricing_ignores_the_order_of_its_runs(runs_and_order, hw):
+    runs, permuted = runs_and_order
+    assert price_phase(permuted, hw) == price_phase(runs, hw)
+
+
+@given(runs=run_lists, op=small_operators, a=_counts, b=_counts,
+       at=st.integers(min_value=0, max_value=12), hw=accelerators)
+def test_splitting_a_run_leaves_phase_pricing_unchanged(runs, op, a, b, at, hw):
+    whole = runs[:at] + [(op, a + b)] + runs[at:]
+    split = runs[:at] + [(op, a), (op, b)] + runs[at:]
+    assert price_phase(split, hw) == price_phase(whole, hw)
 
 
 @given(runs=run_lists, n=st.integers(min_value=0, max_value=20))
@@ -328,6 +361,36 @@ def test_faster_compute_only_helps_compute_bound_operators(op, hw, scale):
         assert after == before  # the memory wall did not move
 
 
+_scale_exponents = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+def _scaled(hw, factor):
+    return replace(hw, peak_flops=hw.peak_flops * factor,
+                   mem_bandwidth=hw.mem_bandwidth * factor)
+
+
+@given(runs=run_lists, hw=accelerators, j=_scale_exponents)
+def test_scaling_peak_and_bandwidth_divides_phase_seconds_exactly(runs, hw, j):
+    assume(sum(op.bytes * count for op, count in runs) > 0)
+    seconds, oi, label = figure_phase(runs, hw)
+    assert figure_phase(runs, _scaled(hw, 2.0 ** j)) == (seconds / 2.0 ** j,
+                                                        oi, label)
+
+
+@given(runs=run_lists, hw=accelerators,
+       peak_scale=st.floats(min_value=1.0, max_value=100.0),
+       bandwidth_scale=st.floats(min_value=1.0, max_value=100.0))
+def test_phase_seconds_never_rise_as_peak_or_bandwidth_grows(
+        runs, hw, peak_scale, bandwidth_scale):
+    seconds = price_phase(runs, hw)[0]
+    faster = replace(hw, peak_flops=hw.peak_flops * peak_scale)
+    wider = replace(hw, mem_bandwidth=hw.mem_bandwidth * bandwidth_scale)
+    assert price_phase(runs, faster)[0] <= seconds
+    assert price_phase(runs, wider)[0] <= seconds
+    assert price_phase(runs, replace(faster, mem_bandwidth=wider.mem_bandwidth)
+                       )[0] <= seconds
+
+
 _LIB = load_presets()
 
 
@@ -397,6 +460,22 @@ def test_phase_breakdown_prices_each_phase_like_its_subgraph(
     assert list(latencies) == list(intensity) == list(labels) == list(expected)
     assert {phase: (latencies[phase], intensity[phase], labels[phase])
             for phase in latencies} == expected
+
+
+@given(model=st.sampled_from(sorted(_LIB.models)),
+       hw=st.one_of(preset_accelerators, accelerators), j=_scale_exponents)
+@settings(max_examples=40, deadline=None)
+def test_scaling_the_device_divides_on_device_latencies_exactly(model, hw, j):
+    spec = _LIB.model(model)
+    base = sync_scenario(spec, Placement.on_device(hw))
+    assume(base.feasible)
+    scaled = sync_scenario(spec, Placement.on_device(_scaled(hw, 2.0 ** j)))
+    assert scaled.phase_latencies == {
+        phase: seconds / 2.0 ** j
+        for phase, seconds in base.phase_latencies.items()}
+    assert scaled.e2e_latency == base.e2e_latency / 2.0 ** j
+    assert scaled.operational_intensity == base.operational_intensity
+    assert scaled.boundedness == base.boundedness
 
 
 preset_networks = st.sampled_from(sorted(_LIB.networks)).map(_LIB.network)
@@ -694,4 +773,4 @@ def test_sweep_results_identical_under_thread_pool():
     serial = [evaluate(p) for p in points]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(evaluate, points))
-    assert serial == threaded  # bit-identical dataclasses, not approx
+    assert serial == threaded  # equal records, not approx
