@@ -37,6 +37,9 @@ Expert kernels (diffusion action expert)
     matrix.  Old context beyond the fresh prefix is streamed exactly once.
     The gated FFN fuses like a context kernel.
 
+The prefill and both decoders attend the tokens of :func:`cached_tokens`,
+the one token ledger, whose KV the footprint in :mod:`roofline` keeps.
+
 All counts are exact integers; a matmul of shape (m, k) x (k, n) costs
 ``2*m*n*k`` FLOPs and ``p*(m*k + k*n + m*n)`` bytes at ``p`` bytes per
 element.
@@ -318,14 +321,15 @@ def diffusion_runs(layer: list[Run], cfg_action: TransformerConfig,
 # ---------------------------------------------------------------------------
 
 
-def context_history(spec: VlaModelSpec,
-                    context_timestep: Optional[int]) -> int:
-    """Camera tokens of the earlier steps that a step at ``context_timestep``
-    keeps in cache; ``None`` (or 1) is the stateless baseline."""
+def cached_tokens(spec: VlaModelSpec,
+                  context_timestep: Optional[int] = None) -> int:
+    """The token ledger: the VLM tokens whose KV control step
+    ``context_timestep`` holds, the fresh prefix plus every earlier step's
+    camera tokens; ``None`` (or 1) is the stateless baseline."""
     t = 1 if context_timestep is None else context_timestep
     if t < 1:
-        raise ValueError("context_timestep must be >= 1")
-    return spec.vision_tokens() * (t - 1)
+        raise ValueError("context_timesteps must be >= 1")
+    return spec.prefix_tokens() + spec.vision_tokens() * (t - 1)
 
 
 def vision_runs(encoder: TransformerConfig, num_cameras: int,
@@ -348,11 +352,12 @@ def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,
     builder repeats: diffusion's expert layer, token decoding's one-token
     step.  Each builder is looked up when this is called.
 
-    The VLM prefills the fresh prefix over any cached history, and the
-    action phase attends both under the spec's decoding mode.
+    The VLM prefills the fresh prefix over the rest of :func:`cached_tokens`,
+    and the action phase attends all of them by the spec's decoding mode.
     """
-    history = context_history(spec, context_timestep)
     prefix = spec.prefix_tokens()
+    cached = cached_tokens(spec, context_timestep)
+    history = cached - prefix
     if spec.decoding_mode == DIFFUSION:
         layer = (_expert_layer, (spec.action_expert, spec.chunk_size, prefix,
                                  history, spec.vlm.kv_width,
@@ -360,11 +365,11 @@ def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,
         action = (diffusion_runs, (layer, spec.action_expert, spec.chunk_size,
                                    spec.denoise_steps, spec.action_dof))
     elif spec.decoding_mode == AUTOREGRESSIVE:
-        step = (parallel_decode_runs, (spec.vlm, 1, prefix + history))
+        step = (parallel_decode_runs, (spec.vlm, 1, cached))
         action = (token_decode_runs, (step, spec.action_tokens()))
     else:  # VlaModelSpec admits no other mode than the three decoders.
         action = (parallel_decode_runs, (spec.vlm, spec.action_tokens(),
-                                         prefix + history))
+                                         cached))
     return {
         VISION: (vision_runs, (spec.vision_encoder, spec.num_cameras,
                                spec.tokens_per_image, spec.vlm.hidden_size)),
@@ -391,10 +396,9 @@ def pipeline_graph(spec: VlaModelSpec,
                    context_timestep: Optional[int] = None) -> OperatorGraph:
     """The complete control-step graph: vision, VLM prefill, action phase.
 
-    ``context_timestep`` enables the long-context regime: at step ``t`` the
-    VLM keeps the camera tokens of all ``t - 1`` earlier steps in cache, the
-    fresh prefix attends that history, and the action phase attends the full
-    accumulated context.  ``None`` (or 1) is the stateless baseline.
+    ``context_timestep`` enables the long-context regime: the fresh prefix
+    attends the camera history of :func:`cached_tokens`, and the action
+    phase attends all of it.  ``None`` (or 1) is the stateless baseline.
     """
     # The one merge of all the phases' runs.
     return OperatorGraph(

@@ -7,7 +7,8 @@ and each one is limited by whichever hardware ceiling it hits first.  So
 the compute wall and the bytes of those that hit the memory wall, whatever
 their order.  Whether a whole *phase* is compute- or memory-bound is decided
 on its aggregate operational intensity (total FLOPs / total bytes) against
-the accelerator's balance point.
+the accelerator's balance point.  The footprint is the weights plus the KV
+of every token in :func:`opgraph.cached_tokens`, the ledger attention reads.
 """
 
 from __future__ import annotations
@@ -101,24 +102,20 @@ def boundedness(graph: OperatorGraph, hw: AcceleratorConfig) -> str:
 
 
 def kv_cache_bytes(spec: VlaModelSpec, context_timesteps: int) -> int:
-    """Live KV-cache bytes after ``context_timesteps`` long-context steps,
-    in which only the camera tokens of each step are retained."""
-    if context_timesteps < 1:
-        raise ValueError("context_timesteps must be >= 1")
-    return spec.vision_tokens() * context_timesteps * kv_bytes_per_token(spec.vlm)
+    """The paper's camera-only T6 KV count after ``context_timesteps``
+    steps: :func:`opgraph.cached_tokens` less the language prompt, 576 KiB
+    under the footprint's KV for pi0 (32 tokens of 18,432 B)."""
+    return ((opgraph.cached_tokens(spec, context_timesteps)
+             - spec.language_tokens) * kv_bytes_per_token(spec.vlm))
 
 
 def memory_footprint(spec: VlaModelSpec,
                      context_timesteps: Optional[int] = None) -> int:
-    """Resident bytes: all component weights plus the live VLM KV cache.
-
-    Stateless serving (``context_timesteps=None``) caches one fresh prefix;
-    the long-context regime caches :func:`kv_cache_bytes`.
-    """
+    """Resident bytes: all component weights plus the VLM KV of every
+    :func:`opgraph.cached_tokens` token, so ``None`` and 1 are equal."""
     weights = sum(weight_bytes(c) for c in spec.components())
-    if context_timesteps is None:
-        return weights + spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
-    return weights + kv_cache_bytes(spec, context_timesteps)
+    return weights + (opgraph.cached_tokens(spec, context_timesteps)
+                      * kv_bytes_per_token(spec.vlm))
 
 
 def fits(spec: VlaModelSpec, hw: AcceleratorConfig,

@@ -184,8 +184,7 @@ def check_scenario(spec: VlaModelSpec, placement: Placement,
         if spec.decoding_mode != DIFFUSION:
             raise ValueError(
                 "collaborative serving requires a diffusion action expert")
-    if context_timestep is not None and context_timestep < 1:
-        raise ValueError("context_timesteps must be >= 1")
+    opgraph.cached_tokens(spec, context_timestep)  # raises below step 1
     check_count(spec.name, "context_timesteps", context_timestep)
 
 
@@ -231,7 +230,7 @@ def sync_scenario(spec: VlaModelSpec, placement: Placement,
     hw, action_hw, notes = placement.hw, None, ()
     if placement.kind == COLLABORATIVE:
         action_hw = placement.device_hw
-        prefix_kv = spec.prefix_tokens() * kv_bytes_per_token(spec.vlm)
+        prefix_kv = opgraph.cached_tokens(spec) * kv_bytes_per_token(spec.vlm)
         server_bytes = (weight_bytes(spec.vision_encoder)
                         + weight_bytes(spec.vlm) + prefix_kv)
         device_bytes = weight_bytes(spec.action_expert) + prefix_kv

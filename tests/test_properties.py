@@ -45,6 +45,7 @@ from vla_roofline.roofline import (
     boundedness,
     figure_phase,
     graph_oi,
+    memory_footprint,
     phase_breakdown,
     price_phase,
 )
@@ -647,6 +648,156 @@ def test_sync_sweep_equals_sync_scenario_at_every_point(
     placement = _placement(kind, hw, device_hw, net, cloud_net)
     assert sync_sweep(points, placement) == [
         sync_scenario(spec, placement, t) for spec, t in points]
+
+
+_ROOM = 2 ** 62  # bytes: room for any point priced here
+
+
+def _lifted(hw):
+    return replace(hw, mem_capacity=_ROOM)
+
+
+@pytest.mark.parametrize("kind", (ON_DEVICE, EDGE_SERVER))
+def test_the_first_context_step_is_the_stateless_baseline(kind):
+    """Step 1 caches no earlier camera step, so it prices, footprint and
+    all, like the stateless point, fitting or not."""
+    net = _LIB.network("wifi7")
+    for model, variant, name in product(sorted(_LIB.models),
+                                        DECODING_VARIANTS,
+                                        sorted(_LIB.hardware)):
+        spec = decoding_variant_spec(_LIB.model(model), variant)
+        placement = _placement(kind, _LIB.accelerator(name), None, net, None)
+        assert sync_scenario(spec, placement, 1) == sync_scenario(
+            spec, placement), (model, variant, name)
+
+
+def _attended(action):
+    """The VLM tokens that an action phase's ``(builder, args)`` attends."""
+    builder, args = action
+    if builder is opgraph.parallel_decode_runs:
+        return args[2]
+    layer_builder, layer_args = args[0]  # a decode step or an expert layer
+    if layer_builder is opgraph.parallel_decode_runs:
+        return layer_args[2]
+    return layer_args[2] + layer_args[3]  # fresh prefix plus history
+
+
+@given(model=st.sampled_from(sorted(_LIB.models)),
+       variant=st.sampled_from(DECODING_VARIANTS),
+       num_cameras=st.integers(min_value=0, max_value=4),
+       tokens_per_image=st.integers(min_value=1, max_value=512),
+       language_tokens=st.integers(min_value=1, max_value=128),
+       context_timestep=st.one_of(st.none(),
+                                  st.integers(min_value=1, max_value=10_000)))
+@settings(max_examples=40, deadline=None)
+def test_memory_and_attention_read_one_token_ledger(
+        model, variant, num_cameras, tokens_per_image, language_tokens,
+        context_timestep):
+    """The footprint holds the KV of the cached tokens that the prefill and
+    every decoder attend."""
+    spec = decoding_variant_spec(replace(
+        _LIB.model(model), num_cameras=num_cameras,
+        tokens_per_image=tokens_per_image, language_tokens=language_tokens),
+        variant)
+    cached = opgraph.cached_tokens(spec, context_timestep)
+    assert memory_footprint(spec, context_timestep) == (
+        sum(weight_bytes(c) for c in spec.components())
+        + cached * kv_bytes_per_token(spec.vlm))
+    builds = opgraph.phase_builds(spec, context_timestep)
+    _, (_, prefix, history) = builds[VLM]
+    assert prefix + history == cached == _attended(builds[ACTION])
+
+
+@pytest.mark.parametrize("variant", (DIFFUSION, DIFFUSION_LARGE))
+@pytest.mark.parametrize("model", sorted(_LIB.models))
+def test_each_side_of_a_split_holds_the_prefix_kv(model, variant):
+    """The split footprint is the single-system one plus the prefix KV once
+    more: the server and the robot each hold it."""
+    spec = decoding_variant_spec(_LIB.model(model), variant)
+    hw = _lifted(_LIB.accelerator("b100"))
+    result = collaborative_scenario(
+        spec, Placement.collaborative(hw, hw, _LIB.network("wifi7")))
+    assert result.feasible
+    assert result.footprint_bytes == memory_footprint(spec) + (
+        opgraph.cached_tokens(spec) * kv_bytes_per_token(spec.vlm))
+
+
+# Largest drawn value of each workload count; context steps grow along
+# ``_CONTEXT_STEPS``, where ``None`` is the stateless point.
+_WORKLOAD_COUNTS = {"chunk_size": 300, "denoise_steps": 20, "action_dof": 40,
+                    "num_cameras": 4, "tokens_per_image": 512,
+                    "language_tokens": 128}
+_CONTEXT_STEPS = (None, 1, 2, 10, 100, 1000, 10_000)
+_LEAST = {"denoise_steps": 0, "num_cameras": 0}  # the other counts start at 1
+
+
+def _on_device_price(model, variant, hw, counts, step):
+    spec = decoding_variant_spec(replace(_LIB.model(model), **counts),
+                                 variant)
+    result = sync_scenario(spec, Placement.on_device(hw),
+                           _CONTEXT_STEPS[step])
+    return result.e2e_latency, result.footprint_bytes
+
+
+@given(data=st.data(), model=st.sampled_from(sorted(_LIB.models)),
+       variant=st.sampled_from(DECODING_VARIANTS),
+       hw=preset_accelerators.map(_lifted))
+@settings(max_examples=60, deadline=None)
+def test_more_work_never_lowers_latency_or_footprint(data, model, variant,
+                                                     hw):
+    """On a device with room for every point, a walk that grows each
+    workload count in a drawn order, and the context steps one at a time
+    from stateless, never lowers the end-to-end latency or the
+    footprint."""
+    counts = {name: data.draw(st.integers(min_value=_LEAST.get(name, 1),
+                                          max_value=most))
+              for name, most in _WORKLOAD_COUNTS.items()}
+    last_step = data.draw(st.integers(min_value=1,
+                                      max_value=len(_CONTEXT_STEPS) - 1))
+    moves = []
+    for name in data.draw(st.permutations([*_WORKLOAD_COUNTS, "context"])):
+        if name == "context":
+            moves.extend([name] * last_step)
+        else:
+            moves.append(name)
+    step = 0
+    before = _on_device_price(model, variant, hw, counts, step)
+    for name in moves:
+        if name == "context":
+            step += 1
+        else:
+            counts[name] = data.draw(st.integers(
+                min_value=counts[name], max_value=_WORKLOAD_COUNTS[name]))
+        after = _on_device_price(model, variant, hw, counts, step)
+        assert after[0] >= before[0] and after[1] >= before[1], (
+            name, _CONTEXT_STEPS[step])
+        before = after
+
+
+@given(model=st.sampled_from(sorted(_LIB.models)),
+       variant=st.sampled_from(DECODING_VARIANTS), hw=preset_accelerators,
+       kind=st.sampled_from((ON_DEVICE, EDGE_SERVER, CLOUD_SERVER)),
+       net=preset_networks,
+       context_timestep=st.one_of(st.none(),
+                                  st.integers(min_value=1, max_value=10_000)),
+       spare=st.integers(min_value=0, max_value=2 ** 40))
+@settings(max_examples=30, deadline=None)
+def test_capacity_decides_feasibility_and_nothing_else(
+        model, variant, hw, kind, net, context_timestep, spare):
+    """A point that fits prices the same on any larger device, and one
+    byte short of its footprint it does not fit."""
+    spec = decoding_variant_spec(_LIB.model(model), variant)
+
+    def at(capacity):
+        placement = _placement(kind, replace(hw, mem_capacity=capacity),
+                               None, net, net)
+        return sync_scenario(spec, placement, context_timestep)
+
+    fitted = at(_ROOM)
+    need = fitted.footprint_bytes
+    assert at(need) == at(need + spare) == fitted
+    short = at(need - 1)
+    assert not short.feasible and short.footprint_bytes == need
 
 
 def _cli_json(*argv):

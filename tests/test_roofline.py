@@ -109,8 +109,11 @@ def test_memory_footprint_stateless(pi0):
 
 
 def test_memory_footprint_long_context(pi0):
+    # The footprint holds the 800-token prefix plus 768 camera tokens of each
+    # earlier step; the paper's T6 KV count holds camera tokens only.
     for t in (1, 10, 100, 1000, 10000):
-        assert memory_footprint(pi0, t) == 5_409_967_104 + 768 * t * 18_432
+        assert memory_footprint(pi0, t) == (
+            5_409_967_104 + (800 + 768 * (t - 1)) * 18_432)
         assert kv_cache_bytes(pi0, t) == 768 * t * 18_432
 
 
@@ -122,8 +125,8 @@ def test_fits_capacity_boundary(lib, pi0):
 
 
 def test_footprint_in_gib(lib, pi0):
-    total = memory_footprint(pi0, 100) / GIB
-    assert total == pytest.approx(6.3568, abs=5e-5)
+    total = memory_footprint(pi0, 100) / GIB  # about 6.3573
+    assert total == (5_409_967_104 + (800 + 768 * 99) * 18_432) / GIB
 
 
 def test_phase_breakdown_is_consistent_with_graph_time(lib, pi0):

@@ -10,9 +10,9 @@ from itertools import combinations
 
 import pytest
 
-from vla_roofline.opgraph import ACTION, VISION, VLM
+from vla_roofline.opgraph import ACTION, VISION, VLM, pipeline_graph
 from vla_roofline.record import replace
-from vla_roofline.roofline import kv_cache_bytes
+from vla_roofline.roofline import kv_cache_bytes, memory_footprint
 from vla_roofline.scenarios import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
@@ -23,6 +23,7 @@ from vla_roofline.scenarios import (
     PLACEMENT_KINDS,
     Placement,
     async_scenario,
+    check_scenario,
     collaborative_scenario,
     decoding_variant_spec,
     dual_system_scenario,
@@ -335,13 +336,30 @@ def test_long_context_rows(lib, pi0, b100):
     for row, t in zip(rows, timesteps):
         kv_bytes = kv_cache_bytes(pi0, t)
         assert kv_bytes == 768 * t * 18_432
-        assert row.footprint_bytes == 5_409_967_104 + kv_bytes
+        assert row.footprint_bytes == (
+            5_409_967_104 + (800 + 768 * (t - 1)) * 18_432)
         assert row.feasible
     # Step 1 with history enabled is exactly the stateless baseline.
     baseline = sync_scenario(pi0, Placement.on_device(b100))
     assert rows[0].e2e_latency == baseline.e2e_latency
     assert rows[1].e2e_latency * 1e3 == pytest.approx(3.89209, abs=1e-5)
     assert rows[3].e2e_latency * 1e3 == pytest.approx(87.17658, abs=1e-5)
+
+
+@pytest.mark.parametrize("t", (0, -1))
+@pytest.mark.parametrize("entry", ("pipeline_graph", "memory_footprint",
+                                   "kv_cache_bytes", "check_scenario"))
+def test_a_context_step_below_one_is_one_error(pi0, b100, entry, t):
+    calls = {
+        "pipeline_graph": lambda: pipeline_graph(pi0, t),
+        "memory_footprint": lambda: memory_footprint(pi0, t),
+        "kv_cache_bytes": lambda: kv_cache_bytes(pi0, t),
+        "check_scenario": lambda: check_scenario(
+            pi0, Placement.on_device(b100), t),
+    }
+    with pytest.raises(ValueError) as raised:
+        calls[entry]()
+    assert str(raised.value) == "context_timesteps must be >= 1"
 
 
 def test_long_context_infeasible_on_small_gpus(lib, pi0):
