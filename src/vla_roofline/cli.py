@@ -4,10 +4,11 @@ the bundled reference tables, and list the available presets.
 Output is deterministic (no timestamps, stable ordering) so runs can be
 diffed.  Formatting follows the reference tables: milliseconds with two
 decimals, Hz with one, memory in GiB printed as "GB".  Tables have one
-layout rule: columns are joined by two spaces and padded to their widest
-cell, and reproduce's numeric columns are right-aligned.  Exit codes: 0 for
-success (including infeasible-but-valid N/A results), 1 for usage or
-configuration errors, 2 when a reproduce run misses its tolerances.
+layout rule: columns are joined by two spaces and all but the last padded
+to their widest cell, and reproduce's numeric columns are right-aligned.
+Exit codes: 0 for success (including infeasible-but-valid N/A results), 1
+for usage or configuration errors, 2 when a reproduce run misses its
+tolerances.
 """
 
 from __future__ import annotations
@@ -331,18 +332,18 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-# How ``_aligned`` pads a column's cells: "<" on the right, ">" on the
-# left, "." not at all.
-_PAD = {"<": str.ljust, ">": str.rjust, ".": lambda cell, width: cell}
+# How ``_aligned`` pads a column's cells: "<" on the right, ">" on the left.
+_PAD = {"<": str.ljust, ">": str.rjust}
 
 
 def _aligned(rows: Sequence[Sequence[str]], align: str) -> str:
-    """Lines of text cells, the columns joined by two spaces and each padded
-    to its widest cell as its character of ``align`` says."""
+    """Lines of text cells, the columns joined by two spaces and each but
+    the last padded to its widest cell as its character of ``align`` says."""
     widths = [max(map(len, column)) for column in zip(*rows)]
     pads = [_PAD[side] for side in align]
-    return "\n".join("  ".join(pad(cell, width) for pad, cell, width
-                               in zip(pads, row, widths)) for row in rows)
+    return "\n".join("  ".join([*(pad(cell, width) for pad, cell, width
+                                  in zip(pads, row, widths)), row[-1]])
+                     for row in rows)
 
 
 # A sweep row is its grid point plus these record keys, None where absent.
@@ -459,7 +460,7 @@ def _run_analyze(args, lib: PresetLibrary) -> tuple[str, int]:
         return _json_text(dict(cells)), 0
     if args.format == "csv":
         return _csv_text(["key", "value"], cells), 0
-    return _aligned(cells, "<."), 0
+    return _aligned(cells, "<"), 0
 
 
 def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
@@ -503,7 +504,7 @@ def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
         return _json_rows(header, rows), 0
     if args.format == "csv":
         return _csv_text(header, rows), 0
-    return _aligned([header, *rows], "<" * len(header)), 0
+    return _aligned([header, *rows], "<" * (len(header) - 1)), 0
 
 
 # A golden cell's printed status, by its verdict.
@@ -550,7 +551,7 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
             [(name, label, f"{modeled} {unit}".rstrip(),
               f"{reference} {unit}".rstrip(), error, status)
              for label, unit, modeled, reference, error, status
-             in map(_cell_fields, cells)], "<<>>>."))
+             in map(_cell_fields, cells)], "<<>>>"))
         graded = [c for c in cells if c.passed is not None]
         failed = [c for c in graded if not c.passed]
         verdict = "PASS" if not failed else f"FAIL ({len(failed)} cell(s))"

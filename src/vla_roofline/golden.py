@@ -20,7 +20,13 @@ from . import references as refs
 from .configio import PresetLibrary
 from .opgraph import ACTION, PHASES, VISION, VLM, pipeline_graph
 from .record import Record, replace, set_field
-from .roofline import COMPUTE_BOUND, GIB, kv_cache_bytes, phase_breakdown
+from .roofline import (
+    COMPUTE_BOUND,
+    GIB,
+    boundedness,
+    graph_oi,
+    kv_cache_bytes,
+)
 from .scenarios import (
     Placement,
     async_scenario,
@@ -200,35 +206,33 @@ def boundedness_table(lib: PresetLibrary,
     accounting the aggregate vision intensity lands near 425 FLOPs/byte,
     well above the reference figure, while every boundedness label still
     agrees.  The discrepancy is documented rather than graded.  This is the
-    one table that prices the whole pipeline graph (the layer tracer in
-    ``bench/`` reports its build), so it reads no ``memo``.
+    one table that builds the whole pipeline graph (the layer tracer in
+    ``bench/`` reports its build), so it reads no ``memo``: each phase's
+    subgraph gives its OI, which no accelerator changes, and its bound on
+    each accelerator; a phase without runs grades N/A.
     """
     graph = pipeline_graph(lib.model("pi0"))
-    cells = []
-    labels = {}
-    for hw_name in refs.BASELINE_HW:
-        hw = lib.accelerator(hw_name)
-        # A phase's OI does not depend on the accelerator it is priced on.
-        _, intensity, labels[hw_name] = phase_breakdown(graph, hw)
+    phases = {phase: sub for phase in PHASES
+              if (sub := graph.subgraph(phase)).ops}
+    intensity = {phase: graph_oi(sub) for phase, sub in phases.items()}
+    hardware = {name: lib.accelerator(name) for name in refs.BASELINE_HW}
+    cells = [GoldenCell(f"{name} balance OI", "FLOPs/B",
+                        modeled=hw.balance_oi(),
+                        reference=refs.BALANCE_OI[name], abs_tol=0.1)
+             for name, hw in hardware.items()]
+    oi_tols = {VISION: None, VLM: 0.15, ACTION: 0.15}  # None: informational
+    for phase, tol in oi_tols.items():
         cells.append(GoldenCell(
-            f"{hw_name} balance OI", "FLOPs/B", modeled=hw.balance_oi(),
-            reference=refs.BALANCE_OI[hw_name], abs_tol=0.1))
-    oi_tols = {VISION: None, VLM: 0.15, ACTION: 0.15}
-    for phase in PHASES:
-        if oi_tols[phase] is None:
-            cells.append(GoldenCell(
-                f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
-                reference=refs.PHASE_OI[phase], kind=INFO))
-        else:
-            cells.append(GoldenCell(
-                f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
-                reference=refs.PHASE_OI[phase], rel_tol=oi_tols[phase]))
-    for hw_name in refs.BASELINE_HW:
+            f"{phase} OI", "FLOPs/B", modeled=intensity.get(phase),
+            reference=refs.PHASE_OI[phase], rel_tol=tol or 0.0,
+            kind=INFO if tol is None else VALUE))
+    for name, hw in hardware.items():
         for phase in PHASES:
             cells.append(GoldenCell(
-                f"{hw_name} {phase} bound", "", kind=LABEL,
-                modeled=_bound_label(labels[hw_name].get(phase)),
-                reference=refs.BOUNDEDNESS[hw_name][phase]))
+                f"{name} {phase} bound", "", kind=LABEL,
+                modeled=_bound_label(boundedness(phases[phase], hw)
+                                     if phase in phases else None),
+                reference=refs.BOUNDEDNESS[name][phase]))
     return tuple(cells)
 
 

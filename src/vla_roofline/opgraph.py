@@ -6,12 +6,11 @@ count)`` pairs: an :class:`Operator` record carries exact FLOP and HBM-byte
 counts for one kernel launch, and its count says how often the workload
 launches it (once per layer, per denoising pass, per decoded token).  A
 control step is a handful of distinct layer operators repeated thousands of
-times, so a graph holds a few dozen runs however many
-kernels it models, and the roofline layer prices each distinct operator once,
-times its count.  Because operators are priced independently, *where* bytes
-are attributed matters as much as how many there are.  Three kernel
-conventions are used, reflecting how these phases are actually fused on
-current inference stacks:
+times, so a graph holds a few dozen runs however many kernels it models, and
+the roofline layer prices each run once, times its count.  Because operators
+are priced independently, *where* bytes are attributed matters as much as how
+many there are.  Three kernel conventions are used, reflecting how these
+phases are actually fused on current inference stacks:
 
 Context kernels (vision encode, prefill)
     Q/K/V projections are ordinary matmuls (inputs + weights + outputs all
@@ -83,31 +82,23 @@ Run = tuple[Operator, int]
 
 
 class OperatorGraph(Record):
-    """``ops`` holds ``(operator, count)`` runs.
-
-    Construction takes any iterable of runs, merges equal operators into one
-    run, kept where the operator first appears, and drops runs whose count
-    is zero.  Every part and phase builder already emits each distinct
-    operator once, so the merge only changes runs joined from several
-    builders; a scenario prices a phase builder's runs without one.
-    """
+    """``ops`` holds the non-zero ``(operator, count)`` runs of its input,
+    as built and in input order; a negative count is an error."""
 
     __slots__ = ("ops",)
 
     def __init__(self, ops: Iterable[Run] = ()) -> None:
-        # One hash per input run: each operator maps to a one-item list
-        # that holds its running count.
-        counts: dict[Operator, list[int]] = {}
+        runs = []
         for op, count in ops:
             if count < 0:
                 raise ValueError(f"{op.label}: count must be >= 0")
-            counts.setdefault(op, [0])[0] += count
+            if count:
+                runs.append((op, count))
         # tuple() of a list, not of a generator: a generator's tuple is
         # allocated at one size and shrunk, so freeing it stocks the
         # interpreter's per-size tuple free lists with sizes that are never
         # reused, about 1 MB of peak memory over many in-process calls.
-        set_field(self, "ops", tuple(
-            [(op, total[0]) for op, total in counts.items() if total[0]]))
+        set_field(self, "ops", tuple(runs))
 
     @property
     def total_flops(self) -> int:
@@ -400,7 +391,6 @@ def pipeline_graph(spec: VlaModelSpec,
     attends the camera history of :func:`cached_tokens`, and the action
     phase attends all of it.  ``None`` (or 1) is the stateless baseline.
     """
-    # The one merge of all the phases' runs.
     return OperatorGraph(
         run for key in phase_builds(spec, context_timestep).values()
         for run in build(key, {})[0])

@@ -67,9 +67,8 @@ def op_time(op: Operator, hw: AcceleratorConfig) -> tuple[float, str]:
 
 def graph_time(graph: OperatorGraph, hw: AcceleratorConfig) -> float:
     """Sum of per-operator roofline times in seconds, every phase on ``hw``:
-    the seconds of :func:`price_phase` over the graph's runs.  Per-phase
-    subtotals come from :func:`phase_breakdown`.
-    """
+    the seconds of :func:`price_phase` over the graph's runs, so a phase's
+    seconds are ``graph_time(graph.subgraph(phase), hw)``."""
     return price_phase(graph.ops, hw)[0]
 
 
@@ -144,17 +143,6 @@ def price_phase(ops: Iterable[Run], hw: AcceleratorConfig,
     return compute_flops / peak + memory_bytes / bandwidth, flops, data
 
 
-def phase_hardware(hw: AcceleratorConfig,
-                   action_hw: Optional[AcceleratorConfig] = None,
-                   ) -> dict[str, AcceleratorConfig]:
-    """The accelerator of each phase: ``hw``, except that the action phase
-    runs on ``action_hw`` when one is given (split serving)."""
-    hardware = {phase: hw for phase in opgraph.PHASES}
-    if action_hw:
-        hardware[opgraph.ACTION] = action_hw
-    return hardware
-
-
 def figure_phase(runs: Iterable[Run], hw: AcceleratorConfig,
                  ) -> tuple[float, float, str]:
     """Seconds, operational intensity and bound of one phase's runs on
@@ -164,31 +152,3 @@ def figure_phase(runs: Iterable[Run], hw: AcceleratorConfig,
     seconds, flops, data = price_phase(runs, hw)
     oi = _intensity(flops, data)
     return seconds, oi, _label(oi, hw)
-
-
-def phase_breakdown(graph: OperatorGraph, hw: AcceleratorConfig,
-                    action_hw: Optional[AcceleratorConfig] = None,
-                    ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
-    """Latency, OI and boundedness per phase of a pipeline graph.
-
-    Every phase runs on ``hw`` except the action phase, which runs on
-    ``action_hw`` when one is given (split serving).  Returns three
-    phase-keyed dicts (seconds, FLOP/byte, label) in ``PHASES`` order,
-    covering only phases that actually have operators.
-
-    Each phase's runs are figured by :func:`figure_phase`, so its latency
-    is ``graph_time(graph.subgraph(phase), phase_hw)``: the phase's
-    compute-wall plus memory-wall seconds.
-    """
-    hardware = phase_hardware(hw, action_hw)
-    runs: dict[str, list[Run]] = {}
-    for run in graph.ops:
-        runs.setdefault(run[0].phase, []).append(run)
-    latencies: dict[str, float] = {}
-    intensity: dict[str, float] = {}
-    labels: dict[str, str] = {}
-    for phase in opgraph.PHASES:
-        if phase in runs:
-            latencies[phase], intensity[phase], labels[phase] = figure_phase(
-                runs[phase], hardware[phase])
-    return latencies, intensity, labels

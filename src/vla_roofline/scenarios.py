@@ -192,22 +192,23 @@ def _breakdown(spec: VlaModelSpec, context_timestep: Optional[int],
                hw: AcceleratorConfig, action_hw: Optional[AcceleratorConfig],
                memo: Optional[dict],
                ) -> tuple[dict[str, float], dict[str, float], dict[str, str]]:
-    """``phase_breakdown(pipeline_graph(spec, context_timestep), hw,
-    action_hw)``, one phase at a time through ``memo``: ``memo[(builder,
+    """Seconds, OI and bound of each phase of ``spec`` that has runs, in
+    ``PHASES`` order: the action phase on ``action_hw`` when one is given
+    (split serving), every other phase on ``hw``.  ``memo[(builder,
     args)]`` of :func:`opgraph.phase_builds`, as :func:`opgraph.build`
     fills it, holds a phase's non-zero runs and their
     :func:`roofline.figure_phase` under each ``(peak_flops,
     mem_bandwidth)``, the only accelerator figures it reads."""
     if memo is None:
         memo = {}
-    hardware = roofline.phase_hardware(hw, action_hw)
     latencies: dict[str, float] = {}
     intensity: dict[str, float] = {}
     labels: dict[str, str] = {}
     for phase, key in opgraph.phase_builds(spec, context_timestep).items():
         runs, figured = opgraph.build(key, memo)
         if runs:
-            phase_hw = hardware[phase]
+            phase_hw = (action_hw if action_hw and phase == opgraph.ACTION
+                        else hw)
             figures = (phase_hw.peak_flops, phase_hw.mem_bandwidth)
             entry = figured.get(figures)
             if entry is None:

@@ -45,6 +45,7 @@ def test_tracer_installs_and_traces_reproduce_all():
     spans = set(out["spans"])
     assert {f"golden.{table}" for table in out["tables"]} <= spans
     assert {"cli.main", "configio.load_presets", "opgraph.pipeline_graph",
+            "opgraph.subgraph", "roofline.graph_oi", "roofline.boundedness",
             "netmodel.path_time", "scenarios.dual_system_scenario",
             "scenarios.scaling_sweep"} <= spans
     metrics = out["metrics"]

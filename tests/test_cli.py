@@ -550,9 +550,9 @@ _BLIND_SWEEP = {
         "steps  feasible  vision_latency_ms  vlm_latency_ms  "
         "action_latency_ms  e2e_latency_ms  sync_frequency_hz  footprint_gb\n"
         "0      yes       N/A                0.50            "
-        "N/A                0.50            1988.5             5.04        \n"
+        "N/A                0.50            1988.5             5.04\n"
         "10     yes       N/A                0.50            "
-        "0.84               1.34            744.2              5.04        \n"),
+        "0.84               1.34            744.2              5.04\n"),
     "csv": (
         "steps,feasible,vision_latency_ms,vlm_latency_ms,action_latency_ms,"
         "e2e_latency_ms,sync_frequency_hz,footprint_gb\n"

@@ -34,13 +34,12 @@ LAYER = "layer"
 # one ``pipeline_graph`` and one build of each phase and layer.
 REPRODUCE_ALL_BUILDS = {"pipeline_graph": 1, VISION: 7, VLM: 12, ACTION: 12}
 # Phases figured by ``reproduce all``: 61 distinct phases on the
-# accelerators that price them, through the command's memo, plus T4's
-# pi0 graph, whose three phases ``phase_breakdown`` figures on each of the
-# five baseline accelerators without a memo.
-REPRODUCE_ALL_FIGURES = 61 + 15
-# Operators hashed by ``reproduce all``: the runs of T4's one merge of the
-# pi0 graph.  The scenarios' phases are priced without a merge.
-REPRODUCE_ALL_OPERATORS = 25
+# accelerators that price them, through the command's memo.  T4 reads its
+# pi0 graph's phases through the graph API, which figures none.
+REPRODUCE_ALL_FIGURES = 61
+# Operators hashed by ``reproduce all``: none, since no graph merges runs
+# and the memo keys hold no operator.
+REPRODUCE_ALL_OPERATORS = 0
 
 
 def _replace_everywhere(monkeypatch, original, replacement):
@@ -120,8 +119,8 @@ def test_reproduce_all_builds_each_phase_once_per_command(builds, capsys):
 
 def test_reproduce_all_figures_each_priced_phase_once(figures, monkeypatch,
                                                       capsys):
-    """Every priced phase is figured, and a memo hit figures nothing: a
-    repeat of a phase on the same peak and bandwidth is T4's alone."""
+    """Every priced phase is figured, and a memo hit figures nothing: no
+    phase is figured twice on the same peak and bandwidth."""
     priced = []
     original = roofline.price_phase
 
@@ -137,7 +136,7 @@ def test_reproduce_all_figures_each_priced_phase_once(figures, monkeypatch,
     distinct = {(tuple(runs), lib.accelerator(name).peak_flops,
                  lib.accelerator(name).mem_bandwidth)
                 for _, name, runs in figures}
-    assert len(distinct) == REPRODUCE_ALL_FIGURES - 15
+    assert len(distinct) == REPRODUCE_ALL_FIGURES
 
 
 def test_sweep_figures_each_phase_once_per_accelerator(builds, figures,
@@ -183,7 +182,7 @@ def test_long_context_table_builds_its_vision_phase_once(builds):
     assert _count(builds, "pipeline_graph") == 0
 
 
-def test_reproduce_all_hashes_each_operator_once(monkeypatch, capsys):
+def test_reproduce_all_hashes_no_operator(monkeypatch, capsys):
     original = opgraph.Operator.__hash__
     hashes = []
 

@@ -110,19 +110,19 @@ DIGESTS = {
     "analyze --decoding autoregressive_parallel --dof 7 --format json":
         "ea587b212fc6d30aeab124d71cc37853d76330d116b79a9b3e5e0d894d1ce6be",
     "sweep --chunk 10,50,250 --steps 1,10 --format table":
-        "973e858039a36d3b0c652751d628adc94d76532af902d26bfd25cdd585567ac7",
+        "28ee5edfedc512397cb09717a1aa2cce92878f4b3aa1e351504cc8921b2f4afb",
     "sweep --chunk 10,50,250 --steps 1,10 --format csv":
         "477bff7cadc98bb960af201ad7b3521739358007338fb92a8689cf66f9e51476",
     "sweep --chunk 10,50,250 --steps 1,10 --format json":
         "c5ee1580b431a38e4e1aac225656aec1d065f0d1e947950ee2c6fdcf2455fca5",
     "sweep --model pi0-xxl --hw thor --decoding diffusion,autoregressive,autoregressive_parallel --format table":
-        "4b7960c3c51429a1e31bedb79af8672ee4c5ddb5cf0dcae9be0d43ea139da954",
+        "deefc040b1a76260833db7c2fac4b0d5154bfed4968e8f9c520e7e8252662a91",
     "sweep --model pi0-xxl --hw thor --decoding diffusion,autoregressive,autoregressive_parallel --format csv":
         "9d1a580c6d008fe8102b6357b9dcb19a61a1ff16d676795770bad598eb35e64b",
     "sweep --model pi0-xxl --hw thor --decoding diffusion,autoregressive,autoregressive_parallel --format json":
         "4924600ce8ee82644de7929b999f4c9d6046a2697b0e0a6fa18a89a955115b09",
     "sweep --hw thor --context-steps 1,100,10000 --format table":
-        "9e2470287aecc99ba1899db260cbc1fb1c64639195c025a4387bb83dd40c436a",
+        "4cb02e21efd535fdec6829048044923be8fb669fcfee889ab09bb57ea9051638",
     "sweep --hw thor --context-steps 1,100,10000 --format csv":
         "4bea4bf1ce311dd242198e036542c823922abae02a29e8bff061b3e198dcff8a",
     "sweep --hw thor --context-steps 1,100,10000 --format json":
@@ -154,6 +154,17 @@ def _digest(argv):
 def test_output_matches_recorded_digest(command, fmt):
     argv = (*command, "--format", fmt)
     assert _digest(argv) == DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("fmt", ("table", "csv"))
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_no_table_or_csv_line_ends_in_whitespace(command, fmt):
+    """A table pads every column but its last, so no line ends in a pad."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main([*command, "--format", fmt])
+    assert [line for line in out.getvalue().splitlines()
+            if line != line.rstrip()] == []
 
 
 def test_a_failed_call_leaves_the_next_call_unchanged():

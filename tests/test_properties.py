@@ -46,7 +46,6 @@ from vla_roofline.roofline import (
     figure_phase,
     graph_oi,
     memory_footprint,
-    phase_breakdown,
     price_phase,
 )
 from vla_roofline.scenarios import (
@@ -89,8 +88,7 @@ graphs = st.lists(st.tuples(operators, st.integers(min_value=0, max_value=5)),
                   min_size=0, max_size=8).map(
     lambda runs: OperatorGraph(tuple(runs)))
 
-# Few distinct labels, phases and sizes, so that equal operators recur and
-# runs merge.
+# Few distinct labels, phases and sizes, so that equal operators recur.
 small_operators = st.builds(
     Operator,
     label=st.sampled_from(("q_proj", "attn_out", "ffn_up")),
@@ -188,21 +186,12 @@ def test_splitting_a_run_leaves_phase_pricing_unchanged(runs, op, a, b, at, hw):
 
 
 @given(runs=run_lists, n=st.integers(min_value=0, max_value=20))
-def test_runs_are_distinct_positive_and_first_seen(runs, n):
+def test_a_graph_keeps_its_nonzero_runs_as_built(runs, n):
     graph = OperatorGraph(tuple(runs))
-    ops = [op for op, _ in graph.ops]
-    assert len(set(ops)) == len(ops)
-    assert all(count > 0 for _, count in graph.ops)
-    # Each launched operator sits where it first appears in the input.
-    launched = {op for op, count in runs if count}
-    assert ops == [op for op in dict.fromkeys(op for op, _ in runs)
-                   if op in launched]
-    assert sum(count for _, count in graph.ops) == \
-        sum(count for _, count in runs)
+    assert graph.ops == tuple(run for run in runs if run[1])
     assert OperatorGraph((op, n * count) for op, count in graph.ops).ops == (
         tuple((op, n * count) for op, count in graph.ops) if n else ())
-    assert OperatorGraph(graph.ops + graph.ops).ops == tuple(
-        (op, 2 * count) for op, count in graph.ops)
+    assert OperatorGraph(graph.ops + graph.ops).ops == graph.ops + graph.ops
     for phase in PHASES:
         assert graph.subgraph(phase).ops == tuple(
             run for run in graph.ops if run[0].phase == phase)
@@ -312,9 +301,10 @@ def test_stack_hash_is_derived_once_per_stack(cfg, layers, name):
     assert hash(copy.copy(stale)) == hash(cfg)
 
 
-def _is_merged(runs):
-    """A builder's non-zero runs are what a graph merge of them keeps."""
-    return [run for run in runs if run[1]] == list(OperatorGraph(runs).ops)
+def _each_operator_once(runs):
+    """A builder's non-zero runs hold no operator twice."""
+    ops = [op for op, count in runs if count]
+    return len(set(ops)) == len(ops)
 
 
 _tokens = st.integers(min_value=1, max_value=40)
@@ -331,16 +321,19 @@ _tokens = st.integers(min_value=1, max_value=40)
 def test_builders_emit_each_distinct_operator_once(
         vision, vlm, expert, cameras, tokens_per_image, language_tokens,
         chunk, dof, steps, history, decoding, context_timestep):
-    """Every part and phase builder returns runs that a merge leaves as
-    they are: the repeated FFN up projections come folded into one run."""
-    assert _is_merged(opgraph.vit_encode_runs(vision, cameras,
-                                              tokens_per_image))
-    assert _is_merged(opgraph.prefill_runs(vlm, language_tokens, history))
-    assert _is_merged(opgraph.parallel_decode_runs(vlm, chunk, history))
+    """Every part and phase builder returns each operator in one run: the
+    repeated FFN up projections come folded into one run."""
+    assert _each_operator_once(opgraph.vit_encode_runs(vision, cameras,
+                                                       tokens_per_image))
+    assert _each_operator_once(opgraph.prefill_runs(vlm, language_tokens,
+                                                    history))
+    assert _each_operator_once(opgraph.parallel_decode_runs(vlm, chunk,
+                                                            history))
     layer = opgraph._expert_layer(expert, chunk, language_tokens, history,
                                   vlm.kv_width, vlm.num_kv_heads)
-    assert _is_merged(layer)
-    assert _is_merged(opgraph.diffusion_runs(layer, expert, chunk, steps, dof))
+    assert _each_operator_once(layer)
+    assert _each_operator_once(opgraph.diffusion_runs(layer, expert, chunk,
+                                                      steps, dof))
     spec = VlaModelSpec(
         "toy", vision, vlm,
         action_expert=expert if decoding == DIFFUSION else None,
@@ -348,7 +341,7 @@ def test_builders_emit_each_distinct_operator_once(
         language_tokens=language_tokens, action_dof=dof, chunk_size=chunk,
         denoise_steps=steps, decoding_mode=decoding)
     for key in opgraph.phase_builds(spec, context_timestep).values():
-        assert _is_merged(opgraph.build(key, {})[0])
+        assert _each_operator_once(opgraph.build(key, {})[0])
 
 
 @given(op=operators, hw=accelerators,
@@ -436,31 +429,19 @@ preset_accelerators = st.sampled_from(sorted(_LIB.hardware)).map(
     _LIB.accelerator)
 
 
-@given(model=st.sampled_from(sorted(_LIB.models)),
-       decoding=st.sampled_from(DECODING_MODES),
-       context_timestep=st.one_of(st.none(),
-                                  st.integers(min_value=1, max_value=10_000)),
-       hw=st.one_of(preset_accelerators, accelerators),
-       action_hw=st.one_of(st.none(), preset_accelerators, accelerators))
-@settings(max_examples=60)
-def test_phase_breakdown_prices_each_phase_like_its_subgraph(
-        model, decoding, context_timestep, hw, action_hw):
-    """One walk over the runs gives, bit for bit, what pricing each phase's
-    subgraph separately gives."""
-    spec = decoding_variant_spec(_LIB.model(model), decoding)
-    graph = pipeline_graph(spec, context_timestep)
-    expected = {}
+def _graph_breakdown(graph, hw, action_hw):
+    """Seconds, OI and bound of each phase of ``graph`` that has runs, one
+    subgraph at a time through the graph API: the action phase on
+    ``action_hw`` when one is given, every other phase on ``hw``."""
+    latencies, intensity, labels = {}, {}, {}
     for phase in PHASES:
         sub = graph.subgraph(phase)
-        if not sub.ops:
-            continue
-        phase_hw = action_hw if phase == ACTION and action_hw else hw
-        expected[phase] = (graph_time(sub, phase_hw), graph_oi(sub),
-                           boundedness(sub, phase_hw))
-    latencies, intensity, labels = phase_breakdown(graph, hw, action_hw)
-    assert list(latencies) == list(intensity) == list(labels) == list(expected)
-    assert {phase: (latencies[phase], intensity[phase], labels[phase])
-            for phase in latencies} == expected
+        if sub.ops:
+            phase_hw = action_hw if phase == ACTION and action_hw else hw
+            latencies[phase] = graph_time(sub, phase_hw)
+            intensity[phase] = graph_oi(sub)
+            labels[phase] = boundedness(sub, phase_hw)
+    return latencies, intensity, labels
 
 
 @given(model=st.sampled_from(sorted(_LIB.models)),
@@ -594,8 +575,8 @@ def _scenario_calls(spec, placement, context_timestep):
 @settings(max_examples=60, deadline=None)
 def test_scenarios_sharing_one_memo_equal_fresh_calls_and_the_graph(points):
     """One memo shared across specs, timesteps and placements changes
-    nothing, bit for bit, and a fresh call prices each phase as
-    ``phase_breakdown`` prices the whole pipeline graph."""
+    nothing, bit for bit, and a fresh call prices each phase as the graph
+    API prices that phase's subgraph of the pipeline graph."""
     memo = {}
     for spec, placement, context_timestep in points:
         for name, call in _scenario_calls(spec, placement, context_timestep):
@@ -606,7 +587,7 @@ def test_scenarios_sharing_one_memo_equal_fresh_calls_and_the_graph(points):
             action_hw = (placement.device_hw
                          if placement.kind == COLLABORATIVE else None)
             assert (fresh.phase_latencies, fresh.operational_intensity,
-                    fresh.boundedness) == phase_breakdown(
+                    fresh.boundedness) == _graph_breakdown(
                 pipeline_graph(spec, context_timestep), placement.hw,
                 action_hw), name
 
@@ -798,6 +779,53 @@ def test_capacity_decides_feasibility_and_nothing_else(
     assert at(need) == at(need + spare) == fitted
     short = at(need - 1)
     assert not short.feasible and short.footprint_bytes == need
+
+
+# How a drawn link field may grow from its value: bandwidths up to 100-fold,
+# efficiency up to 1, base latency by up to a second.
+_LINK_GROWTH = {
+    "upload_bw": lambda v: st.floats(min_value=v, max_value=100 * v),
+    "download_bw": lambda v: st.floats(min_value=v, max_value=100 * v),
+    "efficiency": lambda v: st.floats(min_value=v, max_value=1.0),
+    "base_latency": lambda v: st.floats(min_value=v, max_value=v + 1.0),
+}
+
+
+@given(data=st.data(), model=st.sampled_from(sorted(_LIB.models)),
+       variant=st.sampled_from(DECODING_VARIANTS),
+       kind=st.sampled_from((EDGE_SERVER, CLOUD_SERVER, COLLABORATIVE)),
+       hw=preset_accelerators.map(_lifted),
+       device_hw=preset_accelerators.map(_lifted), net=networks,
+       cloud_net=networks, link=st.sampled_from(("access_net", "cloud_net")),
+       field=st.sampled_from(sorted(_LINK_GROWTH)))
+@settings(max_examples=60, deadline=None)
+def test_a_better_link_never_slows_a_served_deployment(
+        data, model, variant, kind, hw, device_hw, net, cloud_net, link,
+        field):
+    """Growing one link's bandwidth or efficiency never raises the
+    end-to-end latency nor lowers the pipelined rate; growing its base
+    latency never lowers the end-to-end latency."""
+    if kind == COLLABORATIVE and variant not in (DIFFUSION, DIFFUSION_LARGE):
+        variant = DIFFUSION  # split serving needs an action expert
+    if kind != CLOUD_SERVER:
+        link = "access_net"
+    spec = decoding_variant_spec(_LIB.model(model), variant)
+    placement = _placement(kind, hw, device_hw, net, cloud_net)
+    old = getattr(placement, link)
+    new = replace(old, **{field: data.draw(
+        _LINK_GROWTH[field](getattr(old, field)))})
+    grown = replace(placement, **{link: new})
+    memo = {}
+    before = sync_scenario(spec, placement, memo=memo)
+    after = sync_scenario(spec, grown, memo=memo)
+    assert before.feasible and after.feasible
+    if field == "base_latency":
+        assert after.e2e_latency >= before.e2e_latency
+        return
+    assert after.e2e_latency <= before.e2e_latency
+    if kind != COLLABORATIVE:
+        assert async_scenario(spec, grown, memo=memo).async_frequency >= (
+            async_scenario(spec, placement, memo=memo).async_frequency)
 
 
 def _cli_json(*argv):

@@ -16,8 +16,8 @@ from vla_roofline.roofline import (
     kv_cache_bytes,
     memory_footprint,
     op_time,
-    phase_breakdown,
 )
+from vla_roofline.scenarios import _breakdown
 
 # Round numbers so each expected time is exact in binary-friendly arithmetic.
 HW = AcceleratorConfig(name="unit", peak_flops=100.0,
@@ -40,13 +40,15 @@ def test_graph_time_sums_per_operator_maxima():
     from vla_roofline.opgraph import OperatorGraph
     runs = ((Operator("a", 1000, 10, VISION), 1),
             (Operator("b", 100, 100, VLM), 1))
-    assert graph_time(OperatorGraph(runs), HW) == 20.0
-    assert phase_breakdown(OperatorGraph(runs), HW)[0] == {VISION: 10.0,
-                                                           VLM: 10.0}
+    graph = OperatorGraph(runs)
+    assert graph_time(graph, HW) == 20.0
+    assert graph_time(graph.subgraph(VISION), HW) == 10.0
+    assert graph_time(graph.subgraph(VLM), HW) == 10.0
     # A run of n launches costs n times one launch.
     tripled = OperatorGraph((op, 3 * count) for op, count in runs)
     assert graph_time(tripled, HW) == 60.0
-    assert phase_breakdown(tripled, HW)[0] == {VISION: 30.0, VLM: 30.0}
+    assert graph_time(tripled.subgraph(VISION), HW) == 30.0
+    assert graph_time(tripled.subgraph(VLM), HW) == 30.0
 
 
 @pytest.mark.parametrize("hw_name, balance", [
@@ -75,11 +77,11 @@ def test_phase_times_baseline(lib, pi0):
         "b100": (0.4054012, 1.8699169, 0.9138269),
     }
     graph = pipeline_graph(pi0)
-    for hw_name, (t_vis, t_vlm, t_act) in expected.items():
-        latencies, _, _ = phase_breakdown(graph, lib.accelerator(hw_name))
-        assert latencies[VISION] * 1e3 == pytest.approx(t_vis, abs=5e-8)
-        assert latencies[VLM] * 1e3 == pytest.approx(t_vlm, abs=5e-8)
-        assert latencies[ACTION] * 1e3 == pytest.approx(t_act, abs=5e-8)
+    for hw_name, times in expected.items():
+        hw = lib.accelerator(hw_name)
+        for phase, t_ms in zip((VISION, VLM, ACTION), times):
+            assert graph_time(graph.subgraph(phase), hw) * 1e3 == \
+                pytest.approx(t_ms, abs=5e-8)
 
 
 def test_graph_oi_baseline_phases(pi0):
@@ -129,13 +131,19 @@ def test_footprint_in_gib(lib, pi0):
     assert total == (5_409_967_104 + (800 + 768 * 99) * 18_432) / GIB
 
 
-def test_phase_breakdown_is_consistent_with_graph_time(lib, pi0):
+def test_scenario_breakdown_is_consistent_with_the_graph(lib, pi0):
+    """The scenarios' one phase breakdown gives, per phase, the seconds, OI
+    and bound of that phase's subgraph of the pipeline graph."""
     hw = lib.accelerator("a100")
     graph = pipeline_graph(pi0)
-    latencies, intensity, labels = phase_breakdown(graph, hw)
-    assert latencies == {phase: graph_time(graph.subgraph(phase), hw)
-                         for phase in (VISION, VLM, ACTION)}
+    latencies, intensity, labels = _breakdown(pi0, None, hw, None, {})
+    subgraphs = {phase: graph.subgraph(phase)
+                 for phase in (VISION, VLM, ACTION)}
+    assert latencies == {phase: graph_time(sub, hw)
+                         for phase, sub in subgraphs.items()}
+    assert intensity == {phase: graph_oi(sub)
+                         for phase, sub in subgraphs.items()}
+    assert labels == {phase: boundedness(sub, hw)
+                      for phase, sub in subgraphs.items()}
     assert sum(latencies.values()) == pytest.approx(graph_time(graph, hw),
                                                     rel=1e-12)
-    assert set(labels) == {VISION, VLM, ACTION}
-    assert set(intensity) == {VISION, VLM, ACTION}
