@@ -18,7 +18,7 @@ import io
 import math
 import os
 import sys
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -218,8 +218,8 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 # Record building and rendering
 # ---------------------------------------------------------------------------
 
-# A column's decimals, by the last three characters of its name.
-_DECIMALS = {"_ms": 2, "_hz": 1, "_gb": 2, "_oi": 1}
+# Decimals of a printed number by unit: a column name after its last "_".
+_DECIMALS = {"ms": 2, "hz": 1, "gb": 2, "oi": 1, "flops/b": 1}
 
 
 def _project_columns(names: Sequence[str], columns: Sequence[Sequence],
@@ -238,7 +238,7 @@ def _project_columns(names: Sequence[str], columns: Sequence[Sequence],
                     raise ValueError(f"{name} is {value}, not a finite number")
     cells = []
     for name, column in zip(names, columns):
-        digits = _DECIMALS.get(name[-3:])
+        digits = _DECIMALS.get(name.rpartition("_")[2])
         if fmt != "json":
             # An empty format spec writes a number as ``str`` does.
             spec = "" if digits is None else f".{digits}f"
@@ -510,15 +510,19 @@ def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
 # A golden cell's printed status, by its verdict.
 _CELL_STATUS = {True: "ok", False: "FAIL", None: "info"}
 
-
 _CELL_COLUMNS = ("label", "unit", "modeled", "reference", "error", "status")
 
 
 def _cell_fields(cell: golden.GoldenCell) -> tuple[str, ...]:
-    """A golden cell's printed fields, in ``_CELL_COLUMNS`` order."""
-    rel = cell.relative_error
-    return (cell.label, cell.unit, cell.printed_modeled,
-            cell.printed_reference,
+    """A golden cell's printed fields, in ``_CELL_COLUMNS`` order: text as it
+    is, None as N/A, a number with its lower-cased unit's decimals or 2."""
+    modeled, rel = cell.modeled, cell.relative_error
+    if modeled is None:
+        modeled = "N/A"
+    elif not isinstance(modeled, str):
+        modeled = f"{modeled:.{_DECIMALS.get(cell.unit.lower(), 2)}f}"
+    return (cell.label, cell.unit, modeled,
+            "N/A" if cell.reference is None else cell.reference,
             "" if rel is None else f"{rel * 100:+.1f}%",
             _CELL_STATUS[cell.passed])
 
@@ -598,10 +602,11 @@ def _run_list_presets(args, lib: PresetLibrary) -> tuple[str, int]:
                          [(group.removesuffix("s"), name)
                           for group, presets in groups.items()
                           for name, _ in presets]), 0
+    width = max((len(name) for name, _ in chain(*groups.values())), default=0)
     lines = []
     for group, presets in groups.items():
         lines.append(f"{group}:")
-        lines.extend(f"  {name:<14} {_describe(group, preset)}"
+        lines.extend(f"  {name:<{width}}  {_describe(group, preset)}"
                      for name, preset in presets)
     return "\n".join(lines), 0
 

@@ -8,8 +8,8 @@ returns ``GoldenCell`` rows.  A cell passes when
 where ``slack`` defaults to half a unit in the reference's last printed
 digit (values were published rounded) and can be overridden with an
 explicit absolute tolerance.  N/A cells pass only if the model also finds
-the configuration infeasible.  The same rows drive both the ``reproduce``
-CLI command and the acceptance tests.
+the configuration infeasible.  Cells are graded here and printed by
+``cli`` for ``reproduce``; the acceptance tests read the same rows.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ VALUE = "value"
 LABEL = "label"
 INFO = "info"
 
-# Decimals of a printed modeled value, by unit.
-_PRINTED_DECIMALS = {"ms": 2, "Hz": 1, "GB": 2, "FLOPs/B": 1, "x": 2,
-                     "Gparams": 2}
-
 
 class GoldenCell(Record):
     """One graded (or informational) cell of a reference table.  A label
@@ -92,20 +88,6 @@ class GoldenCell(Record):
         slack = (self.abs_tol if self.abs_tol is not None
                  else 0.5 * printed_ulp(self.reference))
         return self.rel_tol * abs(self.reference_value) + slack
-
-    @property
-    def printed_modeled(self) -> str:
-        """The modeled value or label as ``reproduce`` prints it."""
-        if self.kind == LABEL:
-            return self.modeled
-        if self.modeled is None:
-            return "N/A"
-        return f"{self.modeled:.{_PRINTED_DECIMALS.get(self.unit, 2)}f}"
-
-    @property
-    def printed_reference(self) -> str:
-        """The reference value or label as ``reproduce`` prints it."""
-        return self.reference if self.reference is not None else "N/A"
 
     @property
     def relative_error(self) -> Optional[float]:

@@ -846,6 +846,23 @@ def test_list_presets_names_everything():
         assert name in result.stdout
 
 
+def test_list_presets_pads_names_to_the_widest(tmp_path, monkeypatch,
+                                               capsys):
+    """Every description starts two spaces past the widest name of the
+    whole listing, also a name longer than any packaged one."""
+    (tmp_path / "networks.yaml").write_text(
+        "ethernet-10g-datacenter: {bandwidth_mbps: 10000, "
+        "base_latency_ms: 0.1}\n", encoding="utf-8")
+    monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
+    assert cli.main(["list-presets"]) == 0
+    starts = set()
+    for row in capsys.readouterr().out.splitlines():
+        if row.startswith("  "):
+            name, description = row.split(maxsplit=1)
+            starts.add(len(row) - len(description))
+    assert starts == {2 + len("ethernet-10g-datacenter") + 2}
+
+
 @pytest.mark.skipif(shutil.which("vla-roofline") is None,
                     reason="console script not on PATH")
 def test_console_script_entry_point():

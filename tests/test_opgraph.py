@@ -35,6 +35,12 @@ from vla_roofline.workload import (
 )
 
 
+def _totals(runs):
+    """The FLOPs and bytes of a builder's runs, summed as integers."""
+    return (sum(op.flops * count for op, count in runs),
+            sum(op.bytes * count for op, count in runs))
+
+
 def test_matmul_op_counts():
     op = matmul_op(800, 2048, 2048)
     assert op.flops == 2 * 800 * 2048 * 2048
@@ -82,9 +88,9 @@ def test_prefill_layer_composition(lib):
 
 def test_prefill_graph_totals(lib):
     gemma = lib.component("gemma-2b")
-    graph = OperatorGraph(prefill_runs(gemma, 800))
-    assert graph.total_bytes == 5_452_922_880
-    assert graph.total_flops == 3_265_265_664_000
+    flops, nbytes = _totals(prefill_runs(gemma, 800))
+    assert nbytes == 5_452_922_880
+    assert flops == 3_265_265_664_000
 
 
 def test_prefill_flops_are_dense_forward_plus_attention(lib):
@@ -92,27 +98,27 @@ def test_prefill_flops_are_dense_forward_plus_attention(lib):
     layer for attention — the totals must decompose exactly."""
     from vla_roofline.workload import param_count
     gemma = lib.component("gemma-2b")
-    graph = OperatorGraph(prefill_runs(gemma, 800))
+    flops, _ = _totals(prefill_runs(gemma, 800))
     dense = 2 * 800 * param_count(gemma)
     attn = gemma.num_layers * 4 * 800 * 800 * gemma.q_width
-    assert graph.total_flops == dense + attn
+    assert flops == dense + attn
 
 
 # --- Vision encoding: one batched forward over all cameras ----------------
 
 def test_vision_graph_totals(lib, pi0):
-    graph = OperatorGraph(vit_encode_runs(lib.component("siglip-so400m"), 3))
+    flops, nbytes = _totals(vit_encode_runs(lib.component("siglip-so400m"), 3))
     # Pipeline vision phase totals minus the cross-modal projector matmul.
-    assert graph.total_bytes == 1_670_550_528 - 9_633_792
-    assert graph.total_flops == 709_452_103_680 - 3_623_878_656
+    assert nbytes == 1_670_550_528 - 9_633_792
+    assert flops == 709_452_103_680 - 3_623_878_656
 
 
 def test_vision_attention_is_joint_across_images(lib):
     """Three images in one forward attend 768 tokens, not 3 x 256."""
     siglip = lib.component("siglip-so400m")
-    one = OperatorGraph(vit_encode_runs(siglip, 1))
-    three = OperatorGraph(vit_encode_runs(siglip, 3))
-    assert three.total_flops > 3 * one.total_flops  # quadratic attention term
+    one, _ = _totals(vit_encode_runs(siglip, 1))
+    three, _ = _totals(vit_encode_runs(siglip, 3))
+    assert three > 3 * one  # quadratic attention term
 
 
 def test_vision_zero_images_is_empty(lib):
@@ -134,10 +140,10 @@ def _diffusion(expert, vlm, prefix, chunk, steps, dof, history=0):
 
 
 def test_diffusion_step_totals(lib, pi0):
-    graph = OperatorGraph(_diffusion(pi0.action_expert, pi0.vlm, 800,
-                                     50, 1, 14))
-    assert graph.total_bytes == 731_061_488
-    assert graph.total_flops == 37_412_454_400
+    flops, nbytes = _totals(_diffusion(pi0.action_expert, pi0.vlm, 800,
+                                       50, 1, 14))
+    assert nbytes == 731_061_488
+    assert flops == 37_412_454_400
 
 
 def test_diffusion_attention_window_choice(lib, pi0):
@@ -152,12 +158,9 @@ def test_diffusion_attention_window_choice(lib, pi0):
 
 
 def test_diffusion_is_linear_in_steps(lib, pi0):
-    one = OperatorGraph(_diffusion(pi0.action_expert, pi0.vlm, 800, 50,
-                                   1, 14))
-    ten = OperatorGraph(_diffusion(pi0.action_expert, pi0.vlm, 800, 50,
-                                   10, 14))
-    assert ten.total_flops == 10 * one.total_flops
-    assert ten.total_bytes == 10 * one.total_bytes
+    one = _totals(_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 1, 14))
+    ten = _totals(_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 10, 14))
+    assert ten == (10 * one[0], 10 * one[1])
 
 
 def test_diffusion_zero_steps_is_empty(pi0):
@@ -168,20 +171,18 @@ def test_diffusion_zero_steps_is_empty(pi0):
 
 def test_decode_step_totals(lib):
     """One autoregressive token is a parallel decode of one."""
-    graph = OperatorGraph(parallel_decode_runs(lib.component("gemma-2b"), 1, 800))
-    assert graph.total_bytes == 3_981_210_912
+    _, nbytes = _totals(parallel_decode_runs(lib.component("gemma-2b"), 1, 800))
+    assert nbytes == 3_981_210_912
 
 
 def test_parallel_decode_layer_totals(lib):
     gemma = lib.component("gemma-2b")
-    fifty = OperatorGraph(parallel_decode_runs(gemma, 700, 800))
-    per_layer_flops = fifty.total_flops // gemma.num_layers
-    per_layer_bytes = fifty.total_bytes // gemma.num_layers
-    assert per_layer_flops == 162_742_272_000
-    assert per_layer_bytes == 339_605_760
-    ten = OperatorGraph(parallel_decode_runs(gemma, 140, 800))
-    assert ten.total_flops // gemma.num_layers == 31_906_201_600
-    assert ten.total_bytes // gemma.num_layers == 243_482_880
+    flops, nbytes = _totals(parallel_decode_runs(gemma, 700, 800))
+    assert flops // gemma.num_layers == 162_742_272_000
+    assert nbytes // gemma.num_layers == 339_605_760
+    flops, nbytes = _totals(parallel_decode_runs(gemma, 140, 800))
+    assert flops // gemma.num_layers == 31_906_201_600
+    assert nbytes // gemma.num_layers == 243_482_880
 
 
 # --- Full pipeline ----------------------------------------------------------

@@ -710,46 +710,59 @@ _WORKLOAD_COUNTS = {"chunk_size": 300, "denoise_steps": 20, "action_dof": 40,
                     "language_tokens": 128}
 _CONTEXT_STEPS = (None, 1, 2, 10, 100, 1000, 10_000)
 _LEAST = {"denoise_steps": 0, "num_cameras": 0}  # the other counts start at 1
+# Largest drawn layer count of each stack, above every preset's; a stack
+# starts from one layer.
+_LAYER_COUNTS = {"vision_encoder": 128, "vlm": 128, "action_expert": 128}
 
 
-def _on_device_price(model, variant, hw, counts, step):
-    spec = decoding_variant_spec(replace(_LIB.model(model), **counts),
-                                 variant)
-    result = sync_scenario(spec, Placement.on_device(hw),
-                           _CONTEXT_STEPS[step])
+def _served_price(model, variant, placement, counts, step):
+    """The e2e latency and footprint of ``model`` under ``variant`` with the
+    workload and layer ``counts``; a model without an action expert ignores
+    that stack's count."""
+    spec = decoding_variant_spec(replace(_LIB.model(model), **{
+        name: counts[name] for name in _WORKLOAD_COUNTS}), variant)
+    spec = replace(spec, **{
+        stack: replace(getattr(spec, stack), num_layers=counts[stack])
+        for stack in _LAYER_COUNTS if getattr(spec, stack) is not None})
+    result = sync_scenario(spec, placement, _CONTEXT_STEPS[step])
     return result.e2e_latency, result.footprint_bytes
 
 
 @given(data=st.data(), model=st.sampled_from(sorted(_LIB.models)),
        variant=st.sampled_from(DECODING_VARIANTS),
-       hw=preset_accelerators.map(_lifted))
+       hw=preset_accelerators.map(_lifted),
+       kind=st.sampled_from((ON_DEVICE, EDGE_SERVER, CLOUD_SERVER)),
+       net=preset_networks, cloud_net=preset_networks)
 @settings(max_examples=60, deadline=None)
 def test_more_work_never_lowers_latency_or_footprint(data, model, variant,
-                                                     hw):
-    """On a device with room for every point, a walk that grows each
-    workload count in a drawn order, and the context steps one at a time
-    from stateless, never lowers the end-to-end latency or the
-    footprint."""
+                                                     hw, kind, net,
+                                                     cloud_net):
+    """Served from a device with room for every point, on it or across
+    its links, a walk that grows each workload and layer count in a drawn
+    order, and the context steps one at a time from stateless, never
+    lowers the end-to-end latency or the footprint."""
+    growth = {**_WORKLOAD_COUNTS, **_LAYER_COUNTS}
     counts = {name: data.draw(st.integers(min_value=_LEAST.get(name, 1),
                                           max_value=most))
-              for name, most in _WORKLOAD_COUNTS.items()}
+              for name, most in growth.items()}
     last_step = data.draw(st.integers(min_value=1,
                                       max_value=len(_CONTEXT_STEPS) - 1))
     moves = []
-    for name in data.draw(st.permutations([*_WORKLOAD_COUNTS, "context"])):
+    for name in data.draw(st.permutations([*growth, "context"])):
         if name == "context":
             moves.extend([name] * last_step)
         else:
             moves.append(name)
+    placement = _placement(kind, hw, None, net, cloud_net)
     step = 0
-    before = _on_device_price(model, variant, hw, counts, step)
+    before = _served_price(model, variant, placement, counts, step)
     for name in moves:
         if name == "context":
             step += 1
         else:
             counts[name] = data.draw(st.integers(
-                min_value=counts[name], max_value=_WORKLOAD_COUNTS[name]))
-        after = _on_device_price(model, variant, hw, counts, step)
+                min_value=counts[name], max_value=growth[name]))
+        after = _served_price(model, variant, placement, counts, step)
         assert after[0] >= before[0] and after[1] >= before[1], (
             name, _CONTEXT_STEPS[step])
         before = after
