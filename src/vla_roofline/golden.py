@@ -187,9 +187,9 @@ def boundedness_table(lib: PresetLibrary,
     The vision-OI cell is informational only: with fused-attention byte
     accounting the aggregate vision intensity lands near 425 FLOPs/byte,
     well above the reference figure, while every boundedness label still
-    agrees.  The discrepancy is documented rather than graded.  This is the
-    one table that builds the whole pipeline graph (the layer tracer in
-    ``bench/`` reports its build), so it reads no ``memo``: each phase's
+    agrees.  The discrepancy is documented rather than graded.  Only this
+    table and ``bench/tracer.py`` read the graph API outside the tests.  It
+    builds the pipeline graph once and reads no ``memo``: each phase's
     subgraph gives its OI, which no accelerator changes, and its bound on
     each accelerator; a phase without runs grades N/A.
     """

@@ -383,14 +383,8 @@ def build(key: tuple, memo: dict) -> tuple[list[Run], dict]:
     return entry
 
 
-def pipeline_graph(spec: VlaModelSpec,
-                   context_timestep: Optional[int] = None) -> OperatorGraph:
-    """The complete control-step graph: vision, VLM prefill, action phase.
-
-    ``context_timestep`` enables the long-context regime: the fresh prefix
-    attends the camera history of :func:`cached_tokens`, and the action
-    phase attends all of it.  ``None`` (or 1) is the stateless baseline.
-    """
-    return OperatorGraph(
-        run for key in phase_builds(spec, context_timestep).values()
-        for run in build(key, {})[0])
+def pipeline_graph(spec: VlaModelSpec) -> OperatorGraph:
+    """The stateless control-step graph: vision, VLM prefill, action phase.
+    Only T4 and the benchmark's layer tracer read it."""
+    return OperatorGraph(run for key in phase_builds(spec).values()
+                         for run in build(key, {})[0])

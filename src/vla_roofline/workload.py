@@ -194,6 +194,9 @@ class VlaModelSpec(Record):
         for attr in ("num_cameras", "tokens_per_image", "language_tokens",
                      "action_dof", "chunk_size", "denoise_steps"):
             check_count(self.name, attr, getattr(self, attr))
+        if self.prefix_tokens() == 0:
+            raise ValueError(f"{self.name}: num_cameras and language_tokens "
+                             "are both 0, so the VLM has no prefix to prefill")
 
     def vision_tokens(self) -> int:
         """VLM tokens contributed by the cameras each control step."""

@@ -18,20 +18,20 @@ from vla_roofline import (
     dual_system_scenario,
     fits,
     golden,
-    graph_time,
     kv_bytes_per_token,
     long_context_sweep,
     op_time,
     param_count,
-    pipeline_graph,
     sync_scenario,
     transfer_time,
 )
 from vla_roofline import references as refs
 from vla_roofline.opgraph import ACTION, PHASES
 from vla_roofline.record import replace
-from vla_roofline.roofline import kv_cache_bytes
+from vla_roofline.roofline import kv_cache_bytes, price_phase
 from vla_roofline.scenarios import decoding_variant_spec
+
+from reference import phase_runs, step_runs, totals
 
 
 def _assert_cells(cells):
@@ -203,24 +203,24 @@ def test_c09_validation_anchor_rtx4090_camera_sweep(lib):
 
 def test_c10_model_invariants_and_parallel_determinism(lib):
     spec = lib.model("pi0")
-    graph = pipeline_graph(spec)
+    runs = step_runs(spec)
     hardware = [lib.accelerator(name) for name in sorted(lib.hardware)]
 
     # Roofline max law: every operator's time sits on exactly one wall.
     for hw in hardware:
-        for op, _ in graph.ops[:40]:
+        for op, _ in runs[:40]:
             seconds, side = op_time(op, hw)
             walls = (op.flops / hw.peak_flops, op.bytes / hw.mem_bandwidth)
             assert seconds == max(walls)
             assert seconds in walls
 
-    # Additivity: phase subgraphs partition the totals and the time.
-    subgraphs = [graph.subgraph(phase) for phase in PHASES]
-    assert sum(g.total_flops for g in subgraphs) == graph.total_flops
-    assert sum(g.total_bytes for g in subgraphs) == graph.total_bytes
+    # Additivity: the phases partition the totals and the time.
+    phases = phase_runs(spec).values()
+    assert sum(totals(p)[0] for p in phases) == totals(runs)[0]
+    assert sum(totals(p)[1] for p in phases) == totals(runs)[1]
     for hw in hardware:
-        parts = sum(graph_time(g, hw) for g in subgraphs)
-        assert graph_time(graph, hw) == pytest.approx(parts, rel=1e-12)
+        parts = sum(price_phase(p, hw)[0] for p in phases)
+        assert price_phase(runs, hw)[0] == pytest.approx(parts, rel=1e-12)
 
     # Affine transfer law across every bundled link.
     for name in sorted(lib.networks):

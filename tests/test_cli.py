@@ -545,6 +545,17 @@ def test_dual_system_without_system_1_work_is_an_error(tmp_path):
                          "dual-system serving needs System-1 work")
 
 
+def test_a_model_without_a_vlm_prefix_is_an_error(tmp_path):
+    """No cameras and no language tokens leave the VLM nothing to prefill:
+    the presets do not load, and the one error line names the model."""
+    models = copy.deepcopy(presets.MODELS)
+    models["models"]["mute"] = {**models["models"]["pi0"], "num_cameras": 0,
+                                "language_tokens": 0}
+    _assert_preset_error(tmp_path, "models.yaml", yaml.safe_dump(models),
+                         ("--model", "mute"),
+                         "mute: num_cameras and language_tokens are both 0")
+
+
 _BLIND_SWEEP = {
     "table": (
         "steps  feasible  vision_latency_ms  vlm_latency_ms  "
@@ -736,6 +747,55 @@ def test_wrong_type_preset_field_is_an_error(tmp_path, filename, text,
 def test_non_mapping_preset_entry_is_an_error(tmp_path, filename, text,
                                               message):
     _assert_preset_error(tmp_path, filename, text, (), message)
+
+
+# Each field of one accelerator and one link preset, set to an extreme
+# value or dropped (None), under each of four commands.
+_BOUNDARY_VALUES = (0, -0.0, 5e-324, 1e300, 1.7e308, 2 ** 63, -1, True,
+                    "wide", None)
+_BOUNDARY_COMMANDS = (
+    ("analyze",),
+    ("analyze", "--placement", "edge-server", "--net", "5g"),
+    ("sweep", "--chunk", "5,50"),
+    ("reproduce", "T8"),
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@pytest.mark.parametrize("filename, packaged, name, field", [
+    *(pytest.param("hardware.yaml", "HARDWARE", "b100", field,
+                   id=f"b100-{field}") for field in presets.HARDWARE["b100"]),
+    *(pytest.param("networks.yaml", "NETWORKS", "5g", field,
+                   id=f"5g-{field}") for field in presets.NETWORKS["5g"]),
+])
+def test_an_extreme_preset_value_ends_in_a_result_or_one_error(
+        tmp_path, monkeypatch, capsys, filename, packaged, name, field):
+    """In-process through ``main``: a result whose JSON parses without NaN
+    or Infinity (exit 0, or 2 for a reproduce run that misses a
+    tolerance), or exit 1 with one ``error:`` line and nothing on stdout."""
+    monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
+    for value in _BOUNDARY_VALUES:
+        data = copy.deepcopy(getattr(presets, packaged))
+        if value is None:
+            del data[name][field]
+        else:
+            data[name][field] = value
+        (tmp_path / filename).write_text(yaml.safe_dump(data),
+                                         encoding="utf-8")
+        for args in _BOUNDARY_COMMANDS:
+            code = cli.main([*args, "--format", "json"])
+            out, err = capsys.readouterr()
+            case = (value, args, err)
+            if code == 1:
+                assert out == "" and err.startswith("error: "), case
+                assert err.count("\n") == 1 and err.endswith("\n"), case
+            else:
+                assert code == 0 or (code, args[0]) == (2, "reproduce"), case
+                assert err == "", case
+                json.loads(out, parse_constant=_refuse_constant)
 
 
 def test_sweep_rows_and_determinism():

@@ -34,11 +34,7 @@ from vla_roofline.workload import (
     SCALED_FAMILY,
 )
 
-
-def _totals(runs):
-    """The FLOPs and bytes of a builder's runs, summed as integers."""
-    return (sum(op.flops * count for op, count in runs),
-            sum(op.bytes * count for op, count in runs))
+from reference import phase_runs, step_runs, totals
 
 
 def test_matmul_op_counts():
@@ -88,7 +84,7 @@ def test_prefill_layer_composition(lib):
 
 def test_prefill_graph_totals(lib):
     gemma = lib.component("gemma-2b")
-    flops, nbytes = _totals(prefill_runs(gemma, 800))
+    flops, nbytes = totals(prefill_runs(gemma, 800))
     assert nbytes == 5_452_922_880
     assert flops == 3_265_265_664_000
 
@@ -98,7 +94,7 @@ def test_prefill_flops_are_dense_forward_plus_attention(lib):
     layer for attention — the totals must decompose exactly."""
     from vla_roofline.workload import param_count
     gemma = lib.component("gemma-2b")
-    flops, _ = _totals(prefill_runs(gemma, 800))
+    flops, _ = totals(prefill_runs(gemma, 800))
     dense = 2 * 800 * param_count(gemma)
     attn = gemma.num_layers * 4 * 800 * 800 * gemma.q_width
     assert flops == dense + attn
@@ -107,7 +103,7 @@ def test_prefill_flops_are_dense_forward_plus_attention(lib):
 # --- Vision encoding: one batched forward over all cameras ----------------
 
 def test_vision_graph_totals(lib, pi0):
-    flops, nbytes = _totals(vit_encode_runs(lib.component("siglip-so400m"), 3))
+    flops, nbytes = totals(vit_encode_runs(lib.component("siglip-so400m"), 3))
     # Pipeline vision phase totals minus the cross-modal projector matmul.
     assert nbytes == 1_670_550_528 - 9_633_792
     assert flops == 709_452_103_680 - 3_623_878_656
@@ -116,8 +112,8 @@ def test_vision_graph_totals(lib, pi0):
 def test_vision_attention_is_joint_across_images(lib):
     """Three images in one forward attend 768 tokens, not 3 x 256."""
     siglip = lib.component("siglip-so400m")
-    one, _ = _totals(vit_encode_runs(siglip, 1))
-    three, _ = _totals(vit_encode_runs(siglip, 3))
+    one, _ = totals(vit_encode_runs(siglip, 1))
+    three, _ = totals(vit_encode_runs(siglip, 3))
     assert three > 3 * one  # quadratic attention term
 
 
@@ -140,8 +136,8 @@ def _diffusion(expert, vlm, prefix, chunk, steps, dof, history=0):
 
 
 def test_diffusion_step_totals(lib, pi0):
-    flops, nbytes = _totals(_diffusion(pi0.action_expert, pi0.vlm, 800,
-                                       50, 1, 14))
+    flops, nbytes = totals(_diffusion(pi0.action_expert, pi0.vlm, 800,
+                                      50, 1, 14))
     assert nbytes == 731_061_488
     assert flops == 37_412_454_400
 
@@ -158,8 +154,8 @@ def test_diffusion_attention_window_choice(lib, pi0):
 
 
 def test_diffusion_is_linear_in_steps(lib, pi0):
-    one = _totals(_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 1, 14))
-    ten = _totals(_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 10, 14))
+    one = totals(_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 1, 14))
+    ten = totals(_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 10, 14))
     assert ten == (10 * one[0], 10 * one[1])
 
 
@@ -171,16 +167,16 @@ def test_diffusion_zero_steps_is_empty(pi0):
 
 def test_decode_step_totals(lib):
     """One autoregressive token is a parallel decode of one."""
-    _, nbytes = _totals(parallel_decode_runs(lib.component("gemma-2b"), 1, 800))
+    _, nbytes = totals(parallel_decode_runs(lib.component("gemma-2b"), 1, 800))
     assert nbytes == 3_981_210_912
 
 
 def test_parallel_decode_layer_totals(lib):
     gemma = lib.component("gemma-2b")
-    flops, nbytes = _totals(parallel_decode_runs(gemma, 700, 800))
+    flops, nbytes = totals(parallel_decode_runs(gemma, 700, 800))
     assert flops // gemma.num_layers == 162_742_272_000
     assert nbytes // gemma.num_layers == 339_605_760
-    flops, nbytes = _totals(parallel_decode_runs(gemma, 140, 800))
+    flops, nbytes = totals(parallel_decode_runs(gemma, 140, 800))
     assert flops // gemma.num_layers == 31_906_201_600
     assert nbytes // gemma.num_layers == 243_482_880
 
@@ -188,18 +184,15 @@ def test_parallel_decode_layer_totals(lib):
 # --- Full pipeline ----------------------------------------------------------
 
 def test_pipeline_phase_totals(pi0):
-    graph = pipeline_graph(pi0)
-    assert graph.subgraph(VISION).total_bytes == 1_670_550_528
-    assert graph.subgraph(VISION).total_flops == 709_452_103_680
-    assert graph.subgraph(VLM).total_bytes == 5_452_922_880
-    assert graph.subgraph(VLM).total_flops == 3_265_265_664_000
-    assert graph.subgraph(ACTION).total_bytes == 7_310_614_880
-    assert graph.subgraph(ACTION).total_flops == 374_124_544_000
+    runs = phase_runs(pi0)
+    assert totals(runs[VISION]) == (709_452_103_680, 1_670_550_528)
+    assert totals(runs[VLM]) == (3_265_265_664_000, 5_452_922_880)
+    assert totals(runs[ACTION]) == (374_124_544_000, 7_310_614_880)
 
 
 def test_pipeline_contains_projector(pi0):
-    graph = pipeline_graph(pi0)
-    projector = [run for run in graph.ops if run[0].label == "mm_projector"]
+    projector = [run for run in step_runs(pi0)
+                 if run[0].label == "mm_projector"]
     assert len(projector) == 1
     op, count = projector[0]
     assert count == 1
@@ -215,22 +208,21 @@ def test_pipeline_is_sum_of_its_phases(pi0):
 
 def test_autoregressive_pipeline_decodes_each_action_token(pi0):
     ar = replace(pi0, action_expert=None, decoding_mode=AUTOREGRESSIVE)
-    graph = pipeline_graph(ar)
-    action = graph.subgraph(ACTION)
-    step = OperatorGraph(parallel_decode_runs(pi0.vlm, 1, 800))
-    assert action.ops == tuple((op, 700 * count) for op, count in step.ops)
-    assert action.ops == tuple(token_decode_runs(
-        parallel_decode_runs(pi0.vlm, 1, 800), 700))
-    assert action.total_bytes == 700 * step.total_bytes
-    assert action.total_flops == 700 * step.total_flops
+    action = phase_runs(ar)[ACTION]
+    step = parallel_decode_runs(pi0.vlm, 1, 800)
+    assert action == [(op, 700 * count) for op, count in step]
+    assert action == token_decode_runs(
+        parallel_decode_runs(pi0.vlm, 1, 800), 700)
+    flops, nbytes = totals(step)
+    assert totals(action) == (700 * flops, 700 * nbytes)
 
 
 def test_parallel_pipeline_uses_one_forward(pi0):
     par = replace(pi0, action_expert=None,
                   decoding_mode=AUTOREGRESSIVE_PARALLEL)
-    action = pipeline_graph(par).subgraph(ACTION)
-    assert action.total_flops == \
-        OperatorGraph(parallel_decode_runs(pi0.vlm, 700, 800)).total_flops
+    action = phase_runs(par)[ACTION]
+    assert totals(action)[0] == \
+        totals(parallel_decode_runs(pi0.vlm, 700, 800))[0]
 
 
 def test_phase_builds_give_each_builder_the_values_it_reads(pi0):
@@ -260,12 +252,11 @@ def test_phase_builds_give_each_builder_the_values_it_reads(pi0):
 def test_long_context_grows_history(pi0):
     """At timestep t the fresh prefix attends (t-1) steps of cached camera
     tokens and the expert streams that history once per denoise pass."""
-    base = pipeline_graph(pi0, context_timestep=1)
-    later = pipeline_graph(pi0, context_timestep=10)
-    assert base.total_bytes == pipeline_graph(pi0).total_bytes
-    assert later.total_bytes > base.total_bytes
-    assert later.subgraph(VISION).total_bytes == \
-        base.subgraph(VISION).total_bytes  # encoding itself is unchanged
+    base, later = step_runs(pi0, 1), step_runs(pi0, 10)
+    assert totals(base)[1] == totals(step_runs(pi0))[1]
+    assert totals(later)[1] > totals(base)[1]
+    assert totals(phase_runs(pi0, 10)[VISION])[1] == \
+        totals(phase_runs(pi0, 1)[VISION])[1]  # encoding itself is unchanged
 
 
 def test_pipeline_kernel_counts(pi0):
@@ -273,9 +264,9 @@ def test_pipeline_kernel_counts(pi0):
     they are runs of."""
     ar = replace(pi0, action_expert=None, decoding_mode=AUTOREGRESSIVE)
     for spec, kernels, distinct in ((pi0, 1_750, 25), (ar, 88_490, 21)):
-        graph = pipeline_graph(spec)
-        assert sum(count for _, count in graph.ops) == kernels
-        assert len(graph.ops) == distinct
+        runs = step_runs(spec)
+        assert sum(count for _, count in runs) == kernels
+        assert len(runs) == distinct
 
 
 def test_layer_builders_repeat_one_layer(lib, pi0):
@@ -294,7 +285,7 @@ def test_layer_builders_repeat_one_layer(lib, pi0):
          {"action_in_proj": 1, "action_out_proj": 1}),
     )
     for runs, layers, special in cases:
-        for op, count in OperatorGraph(runs).ops:
+        for op, count in runs:
             assert count == special.get(op.label, layers), op.label
 
 
@@ -324,7 +315,6 @@ def test_pipeline_runs_digest(lib):
             variant_spec = decoding_variant_spec(spec, variant)
             for timestep in (None, 10, 1000):
                 runs = [(op.label, op.flops, op.bytes, op.phase, count)
-                        for op, count in pipeline_graph(variant_spec,
-                                                        timestep).ops]
+                        for op, count in step_runs(variant_spec, timestep)]
                 digest.update(repr(runs).encode())
     assert digest.hexdigest() == RUNS_DIGEST

@@ -32,7 +32,6 @@ from vla_roofline import (
     load_presets,
     op_time,
     param_count,
-    pipeline_graph,
     prefill_runs,
     kv_bytes_per_token,
     sync_scenario,
@@ -42,9 +41,7 @@ from vla_roofline import cli, opgraph
 from vla_roofline.opgraph import ACTION, PHASES
 from vla_roofline.record import replace, set_field
 from vla_roofline.roofline import (
-    boundedness,
     figure_phase,
-    graph_oi,
     memory_footprint,
     price_phase,
 )
@@ -67,6 +64,8 @@ from vla_roofline.workload import (
     VlaModelSpec,
     weight_bytes,
 )
+
+from reference import phase_runs, reference_figures, totals
 
 operators = st.builds(
     Operator,
@@ -227,9 +226,9 @@ def small_stacks(draw):
 
 @given(cfg=small_stacks(), q_len=st.integers(min_value=1, max_value=64))
 def test_prefill_flops_decompose_into_weights_and_attention(cfg, q_len):
-    graph = OperatorGraph(prefill_runs(cfg, q_len))
+    flops, _ = totals(prefill_runs(cfg, q_len))
     attention_flops = cfg.num_layers * 4 * q_len * q_len * cfg.q_width
-    assert graph.total_flops == 2 * q_len * param_count(cfg) + attention_flops
+    assert flops == 2 * q_len * param_count(cfg) + attention_flops
 
 
 @given(cfg=small_stacks(), factor=st.integers(min_value=2, max_value=5))
@@ -429,21 +428,6 @@ preset_accelerators = st.sampled_from(sorted(_LIB.hardware)).map(
     _LIB.accelerator)
 
 
-def _graph_breakdown(graph, hw, action_hw):
-    """Seconds, OI and bound of each phase of ``graph`` that has runs, one
-    subgraph at a time through the graph API: the action phase on
-    ``action_hw`` when one is given, every other phase on ``hw``."""
-    latencies, intensity, labels = {}, {}, {}
-    for phase in PHASES:
-        sub = graph.subgraph(phase)
-        if sub.ops:
-            phase_hw = action_hw if phase == ACTION and action_hw else hw
-            latencies[phase] = graph_time(sub, phase_hw)
-            intensity[phase] = graph_oi(sub)
-            labels[phase] = boundedness(sub, phase_hw)
-    return latencies, intensity, labels
-
-
 @given(model=st.sampled_from(sorted(_LIB.models)),
        hw=st.one_of(preset_accelerators, accelerators), j=_scale_exponents)
 @settings(max_examples=40, deadline=None)
@@ -573,10 +557,12 @@ def _scenario_calls(spec, placement, context_timestep):
 
 @given(points=scenario_walks())
 @settings(max_examples=60, deadline=None)
-def test_scenarios_sharing_one_memo_equal_fresh_calls_and_the_graph(points):
+def test_scenarios_sharing_one_memo_equal_fresh_calls_and_the_reference(
+        points):
     """One memo shared across specs, timesteps and placements changes
-    nothing, bit for bit, and a fresh call prices each phase as the graph
-    API prices that phase's subgraph of the pipeline graph."""
+    nothing, bit for bit, and a fresh call prices each phase that has runs
+    as the reference fold prices them: the action phase on the device of a
+    collaborative placement, every other phase on ``placement.hw``."""
     memo = {}
     for spec, placement, context_timestep in points:
         for name, call in _scenario_calls(spec, placement, context_timestep):
@@ -585,11 +571,15 @@ def test_scenarios_sharing_one_memo_equal_fresh_calls_and_the_graph(points):
             if isinstance(fresh, str) or not fresh.phase_latencies:
                 continue
             action_hw = (placement.device_hw
-                         if placement.kind == COLLABORATIVE else None)
+                         if placement.kind == COLLABORATIVE else placement.hw)
+            figures = {phase: reference_figures(
+                           runs, action_hw if phase == ACTION else placement.hw)
+                       for phase, runs in phase_runs(
+                           spec, context_timestep).items() if runs}
             assert (fresh.phase_latencies, fresh.operational_intensity,
-                    fresh.boundedness) == _graph_breakdown(
-                pipeline_graph(spec, context_timestep), placement.hw,
-                action_hw), name
+                    fresh.boundedness) == tuple(
+                {phase: figure[i] for phase, figure in figures.items()}
+                for i in range(3)), name
 
 
 @st.composite
@@ -731,29 +721,37 @@ def _served_price(model, variant, placement, counts, step):
 @given(data=st.data(), model=st.sampled_from(sorted(_LIB.models)),
        variant=st.sampled_from(DECODING_VARIANTS),
        hw=preset_accelerators.map(_lifted),
-       kind=st.sampled_from((ON_DEVICE, EDGE_SERVER, CLOUD_SERVER)),
+       device_hw=preset_accelerators.map(_lifted),
+       kind=st.sampled_from(PLACEMENT_KINDS),
        net=preset_networks, cloud_net=preset_networks)
 @settings(max_examples=60, deadline=None)
 def test_more_work_never_lowers_latency_or_footprint(data, model, variant,
-                                                     hw, kind, net,
-                                                     cloud_net):
-    """Served from a device with room for every point, on it or across
-    its links, a walk that grows each workload and layer count in a drawn
-    order, and the context steps one at a time from stateless, never
-    lowers the end-to-end latency or the footprint."""
+                                                     hw, device_hw, kind,
+                                                     net, cloud_net):
+    """Served from devices with room for every point, on one device,
+    across its links or split between server and robot, a walk that grows
+    each workload and layer count in a drawn order, and the context steps
+    one at a time from stateless, never lowers the end-to-end latency or
+    the footprint, a split's server and device footprints together.  A
+    split keeps a diffusion variant and the stateless prefix."""
     growth = {**_WORKLOAD_COUNTS, **_LAYER_COUNTS}
     counts = {name: data.draw(st.integers(min_value=_LEAST.get(name, 1),
                                           max_value=most))
               for name, most in growth.items()}
-    last_step = data.draw(st.integers(min_value=1,
-                                      max_value=len(_CONTEXT_STEPS) - 1))
+    if kind == COLLABORATIVE:
+        if variant not in (DIFFUSION, DIFFUSION_LARGE):
+            variant = DIFFUSION  # split serving needs an action expert
+        last_step = 0
+    else:
+        last_step = data.draw(st.integers(min_value=1,
+                                          max_value=len(_CONTEXT_STEPS) - 1))
     moves = []
     for name in data.draw(st.permutations([*growth, "context"])):
         if name == "context":
             moves.extend([name] * last_step)
         else:
             moves.append(name)
-    placement = _placement(kind, hw, None, net, cloud_net)
+    placement = _placement(kind, hw, device_hw, net, cloud_net)
     step = 0
     before = _served_price(model, variant, placement, counts, step)
     for name in moves:

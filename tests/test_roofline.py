@@ -10,6 +10,7 @@ from vla_roofline.roofline import (
     MEMORY_BOUND,
     AcceleratorConfig,
     boundedness,
+    figure_phase,
     fits,
     graph_oi,
     graph_time,
@@ -18,6 +19,8 @@ from vla_roofline.roofline import (
     op_time,
 )
 from vla_roofline.scenarios import _breakdown
+
+from reference import phase_runs, reference_figures
 
 # Round numbers so each expected time is exact in binary-friendly arithmetic.
 HW = AcceleratorConfig(name="unit", peak_flops=100.0,
@@ -63,6 +66,16 @@ def test_balance_oi_of_packaged_accelerators(lib, hw_name, balance):
         balance, rel=1e-12)
 
 
+def _phase_figures(spec, hw):
+    """``figure_phase`` of each phase of ``spec``'s runs on ``hw``, each
+    checked equal to the reference fold."""
+    figures = {}
+    for phase, runs in phase_runs(spec).items():
+        figures[phase] = figure_phase(runs, hw)
+        assert figures[phase] == reference_figures(runs, hw), phase
+    return figures
+
+
 def test_phase_times_baseline(lib, pi0):
     """Frozen full-precision phase latencies for the baseline policy.
 
@@ -76,33 +89,30 @@ def test_phase_times_baseline(lib, pi0):
         "h100": (0.7174931, 3.3219315, 2.1822731),
         "b100": (0.4054012, 1.8699169, 0.9138269),
     }
-    graph = pipeline_graph(pi0)
     for hw_name, times in expected.items():
-        hw = lib.accelerator(hw_name)
+        figures = _phase_figures(pi0, lib.accelerator(hw_name))
         for phase, t_ms in zip((VISION, VLM, ACTION), times):
-            assert graph_time(graph.subgraph(phase), hw) * 1e3 == \
-                pytest.approx(t_ms, abs=5e-8)
+            assert figures[phase][0] * 1e3 == pytest.approx(t_ms, abs=5e-8)
 
 
-def test_graph_oi_baseline_phases(pi0):
-    graph = pipeline_graph(pi0)
-    assert graph_oi(graph.subgraph(VISION)) == pytest.approx(424.68, abs=0.005)
-    assert graph_oi(graph.subgraph(VLM)) == pytest.approx(598.81, abs=0.005)
-    assert graph_oi(graph.subgraph(ACTION)) == pytest.approx(51.18, abs=0.005)
+def test_phase_oi_baseline(lib, pi0):
+    figures = _phase_figures(pi0, lib.accelerator("a100"))
+    assert figures[VISION][1] == pytest.approx(424.68, abs=0.005)
+    assert figures[VLM][1] == pytest.approx(598.81, abs=0.005)
+    assert figures[ACTION][1] == pytest.approx(51.18, abs=0.005)
 
 
 def test_boundedness_labels(lib, pi0):
     """Thor sits below every phase OI; the faster parts flip vision and VLM
     to compute while the low-intensity action phase stays on memory."""
-    graph = pipeline_graph(pi0)
     for hw_name in ("rtx4090", "a100", "h100", "b100"):
-        hw = lib.accelerator(hw_name)
-        assert boundedness(graph.subgraph(VISION), hw) == COMPUTE_BOUND
-        assert boundedness(graph.subgraph(VLM), hw) == COMPUTE_BOUND
-        assert boundedness(graph.subgraph(ACTION), hw) == MEMORY_BOUND
-    thor = lib.accelerator("thor")
+        figures = _phase_figures(pi0, lib.accelerator(hw_name))
+        assert figures[VISION][2] == COMPUTE_BOUND
+        assert figures[VLM][2] == COMPUTE_BOUND
+        assert figures[ACTION][2] == MEMORY_BOUND
+    figures = _phase_figures(pi0, lib.accelerator("thor"))
     for phase in (VISION, VLM, ACTION):
-        assert boundedness(graph.subgraph(phase), thor) == MEMORY_BOUND
+        assert figures[phase][2] == MEMORY_BOUND
 
 
 def test_memory_footprint_stateless(pi0):

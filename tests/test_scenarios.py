@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from vla_roofline.opgraph import ACTION, VISION, VLM, pipeline_graph
+from vla_roofline.opgraph import ACTION, VISION, VLM
 from vla_roofline.record import replace
 from vla_roofline.roofline import kv_cache_bytes, memory_footprint
 from vla_roofline.scenarios import (
@@ -347,11 +347,10 @@ def test_long_context_rows(lib, pi0, b100):
 
 
 @pytest.mark.parametrize("t", (0, -1))
-@pytest.mark.parametrize("entry", ("pipeline_graph", "memory_footprint",
-                                   "kv_cache_bytes", "check_scenario"))
+@pytest.mark.parametrize("entry", ("memory_footprint", "kv_cache_bytes",
+                                   "check_scenario"))
 def test_a_context_step_below_one_is_one_error(pi0, b100, entry, t):
     calls = {
-        "pipeline_graph": lambda: pipeline_graph(pi0, t),
         "memory_footprint": lambda: memory_footprint(pi0, t),
         "kv_cache_bytes": lambda: kv_cache_bytes(pi0, t),
         "check_scenario": lambda: check_scenario(

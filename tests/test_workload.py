@@ -120,3 +120,12 @@ def test_model_spec_validation(pi0):
         VlaModelSpec(name="x", vision_encoder=pi0.vision_encoder,
                      vlm=pi0.vlm, action_expert=pi0.action_expert,
                      decoding_mode="autoregressive")
+
+
+def test_a_model_without_a_vlm_prefix_is_refused(pi0):
+    with pytest.raises(ValueError, match="^pi0: num_cameras and "
+                       "language_tokens are both 0"):
+        replace(pi0, num_cameras=0, language_tokens=0)
+    # Either count alone still leaves a prefix.
+    assert replace(pi0, num_cameras=0).prefix_tokens() == 32
+    assert replace(pi0, language_tokens=0).prefix_tokens() == 768
