@@ -40,7 +40,6 @@ from .scenarios import (
 
 def printed_ulp(text: str) -> float:
     """One unit in the last place of a decimal string ("5.3" -> 0.1)."""
-    text = text.strip()
     if "." in text:
         return 10.0 ** -(len(text) - text.index(".") - 1)
     return 1.0

@@ -41,7 +41,8 @@ the one token ledger, whose KV the footprint in :mod:`roofline` keeps.
 
 All counts are exact integers; a matmul of shape (m, k) x (k, n) costs
 ``2*m*n*k`` FLOPs and ``p*(m*k + k*n + m*n)`` bytes at ``p`` bytes per
-element.
+element.  The builders take counts that the records have validated, as
+:func:`phase_builds` derives them from a spec, and do not check them again.
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ def matmul_op(m: int, n: int, k: int, p: int = 2, label: str = "matmul",
 
     ``m == 0`` degenerates to a pure weight read: zero FLOPs, ``p*k*n`` bytes.
     """
-    if m < 0 or n < 1 or k < 1:
-        raise ValueError(f"{label}: need m >= 0, n >= 1, k >= 1")
     return Operator(label, 2 * m * n * k, p * (m * k + k * n + m * n), phase)
 
 
@@ -197,8 +196,6 @@ def _kv_window_elems(tokens: int, kv_width: int, groups: int,
     Either re-read the window once per query-head group (broadcast) or read
     it once and materialise the score matrix for every query head.
     """
-    if tokens == 0:
-        return 0
     broadcast = groups * 2 * tokens * kv_width
     materialize = 2 * tokens * kv_width + 4 * n_q * q_len * tokens
     return min(broadcast, materialize)
@@ -208,13 +205,11 @@ def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
                   history: int, ctx_kv_width: int,
                   ctx_kv_heads: int) -> list[Run]:
     """One action-expert layer cross-attending cached VLM context."""
-    if prefix < 0 or history < 0:
-        raise ValueError("context token counts must be >= 0")
     p = cfg.precision_bytes
     runs = _qkv_runs(cfg, q_len, ACTION)
 
     own_groups = cfg.num_q_heads // cfg.num_kv_heads
-    ctx_groups = max(1, -(-cfg.num_q_heads // ctx_kv_heads))
+    ctx_groups = -(-cfg.num_q_heads // ctx_kv_heads)  # ceiling, >= 1
     elems = 2 * q_len * cfg.q_width  # query in, attention output out
     elems += _kv_window_elems(prefix, ctx_kv_width, ctx_groups,
                               cfg.num_q_heads, q_len)
@@ -245,8 +240,6 @@ def vit_encode_runs(cfg: TransformerConfig, num_images: int,
     """
     if cfg.patch_input_dim is None:
         raise ValueError(f"{cfg.name}: vision encoding needs patch_input_dim")
-    if num_images < 0 or tokens_per_image < 1:
-        raise ValueError("need num_images >= 0 and tokens_per_image >= 1")
     if num_images == 0:
         return []
     tokens = num_images * tokens_per_image
@@ -260,8 +253,6 @@ def vit_encode_runs(cfg: TransformerConfig, num_images: int,
 def prefill_runs(cfg: TransformerConfig, q_len: int,
                  kv_prefix_len: int = 0) -> list[Run]:
     """VLM prefill of ``q_len`` fresh tokens over an optional prefix."""
-    if q_len < 1 or kv_prefix_len < 0:
-        raise ValueError("need q_len >= 1 and kv_prefix_len >= 0")
     layer = _context_layer(cfg, q_len, kv_prefix_len, VLM)
     return [(op, count * cfg.num_layers) for op, count in layer]
 
@@ -269,8 +260,6 @@ def prefill_runs(cfg: TransformerConfig, q_len: int,
 def parallel_decode_runs(cfg: TransformerConfig, num_action_tokens: int,
                          kv_prefix_len: int) -> list[Run]:
     """All ``num_action_tokens`` decoded in one action-phase forward."""
-    if num_action_tokens < 1 or kv_prefix_len < 0:
-        raise ValueError("need num_action_tokens >= 1 and kv_prefix_len >= 0")
     layer = _generation_layer(cfg, num_action_tokens, kv_prefix_len)
     return [(op, count * cfg.num_layers) for op, count in layer]
 
@@ -293,8 +282,6 @@ def diffusion_runs(layer: list[Run], cfg_action: TransformerConfig,
     attends the cached VLM prefix and any older context.  Passes are
     identical, so the cost is exactly linear in ``steps``.
     """
-    if chunk_size < 1 or action_dof < 1 or steps < 0:
-        raise ValueError("need chunk_size >= 1, action_dof >= 1, steps >= 0")
     if steps == 0:
         return []
     p = cfg_action.precision_bytes

@@ -72,13 +72,6 @@ def graph_time(graph: OperatorGraph, hw: AcceleratorConfig) -> float:
     return price_phase(graph.ops, hw)[0]
 
 
-def _intensity(flops: int, data: int) -> float:
-    if data == 0:
-        raise ValueError("operational intensity is undefined for a graph "
-                         "that moves zero bytes")
-    return flops / data
-
-
 def _label(oi: float, hw: AcceleratorConfig) -> str:
     if oi > hw.balance_oi():
         return COMPUTE_BOUND
@@ -86,8 +79,9 @@ def _label(oi: float, hw: AcceleratorConfig) -> str:
 
 
 def graph_oi(graph: OperatorGraph) -> float:
-    """Aggregate operational intensity (FLOP/byte) of a graph."""
-    return _intensity(graph.total_flops, graph.total_bytes)
+    """Aggregate operational intensity (FLOP/byte) of a graph that moves
+    bytes."""
+    return graph.total_flops / graph.total_bytes
 
 
 def boundedness(graph: OperatorGraph, hw: AcceleratorConfig) -> str:
@@ -147,8 +141,8 @@ def figure_phase(runs: Iterable[Run], hw: AcceleratorConfig,
                  ) -> tuple[float, float, str]:
     """Seconds, operational intensity and bound of one phase's runs on
     ``hw``: the wall sums of :func:`price_phase`, and a label that reads
-    only ``hw``'s peak and bandwidth.  Raises ``ValueError`` if the runs
-    move zero bytes."""
+    only ``hw``'s peak and bandwidth.  The runs must move bytes, as every
+    phase's weight-streaming matmuls do."""
     seconds, flops, data = price_phase(runs, hw)
-    oi = _intensity(flops, data)
+    oi = flops / data
     return seconds, oi, _label(oi, hw)

@@ -93,11 +93,6 @@ class TransformerConfig(Record):
                      "num_q_heads", "num_kv_heads", "head_dim"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{self.name}: {attr} must be >= 1")
-        if self.num_kv_heads > self.num_q_heads:
-            raise ValueError(
-                f"{self.name}: num_kv_heads ({self.num_kv_heads}) may not "
-                f"exceed num_q_heads ({self.num_q_heads})"
-            )
         if self.num_q_heads % self.num_kv_heads != 0:
             raise ValueError(
                 f"{self.name}: num_q_heads ({self.num_q_heads}) must be a "

@@ -87,6 +87,16 @@ def test_analyze_async_adds_rate():
     assert record["sync_frequency_hz"] == 13.7
 
 
+def test_analyze_async_is_download_bound_for_a_large_dof(capsys):
+    assert cli.main(["analyze", "--placement", "edge-server", "--net", "4g",
+                     "--async", "--dof", "2000", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    # A 3.2 Mb action chunk over 4G's 75 Mbps download: 23.4 Hz, below
+    # both the upload's 51.1 Hz and the GPU's 312.5 Hz.
+    assert record["sync_frequency_hz"] == 8.7
+    assert record["async_frequency_hz"] == 23.4
+
+
 def test_analyze_dual_system_record():
     result = run_cli("analyze", "--hw", "thor", "--s2-cap", "5",
                      "--format", "json")
@@ -750,7 +760,8 @@ def test_non_mapping_preset_entry_is_an_error(tmp_path, filename, text,
 
 
 # Each field of one accelerator and one link preset, set to an extreme
-# value or dropped (None), under each of four commands.
+# value or dropped (None), under each of four commands.  No packaged link
+# sets ``efficiency``, so it is added to the link's fields.
 _BOUNDARY_VALUES = (0, -0.0, 5e-324, 1e300, 1.7e308, 2 ** 63, -1, True,
                     "wide", None)
 _BOUNDARY_COMMANDS = (
@@ -759,43 +770,99 @@ _BOUNDARY_COMMANDS = (
     ("sweep", "--chunk", "5,50"),
     ("reproduce", "T8"),
 )
+# Each field of the VLM component gemma-2b and each of pi0's own fields
+# (not its component names), under the 13 values of the full models.yaml
+# probe and two decodings.
+_MODEL_VALUES = (0, -0.0, 5e-324, 1e300, 1.7e308, 2 ** 53, 2 ** 53 + 1,
+                 2 ** 63, -1, 1.5, True, "wide", None)
+_MODEL_COMMANDS = (("analyze",), ("analyze", "--decoding", "autoregressive"))
+_COMPONENT_NAMES = ("vision_encoder", "vlm", "action_expert")
+
+
+# libyaml's emitter, where PyYAML has it: the same data as safe_dump, in a
+# fraction of the time.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def _refuse_constant(name):
     raise ValueError(f"{name} in JSON output")
 
 
+def _each_value(tmp_path, filename, packaged, keys, field, values):
+    """Write ``filename`` once per value, as the packaged presets with
+    ``field`` of the entry at ``keys`` set to that value (dropped for
+    None), and yield the value."""
+    for value in values:
+        data = copy.deepcopy(getattr(presets, packaged))
+        entry = data
+        for key in keys:
+            entry = entry[key]
+        if value is None:
+            entry.pop(field, None)
+        else:
+            entry[field] = value
+        (tmp_path / filename).write_text(yaml.dump(data, Dumper=_DUMPER),
+                                         encoding="utf-8")
+        yield value
+
+
+def _assert_a_result_or_one_error(capsys, args, value):
+    """In-process through ``main``: a result whose JSON parses without NaN
+    or Infinity (exit 0, or 2 for a reproduce run that misses a
+    tolerance), or exit 1 with one ``error:`` line and nothing on stdout."""
+    code = cli.main([*args, "--format", "json"])
+    out, err = capsys.readouterr()
+    case = (value, args, err)
+    if code == 1:
+        assert out == "" and err.startswith("error: "), case
+        assert err.count("\n") == 1 and err.endswith("\n"), case
+    else:
+        assert code == 0 or (code, args[0]) == (2, "reproduce"), case
+        assert err == "", case
+        json.loads(out, parse_constant=_refuse_constant)
+
+
 @pytest.mark.parametrize("filename, packaged, name, field", [
     *(pytest.param("hardware.yaml", "HARDWARE", "b100", field,
                    id=f"b100-{field}") for field in presets.HARDWARE["b100"]),
     *(pytest.param("networks.yaml", "NETWORKS", "5g", field,
-                   id=f"5g-{field}") for field in presets.NETWORKS["5g"]),
+                   id=f"5g-{field}")
+      for field in (*presets.NETWORKS["5g"], "efficiency")),
 ])
 def test_an_extreme_preset_value_ends_in_a_result_or_one_error(
         tmp_path, monkeypatch, capsys, filename, packaged, name, field):
-    """In-process through ``main``: a result whose JSON parses without NaN
-    or Infinity (exit 0, or 2 for a reproduce run that misses a
-    tolerance), or exit 1 with one ``error:`` line and nothing on stdout."""
     monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
-    for value in _BOUNDARY_VALUES:
-        data = copy.deepcopy(getattr(presets, packaged))
-        if value is None:
-            del data[name][field]
-        else:
-            data[name][field] = value
-        (tmp_path / filename).write_text(yaml.safe_dump(data),
-                                         encoding="utf-8")
+    for value in _each_value(tmp_path, filename, packaged, (name,), field,
+                             _BOUNDARY_VALUES):
         for args in _BOUNDARY_COMMANDS:
-            code = cli.main([*args, "--format", "json"])
-            out, err = capsys.readouterr()
-            case = (value, args, err)
-            if code == 1:
-                assert out == "" and err.startswith("error: "), case
-                assert err.count("\n") == 1 and err.endswith("\n"), case
-            else:
-                assert code == 0 or (code, args[0]) == (2, "reproduce"), case
-                assert err == "", case
-                json.loads(out, parse_constant=_refuse_constant)
+            _assert_a_result_or_one_error(capsys, args, value)
+
+
+@pytest.mark.parametrize("section, name, field", [
+    *(pytest.param("components", "gemma-2b", field, id=f"gemma-2b-{field}")
+      for field in presets.MODELS["components"]["gemma-2b"]),
+    *(pytest.param("models", "pi0", field, id=f"pi0-{field}")
+      for field in presets.MODELS["models"]["pi0"]
+      if field not in _COMPONENT_NAMES),
+])
+def test_an_extreme_model_value_ends_in_a_result_or_one_error(
+        tmp_path, monkeypatch, capsys, section, name, field):
+    monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
+    for value in _each_value(tmp_path, "models.yaml", "MODELS",
+                             (section, name), field, _MODEL_VALUES):
+        for args in _MODEL_COMMANDS:
+            _assert_a_result_or_one_error(capsys, args, value)
+
+
+def test_a_link_with_zero_efficiency_is_an_error(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
+    next(_each_value(tmp_path, "networks.yaml", "NETWORKS", ("5g",),
+                     "efficiency", (0,)))
+    assert cli.main(["analyze", "--placement", "edge-server",
+                     "--net", "5g"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: 5g: efficiency must be in (0, 1]\n")
 
 
 def test_sweep_rows_and_determinism():

@@ -14,6 +14,7 @@ from vla_roofline.opgraph import (
     ACTION,
     VISION,
     VLM,
+    Operator,
     OperatorGraph,
     _expert_layer,
     diffusion_runs,
@@ -32,6 +33,7 @@ from vla_roofline.workload import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
     SCALED_FAMILY,
+    TransformerConfig,
 )
 
 from reference import phase_runs, step_runs, totals
@@ -47,6 +49,13 @@ def test_matmul_zero_rows_is_pure_weight_read():
     op = matmul_op(0, 256, 2048)
     assert op.flops == 0
     assert op.bytes == 2 * 256 * 2048
+
+
+@pytest.mark.parametrize("flops, nbytes", [(-1, 20), (10, -1)])
+def test_an_operator_refuses_a_negative_count(flops, nbytes):
+    with pytest.raises(ValueError,
+                       match="^q_proj: flops and bytes must be >= 0$"):
+        Operator("q_proj", flops, nbytes, VLM)
 
 
 def test_graph_of_concatenated_and_scaled_runs():
@@ -151,6 +160,25 @@ def test_diffusion_attention_window_choice(lib, pi0):
     # 2*(2*50*2048 + [2*800*256 + 4*8*50*800] + [2*50*256 + 4*8*50*50])
     assert attn.bytes == 4_000_000
     assert attn.flops == 4 * 50 * 850 * 2048
+
+
+def test_expert_over_kv_heads_that_do_not_divide_its_query_heads():
+    """The expert's 8 query heads over a VLM cache of 3 KV heads form
+    ceil(8 / 3) = 3 groups, and broadcast is the cheaper read of both
+    windows, so each window's group count sets its bytes."""
+    expert = TransformerConfig(name="expert", num_layers=1, hidden_size=64,
+                               intermediate_size=64, num_ffi=2,
+                               num_q_heads=8, num_kv_heads=2, head_dim=16)
+    vlm = TransformerConfig(name="vlm", num_layers=1, hidden_size=96,
+                            intermediate_size=96, num_ffi=2, num_q_heads=6,
+                            num_kv_heads=3, head_dim=16)
+    runs = _expert_layer(expert, 10, 100, 50, vlm.kv_width, vlm.num_kv_heads)
+    attn = next(op for op, _ in runs if op.label == "attention")
+    # 2*(2*10*128 + 3*2*100*48 + 4*2*10*32 + 2*50*48): query and output,
+    # the prefix window in 3 groups, the expert's own window in 4 groups
+    # (8 / 2 heads), and the history streamed once.
+    assert attn.bytes == 2 * (2_560 + 28_800 + 2_560 + 4_800) == 77_440
+    assert attn.flops == 4 * 10 * (100 + 10 + 50) * 128
 
 
 def test_diffusion_is_linear_in_steps(lib, pi0):

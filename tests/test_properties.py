@@ -37,7 +37,7 @@ from vla_roofline import (
     sync_scenario,
     transfer_time,
 )
-from vla_roofline import cli, opgraph
+from vla_roofline import cli, netmodel, opgraph
 from vla_roofline.opgraph import ACTION, PHASES
 from vla_roofline.record import replace, set_field
 from vla_roofline.roofline import (
@@ -837,6 +837,35 @@ def test_a_better_link_never_slows_a_served_deployment(
     if kind != COLLABORATIVE:
         assert async_scenario(spec, grown, memo=memo).async_frequency >= (
             async_scenario(spec, placement, memo=memo).async_frequency)
+
+
+@given(model=st.sampled_from(sorted(_LIB.models)),
+       hw=preset_accelerators.map(_lifted),
+       kind=st.sampled_from((EDGE_SERVER, CLOUD_SERVER)),
+       net=st.one_of(preset_networks, networks),
+       cloud_net=st.one_of(preset_networks, networks),
+       chunk=st.integers(min_value=1, max_value=1000),
+       dof=st.integers(min_value=1, max_value=4000))
+@example(model="pi0", hw=_LIB.accelerator("b100"), kind=EDGE_SERVER,
+         net=_LIB.network("4g"), cloud_net=None, chunk=50, dof=2000)
+@example(model="pi0", hw=_LIB.accelerator("b100"), kind=CLOUD_SERVER,
+         net=_LIB.network("ethernet-10g"),
+         cloud_net=_LIB.network("slow-cloud"), chunk=50, dof=2000)
+@settings(max_examples=40, deadline=None)
+def test_the_pipelined_rate_is_its_slowest_stage(model, hw, kind, net,
+                                                 cloud_net, chunk, dof):
+    """The GPU, each hop's upload of an observation and each hop's download
+    of an action chunk are stages; the examples bind on a download."""
+    spec = replace(_LIB.model(model), chunk_size=chunk, action_dof=dof)
+    placement = _placement(kind, hw, None, net, cloud_net)
+    result = async_scenario(spec, placement)
+    up_bits = 8 * netmodel.COMPRESSED_OBSERVATION_BYTES
+    down_bits = 8 * netmodel.action_bytes(spec)
+    path = placement.network_path()
+    assert result.async_frequency == min(
+        [1.0 / sum(result.phase_latencies.values())]
+        + [hop.rate(upload=True) / up_bits for hop in path]
+        + [hop.rate(upload=False) / down_bits for hop in path])
 
 
 def _cli_json(*argv):

@@ -95,6 +95,19 @@ def test_replaced_golden_cell_grades_again():
     assert moved.relative_error == pytest.approx(1.2 / 1.19 - 1.0)
 
 
+@pytest.mark.parametrize("reference, rel_tol, abs_tol, tolerance", [
+    ("4", 0.25, None, 1.5),   # 0.25 * 4 + half of the printed unit, 1
+    ("4.0", 0.0, 0.5, 0.5),   # an absolute tolerance replaces the slack
+])
+def test_a_golden_cell_whose_error_equals_its_tolerance_passes(
+        reference, rel_tol, abs_tol, tolerance):
+    cell = GoldenCell("tie", "ms", modeled=4.0 + tolerance,
+                      reference=reference, rel_tol=rel_tol, abs_tol=abs_tol)
+    assert cell.tolerance == tolerance and cell.passed is True
+    beyond = replace(cell, modeled=4.0 + tolerance + 2.0 ** -20)
+    assert beyond.passed is False
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """The references that ``golden`` parses with ``float``."""

@@ -3,7 +3,14 @@
 
 import pytest
 
-from vla_roofline.opgraph import ACTION, VISION, VLM, Operator, pipeline_graph
+from vla_roofline.opgraph import (
+    ACTION,
+    VISION,
+    VLM,
+    Operator,
+    OperatorGraph,
+    pipeline_graph,
+)
 from vla_roofline.roofline import (
     COMPUTE_BOUND,
     GIB,
@@ -18,7 +25,7 @@ from vla_roofline.roofline import (
     memory_footprint,
     op_time,
 )
-from vla_roofline.scenarios import _breakdown
+from vla_roofline.scenarios import Placement, _breakdown, sync_scenario
 
 from reference import phase_runs, reference_figures
 
@@ -40,7 +47,6 @@ def test_op_time_tie_counts_as_memory_bound():
 
 
 def test_graph_time_sums_per_operator_maxima():
-    from vla_roofline.opgraph import OperatorGraph
     runs = ((Operator("a", 1000, 10, VISION), 1),
             (Operator("b", 100, 100, VLM), 1))
     graph = OperatorGraph(runs)
@@ -52,6 +58,22 @@ def test_graph_time_sums_per_operator_maxima():
     assert graph_time(tripled, HW) == 60.0
     assert graph_time(tripled.subgraph(VISION), HW) == 30.0
     assert graph_time(tripled.subgraph(VLM), HW) == 30.0
+
+
+# Powers of two, so that an intensity equal to the balance point is exact.
+TIE_HW = AcceleratorConfig(name="tie", peak_flops=2.0 ** 40,
+                           mem_bandwidth=2.0 ** 30, mem_capacity=2 ** 30)
+
+
+def test_a_phase_at_the_balance_point_is_memory_bound():
+    """Compute-bound only above the balance point (1024 FLOP/B here)."""
+    tied = [(Operator("t", flops=2 ** 20, bytes=2 ** 10, phase=VLM), 3)]
+    above = [(Operator("a", flops=2 ** 20 + 1, bytes=2 ** 10, phase=VLM), 3)]
+    assert figure_phase(tied, TIE_HW) == (3 * 2.0 ** -20, 1024.0,
+                                          MEMORY_BOUND)
+    assert boundedness(OperatorGraph(tied), TIE_HW) == MEMORY_BOUND
+    assert figure_phase(above, TIE_HW)[2] == COMPUTE_BOUND
+    assert boundedness(OperatorGraph(above), TIE_HW) == COMPUTE_BOUND
 
 
 @pytest.mark.parametrize("hw_name, balance", [
@@ -134,6 +156,20 @@ def test_fits_capacity_boundary(lib, pi0):
     assert fits(pi0, lib.accelerator("b100"), context_timesteps=10_000)
     assert not fits(pi0, lib.accelerator("thor"), context_timesteps=10_000)
     assert not fits(pi0, lib.accelerator("rtx4090"), context_timesteps=10_000)
+
+
+@pytest.mark.parametrize("t", [None, 10])
+def test_fits_and_the_scenario_agree_at_the_last_byte(pi0, t):
+    """A footprint equal to capacity fits and prices; one byte less
+    capacity is infeasible, in ``fits`` and in the scenario alike."""
+    need = memory_footprint(pi0, t)
+    for capacity, feasible in ((need, True), (need - 1, False)):
+        hw = AcceleratorConfig(name="edge", peak_flops=2.0 ** 50,
+                               mem_bandwidth=2.0 ** 40, mem_capacity=capacity)
+        assert fits(pi0, hw, t) is feasible
+        result = sync_scenario(pi0, Placement.on_device(hw), t)
+        assert result.feasible is feasible
+        assert result.footprint_bytes == need
 
 
 def test_footprint_in_gib(lib, pi0):

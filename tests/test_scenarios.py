@@ -10,9 +10,18 @@ from itertools import combinations
 
 import pytest
 
+from vla_roofline.netmodel import (
+    COMPRESSED_OBSERVATION_BYTES,
+    NetworkConfig,
+    action_bytes,
+)
 from vla_roofline.opgraph import ACTION, VISION, VLM
 from vla_roofline.record import replace
-from vla_roofline.roofline import kv_cache_bytes, memory_footprint
+from vla_roofline.roofline import (
+    AcceleratorConfig,
+    kv_cache_bytes,
+    memory_footprint,
+)
 from vla_roofline.scenarios import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
@@ -32,6 +41,8 @@ from vla_roofline.scenarios import (
     scaling_sweep,
     sync_scenario,
 )
+
+from reference import phase_runs, totals
 
 REL = 1e-6  # frozen-value tolerance: float noise only
 
@@ -183,6 +194,21 @@ def test_async_rate_is_upload_bound_on_4g(lib, pi0, b100):
                                                       rel=REL)
 
 
+@pytest.mark.parametrize("nets, async_hz", [
+    (("4g",), 23.4375),  # 75 Mbps / (8 * 50 * 2000 * 4 B)
+    (("4g", "slow-cloud"), 23.4375),
+    # 1 Gbps on the cloud hop, just under the GPU's 312.52 Hz.
+    (("ethernet-10g", "slow-cloud"), 312.5),
+])
+def test_async_rate_is_download_bound_for_large_chunks(lib, pi0, b100, nets,
+                                                       async_hz):
+    spec = replace(pi0, action_dof=2000)
+    hops = [lib.network(name) for name in nets]
+    placement = (Placement.edge_server(b100, *hops) if len(hops) == 1
+                 else Placement.cloud_server(b100, *hops))
+    assert async_scenario(spec, placement).async_frequency == async_hz
+
+
 def test_async_requires_network(lib, pi0, b100, thor):
     with pytest.raises(ValueError, match="networked"):
         async_scenario(pi0, Placement.on_device(b100))
@@ -300,6 +326,44 @@ def test_dual_system_rejects_bad_inputs(lib, pi0, thor, b100):
     collab = Placement.collaborative(thor, b100, lib.network("wifi7"))
     with pytest.raises(ValueError, match="collaborative"):
         dual_system_scenario(pi0, collab, 5.0)
+
+
+def _half_second_systems(pi0):
+    """pi0 without cameras or denoising steps, at the edge, with both
+    System 1 and System 2 taking exactly 0.5 s: every VLM run is
+    compute-bound at a peak of twice the VLM's FLOPs, and each network
+    leg takes 0.25 s."""
+    spec = replace(pi0, num_cameras=0, denoise_steps=0)
+    vlm_flops = totals(phase_runs(spec)[VLM])[0]
+    hw = AcceleratorConfig(name="tie", peak_flops=2.0 * vlm_flops,
+                           mem_bandwidth=2.0 ** 80, mem_capacity=2 ** 40)
+    net = NetworkConfig(name="tie", base_latency=0.0,
+                        upload_bw=4 * 8 * COMPRESSED_OBSERVATION_BYTES,
+                        download_bw=4 * 8 * action_bytes(spec))
+    placement = Placement.edge_server(hw, net)
+    assert dual_system_times(sync_scenario(spec, placement)) == (0.5, 0.5)
+    return spec, placement
+
+
+def test_dual_system_at_a_full_system_2_cap_is_infeasible(pi0):
+    """``s2_cap * T_s2 == 1`` leaves System 1 no time: infeasible."""
+    spec, placement = _half_second_systems(pi0)
+    r = dual_system_scenario(spec, placement, 2.0)
+    assert not r.feasible and r.async_frequency is None
+    assert r.notes == ("System 2 cannot sustain 2 Hz: refresh alone takes "
+                       "500.00 ms",)
+
+
+def test_dual_system_cap_equal_to_system_1_rate_is_not_flagged(pi0):
+    """At a cap of 1 Hz, System 1 runs at (1 - 0.5) / 0.5 = 1 Hz: the cap
+    does not exceed it, so no note; just above it, the note is there."""
+    spec, placement = _half_second_systems(pi0)
+    r = dual_system_scenario(spec, placement, 1.0)
+    assert r.feasible and r.async_frequency == 1.0 and r.notes == ()
+    above = dual_system_scenario(spec, placement, 1.125)
+    assert above.async_frequency == 0.875
+    assert above.notes == ("requested System-2 rate 1.125 Hz exceeds the "
+                           "achieved System-1 rate 0.9 Hz",)
 
 
 def test_dual_system_needs_system_1_work(pi0, thor):

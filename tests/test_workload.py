@@ -105,8 +105,10 @@ def test_derived_expert_geometry(lib, name):
 def test_transformer_config_validation():
     with pytest.raises(ValueError):
         replace(TOY, precision_bytes=3)
-    with pytest.raises(ValueError):
-        replace(TOY, num_kv_heads=2)  # more KV than Q heads
+    # More KV than query heads fails the one head check.
+    with pytest.raises(ValueError, match=r"^toy: num_q_heads \(1\) must be a "
+                       r"multiple of num_kv_heads \(2\)$"):
+        replace(TOY, num_kv_heads=2)
     with pytest.raises(ValueError, match="multiple"):
         replace(TOY, num_q_heads=3, num_kv_heads=2)
 
