@@ -14,15 +14,17 @@ from __future__ import annotations
 import functools
 import math
 import os
-from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from . import presets
 from .netmodel import NetworkConfig
 from .record import Record, set_field
 from .roofline import AcceleratorConfig
 from .workload import TransformerConfig, VlaModelSpec
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 PRESET_DIR_ENV = "VLA_ROOFLINE_PRESETS"
 COMPONENTS_FILE = "models.yaml"
@@ -225,6 +227,9 @@ def _overrides() -> list[Optional[tuple[Path, bytes]]]:
     env_dir = os.environ.get(PRESET_DIR_ENV)
     if not env_dir:
         return files
+    # Only an override directory needs ``pathlib``.
+    from pathlib import Path
+
     path = directory = Path(env_dir)
     try:
         if not directory.is_dir():

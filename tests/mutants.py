@@ -85,6 +85,14 @@ MUTANTS = (
     # so only a test of the freeze itself can kill the mutant.
     ("entry-no-freeze", "__main__.py",
      "        gc.freeze()\n", "        pass\n", None),
+    # The lazy imports of a cold process.  The batch commands are loaded at
+    # the start of every call, not at the top of ``cli``, which ``commands``
+    # imports from: that would fail as a circular import, not as a load.
+    ("cli-eager-commands", "cli.py",
+     "    args = _read_argv(argv)\n",
+     "    from . import commands\n    args = _read_argv(argv)\n", None),
+    ("cli-eager-pathlib", "cli.py",
+     "import sys\n", "import sys\nfrom pathlib import Path\n", None),
 )
 
 

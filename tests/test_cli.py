@@ -14,7 +14,7 @@ import sys
 import pytest
 import yaml
 
-from vla_roofline import cli, presets
+from vla_roofline import cli, commands, presets
 from vla_roofline.configio import load_presets
 
 
@@ -446,7 +446,8 @@ def test_reproduce_all_json_matches_json_dumps(
     for name in cli._ALL_TABLES:
         cells = golden.TABLES[name](lib, memo)
         doc.append({"table": name, "passed": golden.table_passed(cells),
-                    "cells": [dict(zip(cli._CELL_COLUMNS, cli._cell_fields(c)))
+                    "cells": [dict(zip(commands._CELL_COLUMNS,
+                                       commands._cell_fields(c)))
                               for c in cells]})
     assert (code, err) == ((2, "") if override else (0, ""))
     assert text == json.dumps(doc, indent=2) + "\n"

@@ -25,11 +25,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vla_roofline import cli, presets
+from vla_roofline import cli, commands, presets
 from vla_roofline.configio import PRESET_DIR_ENV, load_presets
 from vla_roofline.scenarios import DECODING_VARIANTS
 
-PARSER = cli.build_parser()
+PARSER = commands.build_parser()
 SUBCOMMANDS = next(action.choices for action in PARSER._actions
                    if isinstance(action, argparse._SubParsersAction))
 

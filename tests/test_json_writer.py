@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vla_roofline.cli import _json_rows, _json_text
+from vla_roofline.cli import _json_text
+from vla_roofline.commands import _json_rows
 
 # Text that a naive row splitter, escaper or template could get wrong:
 # quotes, backslashes, braces, a row boundary as text, raw newlines, control

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vla_roofline import cli
+from vla_roofline import cli, commands
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 ORACLE = json.loads((BENCH / "oracle.json").read_text(encoding="utf-8"))
@@ -52,4 +52,4 @@ def test_every_catalogue_request_is_read_without_argparse(bench):
         for argv in catalogue():
             read = cli._read_argv(argv)
             assert read is not None, argv
-            assert vars(read) == vars(cli.build_parser().parse_args(argv))
+            assert vars(read) == vars(commands.build_parser().parse_args(argv))

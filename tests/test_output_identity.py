@@ -14,7 +14,7 @@ import io
 
 import pytest
 
-from vla_roofline import cli
+from vla_roofline import cli, commands
 
 COMMANDS = (
     ("analyze",),
@@ -170,7 +170,7 @@ def test_no_table_or_csv_line_ends_in_whitespace(command, fmt):
 def test_a_failed_call_leaves_the_next_call_unchanged():
     """The parser is built once per process, so a call that fails to parse
     must leave nothing behind for the next call."""
-    assert cli.build_parser() is cli.build_parser()
+    assert commands.build_parser() is commands.build_parser()
     with contextlib.redirect_stderr(io.StringIO()), \
             pytest.raises(SystemExit) as failed:
         cli.main(["analyze", "--chunk", "10", "--format", "csv",

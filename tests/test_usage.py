@@ -1,5 +1,5 @@
-"""The CLI's help and usage-error text, byte for byte, and when argparse
-loads.
+"""The CLI's help and usage-error text, byte for byte, when argparse
+loads, and which optional modules each command loads in a fresh process.
 
 argparse writes help and usage errors from the flag table in ``cli``; the
 texts are those of Python 3.11 on an 80-column terminal, so an edit of the
@@ -10,11 +10,14 @@ that is one ``error:`` line, as for every flag combination that no scenario
 takes.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vla_roofline
 from vla_roofline import cli
 
 # Exit code, stdout and stderr, by the argv joined with spaces.
@@ -178,3 +181,51 @@ def test_well_formed_commands_never_import_argparse():
     result = subprocess.run([sys.executable, "-c", LAZY_ARGPARSE],
                             capture_output=True, text=True)
     assert result.stdout == "[0, 0, 0, 0, 1, False, 0, 1]\n", result.stderr
+
+
+WATCHED = ("vla_roofline.commands", "vla_roofline.golden",
+           "vla_roofline.references", "argparse", "csv", "pathlib")
+
+# Runs the process entry in a fresh ``python -S`` process, so that ``site``
+# preloads nothing (it may import ``pathlib``), with the directory that holds
+# the package first on the path.  Prints the exit code, then each module of
+# WATCHED that the command loaded.
+COLD_LOADS = f"""\
+import io, sys
+sys.path.insert(0, sys.argv[1])
+sys.argv = ["vla-roofline", *sys.argv[2:]]
+from vla_roofline.__main__ import run
+stdout, sys.stdout = sys.stdout, io.StringIO()
+try:
+    code = run()
+finally:
+    sys.stdout = stdout
+print(code, *(name for name in {WATCHED!r} if name in sys.modules))
+"""
+
+# What each well-formed command loads of WATCHED; OUT stands for a file path.
+COLD_COMMANDS = {
+    "analyze --format json": (),
+    "analyze": (),
+    "sweep --chunk 5,10": ("vla_roofline.commands",),
+    "list-presets": ("vla_roofline.commands",),
+    "reproduce T1": ("vla_roofline.commands", "vla_roofline.golden",
+                     "vla_roofline.references"),
+    "analyze --format json --out OUT": ("pathlib",),
+}
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS)
+def test_each_cold_command_loads_only_what_it_uses(tmp_path, argv):
+    """``analyze`` loads neither the batch commands nor argparse, csv or
+    pathlib; the batch commands load ``golden`` only to reproduce, and
+    pathlib loads only to write ``--out``."""
+    env = dict(os.environ)
+    env.pop("VLA_ROOFLINE_PRESETS", None)
+    args = [str(tmp_path / "out") if arg == "OUT" else arg
+            for arg in argv.split()]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_LOADS,
+         str(Path(vla_roofline.__file__).parents[1]), *args],
+        capture_output=True, text=True, env=env)
+    assert result.stdout.split() == ["0", *COLD_COMMANDS[argv]], result.stderr
