@@ -101,14 +101,6 @@ class OperatorGraph(Record):
         # reused, about 1 MB of peak memory over many in-process calls.
         set_field(self, "ops", tuple(runs))
 
-    @property
-    def total_flops(self) -> int:
-        return sum(op.flops * count for op, count in self.ops)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(op.bytes * count for op, count in self.ops)
-
     def subgraph(self, phase: str) -> "OperatorGraph":
         """The runs of one pipeline phase."""
         return OperatorGraph(run for run in self.ops if run[0].phase == phase)
@@ -230,26 +222,6 @@ def _expert_layer(cfg: TransformerConfig, q_len: int, prefix: int,
 # ---------------------------------------------------------------------------
 
 
-def vit_encode_runs(cfg: TransformerConfig, num_images: int,
-                    tokens_per_image: int = 256) -> list[Run]:
-    """Vision encoding of all camera images in a single batched forward.
-
-    The images are concatenated into one ``num_images * tokens_per_image``
-    token batch (weights stream once, attention is joint across the batch).
-    Requires ``cfg.patch_input_dim``; zero images yield no runs.
-    """
-    if cfg.patch_input_dim is None:
-        raise ValueError(f"{cfg.name}: vision encoding needs patch_input_dim")
-    if num_images == 0:
-        return []
-    tokens = num_images * tokens_per_image
-    embed = matmul_op(tokens, cfg.hidden_size, cfg.patch_input_dim,
-                      cfg.precision_bytes, "patch_embed", VISION)
-    return [(embed, 1)] + [
-        (op, count * cfg.num_layers)
-        for op, count in _context_layer(cfg, tokens, 0, VISION)]
-
-
 def prefill_runs(cfg: TransformerConfig, q_len: int,
                  kv_prefix_len: int = 0) -> list[Run]:
     """VLM prefill of ``q_len`` fresh tokens over an optional prefix."""
@@ -312,14 +284,27 @@ def cached_tokens(spec: VlaModelSpec,
 
 def vision_runs(encoder: TransformerConfig, num_cameras: int,
                 tokens_per_image: int, vlm_hidden: int) -> list[Run]:
-    """The vision phase: every camera image encoded, then bridged from
-    vision width to the VLM's ``vlm_hidden``."""
-    runs = vit_encode_runs(encoder, num_cameras, tokens_per_image)
-    if num_cameras > 0:
-        runs.append((matmul_op(num_cameras * tokens_per_image, vlm_hidden,
-                               encoder.hidden_size, encoder.precision_bytes,
-                               "mm_projector", VISION), 1))
-    return runs
+    """The vision phase: every camera image encoded in one batched forward,
+    then bridged from vision width to the VLM's ``vlm_hidden``.
+
+    The images are concatenated into one ``num_cameras * tokens_per_image``
+    token batch (weights stream once, attention is joint across the batch).
+    Requires ``encoder.patch_input_dim``; zero cameras yield no runs.
+    """
+    if encoder.patch_input_dim is None:
+        raise ValueError(f"{encoder.name}: vision encoding needs patch_input_dim")
+    if num_cameras == 0:
+        return []
+    tokens = num_cameras * tokens_per_image
+    p = encoder.precision_bytes
+    embed = matmul_op(tokens, encoder.hidden_size, encoder.patch_input_dim, p,
+                      "patch_embed", VISION)
+    layer = _context_layer(encoder, tokens, 0, VISION)
+    projector = matmul_op(tokens, vlm_hidden, encoder.hidden_size, p,
+                          "mm_projector", VISION)
+    return ([(embed, 1)]
+            + [(op, count * encoder.num_layers) for op, count in layer]
+            + [(projector, 1)])
 
 
 def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,

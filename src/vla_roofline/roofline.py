@@ -81,7 +81,8 @@ def _label(oi: float, hw: AcceleratorConfig) -> str:
 def graph_oi(graph: OperatorGraph) -> float:
     """Aggregate operational intensity (FLOP/byte) of a graph that moves
     bytes."""
-    return graph.total_flops / graph.total_bytes
+    return (sum(op.flops * count for op, count in graph.ops)
+            / sum(op.bytes * count for op, count in graph.ops))
 
 
 def boundedness(graph: OperatorGraph, hw: AcceleratorConfig) -> str:

@@ -44,7 +44,6 @@ from .workload import (
     VlaModelSpec,
     check_count,
     kv_bytes_per_token,
-    scaled_family,
     weight_bytes,
 )
 
@@ -420,14 +419,19 @@ def decoding_variant_spec(spec: VlaModelSpec, variant: str) -> VlaModelSpec:
     raise ValueError(f"unknown decoding variant {variant!r}")
 
 
+# The model presets of the scaling ladder, smallest to largest.
+SCALED_FAMILY = ("pi0", "pi0-l", "pi0-xl", "pi0-xxl")
+
+
 def scaling_sweep(library: PresetLibrary,
                   hardware: Sequence[AcceleratorConfig],
                   memo: dict,
                   ) -> tuple[tuple[VlaModelSpec, AcceleratorConfig,
                                    ScenarioResult], ...]:
-    """On-device synchronous result of each scaled-family model on each
-    accelerator, as ``(spec, hw, result)`` in family-then-hardware order,
-    through ``memo``."""
+    """On-device synchronous result of each :data:`SCALED_FAMILY` model, as
+    ``library`` defines it, on each accelerator, as ``(spec, hw, result)``
+    in family-then-hardware order, through ``memo``."""
     return tuple((spec, hw, sync_scenario(spec, Placement.on_device(hw),
                                           memo=memo))
-                 for spec in scaled_family(library) for hw in hardware)
+                 for spec in map(library.model, SCALED_FAMILY)
+                 for hw in hardware)

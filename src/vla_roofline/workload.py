@@ -24,12 +24,9 @@ to audit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .record import Record, set_field
-
-if TYPE_CHECKING:
-    from .configio import PresetLibrary
 
 VALID_PRECISION_BYTES = (1, 2, 4)
 
@@ -214,15 +211,3 @@ class VlaModelSpec(Record):
     def total_params(self) -> int:
         return sum(param_count(c) for c in self.components())
 
-
-# ---------------------------------------------------------------------------
-# Scaled model family
-# ---------------------------------------------------------------------------
-
-# The model presets of the scaling ladder, smallest to largest.
-SCALED_FAMILY = ("pi0", "pi0-l", "pi0-xl", "pi0-xxl")
-
-
-def scaled_family(library: PresetLibrary) -> tuple[VlaModelSpec, ...]:
-    """The :data:`SCALED_FAMILY` presets as ``library`` defines them."""
-    return tuple(library.model(name) for name in SCALED_FAMILY)

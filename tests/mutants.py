@@ -79,8 +79,8 @@ MUTANTS = (
     # The early returns the builders keep.
     ("diffusion-zero-steps", "opgraph.py",
      "    if steps == 0:\n        return []\n", "", None),
-    ("vision-zero-images", "opgraph.py",
-     "    if num_images == 0:\n        return []\n", "", None),
+    ("vision-zero-camera", "opgraph.py",
+     "    if num_cameras == 0:\n        return []\n", "", None),
     # The process entry.  ``pass`` keeps the ``finally`` block valid Python,
     # so only a test of the freeze itself can kill the mutant.
     ("entry-no-freeze", "__main__.py",

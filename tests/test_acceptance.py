@@ -19,7 +19,6 @@ from vla_roofline import (
     fits,
     golden,
     kv_bytes_per_token,
-    long_context_sweep,
     op_time,
     param_count,
     sync_scenario,
@@ -29,7 +28,7 @@ from vla_roofline import references as refs
 from vla_roofline.opgraph import ACTION, PHASES
 from vla_roofline.record import replace
 from vla_roofline.roofline import kv_cache_bytes, price_phase
-from vla_roofline.scenarios import decoding_variant_spec
+from vla_roofline.scenarios import decoding_variant_spec, long_context_sweep
 
 from reference import phase_runs, step_runs, totals
 

@@ -456,6 +456,20 @@ def test_reproduce_all_json_matches_json_dumps(
                                              '"inf"', '"+inf%"'))
 
 
+def test_reproduce_ids_are_the_golden_tables():
+    """Each ``reproduce`` id but ``all`` is a ``golden.TABLES`` key and each
+    key an id, and ``all`` runs each distinct builder once, in ``TABLES``
+    order.  ``cli`` keeps its own copy so that ``analyze`` never imports
+    ``golden``; drift would be a ``KeyError`` from ``reproduce`` or a table
+    that no command reaches."""
+    from vla_roofline import golden
+
+    assert cli.REPRODUCE_IDS[-1] == "all"
+    assert sorted(cli.REPRODUCE_IDS[:-1]) == sorted(golden.TABLES)
+    assert ([golden.TABLES[name] for name in cli._ALL_TABLES]
+            == list(dict.fromkeys(golden.TABLES.values())))
+
+
 @pytest.mark.parametrize("section, name, field, value", [
     ("components", "act-l", "num_decoder_layers", 4),
     ("models", "pi0", "num_cameras", 1),

@@ -6,7 +6,9 @@ a regression here means the cost model changed, not that a tolerance
 drifted.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -25,14 +27,16 @@ from vla_roofline.opgraph import (
     prefill_runs,
     token_decode_runs,
     vision_runs,
-    vit_encode_runs,
 )
 from vla_roofline.record import replace
-from vla_roofline.scenarios import DECODING_VARIANTS, decoding_variant_spec
+from vla_roofline.scenarios import (
+    DECODING_VARIANTS,
+    SCALED_FAMILY,
+    decoding_variant_spec,
+)
 from vla_roofline.workload import (
     AUTOREGRESSIVE,
     AUTOREGRESSIVE_PARALLEL,
-    SCALED_FAMILY,
     TransformerConfig,
 )
 
@@ -62,9 +66,9 @@ def test_graph_of_concatenated_and_scaled_runs():
     a = OperatorGraph(((matmul_op(1, 2, 3), 1),))
     b = OperatorGraph(((matmul_op(4, 5, 6), 1),))
     combined = OperatorGraph(a.ops + b.ops)
-    assert combined.total_flops == a.total_flops + b.total_flops
+    assert totals(combined.ops)[0] == totals(a.ops)[0] + totals(b.ops)[0]
     tripled = OperatorGraph((op, 3 * count) for op, count in a.ops)
-    assert tripled.total_bytes == 3 * a.total_bytes
+    assert totals(tripled.ops)[1] == 3 * totals(a.ops)[1]
     assert tripled.ops == ((matmul_op(1, 2, 3), 3),)
     assert OperatorGraph((op, 0) for op, count in a.ops).ops == ()
 
@@ -112,27 +116,28 @@ def test_prefill_flops_are_dense_forward_plus_attention(lib):
 # --- Vision encoding: one batched forward over all cameras ----------------
 
 def test_vision_graph_totals(lib, pi0):
-    flops, nbytes = totals(vit_encode_runs(lib.component("siglip-so400m"), 3))
-    # Pipeline vision phase totals minus the cross-modal projector matmul.
-    assert nbytes == 1_670_550_528 - 9_633_792
-    assert flops == 709_452_103_680 - 3_623_878_656
+    flops, nbytes = totals(vision_runs(lib.component("siglip-so400m"), 3,
+                                       256, 2048))
+    # The pipeline's vision phase, cross-modal projector included.
+    assert nbytes == 1_670_550_528
+    assert flops == 709_452_103_680
 
 
 def test_vision_attention_is_joint_across_images(lib):
     """Three images in one forward attend 768 tokens, not 3 x 256."""
     siglip = lib.component("siglip-so400m")
-    one, _ = totals(vit_encode_runs(siglip, 1))
-    three, _ = totals(vit_encode_runs(siglip, 3))
+    one, _ = totals(vision_runs(siglip, 1, 256, 2048))
+    three, _ = totals(vision_runs(siglip, 3, 256, 2048))
     assert three > 3 * one  # quadratic attention term
 
 
 def test_vision_zero_images_is_empty(lib):
-    assert vit_encode_runs(lib.component("siglip-so400m"), 0) == []
+    assert vision_runs(lib.component("siglip-so400m"), 0, 256, 2048) == []
 
 
 def test_vision_requires_patch_dim(lib):
     with pytest.raises(ValueError, match="patch_input_dim"):
-        vit_encode_runs(lib.component("gemma-2b"), 3)
+        vision_runs(lib.component("gemma-2b"), 3, 256, 2048)
 
 
 # --- Action expert: diffusion over cached VLM context ----------------------
@@ -230,8 +235,8 @@ def test_pipeline_contains_projector(pi0):
 
 def test_pipeline_is_sum_of_its_phases(pi0):
     graph = pipeline_graph(pi0)
-    assert graph.total_bytes == sum(
-        graph.subgraph(ph).total_bytes for ph in (VISION, VLM, ACTION))
+    assert totals(graph.ops)[1] == sum(
+        totals(graph.subgraph(ph).ops)[1] for ph in (VISION, VLM, ACTION))
 
 
 def test_autoregressive_pipeline_decodes_each_action_token(pi0):
@@ -307,7 +312,8 @@ def test_layer_builders_repeat_one_layer(lib, pi0):
         (prefill_runs(gemma, 800), gemma.num_layers, {}),
         (parallel_decode_runs(gemma, 50, 800), gemma.num_layers,
          {"ffn_up": gemma.num_ffi * gemma.num_layers}),
-        (vit_encode_runs(siglip, 3), siglip.num_layers, {"patch_embed": 1}),
+        (vision_runs(siglip, 3, 256, 2048), siglip.num_layers,
+         {"patch_embed": 1, "mm_projector": 1}),
         (_diffusion(pi0.action_expert, pi0.vlm, 800, 50, 1, 14),
          pi0.action_expert.num_layers,
          {"action_in_proj": 1, "action_out_proj": 1}),
@@ -346,3 +352,36 @@ def test_pipeline_runs_digest(lib):
                         for op, count in step_runs(variant_spec, timestep)]
                 digest.update(repr(runs).encode())
     assert digest.hexdigest() == RUNS_DIGEST
+
+
+# --- The graph API's readers ------------------------------------------------
+
+GRAPH_API = ("OperatorGraph", "pipeline_graph", "graph_time", "graph_oi",
+             "boundedness", "subgraph")
+
+
+def test_only_golden_names_the_graph_api():
+    """Outside ``opgraph`` and ``roofline``, which define the graph API,
+    only ``golden`` (for T4) names it, so deleting it touches no other
+    module.  A module reaches a name of another one by importing it or as
+    an attribute of that module, so the scan reads imported names,
+    attributes of ``opgraph`` and ``roofline``, and any ``.subgraph``:
+    ``boundedness`` is also a field and a parameter of
+    ``ScenarioResult``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "vla_roofline"
+    readers = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("opgraph.py", "roofline.py"):
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr == "subgraph"
+                    or isinstance(node.value, ast.Name)
+                    and node.value.id in ("opgraph", "roofline")):
+                named.add(node.attr)
+        if named & set(GRAPH_API):
+            readers[path.name] = sorted(named & set(GRAPH_API))
+    assert list(readers) == ["golden.py"], readers

@@ -23,12 +23,10 @@ from vla_roofline import (
     AcceleratorConfig,
     NetworkConfig,
     Operator,
-    OperatorGraph,
     Placement,
     VLM,
     async_scenario,
     dual_system_scenario,
-    graph_time,
     load_presets,
     op_time,
     param_count,
@@ -38,10 +36,11 @@ from vla_roofline import (
     transfer_time,
 )
 from vla_roofline import cli, netmodel, opgraph
-from vla_roofline.opgraph import ACTION, PHASES
+from vla_roofline.opgraph import ACTION, PHASES, OperatorGraph
 from vla_roofline.record import replace, set_field
 from vla_roofline.roofline import (
     figure_phase,
+    graph_time,
     memory_footprint,
     price_phase,
 )
@@ -126,8 +125,8 @@ def test_op_time_is_the_max_of_both_walls(op, hw):
 @given(a=graphs, b=graphs, hw=accelerators)
 def test_graph_concatenation_is_additive(a, b, hw):
     combined = OperatorGraph(a.ops + b.ops)
-    assert combined.total_flops == a.total_flops + b.total_flops
-    assert combined.total_bytes == a.total_bytes + b.total_bytes
+    (flops_a, bytes_a), (flops_b, bytes_b) = totals(a.ops), totals(b.ops)
+    assert totals(combined.ops) == (flops_a + flops_b, bytes_a + bytes_b)
     assert graph_time(combined, hw) == pytest.approx(
         graph_time(a, hw) + graph_time(b, hw), rel=1e-12, abs=0.0)
 
@@ -135,8 +134,8 @@ def test_graph_concatenation_is_additive(a, b, hw):
 @given(g=graphs, n=st.integers(min_value=0, max_value=20))
 def test_repeated_graph_scales_exact_counts(g, n):
     repeated = OperatorGraph((op, n * count) for op, count in g.ops)
-    assert repeated.total_flops == n * g.total_flops
-    assert repeated.total_bytes == n * g.total_bytes
+    flops, nbytes = totals(g.ops)
+    assert totals(repeated.ops) == (n * flops, n * nbytes)
 
 
 @given(runs=run_lists, hw=accelerators)
@@ -144,8 +143,8 @@ def test_run_graph_prices_like_its_flat_operator_list(runs, hw):
     """Pricing a run once times its count matches launching every kernel."""
     graph = OperatorGraph(tuple(runs))
     flat = [op for op, count in runs for _ in range(count)]
-    assert graph.total_flops == sum(op.flops for op in flat)
-    assert graph.total_bytes == sum(op.bytes for op in flat)
+    assert totals(graph.ops) == (sum(op.flops for op in flat),
+                                 sum(op.bytes for op in flat))
     reference = {}
     for op in flat:
         reference[op.phase] = reference.get(op.phase, 0.0) + op_time(op, hw)[0]
@@ -322,8 +321,9 @@ def test_builders_emit_each_distinct_operator_once(
         chunk, dof, steps, history, decoding, context_timestep):
     """Every part and phase builder returns each operator in one run: the
     repeated FFN up projections come folded into one run."""
-    assert _each_operator_once(opgraph.vit_encode_runs(vision, cameras,
-                                                       tokens_per_image))
+    assert _each_operator_once(opgraph.vision_runs(vision, cameras,
+                                                   tokens_per_image,
+                                                   vlm.hidden_size))
     assert _each_operator_once(opgraph.prefill_runs(vlm, language_tokens,
                                                     history))
     assert _each_operator_once(opgraph.parallel_decode_runs(vlm, chunk,

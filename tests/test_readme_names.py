@@ -42,7 +42,7 @@ def _export_bullets() -> dict[str, list[str]]:
 
 def test_library_bullets_list_exactly_the_root_exports():
     bullets = _export_bullets()
-    assert set(bullets) == {"presets", "workloads and graphs", "roofline",
+    assert set(bullets) == {"presets", "workloads", "roofline",
                             "network", "scenarios"}
     listed = [name for names in bullets.values() for name in names]
     assert len(listed) == len(set(listed)), listed

@@ -8,12 +8,12 @@ read back from the implementation.
 import pytest
 
 from vla_roofline.record import replace
+from vla_roofline.scenarios import SCALED_FAMILY
 from vla_roofline.workload import (
     TransformerConfig,
     VlaModelSpec,
     kv_bytes_per_token,
     param_count,
-    scaled_family,
     weight_bytes,
 )
 
@@ -80,7 +80,7 @@ def test_baseline_policy_totals(pi0):
 
 
 def test_scaled_family_totals_and_depths(lib):
-    family = scaled_family(lib)
+    family = [lib.model(name) for name in SCALED_FAMILY]
     assert [m.name for m in family] == ["pi0", "pi0-l", "pi0-xl", "pi0-xxl"]
     assert [m.total_params() for m in family] == [
         2_704_983_552, 9_226_274_816, 16_986_523_648, 82_418_976_768]
