@@ -41,7 +41,7 @@ from .scenarios import (
     dual_system_times,
     sync_scenario,
 )
-from .workload import VlaModelSpec
+from .workload import DIFFUSION, VlaModelSpec
 
 FORMATS = ("table", "csv", "json")
 REPRODUCE_IDS = ("T1", "T3", "T4", "T5", "T6", "T8", "T9",
@@ -345,6 +345,12 @@ def _configure_spec(base: VlaModelSpec, chunk: Optional[int],
     return spec
 
 
+def _check_steps(spec: VlaModelSpec, steps: Optional[int]) -> None:
+    if steps is not None and spec.decoding_mode != DIFFUSION:
+        raise ValueError(f"--steps sets denoising passes, which "
+                         f"{spec.decoding_mode} decoding does not run")
+
+
 # The flag that sets each optional Placement field, in checking order.
 _FIELD_FLAGS = {"access_net": "--net", "cloud_net": "--cloud-net",
                 "device_hw": "--device-hw"}
@@ -371,6 +377,7 @@ def _build_placement(args, lib: PresetLibrary) -> Placement:
 def _run_analyze(args, lib: PresetLibrary) -> tuple[str, int]:
     spec = _configure_spec(lib.model(args.model), args.chunk, args.steps,
                            args.dof, args.decoding)
+    _check_steps(spec, args.steps)
     placement = _build_placement(args, lib)
     if args.s2_cap is not None:
         if args.context_steps is not None:
@@ -425,12 +432,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             from . import commands
 
-            if args.command == "sweep":
-                text, code = commands._run_sweep(args, lib)
-            elif args.command == "reproduce":
-                text, code = commands._run_reproduce(args, lib)
-            else:
-                text, code = commands._run_list_presets(args, lib)
+            # Each batch command runs ``commands._run_<command>``.
+            run = getattr(commands, f"_run_{args.command.replace('-', '_')}")
+            text, code = run(args, lib)
     # Float arithmetic on many large counts can still overflow.
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -455,7 +459,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.close(devnull)
             return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

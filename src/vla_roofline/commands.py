@@ -21,6 +21,7 @@ from .cli import (
     _SWEEP_COLUMNS,
     _aligned,
     _build_placement,
+    _check_steps,
     _configure_spec,
     _csv_text,
     _json_encoder,
@@ -120,6 +121,7 @@ def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
                     variants[decoding] = decoding_variant_spec(base, decoding)
                 if decoding != DIFFUSION:
                     spec = _configure_spec(variants[decoding], *counts, None)
+            _check_steps(spec, steps)
             yield spec, context_steps
 
     grid = {name: column for (name, values), column

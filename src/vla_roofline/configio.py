@@ -2,7 +2,8 @@
 
 Presets use the field names common in published model/accelerator tables
 (``num_decoder_layers``, ``BF16_TFLOPS``, ``bandwidth_mbps``, ...) and are
-converted here into the package's immutable records and SI units.  The
+converted here into the package's immutable records and SI units.  Each
+field prices a number, and a field that no record reads is an error.  The
 packaged presets (:mod:`~vla_roofline.presets`) can be extended or replaced
 by pointing ``VLA_ROOFLINE_PRESETS`` at a directory of YAML files named
 ``models.yaml``, ``hardware.yaml`` and ``networks.yaml``; each file found
@@ -86,6 +87,9 @@ def transformer_from_mapping(name: str,
                              data: Mapping[str, Any]) -> TransformerConfig:
     context = f"component {name!r}"
     _reject_unknown(data, _COMPONENT_FIELDS, context)
+    # An unset precision takes TransformerConfig's default.
+    precision = {key: _number(data, key, context, int)
+                 for key in ("precision_bytes",) if key in data}
     return TransformerConfig(
         name=name,
         num_layers=_number(data, "num_decoder_layers", context, int),
@@ -95,9 +99,9 @@ def transformer_from_mapping(name: str,
         num_q_heads=_number(data, "num_attention_heads", context, int),
         num_kv_heads=_number(data, "num_kv_heads", context, int),
         head_dim=_number(data, "head_dim", context, int),
-        precision_bytes=_number(data, "precision_bytes", context, int, 2),
         patch_input_dim=(_number(data, "patch_input_dim", context, int)
                          if data.get("patch_input_dim") is not None else None),
+        **precision,
     )
 
 
@@ -140,35 +144,25 @@ def model_from_mapping(name: str, data: Mapping[str, Any],
     )
 
 
-_HARDWARE_FIELDS = frozenset({
-    "FP32_TFLOPS", "BF16_TFLOPS", "INT8_TOPS", "HBM_BW_GBs", "Memory_GB",
-})
+_HARDWARE_FIELDS = frozenset({"BF16_TFLOPS", "HBM_BW_GBs", "Memory_GB"})
 
 
 def accelerator_from_mapping(name: str,
                              data: Mapping[str, Any]) -> AcceleratorConfig:
     context = f"accelerator {name!r}"
     _reject_unknown(data, _HARDWARE_FIELDS, context)
-    # Every phase is priced at the BF16 peak; the FP32 and INT8 peaks are
-    # validated like it, but not kept.
-    peaks = [_number(data, "FP32_TFLOPS", context) * _TFLOPS,
-             _number(data, "BF16_TFLOPS", context) * _TFLOPS]
-    if data.get("INT8_TOPS") is not None:
-        peaks.append(_number(data, "INT8_TOPS", context) * _TFLOPS)
+    peak = _number(data, "BF16_TFLOPS", context) * _TFLOPS
     capacity = _number(data, "Memory_GB", context) * _GIB
     if not math.isfinite(capacity):
         raise ValueError(f"{context}: Memory_GB must be finite")
-    bandwidth = _number(data, "HBM_BW_GBs", context) * _GB_PER_S
-    if not all(math.isfinite(v) and v > 0 for v in peaks):
-        raise ValueError(f"{name}: peak FLOP/s must be finite and positive")
-    return AcceleratorConfig(name=name, peak_flops=peaks[1],
-                             mem_bandwidth=bandwidth,
-                             mem_capacity=int(capacity))
+    return AcceleratorConfig(
+        name=name, peak_flops=peak,
+        mem_bandwidth=_number(data, "HBM_BW_GBs", context) * _GB_PER_S,
+        mem_capacity=int(capacity))
 
 
 _NETWORK_FIELDS = frozenset({
     "bandwidth_mbps", "upload_mbps", "download_mbps", "base_latency_ms",
-    "efficiency",
 })
 
 
@@ -188,7 +182,6 @@ def network_from_mapping(name: str, data: Mapping[str, Any]) -> NetworkConfig:
         upload_bw=up * _MBIT,
         download_bw=down * _MBIT,
         base_latency=_number(data, "base_latency_ms", context) / 1e3,
-        efficiency=_number(data, "efficiency", context, float, 1.0),
     )
 
 

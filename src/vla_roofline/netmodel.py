@@ -1,9 +1,9 @@
 """Network links and transfer-time arithmetic.
 
 A transfer of a byte count costs a fixed one-way base latency plus
-serialization at the link's effective rate in that direction: bandwidth
-times efficiency.  Paths of one or two hops (device -> edge, or device ->
-edge -> cloud) sum per hop.
+serialization at the link's achievable bandwidth in that direction.  Paths
+of one or two hops (device -> edge, or device -> edge -> cloud) sum per
+hop.
 """
 
 from __future__ import annotations
@@ -24,30 +24,26 @@ ACTION_VALUE_BYTES = 4
 
 
 class NetworkConfig(Record):
-    """One link: asymmetric bandwidth (bits/s), one-way base latency (s),
-    and a (0, 1] protocol-efficiency factor applied to bandwidth."""
+    """One link: asymmetric achievable bandwidth (bits/s) and one-way base
+    latency (s)."""
 
-    __slots__ = ("name", "upload_bw", "download_bw", "base_latency",
-                 "efficiency")
+    __slots__ = ("name", "upload_bw", "download_bw", "base_latency")
 
     def __init__(self, name: str, upload_bw: float, download_bw: float,
-                 base_latency: float, efficiency: float = 1.0) -> None:
+                 base_latency: float) -> None:
         set_field(self, "name", name)
         set_field(self, "upload_bw", upload_bw)
         set_field(self, "download_bw", download_bw)
         set_field(self, "base_latency", base_latency)
-        set_field(self, "efficiency", efficiency)
         if not all(math.isfinite(bw) and bw > 0
                    for bw in (self.upload_bw, self.download_bw)):
             raise ValueError(f"{self.name}: bandwidths must be finite and positive")
         if not (math.isfinite(self.base_latency) and self.base_latency >= 0):
             raise ValueError(f"{self.name}: base latency must be finite and >= 0")
-        if not 0 < self.efficiency <= 1:
-            raise ValueError(f"{self.name}: efficiency must be in (0, 1]")
 
     def rate(self, upload: bool) -> float:
-        """Effective bits/s toward the server (``upload``) or back."""
-        return (self.upload_bw if upload else self.download_bw) * self.efficiency
+        """Bits/s toward the server (``upload``) or back."""
+        return self.upload_bw if upload else self.download_bw
 
 
 def transfer_time(nbytes: int, net: NetworkConfig, upload: bool) -> float:

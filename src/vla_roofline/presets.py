@@ -164,41 +164,31 @@ MODELS = {
     },
 }
 
-# Accelerators: peak throughput per precision, memory bandwidth, capacity.
-# Dense peaks (no sparsity), vendor datasheet numbers.
+# Accelerators: the dense BF16 peak (no sparsity) every phase is priced at,
+# memory bandwidth and capacity, vendor datasheet numbers.
 HARDWARE = {
     "thor": {
-        "FP32_TFLOPS": 100,
         "BF16_TFLOPS": 400,
-        "INT8_TOPS": 800,
         "HBM_BW_GBs": 270,
         "Memory_GB": 128,
     },
     "rtx4090": {
-        "FP32_TFLOPS": 83,
         "BF16_TFLOPS": 165,
-        "INT8_TOPS": 330,
         "HBM_BW_GBs": 1008,
         "Memory_GB": 24,
     },
     "a100": {
-        "FP32_TFLOPS": 20,
         "BF16_TFLOPS": 312,
-        "INT8_TOPS": 624,
         "HBM_BW_GBs": 2039,
         "Memory_GB": 80,
     },
     "h100": {
-        "FP32_TFLOPS": 67,
         "BF16_TFLOPS": 989,
-        "INT8_TOPS": 1979,
         "HBM_BW_GBs": 3350,
         "Memory_GB": 80,
     },
     "b100": {
-        "FP32_TFLOPS": 60,
         "BF16_TFLOPS": 1750,
-        "INT8_TOPS": 3500,
         "HBM_BW_GBs": 8000,
         "Memory_GB": 192,
     },

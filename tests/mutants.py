@@ -68,9 +68,11 @@ MUTANTS = (
     ("golden-verdict-tie", "golden.py",
      "<= self.tolerance", "< self.tolerance", None),
     # Validation at the records.
-    ("network-zero-efficiency", "netmodel.py",
-     "if not 0 < self.efficiency <= 1:", "if not 0 <= self.efficiency <= 1:",
-     None),
+    ("steps-refusal-off", "cli.py",
+     "if steps is not None and spec.decoding_mode != DIFFUSION:",
+     "if False:", None),
+    ("spec-default-action-dof", "workload.py",
+     "action_dof: int = 14,", "action_dof: int = 15,", None),
     ("operator-negative-bytes", "opgraph.py",
      "if self.flops < 0 or self.bytes < 0:", "if self.flops < 0:", None),
     ("head-multiple-check", "workload.py",

@@ -261,16 +261,11 @@ def test_reproduce_fails_with_doctored_presets(tmp_path):
     # Shadow only hardware.yaml; a halved B100 bandwidth must break the
     # latency table and exit 2.
     doctored = (
-        "thor: {FP32_TFLOPS: 100, BF16_TFLOPS: 400, INT8_TOPS: 800, "
-        "HBM_BW_GBs: 270, Memory_GB: 128}\n"
-        "rtx4090: {FP32_TFLOPS: 83, BF16_TFLOPS: 165, INT8_TOPS: 330, "
-        "HBM_BW_GBs: 1008, Memory_GB: 24}\n"
-        "a100: {FP32_TFLOPS: 20, BF16_TFLOPS: 312, INT8_TOPS: 624, "
-        "HBM_BW_GBs: 2039, Memory_GB: 80}\n"
-        "h100: {FP32_TFLOPS: 67, BF16_TFLOPS: 989, INT8_TOPS: 1979, "
-        "HBM_BW_GBs: 3350, Memory_GB: 80}\n"
-        "b100: {FP32_TFLOPS: 60, BF16_TFLOPS: 1750, INT8_TOPS: 3500, "
-        "HBM_BW_GBs: 4000, Memory_GB: 192}\n"
+        "thor: {BF16_TFLOPS: 400, HBM_BW_GBs: 270, Memory_GB: 128}\n"
+        "rtx4090: {BF16_TFLOPS: 165, HBM_BW_GBs: 1008, Memory_GB: 24}\n"
+        "a100: {BF16_TFLOPS: 312, HBM_BW_GBs: 2039, Memory_GB: 80}\n"
+        "h100: {BF16_TFLOPS: 989, HBM_BW_GBs: 3350, Memory_GB: 80}\n"
+        "b100: {BF16_TFLOPS: 1750, HBM_BW_GBs: 4000, Memory_GB: 192}\n"
     )
     (tmp_path / "hardware.yaml").write_text(doctored, encoding="utf-8")
     result = run_cli("reproduce", "T3",
@@ -280,25 +275,35 @@ def test_reproduce_fails_with_doctored_presets(tmp_path):
     assert "overall: FAIL" in result.stdout
 
 
-def test_fp32_and_int8_figures_change_no_number(tmp_path):
-    """Every phase is priced at the BF16 peak: an override whose FP32 peaks
-    are 7.5 times the packaged ones, and whose INT8 peaks are 1 or absent,
-    prints what the packaged presets print."""
-    hardware = copy.deepcopy(presets.HARDWARE)
-    for i, name in enumerate(sorted(hardware)):
-        hardware[name]["FP32_TFLOPS"] *= 7.5
-        if i % 2:
-            del hardware[name]["INT8_TOPS"]
-        else:
-            hardware[name]["INT8_TOPS"] = 1
-    (tmp_path / "hardware.yaml").write_text(yaml.safe_dump(hardware),
-                                            encoding="utf-8")
-    env = {"VLA_ROOFLINE_PRESETS": str(tmp_path)}
-    for args in (("reproduce", "all", "--format", "json"),
-                 ("list-presets",)):
-        packaged, override = run_cli(*args), run_cli(*args, env=env)
-        assert (override.returncode, override.stderr, override.stdout) == (
-            0, "", packaged.stdout)
+@pytest.mark.parametrize("filename, packaged, name, removed, message", [
+    pytest.param("hardware.yaml", "HARDWARE", "thor",
+                 {"FP32_TFLOPS": 100, "INT8_TOPS": 800},
+                 "accelerator 'thor': unknown fields ['FP32_TFLOPS', "
+                 "'INT8_TOPS']", id="fp32-and-int8"),
+    pytest.param("hardware.yaml", "HARDWARE", "b100", {"FP32_TFLOPS": 60},
+                 "accelerator 'b100': unknown fields ['FP32_TFLOPS']",
+                 id="fp32"),
+    pytest.param("hardware.yaml", "HARDWARE", "b100", {"INT8_TOPS": 3500},
+                 "accelerator 'b100': unknown fields ['INT8_TOPS']",
+                 id="int8"),
+    pytest.param("networks.yaml", "NETWORKS", "5g", {"efficiency": 1.0},
+                 "network '5g': unknown fields ['efficiency']",
+                 id="efficiency"),
+])
+def test_a_removed_preset_key_is_an_unknown_field(
+        tmp_path, monkeypatch, capsys, filename, packaged, name, removed,
+        message):
+    """Every phase is priced at the BF16 peak and every link at its
+    achievable bandwidth, so the FP32 and INT8 peaks and a link's
+    efficiency price nothing: an override file that still sets one ends
+    every command in the one error line that names it."""
+    data = copy.deepcopy(getattr(presets, packaged))
+    data[name].update(removed)
+    (tmp_path / filename).write_text(yaml.safe_dump(data), encoding="utf-8")
+    monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
+    for args in (("analyze",), ("reproduce", "T1"), ("list-presets",)):
+        assert cli.main(list(args)) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_phase_without_operators_fails_its_boundedness_cells(tmp_path):
@@ -641,8 +646,8 @@ def test_sweep_refuses_its_first_non_finite_cell_in_row_major_order(
     # 1 camera step only the sum overflows (e2e_latency_ms); at 1000 steps
     # vlm_latency_ms overflows too, but in a later row.
     (tmp_path / "hardware.yaml").write_text(
-        "tiny: {FP32_TFLOPS: 1, BF16_TFLOPS: 2e-305, HBM_BW_GBs: 1000, "
-        "Memory_GB: 1000000}\n", encoding="utf-8")
+        "tiny: {BF16_TFLOPS: 2e-305, HBM_BW_GBs: 1000, Memory_GB: 1000000}\n",
+        encoding="utf-8")
     result = run_cli("sweep", "--hw", "tiny", "--context-steps", "1,1000",
                      "--format", fmt,
                      env={"VLA_ROOFLINE_PRESETS": str(tmp_path)})
@@ -661,17 +666,14 @@ def test_sweep_refuses_its_first_non_finite_cell_in_row_major_order(
                  "slow-link: {bandwidth_mbps: 1, base_latency_ms: .inf}\n",
                  ("--placement", "edge-server", "--net", "slow-link"),
                  id="inf-latency"),
-    pytest.param("hardware.yaml", "nan-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: .nan, "
+    pytest.param("hardware.yaml", "nan-hw: {BF16_TFLOPS: .nan, "
                  "HBM_BW_GBs: 1, Memory_GB: 1}\n", ("--hw", "nan-hw"),
                  id="nan-peak"),
-    pytest.param("hardware.yaml", "nan-hw: {FP32_TFLOPS: .nan, BF16_TFLOPS: 1, "
-                 "HBM_BW_GBs: 1, Memory_GB: 1}\n", ("--hw", "nan-hw"),
-                 id="nan-fp32-peak"),
-    # 1e300 TOP/s is finite, but 1e312 FLOP/s overflows to infinity.
-    pytest.param("hardware.yaml", "big-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: 1, "
-                 "INT8_TOPS: 1.0e+300, HBM_BW_GBs: 1, Memory_GB: 1}\n",
-                 ("--hw", "big-hw"), id="overflowing-int8-peak"),
-    pytest.param("hardware.yaml", "big-hw: {FP32_TFLOPS: 1, BF16_TFLOPS: 1, "
+    # 1e300 TFLOP/s is finite, but 1e312 FLOP/s overflows to infinity.
+    pytest.param("hardware.yaml", "big-hw: {BF16_TFLOPS: 1.0e+300, "
+                 "HBM_BW_GBs: 1, Memory_GB: 1}\n",
+                 ("--hw", "big-hw"), id="overflowing-peak"),
+    pytest.param("hardware.yaml", "big-hw: {BF16_TFLOPS: 1, "
                  "HBM_BW_GBs: 1, Memory_GB: .inf}\n", ("--hw", "big-hw"),
                  id="inf-memory"),
 ])
@@ -700,7 +702,7 @@ def test_every_format_rejects_non_finite_numbers(tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 @pytest.mark.parametrize("filename, text, message", [
-    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: 1\n",
+    pytest.param("hardware.yaml", "thor: {BF16_TFLOPS: 1\n",
                  "hardware.yaml: invalid YAML: ", id="unclosed-mapping"),
     pytest.param("networks.yaml", "wifi7:\n\t- 1\n",
                  "networks.yaml: invalid YAML: ", id="tab-indent"),
@@ -714,16 +716,12 @@ def test_malformed_preset_yaml_is_an_error(tmp_path, fmt, filename, text,
 
 
 @pytest.mark.parametrize("filename, text, message", [
-    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: [1], BF16_TFLOPS: 1, "
+    pytest.param("hardware.yaml", "thor: {BF16_TFLOPS: [1], "
                  "HBM_BW_GBs: 1, Memory_GB: 1}\n",
-                 "accelerator 'thor': FP32_TFLOPS must be a number, got [1]",
+                 "accelerator 'thor': BF16_TFLOPS must be a number, got [1]",
                  id="hardware-list"),
-    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: 1, BF16_TFLOPS: 1, "
-                 "INT8_TOPS: x, HBM_BW_GBs: 1, Memory_GB: 1}\n",
-                 "accelerator 'thor': INT8_TOPS must be a number, got 'x'",
-                 id="hardware-int8-string"),
     # A zero peak is found only after every number has been read.
-    pytest.param("hardware.yaml", "thor: {FP32_TFLOPS: 0, BF16_TFLOPS: 1, "
+    pytest.param("hardware.yaml", "thor: {BF16_TFLOPS: 0, "
                  "HBM_BW_GBs: x, Memory_GB: 1}\n",
                  "accelerator 'thor': HBM_BW_GBs must be a number, got 'x'",
                  id="hardware-zero-peak-string-bandwidth"),
@@ -731,10 +729,6 @@ def test_malformed_preset_yaml_is_an_error(tmp_path, fmt, filename, text,
                  "wifi7: {bandwidth_mbps: {up: 1}, base_latency_ms: 1}\n",
                  "network 'wifi7': bandwidth_mbps must be a number, "
                  "got {'up': 1}", id="network-mapping"),
-    pytest.param("networks.yaml", "wifi7: {bandwidth_mbps: 1, "
-                 "base_latency_ms: 1, efficiency: null}\n",
-                 "network 'wifi7': efficiency must be a number, got None",
-                 id="network-null"),
     pytest.param("models.yaml",
                  "components: {c: {num_decoder_layers: 2, hidden_size: wide}}\n",
                  "component 'c': hidden_size must be a number, got 'wide'",
@@ -775,8 +769,7 @@ def test_non_mapping_preset_entry_is_an_error(tmp_path, filename, text,
 
 
 # Each field of one accelerator and one link preset, set to an extreme
-# value or dropped (None), under each of four commands.  No packaged link
-# sets ``efficiency``, so it is added to the link's fields.
+# value or dropped (None), under each of four commands.
 _BOUNDARY_VALUES = (0, -0.0, 5e-324, 1e300, 1.7e308, 2 ** 63, -1, True,
                     "wide", None)
 _BOUNDARY_COMMANDS = (
@@ -842,7 +835,7 @@ def _assert_a_result_or_one_error(capsys, args, value):
                    id=f"b100-{field}") for field in presets.HARDWARE["b100"]),
     *(pytest.param("networks.yaml", "NETWORKS", "5g", field,
                    id=f"5g-{field}")
-      for field in (*presets.NETWORKS["5g"], "efficiency")),
+      for field in presets.NETWORKS["5g"]),
 ])
 def test_an_extreme_preset_value_ends_in_a_result_or_one_error(
         tmp_path, monkeypatch, capsys, filename, packaged, name, field):
@@ -868,16 +861,6 @@ def test_an_extreme_model_value_ends_in_a_result_or_one_error(
         for args in _MODEL_COMMANDS:
             _assert_a_result_or_one_error(capsys, args, value)
 
-
-def test_a_link_with_zero_efficiency_is_an_error(tmp_path, monkeypatch,
-                                               capsys):
-    monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
-    next(_each_value(tmp_path, "networks.yaml", "NETWORKS", ("5g",),
-                     "efficiency", (0,)))
-    assert cli.main(["analyze", "--placement", "edge-server",
-                     "--net", "5g"]) == 1
-    assert capsys.readouterr() == (
-        "", "error: 5g: efficiency must be in (0, 1]\n")
 
 
 def test_sweep_rows_and_determinism():
@@ -908,6 +891,7 @@ def test_sweep_decoding_axis():
 _CHUNK = "pi0: tokens_per_image, action_dof and chunk_size must be >= 1"
 _COUNTS = "pi0: counts must be >= 0"
 _BOGUS = "unknown decoding variant 'bogus'"
+_STEPS = "--steps sets denoising passes, which {} decoding does not run"
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -919,9 +903,14 @@ _BOGUS = "unknown decoding variant 'bogus'"
     ("--chunk 0 --decoding autoregressive", _CHUNK),
     ("--chunk 5 --decoding autoregressive,bogus", _BOGUS),
     ("--dof 0,4 --decoding diffusion_large", _CHUNK),
+    ("--dof 4,0 --steps 3,-1 --decoding diffusion,diffusion_large", _COUNTS),
+    # The steps refusal is one more check of a point, after its counts.
     ("--dof 4,0 --steps 3,-1 --decoding "
-     "autoregressive_parallel,diffusion_large", _COUNTS),
+     "autoregressive_parallel,diffusion_large",
+     _STEPS.format("autoregressive_parallel")),
     ("--steps -1 --decoding autoregressive", _COUNTS),
+    ("--steps 3 --decoding diffusion_large,autoregressive",
+     _STEPS.format("autoregressive")),
     ("--chunk 9007199254740993",
      "pi0: chunk_size is too large (at most 2**53)"),
     ("--context-steps 0 --chunk 0", _CHUNK),
@@ -929,6 +918,46 @@ _BOGUS = "unknown decoding variant 'bogus'"
 def test_invalid_sweep_grid_keeps_its_error_line(capsys, grid, message):
     assert cli.main(["sweep", *grid.split()]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _token_models_yaml():
+    """The packaged models plus ``pi0-token``, pi0 decoding its actions
+    token by token on the VLM."""
+    models = copy.deepcopy(presets.MODELS)
+    pi0 = {**models["models"]["pi0"], "decoding_mode": "autoregressive"}
+    del pi0["action_expert"]
+    models["models"]["pi0-token"] = pi0
+    return yaml.safe_dump(models)
+
+
+@pytest.mark.parametrize("args, refused", [
+    (("analyze", "--decoding", "autoregressive", "--steps", "5"),
+     "autoregressive"),
+    (("analyze", "--decoding", "autoregressive_parallel", "--steps", "0"),
+     "autoregressive_parallel"),
+    (("analyze", "--model", "pi0-token", "--steps", "10"), "autoregressive"),
+    (("sweep", "--model", "pi0-token", "--steps", "1,5"), "autoregressive"),
+    (("analyze", "--decoding", "diffusion_large", "--steps", "5"), None),
+    (("analyze", "--model", "pi0-token", "--decoding", "diffusion_large",
+      "--steps", "5"), None),
+    (("sweep", "--model", "pi0-token", "--decoding", "diffusion_large",
+      "--steps", "1,5"), None),
+])
+def test_steps_is_read_or_refused(tmp_path, monkeypatch, capsys, args,
+                                  refused):
+    """``--steps`` under a decoding that runs no denoising passes, named by
+    ``--decoding`` or by the model, is one error line; under
+    ``diffusion_large`` it is read, whatever the model decodes by."""
+    (tmp_path / "models.yaml").write_text(_token_models_yaml(),
+                                          encoding="utf-8")
+    monkeypatch.setenv("VLA_ROOFLINE_PRESETS", str(tmp_path))
+    code = cli.main([*args, "--format", "csv"])
+    out, err = capsys.readouterr()
+    if refused is None:
+        assert (code, err) == (0, "") and out
+        return
+    line = _STEPS.format(refused)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -9,6 +9,7 @@ files give the same library, and that the shared library cannot be changed
 by a caller.
 """
 
+import copy
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import yaml
 
 from vla_roofline import cli, presets
 from vla_roofline.configio import PRESET_DIR_ENV, load_presets
+from vla_roofline.record import replace
 
 TOY_LINK = "toy-link: {{bandwidth_mbps: {mbps}, base_latency_ms: 100}}\n"
 ANALYZE_TOY_LINK = ("analyze", "--placement", "edge-server",
@@ -63,14 +65,14 @@ def test_changed_preset_dir_changes_the_next_call(tmp_path, monkeypatch,
 def test_bad_file_fails_on_every_call(tmp_path, monkeypatch):
     monkeypatch.setenv(PRESET_DIR_ENV, str(tmp_path))
     bad = tmp_path / "hardware.yaml"
-    bad.write_text("thor: {FP32_TFLOPS: 1\n", encoding="utf-8")
+    bad.write_text("thor: {BF16_TFLOPS: 1\n", encoding="utf-8")
     for _ in range(2):
         with pytest.raises(ValueError, match="hardware.yaml: invalid YAML"):
             load_presets()
-    bad.write_text("thor: {FP32_TFLOPS: [1], BF16_TFLOPS: 1, HBM_BW_GBs: 1, "
-                   "Memory_GB: 1}\n", encoding="utf-8")
+    bad.write_text("thor: {BF16_TFLOPS: [1], HBM_BW_GBs: 1, Memory_GB: 1}\n",
+                   encoding="utf-8")
     for _ in range(2):
-        with pytest.raises(ValueError, match="FP32_TFLOPS must be a number"):
+        with pytest.raises(ValueError, match="BF16_TFLOPS must be a number"):
             load_presets()
     bad.unlink()
     assert "thor" in load_presets().hardware
@@ -104,6 +106,22 @@ def test_dumped_packaged_presets_load_as_the_packaged_library(
     overridden = load_presets()
     assert overridden is not packaged
     assert overridden == packaged
+
+
+def test_a_model_that_names_only_its_components_is_pi0(tmp_path,
+                                                       monkeypatch):
+    """Each shape field that a models.yaml entry leaves out takes
+    VlaModelSpec's default, and the defaults are pi0's."""
+    monkeypatch.delenv(PRESET_DIR_ENV, raising=False)
+    pi0 = load_presets().model("pi0")
+    models = copy.deepcopy(presets.MODELS)
+    models["models"]["bare"] = {
+        key: models["models"]["pi0"][key]
+        for key in ("vision_encoder", "vlm", "action_expert")}
+    (tmp_path / "models.yaml").write_text(yaml.safe_dump(models),
+                                          encoding="utf-8")
+    monkeypatch.setenv(PRESET_DIR_ENV, str(tmp_path))
+    assert replace(load_presets().model("bare"), name="pi0") == pi0
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")

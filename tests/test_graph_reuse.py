@@ -17,7 +17,14 @@ import pytest
 import vla_roofline.cli as cli
 from vla_roofline import golden, load_presets, opgraph, references, roofline
 from vla_roofline.opgraph import ACTION, VISION, VLM
-from vla_roofline.scenarios import scaling_sweep
+from vla_roofline.record import replace
+from vla_roofline.scenarios import (
+    Placement,
+    decoding_variant_spec,
+    scaling_sweep,
+    sync_sweep,
+)
+from vla_roofline.workload import AUTOREGRESSIVE, AUTOREGRESSIVE_PARALLEL
 
 # The phase of each phase builder.
 PHASE_BUILDERS = {"vision_runs": VISION, "prefill_runs": VLM,
@@ -217,14 +224,17 @@ def test_sweep_prices_vision_once_and_vlm_once_per_context_step(builds,
 
 
 def test_autoregressive_sweep_builds_its_action_phase_once_per_decoding(
-        builds, capsys):
-    """Token and parallel decoding do not read the denoising steps, so the
-    three step counts share one action phase per decoding."""
-    assert cli.main(["sweep", "--hw", "b100", "--steps", "1,10,50",
-                     "--decoding", "autoregressive,autoregressive_parallel",
-                     "--format", "csv"]) == 0
-    out, err = capsys.readouterr()
-    assert err == "" and out.count(",yes,") == 6
+        builds):
+    """Token and parallel decoding do not read the denoising steps (the
+    CLI refuses ``--steps`` for them), so three step counts still share
+    one action phase per decoding."""
+    lib = load_presets()
+    points = [(replace(decoding_variant_spec(lib.model("pi0"), variant),
+                       denoise_steps=steps), None)
+              for variant in (AUTOREGRESSIVE, AUTOREGRESSIVE_PARALLEL)
+              for steps in (1, 10, 50)]
+    results = sync_sweep(points, Placement.on_device(lib.accelerator("b100")))
+    assert [result.feasible for result in results] == [True] * 6
     assert [name for kind, name, _ in builds if kind == ACTION] == [
         "token_decode_runs", "parallel_decode_runs"]
     assert _count(builds, LAYER) == 1

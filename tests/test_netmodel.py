@@ -33,13 +33,6 @@ def test_direction_asymmetry(lib):
     assert g4.download_bw == 75e6
 
 
-def test_efficiency_derates_bandwidth():
-    net = NetworkConfig(name="n", upload_bw=1e9, download_bw=1e9,
-                        base_latency=0.0, efficiency=0.5)
-    assert transfer_time(1_000, net, upload=True) == \
-        pytest.approx(8_000 / 0.5e9)
-
-
 def test_path_time_sums_hops(lib):
     path = (lib.network("ethernet-10g"), lib.network("fast-cloud"))
     assert path_time(0, path, upload=True) * 1e3 == \
@@ -79,6 +72,3 @@ def test_network_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(name="bad", upload_bw=1e9, download_bw=1e9,
                       base_latency=-1.0)
-    with pytest.raises(ValueError):
-        NetworkConfig(name="bad", upload_bw=1e9, download_bw=1e9,
-                      base_latency=0.0, efficiency=1.5)

@@ -104,7 +104,6 @@ networks = st.builds(
     upload_bw=st.floats(min_value=1e5, max_value=1e11),
     download_bw=st.floats(min_value=1e5, max_value=1e11),
     base_latency=st.floats(min_value=0, max_value=0.5),
-    efficiency=st.floats(min_value=0.05, max_value=1.0),
 )
 
 
@@ -793,11 +792,10 @@ def test_capacity_decides_feasibility_and_nothing_else(
 
 
 # How a drawn link field may grow from its value: bandwidths up to 100-fold,
-# efficiency up to 1, base latency by up to a second.
+# base latency by up to a second.
 _LINK_GROWTH = {
     "upload_bw": lambda v: st.floats(min_value=v, max_value=100 * v),
     "download_bw": lambda v: st.floats(min_value=v, max_value=100 * v),
-    "efficiency": lambda v: st.floats(min_value=v, max_value=1.0),
     "base_latency": lambda v: st.floats(min_value=v, max_value=v + 1.0),
 }
 
@@ -813,9 +811,9 @@ _LINK_GROWTH = {
 def test_a_better_link_never_slows_a_served_deployment(
         data, model, variant, kind, hw, device_hw, net, cloud_net, link,
         field):
-    """Growing one link's bandwidth or efficiency never raises the
-    end-to-end latency nor lowers the pipelined rate; growing its base
-    latency never lowers the end-to-end latency."""
+    """Growing one link's bandwidth never raises the end-to-end latency
+    nor lowers the pipelined rate; growing its base latency never lowers
+    the end-to-end latency."""
     if kind == COLLABORATIVE and variant not in (DIFFUSION, DIFFUSION_LARGE):
         variant = DIFFUSION  # split serving needs an action expert
     if kind != CLOUD_SERVER:
@@ -869,10 +867,11 @@ def test_the_pipelined_rate_is_its_slowest_stage(model, hw, kind, net,
 
 
 def _cli_json(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main([*argv, "--format", "json"]) == 0
-    return json.loads(out.getvalue())
+    """Exit code, stdout and stderr of ``argv`` in JSON format."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
 
 
 def _axis(values):
@@ -893,21 +892,32 @@ def test_each_sweep_row_is_the_analyze_record_of_its_point(
         chunk, steps, dof, decoding, context_steps, model, hw, placement):
     """A sweep configures each count triple and each decoding once; its
     rows, in grid order, still read what ``analyze`` prints for each
-    point, duplicate axis values included."""
+    point, duplicate axis values included.  A point that ``analyze``
+    refuses (``--steps`` under an autoregressive decoding) refuses the
+    sweep with the same one line, the first in grid order."""
     axes = {name: values for name, values in (
         ("chunk", chunk), ("context_steps", context_steps),
         ("decoding", decoding), ("dof", dof), ("steps", steps))
         if values is not None}
     common = ("--model", model, "--hw", hw, *placement)
-    flags = [(f"--{name.replace('_', '-')}", name) for name in axes]
-    rows = _cli_json("sweep", *common, *(
-        arg for flag, name in flags
-        for arg in (flag, ",".join(map(str, axes[name])))))
-    assert [tuple(row[name] for name in axes) for row in rows] == list(
-        product(*axes.values()))
-    for row in rows:
-        record = _cli_json("analyze", *common, *(
-            arg for flag, name in flags for arg in (flag, str(row[name]))))
+    flags = [f"--{name.replace('_', '-')}" for name in axes]
+    points = list(product(*axes.values()))
+    analyzed = [_cli_json("analyze", *common, *(
+        arg for flag, value in zip(flags, point)
+        for arg in (flag, str(value)))) for point in points]
+    swept = _cli_json("sweep", *common, *(
+        arg for flag, values in zip(flags, axes.values())
+        for arg in (flag, ",".join(map(str, values)))))
+    refused = [result for result in analyzed if result[0] != 0]
+    if refused:
+        assert swept == refused[0]
+        return
+    code, out, err = swept
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [tuple(row[name] for name in axes) for row in rows] == points
+    for row, (_, record, _) in zip(rows, analyzed):
+        record = json.loads(record)
         assert {col: row[col] for col in cli._SWEEP_COLUMNS} == {
             col: record.get(col) for col in cli._SWEEP_COLUMNS}
 

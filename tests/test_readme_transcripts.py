@@ -1,8 +1,8 @@
 """README's transcripts match the CLI.
 
 Each ``text`` block of README that starts with a ``$ vla-roofline`` command
-is that command's stdout, line for line, and the placement errors README
-quotes are the lines the CLI prints.
+is that command's stdout, line for line, and the placement and
+``--steps`` errors README quotes are the lines the CLI prints.
 """
 
 import re
@@ -48,3 +48,12 @@ def test_readme_quotes_the_placement_errors_the_cli_prints(monkeypatch,
         printed.append(err.rstrip("\n"))
     assert printed == re.findall(r"`(error: [\w-]+ placement [^`]*)`",
                                  " ".join(README.split()))
+
+
+def test_readme_quotes_the_steps_error_the_cli_prints(monkeypatch, capsys):
+    monkeypatch.delenv("VLA_ROOFLINE_PRESETS", raising=False)
+    assert cli.main(["analyze", "--decoding", "autoregressive",
+                     "--steps", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"`{err.rstrip()}`" in " ".join(README.split())

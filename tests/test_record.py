@@ -32,7 +32,7 @@ RECORDS = [
                  id="OperatorGraph"),
     pytest.param(lambda lib: lib.accelerator("thor"), "mem_bandwidth", 0.0,
                  id="AcceleratorConfig"),
-    pytest.param(lambda lib: lib.network("wifi7"), "efficiency", 2.0,
+    pytest.param(lambda lib: lib.network("wifi7"), "base_latency", -1.0,
                  id="NetworkConfig"),
     pytest.param(lambda lib: Placement.edge_server(lib.accelerator("b100"),
                                                    lib.network("wifi7")),
