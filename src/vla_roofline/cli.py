@@ -21,6 +21,7 @@ import io
 import math
 import os
 import sys
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -200,15 +201,17 @@ def _project_columns(names: Sequence[str], columns: Sequence[Sequence],
     else a JSON value.  Only ints and floats are rounded, and None is N/A
     in text.  Every format refuses a NaN or infinity, as strict JSON does,
     and names the first in row-major order."""
-    if not all(all(map(math.isfinite, [v for v in column
-                                       if isinstance(v, float)]))
-               for column in columns):
+    # A column of floats is checked and rounded in C, any other per value.
+    plain = [all(map(isinstance, column, repeat(float))) for column in columns]
+    if not all(all(map(math.isfinite, column if floats else [
+            v for v in column if isinstance(v, float)]))
+               for column, floats in zip(columns, plain)):
         for row in zip(*columns):
             for name, value in zip(names, row):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"{name} is {value}, not a finite number")
     cells = []
-    for name, column in zip(names, columns):
+    for name, column, floats in zip(names, columns, plain):
         digits = _DECIMALS.get(name.rpartition("_")[2])
         if fmt != "json":
             # An empty format spec writes a number as ``str`` does.
@@ -216,8 +219,9 @@ def _project_columns(names: Sequence[str], columns: Sequence[Sequence],
             column = [format(v, spec) if isinstance(v, (int, float))
                       else "N/A" if v is None else str(v) for v in column]
         elif digits is not None:
-            column = [round(v, digits) if isinstance(v, (int, float)) else v
-                      for v in column]
+            column = (list(map(round, column, repeat(digits))) if floats
+                      else [round(v, digits) if isinstance(v, (int, float))
+                            else v for v in column])
         cells.append(column)
     return list(zip(*cells))
 
@@ -272,8 +276,7 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([header, *rows])
     return buf.getvalue().rstrip("\n")
 
 
@@ -320,10 +323,9 @@ def _scenario_record(result: ScenarioResult) -> dict:
     record["sync_frequency_hz"] = sync
     if result.async_frequency is not None:
         record["async_frequency_hz"] = result.async_frequency
-    for phase in PHASES:
-        if phase in result.boundedness:
-            record[f"{phase}_bound"] = result.boundedness[phase]
-            record[f"{phase}_oi"] = result.operational_intensity[phase]
+    for phase, bound in result.boundedness.items():
+        record[f"{phase}_bound"] = bound
+        record[f"{phase}_oi"] = result.operational_intensity[phase]
     record["footprint_gb"] = footprint
     return record
 
@@ -336,10 +338,12 @@ def _scenario_record(result: ScenarioResult) -> dict:
 def _configure_spec(base: VlaModelSpec, chunk: Optional[int],
                     steps: Optional[int], dof: Optional[int],
                     decoding: Optional[str]) -> VlaModelSpec:
-    changes = {field: value for field, value in (
-        ("chunk_size", chunk), ("denoise_steps", steps), ("action_dof", dof))
-        if value is not None}
-    spec = replace(base, **changes) if changes else base
+    spec = base
+    if (chunk, steps, dof) != (None, None, None):
+        spec = replace(
+            base, chunk_size=base.chunk_size if chunk is None else chunk,
+            denoise_steps=base.denoise_steps if steps is None else steps,
+            action_dof=base.action_dof if dof is None else dof)
     if decoding is not None:
         spec = decoding_variant_spec(spec, decoding)
     return spec
@@ -390,15 +394,11 @@ def _run_analyze(args, lib: PresetLibrary) -> tuple[str, int]:
         s1_ms = s2_ms = None
         if result.e2e_latency is not None:
             s1_ms, s2_ms = (t * 1e3 for t in dual_system_times(result))
-        record = {
-            "placement": result.placement,
-            "s2_cap_hz": args.s2_cap,
-            "feasible": "yes" if result.feasible else "no",
-            "s1_latency_ms": s1_ms,
-            "s2_latency_ms": s2_ms,
-            "sync_frequency_hz": result.sync_frequency,
-            "async_frequency_hz": result.async_frequency,
-        }
+        record = {"placement": result.placement, "s2_cap_hz": args.s2_cap,
+                  "feasible": "yes" if result.feasible else "no",
+                  "s1_latency_ms": s1_ms, "s2_latency_ms": s2_ms,
+                  "sync_frequency_hz": result.sync_frequency,
+                  "async_frequency_hz": result.async_frequency}
     else:
         scenario = async_scenario if args.use_async else sync_scenario
         result = scenario(spec, placement, args.context_steps)

@@ -279,7 +279,7 @@ def cached_tokens(spec: VlaModelSpec,
     t = 1 if context_timestep is None else context_timestep
     if t < 1:
         raise ValueError("context_timesteps must be >= 1")
-    return spec.prefix_tokens() + spec.vision_tokens() * (t - 1)
+    return spec._prefix_tokens + spec._vision_tokens * (t - 1)
 
 
 def vision_runs(encoder: TransformerConfig, num_cameras: int,
@@ -318,7 +318,7 @@ def phase_builds(spec: VlaModelSpec, context_timestep: Optional[int] = None,
     The VLM prefills the fresh prefix over the rest of :func:`cached_tokens`,
     and the action phase attends all of them by the spec's decoding mode.
     """
-    prefix = spec.prefix_tokens()
+    prefix = spec._prefix_tokens
     cached = cached_tokens(spec, context_timestep)
     history = cached - prefix
     if spec.decoding_mode == DIFFUSION:

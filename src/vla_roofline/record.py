@@ -11,12 +11,14 @@ set_field = object.__setattr__
 class Record:
     """A value type whose ``__slots__`` name its fields, in order; a slot
     named with a leading underscore holds a value derived from them.
-    ``__init__`` stores the fields with ``set_field``, then validates."""
+    ``__init__`` takes the fields in that order, stores them with
+    ``set_field``, then validates."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._positions = {name: i for i, name in enumerate(cls._fields)}
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1
                                    else lambda obj: (get(obj),))
@@ -45,7 +47,13 @@ class Record:
 
 
 def replace(obj: Record, **changes) -> Record:
-    """A copy of ``obj`` with ``changes`` applied, validated as a new record."""
-    fields = dict(zip(obj._fields, obj._values(obj)))
-    fields.update(changes)
-    return obj.__class__(**fields)
+    """A copy of ``obj`` with ``changes`` applied, validated as a new record;
+    ``__init__`` takes the fields by position, as ``__reduce__`` does."""
+    values = list(obj._values(obj))
+    for name, value in changes.items():
+        position = obj._positions.get(name)
+        if position is None:
+            raise TypeError(f"{obj.__class__.__qualname__}.__init__() got an "
+                            f"unexpected keyword argument {name!r}")
+        values[position] = value
+    return obj.__class__(*values)

@@ -146,7 +146,8 @@ class VlaModelSpec(Record):
 
     __slots__ = ("name", "vision_encoder", "vlm", "action_expert",
                  "num_cameras", "tokens_per_image", "language_tokens",
-                 "action_dof", "chunk_size", "denoise_steps", "decoding_mode")
+                 "action_dof", "chunk_size", "denoise_steps", "decoding_mode",
+                 "_vision_tokens", "_prefix_tokens")
 
     def __init__(self, name: str, vision_encoder: TransformerConfig,
                  vlm: TransformerConfig,
@@ -166,37 +167,43 @@ class VlaModelSpec(Record):
         set_field(self, "chunk_size", chunk_size)
         set_field(self, "denoise_steps", denoise_steps)
         set_field(self, "decoding_mode", decoding_mode)
-        if self.decoding_mode not in DECODING_MODES:
+        if decoding_mode not in DECODING_MODES:
             raise ValueError(
-                f"{self.name}: decoding_mode must be one of {DECODING_MODES}, "
-                f"got {self.decoding_mode!r}"
+                f"{name}: decoding_mode must be one of {DECODING_MODES}, "
+                f"got {decoding_mode!r}"
             )
-        if self.decoding_mode == DIFFUSION and self.action_expert is None:
-            raise ValueError(f"{self.name}: diffusion decoding requires an action expert")
-        if self.decoding_mode != DIFFUSION and self.action_expert is not None:
+        if decoding_mode == DIFFUSION and action_expert is None:
+            raise ValueError(f"{name}: diffusion decoding requires an action expert")
+        if decoding_mode != DIFFUSION and action_expert is not None:
             raise ValueError(
-                f"{self.name}: autoregressive decoding runs on the VLM; "
+                f"{name}: autoregressive decoding runs on the VLM; "
                 "drop the action expert"
             )
-        if self.num_cameras < 0 or self.language_tokens < 0 or self.denoise_steps < 0:
-            raise ValueError(f"{self.name}: counts must be >= 0")
-        if self.tokens_per_image < 1 or self.action_dof < 1 or self.chunk_size < 1:
-            raise ValueError(f"{self.name}: tokens_per_image, action_dof and "
+        if num_cameras < 0 or language_tokens < 0 or denoise_steps < 0:
+            raise ValueError(f"{name}: counts must be >= 0")
+        if tokens_per_image < 1 or action_dof < 1 or chunk_size < 1:
+            raise ValueError(f"{name}: tokens_per_image, action_dof and "
                              "chunk_size must be >= 1")
-        for attr in ("num_cameras", "tokens_per_image", "language_tokens",
-                     "action_dof", "chunk_size", "denoise_steps"):
-            check_count(self.name, attr, getattr(self, attr))
-        if self.prefix_tokens() == 0:
-            raise ValueError(f"{self.name}: num_cameras and language_tokens "
+        # One test, which a NaN fails too; the loop names the first offender.
+        if not max(num_cameras, tokens_per_image, language_tokens, action_dof,
+                   chunk_size, denoise_steps) <= MAX_COUNT:
+            for attr in ("num_cameras", "tokens_per_image", "language_tokens",
+                         "action_dof", "chunk_size", "denoise_steps"):
+                check_count(name, attr, getattr(self, attr))
+        # The token counts the opgraph builders read, worked out once.
+        set_field(self, "_vision_tokens", num_cameras * tokens_per_image)
+        set_field(self, "_prefix_tokens", self._vision_tokens + language_tokens)
+        if self._prefix_tokens == 0:
+            raise ValueError(f"{name}: num_cameras and language_tokens "
                              "are both 0, so the VLM has no prefix to prefill")
 
     def vision_tokens(self) -> int:
         """VLM tokens contributed by the cameras each control step."""
-        return self.num_cameras * self.tokens_per_image
+        return self._vision_tokens
 
     def prefix_tokens(self) -> int:
         """Fresh VLM prefix per step: camera tokens plus the language prompt."""
-        return self.vision_tokens() + self.language_tokens
+        return self._prefix_tokens
 
     def action_tokens(self) -> int:
         """Tokens an autoregressive decoder must emit for one action chunk."""

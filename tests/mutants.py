@@ -73,11 +73,24 @@ MUTANTS = (
      "if False:", None),
     ("spec-default-action-dof", "workload.py",
      "action_dof: int = 14,", "action_dof: int = 15,", None),
+    ("spec-count-check-skipped", "workload.py",
+     "        if not max(num_cameras,",
+     "        if False and not max(num_cameras,", None),
+    ("spec-count-fast-path-off", "workload.py",
+     "        if not max(num_cameras,",
+     "        if True or not max(num_cameras,",
+     "the loop raises for exactly the counts above MAX_COUNT that the one "
+     "max test lets into it, so running it always only costs time"),
     ("operator-negative-bytes", "opgraph.py",
      "if self.flops < 0 or self.bytes < 0:", "if self.flops < 0:", None),
     ("head-multiple-check", "workload.py",
      "if self.num_q_heads % self.num_kv_heads != 0:",
      "if self.num_q_heads < self.num_kv_heads:", None),
+    # The fast paths of the records and the projection.
+    ("record-position-off-by-one", "record.py",
+     "enumerate(cls._fields)}", "enumerate(cls._fields, 1)}", None),
+    ("projection-float-test-inverted", "cli.py",
+     "repeat(digits))) if floats", "repeat(digits))) if not floats", None),
     # The early returns the builders keep.
     ("diffusion-zero-steps", "opgraph.py",
      "    if steps == 0:\n        return []\n", "", None),

@@ -988,6 +988,75 @@ def test_column_projection_matches_the_cell_by_cell_reference(table, fmt):
             expected)
 
 
+def _per_value_columns(names, columns, fmt):
+    """The projection as it was written before columns of floats were
+    checked and rounded in C: every float checked first, then each value
+    written on its own."""
+    if not all(all(map(math.isfinite, [v for v in column
+                                       if isinstance(v, float)]))
+               for column in columns):
+        for row in zip(*columns):
+            for name, value in zip(names, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{name} is {value}, not a finite number")
+    cells = []
+    for name, column in zip(names, columns):
+        digits = cli._DECIMALS.get(name.rpartition("_")[2])
+        if fmt != "json":
+            spec = "" if digits is None else f".{digits}f"
+            column = [format(v, spec) if isinstance(v, (int, float))
+                      else "N/A" if v is None else str(v) for v in column]
+        elif digits is not None:
+            column = [round(v, digits) if isinstance(v, (int, float)) else v
+                      for v in column]
+        cells.append(column)
+    return list(zip(*cells))
+
+
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e16, 2.5e16,
+                                  1.7e308, math.inf, -math.inf, math.nan]))
+_VALUES = st.one_of(_FLOATS, st.integers(), st.sampled_from([10 ** 400, True]),
+                    st.none(), st.text(max_size=2))
+
+
+@st.composite
+def _column_tables(draw):
+    """Names and equal-length columns, each of floats only, of ints only or
+    of any mix of floats, ints, None and text."""
+    names = draw(st.lists(st.sampled_from(_PROJECTED_NAMES), min_size=1,
+                          max_size=5))
+    length = draw(st.integers(min_value=0, max_value=5))
+    kinds = st.sampled_from([_FLOATS, st.integers(), _VALUES])
+    columns = [draw(st.lists(draw(kinds), min_size=length, max_size=length))
+               for _ in names]
+    return names, columns
+
+
+def _projected(project, names, columns, fmt):
+    try:
+        return repr(project(names, columns, fmt))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(table=_column_tables(), fmt=st.sampled_from(cli.FORMATS))
+# An int too large for a float fails to be written with decimals, but the
+# NaN of a later column is named first.
+@example(table=(["vlm_latency_ms", "chunk", "e2e_latency_ms"],
+                [[10 ** 400, -0.0], [1, 2], [1.5, math.nan]]), fmt="table")
+@example(table=(["footprint_gb", "sync_frequency_hz"],
+                [[2.675, 1e16], [None, 0.25]]), fmt="json")
+@settings(max_examples=300, deadline=None)
+def test_column_projection_matches_the_per_value_projection(table, fmt):
+    """Columns of floats, checked and rounded in C, give the rows of the
+    per-value projection, or its error: the first NaN or infinity in row-major order
+    before any other, else the same overflow."""
+    names, columns = table
+    assert (_projected(cli._project_columns, names, columns, fmt)
+            == _projected(_per_value_columns, names, columns, fmt))
+
+
 def test_sweep_results_identical_under_thread_pool():
     spec = _LIB.model("pi0")
     placements = [Placement.on_device(_LIB.accelerator(name))

@@ -17,7 +17,7 @@ import pytest
 from vla_roofline import golden
 from vla_roofline.golden import LABEL, GoldenCell
 from vla_roofline.opgraph import Operator, pipeline_graph
-from vla_roofline.record import replace, set_field
+from vla_roofline.record import Record, replace, set_field
 from vla_roofline.scenarios import Placement, sync_scenario
 
 RECORDS = [
@@ -146,3 +146,57 @@ def test_golden_cell_without_a_number_parses_nothing(parses):
         assert cell.relative_error is None
     assert label.passed is True and missing.passed is True
     assert parses == []
+
+
+@pytest.mark.parametrize("name", ["nope", "_hash", "_prefix_tokens"])
+def test_replace_refuses_a_name_that_is_not_a_field(lib, name):
+    """As ``dataclasses.replace`` does: a ``TypeError`` naming the argument,
+    for a derived slot too."""
+    spec = lib.model("pi0")
+    with pytest.raises(TypeError, match=f"unexpected keyword argument "
+                                        f"'{name}'"):
+        replace(spec, **{name: 1})
+    with pytest.raises(TypeError, match=f"'{name}'"):
+        replace(lib.component("gemma-2b"), **{name: 1})
+
+
+def _record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("vla_roofline."):
+            yield sub
+        yield from _record_types(sub)
+
+
+def test_every_record_takes_its_fields_in_order():
+    """``replace`` and pickling pass a record's fields to its constructor
+    by position, in ``_fields`` order, so that is its parameter list."""
+    # Load every module that defines a record type.
+    from vla_roofline import commands, golden  # noqa: F401
+
+    types = set(_record_types())
+    assert len(types) == 10
+    for cls in types:
+        parameters = inspect.signature(cls).parameters.values()
+        assert [p.name for p in parameters] == list(cls._fields), cls
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+        assert cls._positions == {name: i for i, name
+                                  in enumerate(cls._fields)}
+
+
+def test_spec_token_counts_are_derived(lib):
+    """The token counts are stored once, out of ==, hash, repr and
+    pickling, and worked out again for every copy."""
+    spec = lib.model("pi0")
+    assert (spec.vision_tokens(), spec.prefix_tokens()) == (768, 800)
+    assert "_vision_tokens" not in repr(spec)
+    assert "_prefix_tokens" not in repr(spec)
+    stale = replace(spec)
+    set_field(stale, "_vision_tokens", -1)
+    set_field(stale, "_prefix_tokens", -1)
+    assert stale == spec and hash(stale) == hash(spec)
+    assert repr(stale) == repr(spec)
+    for copied in (pickle.loads(pickle.dumps(stale)), copy.copy(stale),
+                   replace(stale)):
+        assert (copied.vision_tokens(), copied.prefix_tokens()) == (768, 800)
+    moved = replace(spec, num_cameras=1, language_tokens=8)
+    assert (moved.vision_tokens(), moved.prefix_tokens()) == (256, 264)

@@ -131,3 +131,20 @@ def test_a_model_without_a_vlm_prefix_is_refused(pi0):
     # Either count alone still leaves a prefix.
     assert replace(pi0, num_cameras=0).prefix_tokens() == 32
     assert replace(pi0, language_tokens=0).prefix_tokens() == 768
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"denoise_steps": 2 ** 53 + 1, "chunk_size": 2 ** 53 + 1},
+     "chunk_size"),
+    ({"num_cameras": 2 ** 60, "language_tokens": 2 ** 60}, "num_cameras"),
+    # A NaN first would make ``max`` return it; the count after it is
+    # still refused.
+    ({"num_cameras": float("nan"), "denoise_steps": 2 ** 53 + 1},
+     "denoise_steps"),
+])
+def test_a_spec_names_its_first_count_above_2_53(pi0, changes, field):
+    with pytest.raises(ValueError, match=f"^pi0: {field} is too large "
+                       r"\(at most 2\*\*53\)$"):
+        replace(pi0, **changes)
+    # 2**53 itself is a count.
+    assert replace(pi0, **dict.fromkeys(changes, 2 ** 53)) is not None
