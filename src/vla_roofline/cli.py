@@ -379,10 +379,12 @@ def _build_placement(args, lib: PresetLibrary) -> Placement:
 
 
 def _run_analyze(args, lib: PresetLibrary) -> tuple[str, int]:
-    spec = _configure_spec(lib.model(args.model), args.chunk, args.steps,
-                           args.dof, args.decoding)
-    _check_steps(spec, args.steps)
+    # The order ``commands._run_sweep`` checks in, so both report one error.
+    base = lib.model(args.model)
     placement = _build_placement(args, lib)
+    spec = _configure_spec(base, args.chunk, args.steps, args.dof,
+                           args.decoding)
+    _check_steps(spec, args.steps)
     if args.s2_cap is not None:
         if args.context_steps is not None:
             raise ValueError("dual-system serving does not model cached "

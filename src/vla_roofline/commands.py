@@ -101,11 +101,13 @@ def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
     combos = list(product(*((None,) if values is None else values
                             for values in axes.values())))
 
-    # Each count triple and each decoding variant of the base is configured
-    # once.  A point configures its triple on the base before its decoding,
-    # as ``_configure_spec`` does, so the grid's first error is the same.
+    # Each count triple, each decoding variant of the base and each pair of
+    # them is configured once.  A point configures its triple on the base
+    # before its decoding, as ``_configure_spec`` does, so the grid's first
+    # error is the same.
     triples: dict = {}
     variants: dict = {}
+    specs: dict = {}
 
     # sync_sweep checks each point as this generator configures it, and all
     # of them before it prices any: a grid exits on its first invalid point,
@@ -113,14 +115,20 @@ def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
     def points():
         for chunk, context_steps, decoding, dof, steps in combos:
             counts = (chunk, steps, dof)
-            if counts not in triples:
-                triples[counts] = _configure_spec(base, *counts, None)
-            spec = triples[counts]
-            if decoding is not None:
-                if decoding not in variants:
-                    variants[decoding] = decoding_variant_spec(base, decoding)
-                if decoding != DIFFUSION:
-                    spec = _configure_spec(variants[decoding], *counts, None)
+            key = (decoding, counts)
+            if key not in specs:
+                if counts not in triples:
+                    triples[counts] = _configure_spec(base, *counts, None)
+                spec = triples[counts]
+                if decoding is not None:
+                    if decoding not in variants:
+                        variants[decoding] = decoding_variant_spec(base,
+                                                                   decoding)
+                    if decoding != DIFFUSION:
+                        spec = _configure_spec(variants[decoding], *counts,
+                                               None)
+                specs[key] = spec
+            spec = specs[key]
             _check_steps(spec, steps)
             yield spec, context_steps
 

@@ -96,10 +96,11 @@ MUTANTS = (
      "    if steps == 0:\n        return []\n", "", None),
     ("vision-zero-camera", "opgraph.py",
      "    if num_cameras == 0:\n        return []\n", "", None),
-    # The process entry.  ``pass`` keeps the ``finally`` block valid Python,
-    # so only a test of the freeze itself can kill the mutant.
-    ("entry-no-freeze", "__main__.py",
-     "        gc.freeze()\n", "        pass\n", None),
+    # The process entry: a ``run`` that returns its code exits the same way,
+    # through the interpreter's shutdown, so only a test of the skipped
+    # shutdown itself can kill the mutant.
+    ("entry-returns", "__main__.py",
+     "    os._exit(code)\n", "    return code\n", None),
     # The lazy imports of a cold process.  The batch commands are loaded at
     # the start of every call, not at the top of ``cli``, which ``commands``
     # imports from: that would fail as a circular import, not as a load.

@@ -16,6 +16,7 @@ import yaml
 
 from vla_roofline import cli, commands, presets
 from vla_roofline.configio import load_presets
+from vla_roofline.workload import VlaModelSpec
 
 
 def run_cli(*args, env=None):
@@ -918,6 +919,26 @@ _STEPS = "--steps sets denoising passes, which {} decoding does not run"
 def test_invalid_sweep_grid_keeps_its_error_line(capsys, grid, message):
     assert cli.main(["sweep", *grid.split()]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_context_steps_axis_configures_each_spec_once(monkeypatch, capsys):
+    """Two chunks under two decodings configure two count triples, two
+    decoding variants and two autoregressive specs, however many context
+    steps each point is priced at."""
+    load_presets()
+    built = []
+    init = VlaModelSpec.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VlaModelSpec, "__init__", counted)
+    assert cli.main(["sweep", "--hw", "b100", "--chunk", "5,50", "--decoding",
+                     "diffusion,autoregressive", "--context-steps",
+                     "1,10,100,1000", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 16
+    assert len(built) == 6
 
 
 def _token_models_yaml():

@@ -1,8 +1,8 @@
 """The process entry ``vla_roofline.__main__.run`` and the console script.
 
-``run`` freezes the collector once its command ends, so it is only ever
-called in a fresh process here: inside pytest it would freeze the whole
-session's heap.  ``cli.main``, the library path, must never freeze.
+``run`` ends its process with ``os._exit`` once the command's output is
+flushed, so it is only ever called in a fresh process here: inside pytest
+it would end the session.  ``cli.main``, the library path, returns.
 """
 
 import copy
@@ -19,21 +19,21 @@ from vla_roofline import cli, presets
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs the command line through ``run`` as ``python -m vla_roofline`` does;
-# an exit hook writes the freeze count to the file named by FREEZE_REPORT,
-# so stdout, stderr and the exit code stay the process's own.
+# Runs the command line through ``run`` as ``python -m vla_roofline`` does.
+# An exit hook, which interpreter shutdown would run, writes a file named by
+# EXIT_REPORT, so stdout, stderr and the exit code stay the process's own.
 RUN_PROBE = (
-    "import atexit, gc, os, sys\n"
+    "import atexit, os, sys\n"
     "from vla_roofline.__main__ import run\n"
     "def report():\n"
-    "    with open(os.environ['FREEZE_REPORT'], 'w') as fh:\n"
-    "        fh.write(str(gc.get_freeze_count()))\n"
+    "    with open(os.environ['EXIT_REPORT'], 'w') as fh:\n"
+    "        fh.write('shutdown')\n"
     "atexit.register(report)\n"
     "sys.exit(run())\n"
 )
 # The same command line through ``cli.main``.
 MAIN_PROBE = "import sys\nfrom vla_roofline import cli\nsys.exit(cli.main())\n"
-# A ``main`` that raises: the freeze must follow a traceback too.
+# A ``main`` that raises: the exception propagates to a normal shutdown.
 RAISING_PROBE = RUN_PROBE.replace(
     "from vla_roofline.__main__ import run\n",
     "import vla_roofline.__main__ as entry\n"
@@ -59,8 +59,10 @@ def _python(code, *args, env=None):
     (("--help",), 0, "stdout", "usage: vla-roofline"),
     (("bogus",), 1, "stderr", "vla-roofline: error: argument command"),
 ], ids=["result", "error-line", "tolerance-failure", "help", "usage-error"])
-def test_run_freezes_on_every_exit_path(tmp_path, args, code, stream, text):
-    env = {"FREEZE_REPORT": str(tmp_path / "frozen")}
+def test_run_skips_shutdown_on_every_exit_path(tmp_path, args, code, stream,
+                                              text):
+    report = tmp_path / "shutdown"
+    env = {"EXIT_REPORT": str(report)}
     if args[0] == "reproduce":
         # A halved B100 bandwidth breaks the latency table.
         hardware = copy.deepcopy(presets.HARDWARE)
@@ -70,20 +72,68 @@ def test_run_freezes_on_every_exit_path(tmp_path, args, code, stream, text):
         env["VLA_ROOFLINE_PRESETS"] = str(tmp_path)
     entry = _python(RUN_PROBE, *args, env=env)
     library = _python(MAIN_PROBE, *args, env=env)
-    assert int((tmp_path / "frozen").read_text()) > 0
+    assert not report.exists()
     assert (entry.returncode, entry.stdout, entry.stderr) == (
         library.returncode, library.stdout, library.stderr)
     assert entry.returncode == code
     assert text in getattr(entry, stream)
 
 
-def test_run_freezes_after_a_traceback(tmp_path):
-    report = tmp_path / "frozen"
+def test_a_traceback_still_takes_the_normal_shutdown(tmp_path):
+    report = tmp_path / "shutdown"
     result = _python(RAISING_PROBE, "analyze",
-                     env={"FREEZE_REPORT": str(report)})
-    assert int(report.read_text()) > 0
+                     env={"EXIT_REPORT": str(report)})
+    assert report.read_text() == "shutdown"
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.splitlines()[-1] == "RuntimeError: boom"
+
+
+def test_a_missing_stdout_takes_the_normal_shutdown(tmp_path):
+    """Without stdout (``sys.stdout`` is None, as when the process starts
+    with it closed), ``--out`` still writes its file, and ``run`` leaves
+    the exit to the interpreter's shutdown."""
+    report, out = tmp_path / "shutdown", tmp_path / "out.json"
+    result = _python(RUN_PROBE.replace("sys.exit(run())",
+                                       "sys.stdout = None\nsys.exit(run())"),
+                     "analyze", "--format", "json", "--out", str(out),
+                     env={"EXIT_REPORT": str(report)})
+    library = _python(MAIN_PROBE, "analyze", "--format", "json")
+    assert report.read_text() == "shutdown"
+    assert (result.returncode, result.stderr) == (0, "")
+    assert out.read_text(encoding="utf-8") == library.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [("analyze", "--format", "json"), ("--help",)],
+                         ids=["analyze", "help"])
+def test_a_closed_pipe_reads_as_through_the_library(tmp_path, args,
+                                                    unbuffered):
+    """With stdout on a pipe whose reader is gone, a command ends through
+    ``run`` as through ``cli.main``: ``analyze`` catches the broken pipe
+    and exits 1 quietly.  Buffered help fails the flush, so ``run`` leaves
+    it to the interpreter's shutdown: status 120 and one "Exception
+    ignored" line.  Unbuffered, argparse drops the failed write."""
+    results = []
+    for probe in (RUN_PROBE, MAIN_PROBE):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, EXIT_REPORT=str(tmp_path / "shutdown"),
+                   PYTHONUNBUFFERED=unbuffered)
+        env.pop("VLA_ROOFLINE_PRESETS", None)
+        try:
+            result = subprocess.run([sys.executable, "-c", probe, *args],
+                                    stdout=write_end, stderr=subprocess.PIPE,
+                                    text=True, env=env)
+        finally:
+            os.close(write_end)
+        results.append((result.returncode, result.stderr))
+    assert results[0] == results[1]
+    if args[0] == "analyze":
+        assert results[0] == (1, "")
+    elif not unbuffered:
+        code, stderr = results[0]
+        assert code == 120
+        assert stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -886,15 +886,17 @@ def _axis(values):
        model=st.sampled_from(sorted(_LIB.models)),
        hw=st.sampled_from(sorted(_LIB.hardware)),
        placement=st.sampled_from([(), ("--placement", EDGE_SERVER, "--net",
-                                       "wifi7")]))
+                                       "wifi7"),
+                                  ("--placement", EDGE_SERVER)]))
 @settings(max_examples=30, deadline=None)
 def test_each_sweep_row_is_the_analyze_record_of_its_point(
         chunk, steps, dof, decoding, context_steps, model, hw, placement):
     """A sweep configures each count triple and each decoding once; its
     rows, in grid order, still read what ``analyze`` prints for each
     point, duplicate axis values included.  A point that ``analyze``
-    refuses (``--steps`` under an autoregressive decoding) refuses the
-    sweep with the same one line, the first in grid order."""
+    refuses (``--steps`` under an autoregressive decoding, an edge
+    placement without ``--net``) refuses the sweep with the same one line,
+    the first in grid order."""
     axes = {name: values for name, values in (
         ("chunk", chunk), ("context_steps", context_steps),
         ("decoding", decoding), ("dof", dof), ("steps", steps))

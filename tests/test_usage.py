@@ -143,6 +143,12 @@ vla-roofline reproduce: error: argument table: invalid choice: 'T99' (choose fro
 error: edge-server placement requires --net
 """),
 }
+# Both commands build the placement before they configure the spec, so a
+# placement that lacks its link is the error over invalid counts too.
+TEXTS.update((f"{command} {counts} --placement edge-server",
+              TEXTS["analyze --placement edge-server"])
+             for command in ("analyze", "sweep")
+             for counts in ("--chunk 0", "--decoding autoregressive --steps 5"))
 
 
 @pytest.mark.parametrize("argv", TEXTS, ids=lambda argv: argv or "no-command")
@@ -184,23 +190,27 @@ def test_well_formed_commands_never_import_argparse():
 
 
 WATCHED = ("vla_roofline.commands", "vla_roofline.golden",
-           "vla_roofline.references", "argparse", "csv", "pathlib")
+           "vla_roofline.references", "argparse", "csv", "pathlib", "gc")
 
 # Runs the process entry in a fresh ``python -S`` process, so that ``site``
 # preloads nothing (it may import ``pathlib``), with the directory that holds
-# the package first on the path.  Prints the exit code, then each module of
-# WATCHED that the command loaded.
+# the package first on the path.  ``run`` ends the process with
+# ``os._exit``, so a stand-in for it prints the exit code, then each module
+# of WATCHED that the command loaded, and ends the process.
 COLD_LOADS = f"""\
-import io, sys
+import io, os, sys
 sys.path.insert(0, sys.argv[1])
 sys.argv = ["vla-roofline", *sys.argv[2:]]
 from vla_roofline.__main__ import run
 stdout, sys.stdout = sys.stdout, io.StringIO()
-try:
-    code = run()
-finally:
-    sys.stdout = stdout
-print(code, *(name for name in {WATCHED!r} if name in sys.modules))
+exit_now = os._exit
+def report(code):
+    stdout.write(" ".join([str(code), *(name for name in {WATCHED!r}
+                                         if name in sys.modules)]) + "\\n")
+    stdout.flush()
+    exit_now(code)
+os._exit = report
+run()
 """
 
 # What each well-formed command loads of WATCHED; OUT stands for a file path.
@@ -219,7 +229,7 @@ COLD_COMMANDS = {
 def test_each_cold_command_loads_only_what_it_uses(tmp_path, argv):
     """``analyze`` loads neither the batch commands nor argparse, csv or
     pathlib; the batch commands load ``golden`` only to reproduce, and
-    pathlib loads only to write ``--out``."""
+    pathlib loads only to write ``--out``.  No command loads ``gc``."""
     env = dict(os.environ)
     env.pop("VLA_ROOFLINE_PRESETS", None)
     args = [str(tmp_path / "out") if arg == "OUT" else arg
