@@ -418,9 +418,7 @@ def _run_analyze(args, lib: PresetLibrary) -> tuple[str, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _read_argv(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     if args is None:
         from .commands import build_parser
 
@@ -441,23 +439,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        from pathlib import Path
+    if args.out is None and sys.stdout is None:
+        print("error: stdout is closed", file=sys.stderr)
+        return 1
+    try:
+        if args.out is None:
+            print(text, flush=True)
+        else:
+            from pathlib import Path
 
-        try:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader stopped early (``| head``).  Point stdout at devnull
-            # so that the flush at exit does not raise again.
+    except OSError as exc:
+        if args.out is None:
+            # On devnull, the flush at exit does not raise again.  A reader
+            # that stopped early (``| head``) is not an error.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            return 1
+        if args.out is not None or not isinstance(exc, BrokenPipeError):
+            print(f"error: {args.out or 'stdout'}: {exc.strerror or exc}",
+                  file=sys.stderr)
+        return 1
     return code

@@ -1,10 +1,9 @@
-"""The batch commands, ``sweep``, ``reproduce`` and ``list-presets``, and
-the argparse parser of every command.
+"""The batch commands, ``sweep``, ``reproduce`` and ``list-presets``, their
+JSON row writers, and the argparse parser of every command.
 
 ``cli.main`` imports this module only when one of these commands runs or
-when argparse must print help or a usage error, so a process that runs a
-well-formed ``analyze`` never compiles it.  Rows go through the projection
-and the writers of ``cli``, which every command shares.
+argparse must print help or a usage error, so a well-formed ``analyze``
+never compiles it.  Rows go through the projection of ``cli``.
 """
 
 from __future__ import annotations
@@ -65,30 +64,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_rows(names: Sequence[str], rows: Sequence[Sequence],
-               depth: int = 0) -> str:
-    """Rows of scalars, one per column of non-empty ``names``, as
-    ``json.dumps(indent=2)`` writes a list of objects ``depth`` levels
-    deep.  Every value is encoded in one C-encoder call, one per line: with
-    ensure_ascii no encoded scalar holds a raw newline, so a count of lines
-    other than one per value (a container of two or more items) is a
-    ValueError."""
-    if not rows:
+def _row_template(names: Sequence[str], count: int, depth: int = 0) -> str:
+    """``count`` objects of ``names`` as ``json.dumps(indent=2)`` lays out a
+    list ``depth`` levels deep: a ``%s`` per value, a "%" in a name doubled."""
+    if not count:
         return "[]"
     from _json import encode_basestring_ascii
 
-    values = [value for row in rows for value in row]
-    lines = "".join(_json_encoder("\n")(values, 0))[1:-1].split("\n")
-    if len(lines) != len(rows) * len(names):
-        raise ValueError("JSON rows need one scalar per column")
-    outer = "  " * depth
-    inner, deep = outer + "  ", outer + "    "
-    # The names go into a %-template, so a "%" in one is doubled.
+    outer, inner, deep = "  " * depth, "  " * (depth + 1), "  " * (depth + 2)
     fields = ",\n".join(
         f"{deep}{encode_basestring_ascii(name).replace('%', '%%')}: %s"
         for name in names)
-    template = ",\n".join([f"{inner}{{\n{fields}\n{inner}}}"] * len(rows))
-    return f"[\n{template % tuple(lines)}\n{outer}]"
+    row = f"{inner}{{\n{fields}\n{inner}}}"
+    return "[\n" + ",\n".join([row] * count) + f"\n{outer}]"
+
+
+def _json_rows(names: Sequence[str], rows: Sequence[Sequence],
+               depth: int = 0) -> str:
+    """Rows of scalars in ``_row_template``'s layout, all encoded in one
+    C-encoder call, one per line: no ASCII-encoded scalar holds a line
+    break, so any other count (a container of two or more) is a ValueError."""
+    values = [value for row in rows for value in row]
+    lines = "".join(_json_encoder("\n")(values, 0))[1:-1].splitlines()
+    if len(lines) != len(rows) * len(names):
+        raise ValueError("JSON rows need one scalar per column")
+    return _row_template(names, len(rows), depth) % tuple(lines)
 
 
 def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
@@ -146,22 +146,33 @@ def _run_sweep(args, lib: PresetLibrary) -> tuple[str, int]:
 
 # A golden cell's printed status, by its verdict.
 _CELL_STATUS = {True: "ok", False: "FAIL", None: "info"}
-
 _CELL_COLUMNS = ("label", "unit", "modeled", "reference", "error", "status")
 
 
 def _cell_fields(cell: golden.GoldenCell) -> tuple[str, ...]:
     """A golden cell's printed fields, in ``_CELL_COLUMNS`` order: text as it
     is, None as N/A, a number with its lower-cased unit's decimals or 2."""
-    modeled, rel = cell.modeled, cell.relative_error
-    if modeled is None:
-        modeled = "N/A"
-    elif not isinstance(modeled, str):
-        modeled = f"{modeled:.{_DECIMALS.get(cell.unit.lower(), 2)}f}"
+    modeled, rel = cell.modeled, cell._relative_error
+    if not isinstance(modeled, str):
+        modeled = "N/A" if modeled is None else (
+            f"{modeled:.{_DECIMALS.get(cell.unit.lower(), 2)}f}")
     return (cell.label, cell.unit, modeled,
             "N/A" if cell.reference is None else cell.reference,
             "" if rel is None else f"{rel * 100:+.1f}%",
-            _CELL_STATUS[cell.passed])
+            _CELL_STATUS[cell._passed])
+
+
+def _reproduce_json(tables) -> str:
+    """The ``reproduce`` document of (name, passed, ``_cell_fields`` rows)
+    ``tables``: the tables' template, then one ``%`` of every ``str`` field."""
+    from _json import encode_basestring_ascii as text
+
+    slots = [slot for name, passed, rows in tables for slot in (
+        text(name).replace("%", "%%"), "true" if passed else "false",
+        _row_template(_CELL_COLUMNS, len(rows), 2))]
+    template = _row_template(("table", "passed", "cells"), len(tables))
+    return (template % tuple(slots)) % tuple(map(text, chain.from_iterable(
+        row for _, _, rows in tables for row in rows)))
 
 
 def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
@@ -170,36 +181,25 @@ def _run_reproduce(args, lib: PresetLibrary) -> tuple[str, int]:
     names = _ALL_TABLES if args.table == "all" else (args.table,)
     # One memo for the command: the tables build each distinct phase once.
     memo: dict = {}
-    groups = [(name, golden.TABLES[name](lib, memo)) for name in names]
-    passed = {name: golden.table_passed(cells) for name, cells in groups}
-    all_pass = all(passed.values())
-    code = 0 if all_pass else 2
-
+    tables = [(name, golden.table_passed(cells), [*map(_cell_fields, cells)])
+              for name in names for cells in [golden.TABLES[name](lib, memo)]]
+    code = 0 if all(passed for _, passed, _ in tables) else 2
     if args.format == "json":
-        return "[\n" + ",\n".join(
-            f'  {{\n    "table": {_json_text(name)},\n'
-            f'    "passed": {_json_text(passed[name])},\n    "cells": '
-            + _json_rows(_CELL_COLUMNS, [_cell_fields(c) for c in cells], 2)
-            + "\n  }" for name, cells in groups) + "\n]", code
+        return _reproduce_json(tables), code
     if args.format == "csv":
-        return _csv_text(("table", *_CELL_COLUMNS),
-                         [(name, *_cell_fields(c))
-                          for name, cells in groups for c in cells]), code
-
+        return _csv_text(("table", *_CELL_COLUMNS), [
+            (name, *row) for name, _, rows in tables for row in rows]), code
     lines = []
-    for name, cells in groups:
-        lines.append(_aligned(
-            [(name, label, f"{modeled} {unit}".rstrip(),
-              f"{reference} {unit}".rstrip(), error, status)
-             for label, unit, modeled, reference, error, status
-             in map(_cell_fields, cells)], "<<>>>"))
-        graded = [c for c in cells if c.passed is not None]
-        failed = [c for c in graded if not c.passed]
-        verdict = "PASS" if not failed else f"FAIL ({len(failed)} cell(s))"
-        lines.append(f"{name}: {verdict} — {len(graded)} graded, "
-                     f"{len(cells) - len(graded)} informational")
-        lines.append("")
-    lines.append("overall: " + ("PASS" if all_pass else "FAIL"))
+    for name, _, rows in tables:
+        failed, info = map([row[-1] for row in rows].count, ("FAIL", "info"))
+        verdict = f"FAIL ({failed} cell(s))" if failed else "PASS"
+        lines += [_aligned([(name, label, f"{modeled} {unit}".rstrip(),
+                             f"{reference} {unit}".rstrip(), error, status)
+                            for label, unit, modeled, reference, error, status
+                            in rows], "<<>>>"),
+                  f"{name}: {verdict} — {len(rows) - info} graded, "
+                  f"{info} informational", ""]
+    lines.append("overall: " + ("PASS" if code == 0 else "FAIL"))
     return "\n".join(lines), code
 
 

@@ -56,7 +56,8 @@ class GoldenCell(Record):
     ``reference``."""
 
     __slots__ = ("label", "unit", "modeled", "reference", "rel_tol",
-                 "abs_tol", "kind", "_reference_value", "_passed")
+                 "abs_tol", "kind", "_reference_value", "_relative_error",
+                 "_passed")
 
     def __init__(self, label: str, unit: str,
                  modeled: float | str | None = None,
@@ -69,10 +70,12 @@ class GoldenCell(Record):
         set_field(self, "rel_tol", rel_tol)
         set_field(self, "abs_tol", abs_tol)
         set_field(self, "kind", kind)
-        set_field(self, "_reference_value",
-                  None if self.reference is None or self.kind == LABEL
-                  else float(self.reference))
-        set_field(self, "_passed", self._verdict())
+        value = (None if reference is None or kind == LABEL
+                 else float(reference))
+        set_field(self, "_reference_value", value)
+        set_field(self, "_relative_error", None if modeled is None or not value
+                  else modeled / value - 1.0)
+        set_field(self, "_passed", self._verdict(value))
 
     @property
     def reference_value(self) -> Optional[float]:
@@ -82,18 +85,19 @@ class GoldenCell(Record):
 
     @property
     def tolerance(self) -> Optional[float]:
-        if self._reference_value is None:
-            return None
+        value = self._reference_value
+        return None if value is None else self._tolerance(value)
+
+    def _tolerance(self, value: float) -> float:
         slack = (self.abs_tol if self.abs_tol is not None
                  else 0.5 * printed_ulp(self.reference))
-        return self.rel_tol * abs(self.reference_value) + slack
+        return self.rel_tol * abs(value) + slack
 
     @property
     def relative_error(self) -> Optional[float]:
-        if (self.modeled is None or self.reference_value is None
-                or self.reference_value == 0):
-            return None
-        return self.modeled / self.reference_value - 1.0
+        """modeled / reference - 1, computed once per cell; None without a
+        modeled value or a nonzero reference value."""
+        return self._relative_error
 
     @property
     def passed(self) -> Optional[bool]:
@@ -101,7 +105,7 @@ class GoldenCell(Record):
         once per cell."""
         return self._passed
 
-    def _verdict(self) -> Optional[bool]:
+    def _verdict(self, value: Optional[float]) -> Optional[bool]:
         if self.kind == INFO:
             return None
         if self.kind == LABEL:
@@ -110,7 +114,7 @@ class GoldenCell(Record):
             return self.modeled is None
         if self.modeled is None:
             return False
-        return abs(self.modeled - self.reference_value) <= self.tolerance
+        return abs(self.modeled - value) <= self._tolerance(value)
 
 
 def table_passed(cells) -> bool:

@@ -66,7 +66,9 @@ MUTANTS = (
     ("dual-system-note-tie", "scenarios.py",
      "if f1 < s2_cap:", "if f1 <= s2_cap:", None),
     ("golden-verdict-tie", "golden.py",
-     "<= self.tolerance", "< self.tolerance", None),
+     "<= self._tolerance(value)", "< self._tolerance(value)", None),
+    ("golden-error-swapped", "golden.py",
+     "else modeled / value - 1.0", "else value / modeled - 1.0", None),
     # Validation at the records.
     ("steps-refusal-off", "cli.py",
      "if steps is not None and spec.decoding_mode != DIFFUSION:",
@@ -86,11 +88,13 @@ MUTANTS = (
     ("head-multiple-check", "workload.py",
      "if self.num_q_heads % self.num_kv_heads != 0:",
      "if self.num_q_heads < self.num_kv_heads:", None),
-    # The fast paths of the records and the projection.
+    # The fast paths of the records, the projection and the writers.
     ("record-position-off-by-one", "record.py",
      "enumerate(cls._fields)}", "enumerate(cls._fields, 1)}", None),
     ("projection-float-test-inverted", "cli.py",
      "repeat(digits))) if floats", "repeat(digits))) if not floats", None),
+    ("reproduce-json-escape-off", "commands.py",
+     'text(name).replace("%", "%%")', "text(name)", None),
     # The early returns the builders keep.
     ("diffusion-zero-steps", "opgraph.py",
      "    if steps == 0:\n        return []\n", "", None),
@@ -105,8 +109,8 @@ MUTANTS = (
     # the start of every call, not at the top of ``cli``, which ``commands``
     # imports from: that would fail as a circular import, not as a load.
     ("cli-eager-commands", "cli.py",
-     "    args = _read_argv(argv)\n",
-     "    from . import commands\n    args = _read_argv(argv)\n", None),
+     "    args = _read_argv(",
+     "    from . import commands\n    args = _read_argv(", None),
     ("cli-eager-pathlib", "cli.py",
      "import sys\n", "import sys\nfrom pathlib import Path\n", None),
 )

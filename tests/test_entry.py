@@ -103,6 +103,35 @@ def test_a_missing_stdout_takes_the_normal_shutdown(tmp_path):
     assert out.read_text(encoding="utf-8") == library.stdout
 
 
+def _close_stdout():
+    os.close(1)
+
+
+@pytest.mark.parametrize("args", [("analyze",),
+                                  ("reproduce", "all", "--format", "json")],
+                         ids=["analyze", "reproduce"])
+@pytest.mark.parametrize("target", ["closed", "full"])
+def test_output_that_cannot_reach_stdout_ends_with_one_error_line(
+        tmp_path, target, args):
+    """With stdout closed (``sys.stdout`` is None) or on a full device, a
+    command ends through ``run`` as through ``cli.main``: exit 1, one
+    ``error:`` line and no traceback, also from the flush at exit."""
+    if target == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    reason = ("stdout is closed" if target == "closed"
+              else "stdout: No space left on device")
+    env = dict(os.environ, EXIT_REPORT=str(tmp_path / "shutdown"))
+    env.pop("VLA_ROOFLINE_PRESETS", None)
+    for probe in (RUN_PROBE, MAIN_PROBE):
+        with open(os.devnull if target == "closed" else "/dev/full",
+                  "w") as sink:
+            result = subprocess.run(
+                [sys.executable, "-c", probe, *args], stdout=sink,
+                stderr=subprocess.PIPE, text=True, env=env,
+                preexec_fn=_close_stdout if target == "closed" else None)
+        assert (result.returncode, result.stderr) == (1, f"error: {reason}\n")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args", [("analyze", "--format", "json"), ("--help",)],
                          ids=["analyze", "help"])

@@ -1,8 +1,9 @@
 """The CLI's JSON writers write the bytes of ``json.dumps(payload,
-indent=2, allow_nan=False)``: ``_json_text`` for the payloads ``analyze``,
-``list-presets`` and ``reproduce`` give it and for any nesting of JSON
-values in which only dicts hold containers, and ``_json_rows`` for rows of
-scalars under column names, such as sweep rows and golden cells."""
+indent=2, allow_nan=False)``: ``_json_text`` for the payloads ``analyze``
+and ``list-presets`` give it and for any nesting of JSON values in which
+only dicts hold containers, ``_json_rows`` for rows of scalars under
+column names, such as sweep rows, and ``_reproduce_json`` for the
+``reproduce`` document of tables of golden-cell texts."""
 
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vla_roofline.cli import _json_text
-from vla_roofline.commands import _json_rows
+from vla_roofline.commands import _CELL_COLUMNS, _json_rows, _reproduce_json
 
 # Text that a naive row splitter, escaper or template could get wrong:
 # quotes, backslashes, braces, a row boundary as text, raw newlines, control
@@ -124,3 +125,32 @@ def test_row_writer_rejects_values_that_are_not_one_finite_scalar(rows):
 def test_writer_rejects_non_finite_numbers(bad, wrap):
     with pytest.raises(ValueError):
         _json_text(wrap(bad))
+
+
+# A ``reproduce`` table: a name, a verdict and rows of cell texts, one per
+# column of ``_CELL_COLUMNS``, no rows included.
+TABLES = st.lists(st.tuples(
+    STRINGS, st.booleans(),
+    st.lists(st.tuples(*[STRINGS] * len(_CELL_COLUMNS)), max_size=4)),
+    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TABLES)
+def test_reproduce_document_matches_json_dumps(tables):
+    payload = [{"table": name, "passed": passed,
+                "cells": [dict(zip(_CELL_COLUMNS, row)) for row in rows]}
+               for name, passed, rows in tables]
+    assert _reproduce_json(tables) == _dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [None, 1, 1.5, True, b"x", ["x"]],
+                         ids=["none", "int", "float", "bool", "bytes", "list"])
+def test_reproduce_document_refuses_a_cell_value_that_is_not_text(bad):
+    """Every cell field goes through the string encoder, so anything but a
+    ``str`` raises rather than being written as some other JSON value."""
+    row = ["x"] * len(_CELL_COLUMNS)
+    for column in range(len(_CELL_COLUMNS)):
+        cells = [tuple(row[:column] + [bad] + row[column + 1:])]
+        with pytest.raises(TypeError):
+            _reproduce_json([("%s", True, [tuple(row)]), ("T1", False, cells)])

@@ -4,7 +4,8 @@ Each record type is checked against a frozen dataclass twin with the same
 name, fields and values: the same repr and hash, equal to a copy of itself
 but not to the twin, no assignment or deletion, and ``replace`` validates a
 change exactly as direct construction does.  A golden cell parses its
-reference once, into a slot that none of that sees.
+reference and works out its relative error once, into slots that none of
+that sees, and grades by the formula of the ``golden`` docstring.
 """
 
 import copy
@@ -13,9 +14,11 @@ import inspect
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vla_roofline import golden
-from vla_roofline.golden import LABEL, GoldenCell
+from vla_roofline.golden import INFO, LABEL, VALUE, GoldenCell
 from vla_roofline.opgraph import Operator, pipeline_graph
 from vla_roofline.record import Record, replace, set_field
 from vla_roofline.scenarios import Placement, sync_scenario
@@ -106,6 +109,76 @@ def test_a_golden_cell_whose_error_equals_its_tolerance_passes(
     assert cell.tolerance == tolerance and cell.passed is True
     beyond = replace(cell, modeled=4.0 + tolerance + 2.0 ** -20)
     assert beyond.passed is False
+
+
+@st.composite
+def graded_cells(draw):
+    """A cell's arguments, drawn for each kind (value, label, info and an
+    N/A reference), and its verdict, relative error and tolerance as the
+    ``golden`` docstring defines them, worked out here."""
+    kind = draw(st.sampled_from([VALUE, LABEL, INFO, "N/A"]))
+    if kind == LABEL:
+        modeled, reference = (draw(st.sampled_from(["Memory", "Compute",
+                                                    "N/A", "holds"]))
+                              for _ in range(2))
+        return (dict(modeled=modeled, reference=reference, kind=LABEL),
+                (modeled == reference, None, None))
+    rel_tol = draw(st.one_of(st.sampled_from([0.0, 0.03, 0.15]),
+                             st.floats(0.0, 1.0)))
+    abs_tol = draw(st.one_of(st.none(), st.floats(0.0, 10.0)))
+    modeled = draw(st.one_of(st.none(), st.floats(-1e6, 1e6)))
+    if kind == "N/A":
+        return (dict(modeled=modeled, rel_tol=rel_tol, abs_tol=abs_tol),
+                (modeled is None, None, None))
+    # A decimal text with ``digits`` printed decimals; zero now and then.
+    digits = draw(st.integers(0, 4))
+    whole = draw(st.one_of(st.just(0), st.integers(-999, 9999)))
+    fraction = draw(st.integers(0, 10 ** digits - 1))
+    reference = f"{whole}.{fraction:0{digits}d}" if digits else f"{whole}"
+    value = float(reference)
+    slack = abs_tol if abs_tol is not None else 0.5 * 10.0 ** -digits
+    tolerance = rel_tol * abs(value) + slack
+    error = None if modeled is None or value == 0 else modeled / value - 1.0
+    if kind == INFO:
+        passed = None
+    else:
+        passed = modeled is not None and abs(modeled - value) <= tolerance
+    return (dict(modeled=modeled, reference=reference, rel_tol=rel_tol,
+                 abs_tol=abs_tol, kind=kind), (passed, error, tolerance))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_cells())
+def test_golden_cell_grades_by_the_docstring_formula(case):
+    arguments, expected = case
+    cell = GoldenCell("cell", "ms", **arguments)
+    assert (cell.passed, cell.relative_error, cell.tolerance) == expected
+
+
+@pytest.mark.parametrize("reference, modeled", [
+    ("0", 0.0), ("0.00", 0.004), ("0.0", None), ("1.5", None)])
+def test_golden_cell_edge_grades(reference, modeled):
+    """A zero reference has no relative error but still grades by its
+    slack; a missing modeled value has none and fails."""
+    cell = GoldenCell("edge", "ms", modeled=modeled, reference=reference)
+    assert cell.relative_error is None
+    assert cell.tolerance == 0.5 * 10.0 ** -(len(reference.partition(".")[2]))
+    assert cell.passed is (modeled is not None)
+
+
+def test_golden_cell_relative_error_is_derived():
+    """The relative error is stored once, out of ==, hash, repr and
+    pickling, and worked out again for every copy."""
+    cell = GoldenCell("1 cam", "ms", modeled=1.02, reference="1.0",
+                      rel_tol=0.05)
+    assert cell.relative_error == pytest.approx(0.02)
+    stale = replace(cell)
+    set_field(stale, "_relative_error", -1.0)
+    assert stale == cell and hash(stale) == hash(cell)
+    assert repr(stale) == repr(cell) and "_relative_error" not in repr(cell)
+    for copied in (pickle.loads(pickle.dumps(stale)), copy.copy(stale),
+                   replace(stale)):
+        assert copied.relative_error == cell.relative_error
 
 
 @pytest.fixture
